@@ -231,8 +231,24 @@ def _seed_families(atlas: Atlas):
 def closure(atlas: Atlas, bound: int = WORD_BOUND, cap: int = FAMILY_CAP) -> Pseudogroup:
     """Bounded pseudogroup closure.  Appending one generating letter at a
     time reaches every word, so stability under a single append pass proves
-    the closure is the full pseudogroup (complete=True)."""
+    the closure is the full pseudogroup (complete=True).
+
+    Most families are unchanged from one round to the next, so each round
+    reuses the steps of earlier ones: preimages, composites and unions are
+    pure functions of their arguments, and a region whose pieces are all
+    pieces of the family already is absorbed without a union (the pieces of
+    a canonical region are pairwise unmergeable, so that union would only
+    drop the duplicates).  The output is the same as without the reuse."""
     seeds = _seed_families(atlas)
+    # letters[chart]: the seeds leaving the chart as (dst, m2, d2, lid), where
+    # lid numbers the distinct (d2, m2) values
+    lids = {}
+    letters = {}
+    for src, dst, m, dom in seeds:
+        lid = lids.setdefault((dom, m), len(lids))
+        letters.setdefault(src, []).append((dst, m, dom, lid))
+    steps = {}   # (d1, m1) -> {lid: (d1.preimage_under(m1, d2), m2.compose(m1))}
+    unions = {}  # (cur, region) -> their union, or False when it is cur
     fams = {}
 
     def absorb(src, dst, m, region):
@@ -243,8 +259,17 @@ def closure(atlas: Atlas, bound: int = WORD_BOUND, cap: int = FAMILY_CAP) -> Pse
                 return False
             by_map[m] = region
             return True
-        new = cur.union(region)
-        if new == cur:
+        key = (cur, region)
+        new = unions.get(key)
+        if new is None:
+            if {p.key() for p in region.pieces} <= {p.key() for p in cur.pieces}:
+                new = False
+            else:
+                new = cur.union(region)
+                if new == cur:
+                    new = False
+            unions[key] = new
+        if new is False:
             return False
         by_map[m] = new
         return True
@@ -259,13 +284,15 @@ def closure(atlas: Atlas, bound: int = WORD_BOUND, cap: int = FAMILY_CAP) -> Pse
                     for (src, dst), by_map in fams.items()
                     for m, reg in by_map.items()]
         for (src, mid, m1, d1) in snapshot:
-            for (s2, dst, m2, d2) in seeds:
-                if s2 != mid:
-                    continue
-                dom = d1.preimage_under(m1, d2)
+            row = steps.setdefault((d1, m1), {})
+            for (dst, m2, d2, lid) in letters.get(mid, ()):
+                step = row.get(lid)
+                if step is None:
+                    step = row[lid] = (d1.preimage_under(m1, d2), m2.compose(m1))
+                dom, m21 = step
                 if dom.is_empty():
                     continue
-                changed |= absorb(src, dst, m2.compose(m1), dom)
+                changed |= absorb(src, dst, m21, dom)
         total = sum(len(v) for v in fams.values())
         if total > cap:
             overflowed = True
@@ -342,6 +369,9 @@ def validate_change(atlas: Atlas, ch: ChangeOfCharts) -> Report:
 
 def validate_atlas(atlas: Atlas, bound: int = WORD_BOUND) -> Report:
     rep = Report("atlas")
+    if not atlas.charts:
+        rep.fail("A1", "atlas has no charts")
+        return rep
     dims = {c.dim for c in atlas.charts}
     if len(dims) != 1:
         rep.fail("A1", "charts of mixed dimension")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from . import atlas as atl
 from . import fred as frd
 from . import groupoid as gpd
-from .reports import ComposabilityError, Report
+from .geometry import GeometryError
+from .reports import ComposabilityError, Report, UndecidedError
 
 
 @dataclass
@@ -503,10 +504,20 @@ def depth2_universe(ops, objects, cells) -> Universe:
     return Universe(list(objects), out)
 
 
-def _try_connect(ops, f, g):
+# The errors by which a construction says that what it builds does not exist.
+# Anything else is a defect and propagates rather than pass an axiom vacuously.
+_NO_SUCH_CELL = (ComposabilityError, ValueError, GeometryError)
+
+
+def _try_connect(ops, rep, f, g):
+    """The unique 2-cell f => g, or None when there is none; when the word
+    bound cannot settle it, the report notes it as undecided."""
     try:
         return ops.connect2(f, g)
-    except Exception:
+    except _NO_SUCH_CELL:
+        return None
+    except UndecidedError as e:
+        rep.note_undecided(f"connecting 2-cell undecided: {e}")
         return None
 
 
@@ -537,8 +548,11 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 continue
             try:
                 d, wp, fp, alpha = chosen_square(ops, table, f, w)
-            except Exception as e:
+            except _NO_SUCH_CELL as e:
                 rep.fail("BF3", f"no square for ({nf}, {nw}): {e}")
+                continue
+            except UndecidedError as e:
+                rep.note_undecided(f"square for ({nf}, {nw}) undecided: {e}")
                 continue
             if ops.is_w(wp) is not True:
                 rep.fail("BF3", f"square W-leg for ({nf}, {nw}) is not in W")
@@ -556,15 +570,18 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 if (ops.obj_key(ops.src(f1)) != ops.obj_key(ops.src(f2))
                         or ops.obj_key(ops.dst(f1)) != ops.obj_key(ops.dst(f2))):
                     continue
-                alpha = _try_connect(ops, ops.compose1(w, f1), ops.compose1(w, f2))
+                alpha = _try_connect(ops, rep, ops.compose1(w, f1), ops.compose1(w, f2))
                 if alpha is None:
                     continue
                 count += 1
                 # (a): cancellation produces beta with alpha * i_v = i_w * beta
                 try:
                     beta = ops.cancel(w, f1, f2, alpha)
-                except Exception as e:
+                except _NO_SUCH_CELL as e:
                     rep.fail("BF4a", f"no beta for ({nw}; {n1}, {n2}): {e}")
+                    continue
+                except UndecidedError as e:
+                    rep.note_undecided(f"beta for ({nw}; {n1}, {n2}) undecided: {e}")
                     continue
                 v = ops.id1(ops.src(f1))
                 lhs = ops.comp2h(alpha, ops.id2(v))
@@ -584,7 +601,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                         continue
                     beta2 = ops.comp2h(beta, ops.id2(u0))
                     u_pr = ops.id1(ops.src(u0))
-                    zeta = _try_connect(ops, ops.compose1(v, u0),
+                    zeta = _try_connect(ops, rep, ops.compose1(v, u0),
                                         ops.compose1(u0, u_pr))
                     if zeta is None:
                         continue
@@ -602,7 +619,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
             for a, b, na, nb in ((f, w, n1, n2), (w, f, n2, n1)):
                 if ops.is_w(b) is not True or ops.is_w(a) is True:
                     continue
-                cell = _try_connect(ops, a, b)
+                cell = _try_connect(ops, rep, a, b)
                 if cell is None:
                     continue
                 got = ops.is_w(a)

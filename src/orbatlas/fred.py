@@ -244,6 +244,6 @@ def correspondence_check(m: Morphism, bound: int = WORD_BOUND) -> Correspondence
     if cls.label == "undecided":
         is_we = None
     else:
-        is_we = cls.label in ("refinement", "unit_weak_equivalence", "weak_equivalence")
+        is_we = cls.label in ("refinement", "weak_equivalence")
     ok, rep = is_morita(fred1(m, bound))
     return CorrespondenceReport(cls.label, is_we, ok, is_we == ok, rep)

@@ -9,6 +9,9 @@ bound was too small to settle.  Undecided is never conflated with failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .geometry import AffineMap
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,16 @@ class Report:
 
 
 def _wjson(w):
+    """A witness as JSON: rationals as canonical "p/q" strings at any depth,
+    tuples as lists, affine maps as their matrix and offset."""
     if w is None:
         return None
-    if isinstance(w, tuple):
-        return [str(x) for x in w]
+    if isinstance(w, Fraction):
+        return f"{w.numerator}/{w.denominator}"
+    if isinstance(w, (tuple, list)):
+        return [_wjson(x) for x in w]
+    if isinstance(w, AffineMap):
+        return {"matrix": _wjson(w.matrix), "offset": _wjson(w.offset)}
     return str(w)
 
 

@@ -55,6 +55,12 @@ def test_fixture_atlases_validate():
         assert rep.ok and rep.decided, (name, rep.summary())
 
 
+def test_empty_atlas_is_reported_as_empty():
+    rep = validate_atlas(Atlas.make([]))
+    assert not rep.ok
+    assert rep.first().code == "A1" and rep.first().message == "atlas has no charts"
+
+
 def test_chart_group_must_preserve_domain():
     bad = Chart.make("B", Region.interval(-1, 1), [ID1, aff1(1, 1)])
     rep = validate_chart(bad)

@@ -73,7 +73,7 @@ def test_morita_command_negative(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["violations"][0]["code"] == "ME1"
-    assert out["violations"][0]["witness"] == ["0"]
+    assert out["violations"][0]["witness"] == ["0/1"]
 
 
 def test_compose_command(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas.atlas import classify_morphism
 from orbatlas.fixtures import ATLASES, MIRROR, MIRROR_REF, MORPHISMS, TRIV_SHIFTED, catalog_2cells
+from orbatlas.reports import UndecidedError
 
 M = MORPHISMS
 
@@ -162,6 +165,36 @@ def test_bf_axioms_small_universe(ops, small_universe, table):
     for ax in (1, 2, 5):
         rep = frc.check_bf(ops, ax, small_universe, table)
         assert rep.ok, rep.summary()
+
+
+def _connect_raising(ops, exc):
+    def connect2(f, g):
+        raise exc("connect2 raised")
+    return dataclasses.replace(ops, connect2=connect2)
+
+
+@pytest.fixture(scope="module")
+def half_universe():
+    # half_T is an open embedding parallel to the W-arrow id_TRIV, so BF5
+    # asks for a 2-cell between the two
+    return frc.Universe([("TRIV", ATLASES["TRIV"])],
+                        [("id_TRIV", M["id_TRIV"]), ("half_T", M["half_T"])])
+
+
+def test_bf_propagates_programming_errors(ops, half_universe):
+    with pytest.raises(TypeError):
+        frc.check_bf(_connect_raising(ops, TypeError), 5, half_universe)
+
+
+def test_bf_no_connecting_cell_is_skipped(ops, half_universe):
+    rep = frc.check_bf(_connect_raising(ops, ValueError), 5, half_universe)
+    assert rep.ok and rep.decided
+
+
+def test_bf_undecided_connection_is_noted(ops, half_universe):
+    rep = frc.check_bf(_connect_raising(ops, UndecidedError), 5, half_universe)
+    assert rep.ok and not rep.decided
+    assert "connect2 raised" in rep.undecided[0]
 
 
 def test_groupoid_instance_smoke():
