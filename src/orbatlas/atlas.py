@@ -27,6 +27,7 @@ from .geometry import (
     Region,
     distinct_points,
 )
+from .memo import memo
 from .reports import (
     ComposabilityError,
     Report,
@@ -136,6 +137,8 @@ class Atlas:
 
     @property
     def dim(self):
+        if not self.charts:
+            raise ValueError("atlas has no charts")
         return self.charts[0].dim
 
     def chart(self, cid: str) -> Chart:
@@ -165,7 +168,12 @@ def merge_many(*atlases):
 
 def merge_atlases(a: Atlas, b: Atlas):
     """Union of two atlases identifying charts with equal ids.  Returns None
-    when a shared id carries different chart data (no canonical merge)."""
+    when a shared id carries different chart data (no canonical merge).
+    An atlas with no charts merges to the other one."""
+    if not a.charts:
+        return b
+    if not b.charts:
+        return a
     if a.dim != b.dim:
         return None
     charts = {c.cid: c for c in a.charts}
@@ -655,23 +663,11 @@ def _mkey(m: Morphism):
     return (m.rep, None if m.certificate is None else m.certificate.key())
 
 
-_compose_memo = {}
-
-
+@memo(lambda g, f: (_mkey(g), _mkey(f)))
 def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     """Composite g after f.  Each entry of f is matched, by exact affine
     equality, against the entries of g covering its assigned change; the
     entry is restricted to the matched part and handed g's assignment."""
-    memo_key = (_mkey(g), _mkey(f))
-    hit = _compose_memo.get(memo_key)
-    if hit is not None:
-        return hit
-    out = _compose_morphisms(g, f)
-    _compose_memo[memo_key] = out
-    return out
-
-
-def _compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     if f.target.key() != g.source.key():
         raise ComposabilityError("target of the first factor is not the source of the second")
     cm = {i: g.chart_image(j) for i, j in f.rep.chart_map}
@@ -869,9 +865,7 @@ def _fully_faithful(m: Morphism, yfams: Pseudogroup, xfams: Pseudogroup):
     return True, None
 
 
-_classify_memo = {}
-
-
+@memo(lambda m, bound=WORD_BOUND: (_mkey(m), bound))
 def classify_morphism(m: Morphism, bound: int = WORD_BOUND) -> Classification:
     """Strongest applicable class of a morphism.
 
@@ -881,16 +875,6 @@ def classify_morphism(m: Morphism, bound: int = WORD_BOUND) -> Classification:
     shared chart ids) and the target orbits are exhausted; a weak
     equivalence when the induced coarse map is a certified bijection; an
     open embedding when it is a certified injection."""
-    memo_key = (_mkey(m), bound)
-    hit = _classify_memo.get(memo_key)
-    if hit is not None:
-        return hit
-    out = _classify_morphism(m, bound)
-    _classify_memo[memo_key] = out
-    return out
-
-
-def _classify_morphism(m: Morphism, bound: int) -> Classification:
     notes = []
     if not m.is_etale():
         return Classification("general", ("a lift is not an open embedding",))
@@ -1154,20 +1138,8 @@ def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
 # Constructive squares: pullbacks along refinements
 # ---------------------------------------------------------------------------
 
-_square_memo = {}
-
-
+@memo(lambda f, w, bound=WORD_BOUND: (_mkey(f), _mkey(w), bound))
 def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
-    memo_key = (_mkey(f), _mkey(w), bound)
-    hit = _square_memo.get(memo_key)
-    if hit is not None:
-        return hit
-    out = _pullback_square(f, w, bound)
-    _square_memo[memo_key] = out
-    return out
-
-
-def _pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
     """Fill the cospan f: C -> B <- A : w (with w a refinement and f with
     open-embedding lifts) to an invertible square
 
@@ -1371,22 +1343,9 @@ def structural(kind: str, *args, **kwargs):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-_unique_2cell_memo = {}
-
-
+@memo(lambda w1, w2, bound=WORD_BOUND: (_mkey(w1), _mkey(w2), bound))
 def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
                                  bound: int = WORD_BOUND) -> TwoCell:
-    memo_key = (_mkey(w1), _mkey(w2), bound)
-    hit = _unique_2cell_memo.get(memo_key)
-    if hit is not None:
-        return hit
-    out = _unique_2cell_open_embeddings(w1, w2, bound)
-    _unique_2cell_memo[memo_key] = out
-    return out
-
-
-def _unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
-                                  bound: int = WORD_BOUND) -> TwoCell:
     """The unique 2-cell between two open embeddings with the same induced
     base map; the patch germ over each chart is forced to be the second lift
     after the inverse of the first."""

@@ -355,7 +355,7 @@ def load_choice_table(path: str, ops) -> frc.ChoiceTable:
                   parse_morphism(e["wleg"], "/choice/wleg"),
                   parse_morphism(e["fleg"], "/choice/fleg"),
                   parse_twocell(e["cell"], "/choice/cell"))
-        key = (ops.cell_key(f), ops.cell_key(w))
+        key = table.key(ops, f, w)
         table.entries[key] = square
         table.cells[key] = (f, w)
     return table

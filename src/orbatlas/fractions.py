@@ -20,6 +20,7 @@ from . import atlas as atl
 from . import fred as frd
 from . import groupoid as gpd
 from .geometry import GeometryError
+from .memo import memo
 from .reports import ComposabilityError, Report, UndecidedError
 
 
@@ -91,6 +92,13 @@ def _atlas_is_w(m):
     return label == "refinement"
 
 
+@memo(lambda m: m)
+def _gpd_is_w(m):
+    """Whether a groupoid morphism is a Morita equivalence.  Memoized on the
+    morphism value, which holds everything `is_morita` reads."""
+    return gpd.is_morita(m)[0]
+
+
 def _gpd_square(f, w, bound=atl.WORD_BOUND):
     fa = frd.fred_inverse(1, f, bound)
     wa = frd.fred_inverse(1, w, bound)
@@ -132,7 +140,7 @@ def groupoid_ops() -> TwoCatOps:
         validate2=gpd.validate_nat_transf,
         two_src=lambda c: c.source_morphism,
         two_dst=lambda c: c.target_morphism,
-        is_w=lambda m: gpd.is_morita(m)[0],
+        is_w=_gpd_is_w,
         square=_gpd_square,
         connect2=_gpd_connect2,
         cancel=_gpd_cancel,
@@ -243,11 +251,18 @@ class ChoiceTable:
         self.entries = {}
         self.cells = {}
 
+    @staticmethod
+    def key(ops, f, w):
+        """Content key of the pair.  A cell key does not name its source and
+        target, so the endpoint objects are part of the key."""
+        return (tuple(ops.obj_key(x) for x in (ops.src(f), ops.dst(f), ops.src(w), ops.dst(w))),
+                ops.cell_key(f), ops.cell_key(w))
+
     def lookup(self, ops, f, w):
-        return self.entries.get((ops.cell_key(f), ops.cell_key(w)))
+        return self.entries.get(self.key(ops, f, w))
 
     def record(self, ops, f, w, square):
-        key = (ops.cell_key(f), ops.cell_key(w))
+        key = self.key(ops, f, w)
         if key not in self.entries:
             self.entries[key] = square
             self.cells[key] = (f, w)

@@ -31,6 +31,7 @@ from .groupoid import (
     PresentedGroupoid,
     is_morita,
 )
+from .memo import memo
 from .reports import ClosureOverflowError, Report
 
 
@@ -39,21 +40,8 @@ class UnsupportedGroupoidError(Exception):
     atlas could be reconstructed."""
 
 
-_fred0_memo = {}
-_fred1_memo = {}
-
-
+@memo(lambda atlas, bound=WORD_BOUND: (atlas.key(), bound))
 def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
-    key = (atlas.key(), bound)
-    hit = _fred0_memo.get(key)
-    if hit is not None:
-        return hit
-    out = _fred0(atlas, bound)
-    _fred0_memo[key] = out
-    return out
-
-
-def _fred0(atlas: Atlas, bound: int) -> PresentedGroupoid:
     """Germ groupoid of an atlas: one object piece per chart, one arrow
     family per affine map in the pseudogroup closure."""
     cl = closure(atlas, bound)
@@ -72,17 +60,8 @@ def _family_lookup(g: PresentedGroupoid):
     return {(f.src, f.dst, f.map): f for f in g.families}
 
 
+@memo(lambda m, bound=WORD_BOUND: (m.rep, bound))
 def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
-    key = (m.rep, bound)
-    hit = _fred1_memo.get(key)
-    if hit is not None:
-        return hit
-    out = _fred1(m, bound)
-    _fred1_memo[key] = out
-    return out
-
-
-def _fred1(m: Morphism, bound: int) -> GroupoidMorphism:
     """Image of a morphism: lifts on objects, change assignment on arrows.
     The assignment must be single-valued on every germ family (it always is
     when the lifts are open embeddings)."""

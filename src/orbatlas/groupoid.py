@@ -226,7 +226,7 @@ class GroupoidMorphism:
         return all(m.is_invertible() for _, (_, m) in self.object_map)
 
     def key(self):
-        return (self.object_map and tuple((p, (q, m.key())) for p, (q, m) in self.object_map),
+        return (tuple((p, (q, m.key())) for p, (q, m) in self.object_map),
                 self.family_map)
 
 

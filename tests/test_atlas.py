@@ -61,6 +61,18 @@ def test_empty_atlas_is_reported_as_empty():
     assert rep.first().code == "A1" and rep.first().message == "atlas has no charts"
 
 
+def test_empty_atlas_has_no_dimension():
+    with pytest.raises(ValueError, match="atlas has no charts"):
+        Atlas.make([]).dim
+
+
+def test_merge_with_empty_atlas_is_the_other_atlas():
+    empty = Atlas.make([])
+    assert merge_atlases(empty, TRIV) == TRIV
+    assert merge_atlases(TRIV, empty) == TRIV
+    assert merge_atlases(empty, empty) == empty
+
+
 def test_chart_group_must_preserve_domain():
     bad = Chart.make("B", Region.interval(-1, 1), [ID1, aff1(1, 1)])
     rep = validate_chart(bad)
