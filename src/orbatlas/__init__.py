@@ -29,8 +29,6 @@ from .geometry import (
     frac,
     germ_of,
     interior_point,
-    point,
-    region_algebra,
 )
 from .atlas import (
     Atlas,
@@ -40,10 +38,7 @@ from .atlas import (
     Morphism,
     TwoCell,
     classify_morphism,
-    common_refinement,
-    compose_2cells,
     compose_morphisms,
-    equal,
     equal_2cells,
     equal_morphisms,
     identity_2cell,
@@ -54,9 +49,7 @@ from .atlas import (
     pullback_square,
     pushforward,
     self_change_element,
-    structural,
     unique_2cell_open_embeddings,
-    validate,
 )
 from .groupoid import (
     ArrowFamily,
@@ -84,7 +77,6 @@ from .fractions import (
     atlas_ops,
     cell_equal,
     check_bf,
-    compose_cells,
     compose_spans,
     groupoid_ops,
     quasi_inverse,

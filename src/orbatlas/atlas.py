@@ -36,7 +36,6 @@ from .reports import (
 
 WORD_BOUND = 4
 FAMILY_CAP = 256
-SAMPLE_COUNT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +419,6 @@ class PEntry:
         return (self.change.key(), self.nu.key())
 
 
-@dataclass(frozen=True)
-class MorphismRep:
-    source: Atlas
-    target: Atlas
-    chart_map: tuple        # sorted (source chart id, target chart id) pairs
-    lifts: tuple            # sorted (source chart id, AffineMap) pairs
-    entries: tuple
-
-    @staticmethod
-    def make(source, target, chart_map, lifts, entries) -> "MorphismRep":
-        cm = tuple(sorted(dict(chart_map).items()))
-        lf = tuple(sorted(dict(lifts).items()))
-        return MorphismRep(source, target, cm, lf, tuple(entries))
-
-    def chart_image(self, cid: str) -> str:
-        return dict(self.chart_map)[cid]
-
-    def lift(self, cid: str) -> AffineMap:
-        return dict(self.lifts)[cid]
-
-    def entries_at(self, src: str, dst: str):
-        return [e for e in self.entries if e.change.src == src and e.change.dst == dst]
-
-
 def _normalize_entries(entries):
     merged = {}
     for e in entries:
@@ -473,39 +448,34 @@ class Morphism:
     over the identity of the underlying space; it never takes part in
     equality."""
 
-    rep: MorphismRep
+    source: Atlas
+    target: Atlas
+    chart_map: tuple        # sorted (source chart id, target chart id) pairs
+    lifts: tuple            # sorted (source chart id, AffineMap) pairs
+    entries: tuple
     certificate: Atlas = field(default=None, compare=False)
 
     @staticmethod
     def make(source, target, chart_map, lifts, entries, certificate=None) -> "Morphism":
-        rep = MorphismRep.make(source, target, dict(chart_map), dict(lifts),
-                               _normalize_entries(entries))
-        return Morphism(rep, certificate)
+        return Morphism(source, target, tuple(sorted(dict(chart_map).items())),
+                        tuple(sorted(dict(lifts).items())), _normalize_entries(entries),
+                        certificate)
 
-    @property
-    def source(self) -> Atlas:
-        return self.rep.source
+    def chart_image(self, cid: str) -> str:
+        return dict(self.chart_map)[cid]
 
-    @property
-    def target(self) -> Atlas:
-        return self.rep.target
+    def lift(self, cid: str) -> AffineMap:
+        return dict(self.lifts)[cid]
 
-    def chart_image(self, cid):
-        return self.rep.chart_image(cid)
-
-    def lift(self, cid):
-        return self.rep.lift(cid)
-
-    @property
-    def entries(self):
-        return self.rep.entries
+    def entries_at(self, src: str, dst: str):
+        return [e for e in self.entries if e.change.src == src and e.change.dst == dst]
 
     def is_etale(self) -> bool:
-        return all(m.is_invertible() for _, m in self.rep.lifts)
+        return all(m.is_invertible() for _, m in self.lifts)
 
     def key(self):
-        return (self.rep.chart_map, tuple((c, m.key()) for c, m in self.rep.lifts),
-                tuple(e.key() for e in self.rep.entries))
+        return (self.chart_map, tuple((c, m.key()) for c, m in self.lifts),
+                tuple(e.key() for e in self.entries))
 
 
 def _lift_image(m: Morphism, cid: str, region: Region) -> Region:
@@ -517,7 +487,7 @@ def _lift_image(m: Morphism, cid: str, region: Region) -> Region:
 def validate_morphism(m: Morphism, bound: int = WORD_BOUND) -> Report:
     rep = Report("morphism")
     src, tgt = m.source, m.target
-    cm, lifts = dict(m.rep.chart_map), dict(m.rep.lifts)
+    cm, lifts = dict(m.chart_map), dict(m.lifts)
     if set(cm) != set(src.chart_ids()) or set(lifts) != set(src.chart_ids()):
         rep.fail("M2", "chart map / lifts not defined on every source chart")
         return rep
@@ -578,7 +548,7 @@ def validate_morphism(m: Morphism, bound: int = WORD_BOUND) -> Report:
 
     # (M4): the entries reproduce every germ of the source pseudogroup
     for i, ip, mm, reg in scl.items():
-        doms = [e.change.dom for e in m.rep.entries_at(i, ip) if e.change.map == mm]
+        doms = [e.change.dom for e in m.entries_at(i, ip) if e.change.map == mm]
         w = reg.covers_witness(doms)
         if w is not None:
             rep.fail("M4", f"pseudogroup germ not reproduced by the good subset "
@@ -586,7 +556,7 @@ def validate_morphism(m: Morphism, bound: int = WORD_BOUND) -> Report:
 
     # (M5d): overlapping entries with equal germs get equal assigned germs
     for i, ip in {(e.change.src, e.change.dst) for e in m.entries}:
-        es = m.rep.entries_at(i, ip)
+        es = m.entries_at(i, ip)
         for e1, e2 in itertools.combinations(es, 2):
             if e1.change.map != e2.change.map or e1.nu.map == e2.nu.map:
                 continue
@@ -605,7 +575,7 @@ def validate_morphism(m: Morphism, bound: int = WORD_BOUND) -> Report:
                 continue
             m3 = e2.change.map.compose(e1.change.map)
             nu3 = e2.nu.map.compose(e1.nu.map)
-            thirds = [e3 for e3 in m.rep.entries_at(e1.change.src, e2.change.dst)
+            thirds = [e3 for e3 in m.entries_at(e1.change.src, e2.change.dst)
                       if e3.change.map == m3]
             w = u.covers_witness([e3.change.dom for e3 in thirds])
             if w is not None:
@@ -633,7 +603,7 @@ def equal_morphisms(a: Morphism, b: Morphism) -> bool:
     entries carry the same germ the assigned germs coincide."""
     if a.source.key() != b.source.key() or a.target.key() != b.target.key():
         return False
-    if a.rep.chart_map != b.rep.chart_map or a.rep.lifts != b.rep.lifts:
+    if a.chart_map != b.chart_map or a.lifts != b.lifts:
         return False
     for e1 in a.entries:
         for e2 in b.entries:
@@ -660,7 +630,7 @@ def identity_morphism(atlas: Atlas, bound: int = WORD_BOUND) -> Morphism:
 
 
 def _mkey(m: Morphism):
-    return (m.rep, None if m.certificate is None else m.certificate.key())
+    return (m, None if m.certificate is None else m.certificate.key())
 
 
 @memo(lambda g, f: (_mkey(g), _mkey(f)))
@@ -670,12 +640,12 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     entry is restricted to the matched part and handed g's assignment."""
     if f.target.key() != g.source.key():
         raise ComposabilityError("target of the first factor is not the source of the second")
-    cm = {i: g.chart_image(j) for i, j in f.rep.chart_map}
-    lifts = {i: g.lift(f.chart_image(i)).compose(L) for i, L in f.rep.lifts}
+    cm = {i: g.chart_image(j) for i, j in f.chart_map}
+    lifts = {i: g.lift(f.chart_image(i)).compose(L) for i, L in f.lifts}
     entries = []
     for e in f.entries:
         j, jp = e.nu.src, e.nu.dst
-        matches = [eg for eg in g.rep.entries_at(j, jp) if eg.change.map == e.nu.map]
+        matches = [eg for eg in g.entries_at(j, jp) if eg.change.map == e.nu.map]
         covered = []
         Li = f.lift(e.change.src)
         for eg in matches:
@@ -715,7 +685,7 @@ def induced_hom(m: Morphism, cid: str) -> dict:
     tgt_chart = m.target.chart(m.chart_image(cid))
     out = {}
     for g in src_chart.group:
-        nus = {e.nu.map for e in m.rep.entries_at(cid, cid) if e.change.map == g}
+        nus = {e.nu.map for e in m.entries_at(cid, cid) if e.change.map == g}
         if len(nus) != 1:
             raise ValueError(f"assignment of {g} is not uniquely determined")
         nu = nus.pop()
@@ -819,7 +789,7 @@ def _essentially_surjective(m: Morphism, fams: Pseudogroup, tgt: Atlas):
     witness = None
     for jc in tgt.charts:
         parts = []
-        for i, j in m.rep.chart_map:
+        for i, j in m.chart_map:
             img = m.source.chart(i).domain.image(m.lift(i))
             for mm, reg in fams.maps(j, jc.cid).items():
                 part = reg.intersect(img)
@@ -884,7 +854,7 @@ def classify_morphism(m: Morphism, bound: int = WORD_BOUND) -> Classification:
     if cert is not None:
         ccl = closure(cert, bound)
         ident = True
-        for i, L in m.rep.lifts:
+        for i, L in m.lifts:
             got = ccl.covered(i, m.chart_image(i), L, m.source.chart(i).domain)
             if got is not True:
                 ident = got  # False, or None when the bound ran out
@@ -912,23 +882,6 @@ def classify_morphism(m: Morphism, bound: int = WORD_BOUND) -> Classification:
 # 2-morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoCellRep:
-    source_morphism: Morphism
-    target_morphism: Morphism
-    patches: tuple        # sorted (chart id, ((Region, ChangeOfCharts), ...))
-
-    @staticmethod
-    def make(src_m, dst_m, patches) -> "TwoCellRep":
-        ps = tuple(sorted(
-            (cid, tuple(sorted(items, key=lambda p: (p[0].key(), p[1].key()))))
-            for cid, items in dict(patches).items()))
-        return TwoCellRep(src_m, dst_m, ps)
-
-    def at(self, cid):
-        return dict(self.patches).get(cid, ())
-
-
 def _normalize_patches(patches):
     out = {}
     for cid, items in dict(patches).items():
@@ -953,27 +906,24 @@ class TwoCell:
     """A 2-morphism between parallel morphisms, as a normalized family of
     patches (region of the source chart, change of the target atlas)."""
 
-    rep: TwoCellRep
+    source_morphism: Morphism
+    target_morphism: Morphism
+    patches: tuple        # sorted (chart id, ((Region, ChangeOfCharts), ...))
 
     @staticmethod
     def make(src_m, dst_m, patches) -> "TwoCell":
-        return TwoCell(TwoCellRep.make(src_m, dst_m, _normalize_patches(patches)))
-
-    @property
-    def source_morphism(self):
-        return self.rep.source_morphism
-
-    @property
-    def target_morphism(self):
-        return self.rep.target_morphism
+        ps = tuple(sorted(
+            (cid, tuple(sorted(items, key=lambda p: (p[0].key(), p[1].key()))))
+            for cid, items in _normalize_patches(patches).items()))
+        return TwoCell(src_m, dst_m, ps)
 
     def patches_at(self, cid):
-        return self.rep.at(cid)
+        return dict(self.patches).get(cid, ())
 
 
 def identity_2cell(f: Morphism) -> TwoCell:
     patches = {}
-    for i, j in f.rep.chart_map:
+    for i, j in f.chart_map:
         dom = f.target.chart(j).domain
         patches[i] = [(f.source.chart(i).domain,
                        ChangeOfCharts(j, j, PartialAffineIso(AffineMap.identity(f.source.dim), dom)))]
@@ -982,7 +932,7 @@ def identity_2cell(f: Morphism) -> TwoCell:
 
 def invert_2cell(c: TwoCell) -> TwoCell:
     patches = {cid: [(r, ch.inverse()) for r, ch in items]
-               for cid, items in c.rep.patches}
+               for cid, items in c.patches}
     return TwoCell.make(c.target_morphism, c.source_morphism, patches)
 
 
@@ -1030,8 +980,8 @@ def validate_2cell(c: TwoCell, bound: int = WORD_BOUND) -> Report:
     if not scl.complete:
         rep.note_undecided("source pseudogroup incomplete; (2Me) checked on the computed part")
     for i, ip, mm, reg in scl.items():
-        e1s = [e for e in f1.rep.entries_at(i, ip) if e.change.map == mm]
-        e2s = [e for e in f2.rep.entries_at(i, ip) if e.change.map == mm]
+        e1s = [e for e in f1.entries_at(i, ip) if e.change.map == mm]
+        e2s = [e for e in f2.entries_at(i, ip) if e.change.map == mm]
         for ra, cha in c.patches_at(i):
             for rap, chap in c.patches_at(ip):
                 bad = [(e1, e2) for e1 in e1s for e2 in e2s
@@ -1070,8 +1020,12 @@ def _value_witness(region: Region, m1: AffineMap, m2: AffineMap):
 
 
 def equal_2cells(a: TwoCell, b: TwoCell) -> bool:
-    """Germ agreement on overlaps of patch regions."""
-    for i in {cid for cid, _ in a.rep.patches} | {cid for cid, _ in b.rep.patches}:
+    """Equal source and target morphisms, and germ agreement on overlaps of
+    patch regions."""
+    if not (equal_morphisms(a.source_morphism, b.source_morphism)
+            and equal_morphisms(a.target_morphism, b.target_morphism)):
+        return False
+    for i in {cid for cid, _ in a.patches} | {cid for cid, _ in b.patches}:
         for r1, c1 in a.patches_at(i):
             for r2, c2 in b.patches_at(i):
                 if c1.map != c2.map and not r1.intersect(r2).is_empty():
@@ -1118,7 +1072,7 @@ def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
         G1 = g1.lift(j1)
         out = []
         for ra, cha in delta.patches_at(i):
-            for eg in g1.rep.entries_at(j1, j2):
+            for eg in g1.entries_at(j1, j2):
                 if eg.change.map != cha.map:
                     continue
                 for sc, chc in xi.patches_at(j2):
@@ -1138,6 +1092,17 @@ def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
 # Constructive squares: pullbacks along refinements
 # ---------------------------------------------------------------------------
 
+def _search_atlas(atlas: Atlas, *certificates) -> Atlas:
+    """The atlas merged with each certificate in turn, skipping a
+    certificate that does not merge consistently (or is None)."""
+    for cert in certificates:
+        if cert is not None:
+            merged = merge_atlases(atlas, cert)
+            if merged is not None:
+                atlas = merged
+    return atlas
+
+
 @memo(lambda f, w, bound=WORD_BOUND: (_mkey(f), _mkey(w), bound))
 def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
     """Fill the cospan f: C -> B <- A : w (with w a refinement and f with
@@ -1156,12 +1121,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
         raise ComposabilityError("the two morphisms do not share their target")
     if not f.is_etale() or not w.is_etale():
         raise ValueError("pullback squares need open-embedding lifts")
-    search = B
-    for cand in (w.certificate, f.certificate):
-        if cand is not None:
-            merged = merge_atlases(search, cand)
-            if merged is not None:
-                search = merged
+    search = _search_atlas(B, w.certificate, f.certificate)
     bcl = closure(search, bound)
     # chart ids of the pullback are content-addressed so that middles of
     # different squares never collide when certificates are merged
@@ -1254,13 +1214,6 @@ def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
     return D, w_prime, f_prime, alpha
 
 
-def common_refinement(w1: Morphism, w2: Morphism, bound: int = WORD_BOUND):
-    """Common refinement of two weak equivalences into the same atlas:
-    an atlas U with morphisms v1, v2 such that w1 v1 and w2 v2 are joined by
-    an invertible 2-cell and both composites refine."""
-    return pullback_square(w1, w2, bound)
-
-
 def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
                            bound: int = WORD_BOUND) -> TwoCell:
     """Given a refinement v: Y' -> Y, morphisms x, y: M -> Y' and a 2-cell
@@ -1268,14 +1221,8 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
     the given cell."""
     if not v.is_etale():
         raise ValueError("cancellation needs open-embedding lifts on the refinement")
-    tgt = x.target
-    search = tgt
-    for cand in (v.certificate, x.certificate, y.certificate):
-        if cand is not None:
-            merged = merge_atlases(search, cand)
-            if merged is not None:
-                search = merged
-    tcl = closure(search, bound)
+    tcl = closure(_search_atlas(x.target, v.certificate, x.certificate, y.certificate),
+                  bound)
     patches = {}
     for i in x.source.chart_ids():
         j1, j2 = x.chart_image(i), y.chart_image(i)
@@ -1294,55 +1241,6 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
     return TwoCell.make(x, y, patches)
 
 
-def validate(kind: str, payload, bound: int = WORD_BOUND, context=None) -> Report:
-    """Dispatch over the validators.  `context` supplies the atlas a change
-    of charts is checked against."""
-    if kind == "chart":
-        return validate_chart(payload)
-    if kind == "change":
-        if context is None:
-            raise ValueError("validating a change of charts needs its atlas")
-        return validate_change(context, payload)
-    if kind == "atlas":
-        return validate_atlas(payload, bound)
-    if kind == "morphism":
-        return validate_morphism(payload, bound)
-    if kind == "2cell":
-        return validate_2cell(payload, bound)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def equal(kind: str, a, b) -> bool:
-    if kind == "morphism":
-        return equal_morphisms(a, b)
-    if kind == "2cell":
-        return equal_2cells(a, b)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def compose_2cells(mode: str, beta: TwoCell, alpha: TwoCell) -> TwoCell:
-    if mode == "vertical":
-        return vertical_compose(beta, alpha)
-    if mode == "horizontal":
-        return horizontal_compose(beta, alpha)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def structural(kind: str, *args, **kwargs):
-    """Dispatch over the structural constructions: identity morphisms and
-    2-cells, inclusions into extended atlases, transports along ambient
-    affine embeddings."""
-    if kind == "identity":
-        return identity_morphism(*args, **kwargs)
-    if kind == "two_identity":
-        return identity_2cell(*args, **kwargs)
-    if kind == "inclusion":
-        return inclusion(*args, **kwargs)
-    if kind == "pushforward":
-        return pushforward(*args, **kwargs)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 @memo(lambda w1, w2, bound=WORD_BOUND: (_mkey(w1), _mkey(w2), bound))
 def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
                                  bound: int = WORD_BOUND) -> TwoCell:
@@ -1353,14 +1251,7 @@ def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
         raise ComposabilityError("morphisms are not parallel")
     if not (w1.is_etale() and w2.is_etale()):
         raise ValueError("both morphisms must have open-embedding lifts")
-    tgt = w1.target
-    search = tgt
-    for cand in (w1.certificate, w2.certificate):
-        if cand is not None:
-            merged = merge_atlases(search, cand)
-            if merged is not None:
-                search = merged
-    tcl = closure(search, bound)
+    tcl = closure(_search_atlas(w1.target, w1.certificate, w2.certificate), bound)
     patches = {}
     for i in w1.source.chart_ids():
         d_map = w2.lift(i).compose(w1.lift(i).inverse())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -76,8 +77,12 @@ def parse_region(doc, path=""):
     dim = _need(doc, "dim", path)
     raw = _need(doc, "pieces", path)
     if dim == 1:
-        pieces = [Interval(parse_frac(a, path), parse_frac(b, path))
-                  for a, b in raw]
+        pieces = []
+        for a, b in raw:
+            lo, hi = parse_frac(a, path), parse_frac(b, path)
+            if lo >= hi:
+                raise SchemaError(f"{path}/pieces", f"interval [{a}, {b}] is empty")
+            pieces.append(Interval(lo, hi))
     elif dim == 2:
         pieces = []
         for pts in raw:
@@ -132,8 +137,8 @@ def parse_atlas(doc, path=""):
 def morphism_doc(m: atl.Morphism):
     return {"kind": "morphism",
             "source": atlas_doc(m.source), "target": atlas_doc(m.target),
-            "chart_map": dict(m.rep.chart_map),
-            "lifts": {i: affine_doc(L) for i, L in m.rep.lifts},
+            "chart_map": dict(m.chart_map),
+            "lifts": {i: affine_doc(L) for i, L in m.lifts},
             "entries": [{"change": change_doc(e.change), "nu": change_doc(e.nu)}
                         for e in m.entries],
             "certificate": None if m.certificate is None else atlas_doc(m.certificate)}
@@ -157,7 +162,7 @@ def twocell_doc(c: atl.TwoCell):
             "source": morphism_doc(c.source_morphism),
             "target": morphism_doc(c.target_morphism),
             "patches": {cid: [[region_doc(r), change_doc(ch)] for r, ch in items]
-                        for cid, items in c.rep.patches}}
+                        for cid, items in c.patches}}
 
 
 def parse_twocell(doc, path=""):
@@ -313,8 +318,25 @@ def dumps(value) -> str:
     return json.dumps(serialize(value), indent=1, sort_keys=True)
 
 
+def _read(path) -> str:
+    """The text of a file; a file that cannot be read is a schema error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SchemaError("", f"cannot read {path}: {e}")
+
+
+def _json(text: str):
+    """Decode a JSON document; malformed JSON is a schema error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError("", f"not a JSON document: {e}")
+
+
 def loads(text: str):
-    return parse(json.loads(text))
+    return parse(_json(text))
 
 
 # -- choice table persistence -------------------------------------------------
@@ -343,11 +365,9 @@ def save_choice_table(table: frc.ChoiceTable, ops, path: str):
 
 def load_choice_table(path: str, ops) -> frc.ChoiceTable:
     table = frc.ChoiceTable()
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return table
+    doc = _json(_read(path))
     for _, e in doc.get("entries", []):
         f = parse_morphism(e["f"], "/choice/f")
         w = parse_morphism(e["w"], "/choice/w")
@@ -377,7 +397,7 @@ def _report_code(rep: Report) -> int:
 
 
 def cmd_validate(args):
-    doc = json.load(open(args.file))
+    doc = _json(_read(args.file))
     kind = _need(doc, "kind", "")
     value = parse(doc)
     if kind == "atlas":
@@ -398,16 +418,20 @@ def cmd_validate(args):
         rep = Report("change")
         rep.note_undecided("a change of charts is validated against its atlas; "
                            "wrap it in an atlas document")
+    elif kind == "span":
+        rep = frc.validate_span(frc.atlas_ops(), value)
+    elif kind == "fraction_cell":
+        rep = frc.validate_fraction_cell(frc.atlas_ops(), value)
     else:
-        rep = Report(kind)
+        raise SchemaError("/kind", f"no validator for kind {kind!r}")
     out = rep.to_json()
     out["kind"] = "report"
     return _emit(out, _report_code(rep))
 
 
 def cmd_compose(args):
-    a = loads(open(args.first).read())
-    b = loads(open(args.second).read())
+    a = loads(_read(args.first))
+    b = loads(_read(args.second))
     if args.mode == "morphism":
         out = atl.compose_morphisms(b, a)
     elif args.mode == "vertical":
@@ -421,14 +445,14 @@ def cmd_compose(args):
 
 
 def cmd_fred(args):
-    value = loads(open(args.file).read())
+    value = loads(_read(args.file))
     out = [frd.fred0, frd.fred1, frd.fred2][args.level](value, args.bound)
     print(dumps(out))
     return 0
 
 
 def cmd_morita(args):
-    psi = loads(open(args.file).read())
+    psi = loads(_read(args.file))
     ok, rep = gpd.is_morita(psi)
     out = rep.to_json()
     out["kind"] = "report"
@@ -437,7 +461,7 @@ def cmd_morita(args):
 
 
 def cmd_classify(args):
-    m = loads(open(args.file).read())
+    m = loads(_read(args.file))
     cls = atl.classify_morphism(m, args.bound)
     out = {"kind": "report", "subject": "classification", "class": cls.label,
            "notes": list(cls.notes), "ok": cls.label != "undecided"}
@@ -471,8 +495,8 @@ def cmd_bf_check(args):
 
 def cmd_localize_compose(args):
     ops = frc.atlas_ops()
-    s1 = loads(open(args.first).read())
-    s2 = loads(open(args.second).read())
+    s1 = loads(_read(args.first))
+    s2 = loads(_read(args.second))
     table = load_choice_table(args.choices, ops) if args.choices else frc.ChoiceTable()
     out = frc.compose_spans(ops, table, s2, s1)
     if args.choices:
@@ -483,8 +507,8 @@ def cmd_localize_compose(args):
 
 def cmd_cell_equal(args):
     ops = frc.atlas_ops()
-    c1 = loads(open(args.first).read())
-    c2 = loads(open(args.second).read())
+    c1 = loads(_read(args.first))
+    c2 = loads(_read(args.second))
     try:
         eq = frc.cell_equal(ops, c1, c2)
     except UndecidedError as e:
@@ -510,8 +534,9 @@ def build_parser():
         description="exact orbifold-atlas 2-category toolkit")
     p.add_argument("--bound", type=int, default=atl.WORD_BOUND,
                    help="word bound for pseudogroup closures")
-    p.add_argument("--samples", type=int, default=atl.SAMPLE_COUNT,
-                   help="sample count for coarse spot checks")
+    p.add_argument("--samples", type=int, default=grd.SIDE_SAMPLES,
+                   help="sample count for the coarse side-condition checks "
+                        "of equiv-report")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub = p.add_subparsers(dest="command", required=True)
 

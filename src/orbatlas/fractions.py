@@ -193,7 +193,8 @@ class FractionCell:
     """A 2-cell of the localized bicategory, in the simplified shape: a
     middle object with two W-legs into the middles of the parallel spans and
     a base 2-cell filling the arrow-leg square.  The W-leg square's filler
-    exists uniquely and is reconstructed on demand."""
+    exists uniquely and is not stored: the pastings that need it build it
+    with `ops.connect2`."""
 
     src_span: Span
     dst_span: Span
@@ -230,13 +231,6 @@ def validate_fraction_cell(ops, c: FractionCell) -> Report:
                    ops.compose1(c.dst_span.right, c.right_leg)):
         rep.fail("FC2", "base cell target does not match the span composite")
     return rep
-
-
-def connecting_filler(ops, c: FractionCell):
-    """The unique filler of the W-leg square, (w1 o left_leg) => (w2 o
-    right_leg); it exists because all four arrows are in W."""
-    return ops.connect2(ops.compose1(c.src_span.left, c.left_leg),
-                        ops.compose1(c.dst_span.left, c.right_leg))
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +403,6 @@ def horizontal_compose_cells(ops, table, beta: FractionCell,
     left_leg = ops.compose1(e12, e3)
     right_leg = ops.compose1(hEp, e3)
     return FractionCell(t, tp, ops.src(e3), left_leg, right_leg, base)
-
-
-def compose_cells(ops, mode: str, beta: FractionCell, alpha: FractionCell,
-                  table=None) -> FractionCell:
-    if mode == "vertical":
-        return vertical_compose_cells(ops, beta, alpha)
-    if mode == "horizontal":
-        return horizontal_compose_cells(ops, table, beta, alpha)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def associator(ops, table, s3: Span, s2: Span, s1: Span) -> FractionCell:

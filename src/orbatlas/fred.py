@@ -60,7 +60,7 @@ def _family_lookup(g: PresentedGroupoid):
     return {(f.src, f.dst, f.map): f for f in g.families}
 
 
-@memo(lambda m, bound=WORD_BOUND: (m.rep, bound))
+@memo(lambda m, bound=WORD_BOUND: (m, bound))
 def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     """Image of a morphism: lifts on objects, change assignment on arrows.
     The assignment must be single-valued on every germ family (it always is
@@ -70,7 +70,7 @@ def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     tgt_by_map = _family_lookup(gt)
     family_map = {}
     for f in gs.families:
-        nus = {e.nu.map for e in m.rep.entries_at(f.src, f.dst)
+        nus = {e.nu.map for e in m.entries_at(f.src, f.dst)
                if e.change.map == f.map
                and not e.change.dom.intersect(f.dom).is_empty()}
         if len(nus) != 1:

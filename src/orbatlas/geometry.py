@@ -46,10 +46,6 @@ def frac(x) -> Fraction:
     raise GeometryError(f"not an exact rational: {x!r}")
 
 
-def point(*coords) -> tuple:
-    return tuple(frac(c) for c in coords)
-
-
 # ---------------------------------------------------------------------------
 # Affine maps
 # ---------------------------------------------------------------------------
@@ -729,23 +725,6 @@ class Region:
                 for k in range(self.dim)
             ))
         return pts
-
-
-def region_algebra(op: str, a: Region, b=None):
-    """Dispatcher over the region operations (kept for CLI parity)."""
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "union":
-        return a.union(b)
-    if op == "difference":
-        return a.difference(b)
-    if op == "image":
-        return a.image(b)
-    if op == "components":
-        return a.components()
-    if op == "covers":
-        return a.covers(b)
-    raise GeometryError(f"unknown region operation {op!r}")
 
 
 def interior_point(r: Region) -> tuple:

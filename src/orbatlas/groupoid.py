@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from .geometry import AffineMap, PartialAffineIso, Region
 from .reports import ComposabilityError, Report
 
-SAMPLE_COUNT = 64
-
 
 @dataclass(frozen=True)
 class ArrowFamily:
@@ -400,6 +398,11 @@ def validate_nat_transf(alpha: NatTransf) -> Report:
 
 
 def equal_nat_transfs(a: NatTransf, b: NatTransf) -> bool:
+    """Equal source and target morphisms, and equal arrow germs wherever
+    the assignments overlap."""
+    if not (equal_gpd_morphisms(a.source_morphism, b.source_morphism)
+            and equal_gpd_morphisms(a.target_morphism, b.target_morphism)):
+        return False
     for pid in {p for p, _ in a.assignments} | {p for p, _ in b.assignments}:
         for r1, f1 in a.at(pid):
             for r2, f2 in b.at(pid):
@@ -545,8 +548,7 @@ def is_morita(psi: GroupoidMorphism):
     return rep.ok, rep
 
 
-def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism,
-                           samples: int = SAMPLE_COUNT, seed: int = 0):
+def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
     """Between two Morita equivalences inducing the same coarse map there is
     exactly one natural transformation; construct it piecewise by matching
     the local section psi2 o psi1^{-1} against the target families.

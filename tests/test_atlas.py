@@ -11,7 +11,6 @@ from orbatlas.atlas import (
     classify_morphism,
     closure,
     coarse_equal_atlas,
-    common_refinement,
     compose_morphisms,
     equal_2cells,
     equal_morphisms,
@@ -135,8 +134,8 @@ def test_equal_is_reflexive_and_tolerant():
     # a representative with a redundant entry is still the same morphism
     base = M["id_MIRROR"]
     extra = list(base.entries) + [base.entries[0]]
-    fat = Morphism.make(base.source, base.target, dict(base.rep.chart_map),
-                        dict(base.rep.lifts), extra)
+    fat = Morphism.make(base.source, base.target, dict(base.chart_map),
+                        dict(base.lifts), extra)
     assert equal_morphisms(base, fat)
 
 
@@ -228,6 +227,15 @@ def test_2cell_equality_and_inverse():
     assert equal_2cells(v, cells["i_id_MIRROR"])
 
 
+def test_equal_2cells_needs_equal_endpoints():
+    # both identity cells carry the identity germ, but between different
+    # morphisms
+    assert not equal_morphisms(M["flip_M"], M["id_MIRROR"])
+    assert not equal_2cells(identity_2cell(M["flip_M"]), identity_2cell(M["id_MIRROR"]))
+    d = catalog_2cells()["id_to_flip"]
+    assert not equal_2cells(d, invert_2cell(d))
+
+
 def test_unique_2cell_of_equal_morphisms_is_identity():
     for name in ("leg1_MR_M", "flip_M", "id_CONE3"):
         cell = unique_2cell_open_embeddings(M[name], M[name])
@@ -237,7 +245,7 @@ def test_unique_2cell_of_equal_morphisms_is_identity():
 def test_unique_2cell_between_legs():
     cells = catalog_2cells()
     legs = cells["legs"]
-    by_chart = dict(legs.rep.patches)
+    by_chart = dict(legs.patches)
     (r_c2, ch_c2), = by_chart["C2"]
     assert ch_c2.map == MIRROR_MAP
     (r_m, ch_m), = by_chart["M"]
@@ -280,7 +288,7 @@ def test_pullback_square_flip_legs():
 
 
 def test_common_refinement_of_parallel_legs():
-    u, v1, v2, cell = common_refinement(M["leg1_MR_M"], M["leg2_MR_M"])
+    u, v1, v2, cell = pullback_square(M["leg1_MR_M"], M["leg2_MR_M"])
     assert classify_morphism(v1).label == "refinement"
     assert classify_morphism(v2).label == "refinement"
     assert classify_morphism(compose_morphisms(M["leg1_MR_M"], v1)).label == "refinement"
@@ -289,7 +297,7 @@ def test_common_refinement_of_parallel_legs():
 
 
 def test_common_refinement_identities():
-    u, v1, v2, cell = common_refinement(M["id_MIRROR"], M["id_MIRROR"])
+    u, v1, v2, cell = pullback_square(M["id_MIRROR"], M["id_MIRROR"])
     assert classify_morphism(v1).label == "refinement"
     assert classify_morphism(v2).label == "refinement"
     assert validate_2cell(cell).ok

@@ -165,3 +165,57 @@ def test_fred_levels_1_and_2(tmp_path, capsys):
                                        catalog_2cells()["legs"])]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "nat_transf"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["classify"], ["morita"], ["fred", "1"], ["compose", "{ok}"],
+    ["localize-compose", "{ok}"], ["cell-equal", "{ok}"],
+])
+@pytest.mark.parametrize("content", ["{not json", None, b"\xff\xfe\x00"])
+def test_unreadable_input_is_a_schema_error(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad.json"
+    if isinstance(content, str):
+        bad.write_text(content)
+    elif content is not None:
+        bad.write_bytes(content)
+    ok = write(tmp_path, "ok.json", M["id_MIRROR"])
+    argv = [a.format(ok=ok) for a in argv] + [str(bad)]
+    assert cli.run(argv) == 3
+    assert "schema_error" in json.loads(capsys.readouterr().out)
+
+
+def test_malformed_choice_table_is_a_schema_error(tmp_path, capsys):
+    ops = frc.atlas_ops()
+    p1 = write(tmp_path, "s1.json", frc.universal_embed(ops, M["emb_T_M"]))
+    p2 = write(tmp_path, "s2.json", frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]))
+    choices = tmp_path / "choices.json"
+    choices.write_text("{not json")
+    assert cli.run(["localize-compose", p1, p2, "--choices", str(choices)]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("pieces", [[["1", "0"]], [["0", "1"], ["1/2", "1/2"]]])
+def test_empty_or_inverted_interval_is_a_schema_error(pieces):
+    with pytest.raises(cli.SchemaError):
+        cli.parse_region({"kind": "region", "dim": 1, "pieces": pieces})
+
+
+def test_validate_spans_and_fraction_cells(tmp_path, capsys):
+    ops = frc.atlas_ops()
+    good = frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])
+    assert cli.run(["validate", write(tmp_path, "s.json", good)]) == 0
+    capsys.readouterr()
+    # an open embedding is not a refinement, so it cannot be the W-leg
+    bad = frc.Span(M["emb_T_M"].source, M["emb_T_M"], M["emb_T_M"])
+    assert cli.run(["validate", write(tmp_path, "b.json", bad)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"][0]["code"] == "SP2"
+    fc = frc.universal_embed(ops, catalog_2cells()["id_to_flip"], level=2)
+    assert cli.run(["validate", write(tmp_path, "fc.json", fc)]) == 0
+    capsys.readouterr()
+
+
+def test_validate_kind_without_validator_is_a_schema_error(tmp_path, capsys):
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"kind": "region", "dim": 1, "pieces": [["0", "1"]]}))
+    assert cli.run(["validate", str(p)]) == 3
+    assert "schema_error" in json.loads(capsys.readouterr().out)

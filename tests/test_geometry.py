@@ -13,7 +13,6 @@ from orbatlas.geometry import (
     aff2,
     germ_of,
     interior_point,
-    region_algebra,
 )
 
 TRI = Region.polygon([(1, 0), (0, 1), (-1, -1)])
@@ -123,9 +122,9 @@ def test_empty_region_interior_point():
         Region.empty(1).interior_point()
 
 
-def test_region_algebra_dispatcher():
-    assert region_algebra("intersect", iv(0, 1), iv(F(1, 2), 2)) == iv(F(1, 2), 1)
-    assert region_algebra("covers", iv(-1, 1), [iv(-1, F(1, 4)).union(iv(0, 1))])
+def test_region_intersect_and_covers():
+    assert iv(0, 1).intersect(iv(F(1, 2), 2)) == iv(F(1, 2), 1)
+    assert iv(-1, 1).covers([iv(-1, F(1, 4)).union(iv(0, 1))])
 
 
 def test_germ_rigidity_and_composition():

@@ -162,6 +162,13 @@ def test_nat_transf_algebra():
     assert equal_nat_transfs(h, identity_nat_transf(comp))
 
 
+def test_equal_nat_transfs_needs_equal_endpoints():
+    flip, ident = fred1(M["flip_M"]), fred1(M["id_MIRROR"])
+    assert not equal_nat_transfs(identity_nat_transf(flip), identity_nat_transf(ident))
+    d = fred2(catalog_2cells()["id_to_flip"])
+    assert not equal_nat_transfs(d, invert_nat_transf(d))
+
+
 def test_coarse_homeomorphism_spot_check():
     rep = coarse_homeomorphism_check(fred1(M["incl_M_MR"]), samples=12, seed=1)
     assert rep.ok
