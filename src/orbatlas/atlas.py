@@ -177,12 +177,11 @@ def merge_atlases(a: Atlas, b: Atlas):
         return None
     charts = {c.cid: c for c in a.charts}
     for c in b.charts:
-        if c.cid in charts and charts[c.cid].key() != c.key():
+        if c.cid in charts and charts[c.cid] != c:
             return None
         charts[c.cid] = c
-    gens = {g.key(): g for g in a.generators}
-    gens.update({g.key(): g for g in b.generators})
-    return Atlas.make(tuple(charts.values()), tuple(gens.values()))
+    gens = dict.fromkeys(a.generators + b.generators)
+    return Atlas.make(tuple(charts.values()), tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def closure(atlas: Atlas, bound: int = WORD_BOUND, cap: int = FAMILY_CAP) -> Pse
         key = (cur, region)
         new = unions.get(key)
         if new is None:
-            if {p.key() for p in region.pieces} <= {p.key() for p in cur.pieces}:
+            if set(region.pieces) <= set(cur.pieces):
                 new = False
             else:
                 new = cur.union(region)
@@ -424,8 +423,7 @@ def _normalize_entries(entries):
     for e in entries:
         if e.change.dom.is_empty():
             continue
-        k = (e.change.src, e.change.dst, e.change.map.key(), e.nu.map.key(),
-             e.nu.src, e.nu.dst)
+        k = (e.change.src, e.change.dst, e.change.map, e.nu.map, e.nu.src, e.nu.dst)
         if k in merged:
             prev = merged[k]
             merged[k] = PEntry(
@@ -630,7 +628,7 @@ def identity_morphism(atlas: Atlas, bound: int = WORD_BOUND) -> Morphism:
 
 
 def _mkey(m: Morphism):
-    return (m, None if m.certificate is None else m.certificate.key())
+    return (m, m.certificate)
 
 
 @memo(lambda g, f: (_mkey(g), _mkey(f)))
@@ -889,7 +887,7 @@ def _normalize_patches(patches):
         for region, ch in items:
             if region.is_empty():
                 continue
-            k = (ch.src, ch.dst, ch.map.key())
+            k = (ch.src, ch.dst, ch.map)
             if k in merged:
                 r0, c0 = merged[k]
                 merged[k] = (r0.union(region),
@@ -1144,7 +1142,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
                 r = r.preimage_under(mm.compose(Lc), img_a)
                 for comp in r.components():
                     lift_fp = w.lift(a.cid).inverse().compose(mm).compose(Lc)
-                    dk = (comp.key(), a.cid, lift_fp.key())
+                    dk = (comp, a.cid, lift_fp)
                     if dk in seen:
                         continue
                     seen.add(dk)
@@ -1175,7 +1173,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
             did = f"{cid}|{acid}|{tok}{len(charts)}"
             group = [g for g in c.group if comp.image(g).same_set(comp)]
             charts.append(Chart.make(did, comp, group))
-            info[(cid, comp.key(), acid, lift_fp.key())] = (
+            info[(cid, comp, acid, lift_fp)] = (
                 did, cid, acid, mm, dom, lift_fp, comp)
 
     gens = []

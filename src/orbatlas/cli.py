@@ -22,7 +22,7 @@ from . import fractions as frc
 from . import fred as frd
 from . import gred as grd
 from . import groupoid as gpd
-from .geometry import AffineMap, Interval, PartialAffineIso, Polygon, Region
+from .geometry import AffineMap, GeometryError, Interval, PartialAffineIso, Polygon, Region
 from .reports import Report, UndecidedError
 
 
@@ -32,10 +32,39 @@ class SchemaError(Exception):
         self.path = path
 
 
-def _need(doc, key, path):
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind, path):
+    if not isinstance(value, kind):
+        raise SchemaError(path, f"expected {_TYPE_NAMES[kind]}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _need(doc, key, path, kind=None):
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{path}/{key}", "missing")
-    return doc[key]
+    return doc[key] if kind is None else _typed(doc[key], kind, f"{path}/{key}")
+
+
+def _tuple(value, size, path):
+    if not isinstance(value, list) or len(value) != size:
+        raise SchemaError(path, f"expected a list of {size} items")
+    return tuple(value)
+
+
+def _tuples(value, size, path):
+    """A list of lists of length `size`, as a list of tuples."""
+    return [_tuple(item, size, f"{path}/{i}") for i, item in enumerate(_typed(value, list, path))]
+
+
+def _made(path, make, *args, **kwargs):
+    """Call a `make` constructor on parsed parts; the ValueError or
+    GeometryError by which it rejects them is a schema error at `path`."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, GeometryError) as e:
+        raise SchemaError(path, str(e))
 
 
 # -- rationals, maps, regions ------------------------------------------------
@@ -47,7 +76,7 @@ def frac_str(x: Fraction) -> str:
 def parse_frac(s, path=""):
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise SchemaError(path, f"not a rational: {s!r}")
 
 
@@ -57,11 +86,12 @@ def affine_doc(m: AffineMap):
 
 
 def parse_affine(doc, path=""):
-    rows = _need(doc, "matrix", path)
-    off = _need(doc, "offset", path)
-    return AffineMap.make(
-        [[parse_frac(e, f"{path}/matrix") for e in row] for row in rows],
-        [parse_frac(e, f"{path}/offset") for e in off])
+    rows = _need(doc, "matrix", path, list)
+    off = _need(doc, "offset", path, list)
+    return _made(path, AffineMap.make,
+                 [[parse_frac(e, f"{path}/matrix") for e in _typed(row, list, f"{path}/matrix")]
+                  for row in rows],
+                 [parse_frac(e, f"{path}/offset") for e in off])
 
 
 def region_doc(r: Region):
@@ -75,23 +105,22 @@ def region_doc(r: Region):
 
 def parse_region(doc, path=""):
     dim = _need(doc, "dim", path)
-    raw = _need(doc, "pieces", path)
+    raw = _need(doc, "pieces", path, list)
+    if type(dim) is not int or dim not in (1, 2):
+        raise SchemaError(f"{path}/dim", "dimension must be 1 or 2")
+    pieces = []
     if dim == 1:
-        pieces = []
-        for a, b in raw:
+        for a, b in _tuples(raw, 2, f"{path}/pieces"):
             lo, hi = parse_frac(a, path), parse_frac(b, path)
             if lo >= hi:
                 raise SchemaError(f"{path}/pieces", f"interval [{a}, {b}] is empty")
-            pieces.append(Interval(lo, hi))
-    elif dim == 2:
-        pieces = []
-        for pts in raw:
+            pieces.append(Interval.make(lo, hi))
+    else:
+        for i, pts in enumerate(raw):
             poly = Polygon.make([(parse_frac(x, path), parse_frac(y, path))
-                                 for x, y in pts])
+                                 for x, y in _tuples(pts, 2, f"{path}/pieces/{i}")])
             if poly is not None:
                 pieces.append(poly)
-    else:
-        raise SchemaError(f"{path}/dim", "dimension must be 1 or 2")
     return Region(dim, pieces)
 
 
@@ -103,10 +132,10 @@ def chart_doc(c: atl.Chart):
 
 
 def parse_chart(doc, path=""):
-    return atl.Chart.make(
-        _need(doc, "id", path),
-        parse_region(_need(doc, "domain", path), f"{path}/domain"),
-        [parse_affine(g, f"{path}/group") for g in _need(doc, "group", path)])
+    return _made(path, atl.Chart.make,
+                 _need(doc, "id", path, str),
+                 parse_region(_need(doc, "domain", path), f"{path}/domain"),
+                 [parse_affine(g, f"{path}/group") for g in _need(doc, "group", path, list)])
 
 
 def change_doc(ch: atl.ChangeOfCharts):
@@ -114,11 +143,15 @@ def change_doc(ch: atl.ChangeOfCharts):
             "map": affine_doc(ch.map), "dom": region_doc(ch.dom)}
 
 
+def _iso(mdoc, rdoc, path):
+    return _made(path, PartialAffineIso.make, parse_affine(mdoc, f"{path}/map"),
+                 parse_region(rdoc, f"{path}/dom"))
+
+
 def parse_change(doc, path=""):
     return atl.ChangeOfCharts(
-        _need(doc, "src", path), _need(doc, "dst", path),
-        PartialAffineIso.make(parse_affine(_need(doc, "map", path), f"{path}/map"),
-                              parse_region(_need(doc, "dom", path), f"{path}/dom")))
+        _need(doc, "src", path, str), _need(doc, "dst", path, str),
+        _iso(_need(doc, "map", path), _need(doc, "dom", path), path))
 
 
 def atlas_doc(a: atl.Atlas):
@@ -128,10 +161,10 @@ def atlas_doc(a: atl.Atlas):
 
 
 def parse_atlas(doc, path=""):
-    charts = [parse_chart(c, f"{path}/charts") for c in _need(doc, "charts", path)]
+    charts = [parse_chart(c, f"{path}/charts") for c in _need(doc, "charts", path, list)]
     gens = [parse_change(g, f"{path}/generators")
-            for g in _need(doc, "generators", path)]
-    return atl.Atlas.make(charts, gens)
+            for g in _need(doc, "generators", path, list)]
+    return _made(path, atl.Atlas.make, charts, gens)
 
 
 def morphism_doc(m: atl.Morphism):
@@ -144,16 +177,25 @@ def morphism_doc(m: atl.Morphism):
             "certificate": None if m.certificate is None else atlas_doc(m.certificate)}
 
 
+def _str_map(doc, key, path):
+    """A JSON object of strings."""
+    out = _need(doc, key, path, dict)
+    for k, v in out.items():
+        _typed(v, str, f"{path}/{key}/{k}")
+    return out
+
+
 def parse_morphism(doc, path=""):
-    cert = doc.get("certificate")
-    return atl.Morphism.make(
+    cert = _typed(doc, dict, path).get("certificate")
+    return _made(
+        path, atl.Morphism.make,
         parse_atlas(_need(doc, "source", path), f"{path}/source"),
         parse_atlas(_need(doc, "target", path), f"{path}/target"),
-        _need(doc, "chart_map", path),
-        {i: parse_affine(L, f"{path}/lifts") for i, L in _need(doc, "lifts", path).items()},
+        _str_map(doc, "chart_map", path),
+        {i: parse_affine(L, f"{path}/lifts") for i, L in _need(doc, "lifts", path, dict).items()},
         [atl.PEntry(parse_change(_need(e, "change", f"{path}/entries"), f"{path}/entries"),
                     parse_change(_need(e, "nu", f"{path}/entries"), f"{path}/entries"))
-         for e in _need(doc, "entries", path)],
+         for e in _need(doc, "entries", path, list)],
         certificate=None if cert is None else parse_atlas(cert, f"{path}/certificate"))
 
 
@@ -166,12 +208,13 @@ def twocell_doc(c: atl.TwoCell):
 
 
 def parse_twocell(doc, path=""):
-    return atl.TwoCell.make(
+    return _made(
+        path, atl.TwoCell.make,
         parse_morphism(_need(doc, "source", path), f"{path}/source"),
         parse_morphism(_need(doc, "target", path), f"{path}/target"),
         {cid: [(parse_region(r, f"{path}/patches"), parse_change(ch, f"{path}/patches"))
-               for r, ch in items]
-         for cid, items in _need(doc, "patches", path).items()})
+               for r, ch in _tuples(items, 2, f"{path}/patches/{cid}")]
+         for cid, items in _need(doc, "patches", path, dict).items()})
 
 
 # -- groupoid side ------------------------------------------------------------
@@ -193,21 +236,23 @@ def groupoid_doc(g: gpd.PresentedGroupoid):
 
 
 def parse_groupoid(doc, path=""):
-    ann = doc.get("annotation")
+    ann = _typed(doc, dict, path).get("annotation")
     note = None
     if isinstance(ann, dict) and ann.get("type") == "atlas":
         note = parse_atlas(_need(ann, "atlas", f"{path}/annotation"),
                            f"{path}/annotation")
     elif isinstance(ann, dict) and ann.get("type") == "cover":
+        cover = _tuples(_need(ann, "cover", f"{path}/annotation"), 2, f"{path}/annotation/cover")
         note = tuple((pid, parse_region(r, f"{path}/annotation"))
-                     for pid, r in _need(ann, "cover", f"{path}/annotation"))
-    fams = [gpd.ArrowFamily(fid, src, dst,
-                            PartialAffineIso.make(parse_affine(m, f"{path}/families"),
-                                                  parse_region(r, f"{path}/families")))
-            for fid, src, dst, m, r in _need(doc, "families", path)]
-    return gpd.PresentedGroupoid.make(
-        {pid: parse_region(r, f"{path}/pieces")
-         for pid, r in _need(doc, "pieces", path)},
+                     for pid, r in cover)
+    fp = f"{path}/families"
+    fams = [gpd.ArrowFamily(_typed(fid, str, fp), _typed(src, str, fp), _typed(dst, str, fp),
+                            _iso(m, r, fp))
+            for fid, src, dst, m, r in _tuples(_need(doc, "families", path), 5, fp)]
+    return _made(
+        path, gpd.PresentedGroupoid.make,
+        {_typed(pid, str, f"{path}/pieces"): parse_region(r, f"{path}/pieces")
+         for pid, r in _tuples(_need(doc, "pieces", path), 2, f"{path}/pieces")},
         fams, annotation=note)
 
 
@@ -219,12 +264,16 @@ def gpd_morphism_doc(psi: gpd.GroupoidMorphism):
 
 
 def parse_gpd_morphism(doc, path=""):
-    return gpd.GroupoidMorphism.make(
+    objects = {}
+    for p, pair in _need(doc, "object_map", path, dict).items():
+        q, m = _tuple(pair, 2, f"{path}/object_map/{p}")
+        objects[p] = (_typed(q, str, f"{path}/object_map/{p}"),
+                      parse_affine(m, f"{path}/object_map"))
+    return _made(
+        path, gpd.GroupoidMorphism.make,
         parse_groupoid(_need(doc, "source", path), f"{path}/source"),
         parse_groupoid(_need(doc, "target", path), f"{path}/target"),
-        {p: (q, parse_affine(m, f"{path}/object_map"))
-         for p, (q, m) in _need(doc, "object_map", path).items()},
-        _need(doc, "family_map", path))
+        objects, _str_map(doc, "family_map", path))
 
 
 def nat_transf_doc(a: gpd.NatTransf):
@@ -236,11 +285,13 @@ def nat_transf_doc(a: gpd.NatTransf):
 
 
 def parse_nat_transf(doc, path=""):
-    return gpd.NatTransf.make(
+    return _made(
+        path, gpd.NatTransf.make,
         parse_gpd_morphism(_need(doc, "source", path), f"{path}/source"),
         parse_gpd_morphism(_need(doc, "target", path), f"{path}/target"),
-        {p: [(parse_region(r, f"{path}/assignments"), fid) for r, fid in items]
-         for p, items in _need(doc, "assignments", path).items()})
+        {p: [(parse_region(r, f"{path}/assignments"), _typed(fid, str, f"{path}/assignments/{p}"))
+             for r, fid in _tuples(items, 2, f"{path}/assignments/{p}")]
+         for p, items in _need(doc, "assignments", path, dict).items()})
 
 
 # -- localized cells ----------------------------------------------------------
@@ -252,7 +303,7 @@ def span_doc(s: frc.Span):
 
 
 def parse_span(doc, path=""):
-    if doc.get("instance", "atlas") != "atlas":
+    if _typed(doc, dict, path).get("instance", "atlas") != "atlas":
         raise SchemaError(f"{path}/instance", "only atlas spans are serialized")
     return frc.Span(parse_atlas(_need(doc, "middle", path), f"{path}/middle"),
                     parse_morphism(_need(doc, "left", path), f"{path}/left"),
@@ -309,7 +360,7 @@ def serialize(value) -> dict:
 
 def parse(doc):
     kind = _need(doc, "kind", "")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError("/kind", f"unknown kind {kind!r}")
     return KINDS[kind][1](doc, "")
 
@@ -346,9 +397,17 @@ def _pair_hash(fdoc, wdoc) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _writable(path):
+    """Raise a schema error unless `path` can be written, before any work
+    is done for it."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise SchemaError("", f"cannot write {path}: {folder} is not a writable directory")
+
+
 def save_choice_table(table: frc.ChoiceTable, ops, path: str):
     entries = []
-    for key, (d, wp, fp, cell) in sorted(table.entries.items(), key=repr):
+    for key, (d, wp, fp, cell) in sorted(table.entries.items(), key=lambda kv: repr(kv[0])):
         if key not in table.cells:
             continue
         f, w = table.cells[key]
@@ -358,9 +417,12 @@ def save_choice_table(table: frc.ChoiceTable, ops, path: str):
             {"f": fdoc, "w": wdoc, "middle": atlas_doc(d),
              "wleg": morphism_doc(wp), "fleg": morphism_doc(fp),
              "cell": twocell_doc(cell)}])
-    with open(path, "w") as fh:
-        json.dump({"kind": "choice_table", "entries": entries}, fh, indent=1,
-                  sort_keys=True)
+    text = json.dumps({"kind": "choice_table", "entries": entries}, indent=1, sort_keys=True)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SchemaError("", f"cannot write {path}: {e}")
 
 
 def load_choice_table(path: str, ops) -> frc.ChoiceTable:
@@ -368,13 +430,14 @@ def load_choice_table(path: str, ops) -> frc.ChoiceTable:
     if not os.path.exists(path):
         return table
     doc = _json(_read(path))
-    for _, e in doc.get("entries", []):
-        f = parse_morphism(e["f"], "/choice/f")
-        w = parse_morphism(e["w"], "/choice/w")
-        square = (parse_atlas(e["middle"], "/choice/middle"),
-                  parse_morphism(e["wleg"], "/choice/wleg"),
-                  parse_morphism(e["fleg"], "/choice/fleg"),
-                  parse_twocell(e["cell"], "/choice/cell"))
+    for i, (_, e) in enumerate(_tuples(_need(doc, "entries", "", list), 2, "/entries")):
+        at = f"/entries/{i}/1"
+        f = parse_morphism(_need(e, "f", at), f"{at}/f")
+        w = parse_morphism(_need(e, "w", at), f"{at}/w")
+        square = (parse_atlas(_need(e, "middle", at), f"{at}/middle"),
+                  parse_morphism(_need(e, "wleg", at), f"{at}/wleg"),
+                  parse_morphism(_need(e, "fleg", at), f"{at}/fleg"),
+                  parse_twocell(_need(e, "cell", at), f"{at}/cell"))
         key = table.key(ops, f, w)
         table.entries[key] = square
         table.cells[key] = (f, w)
@@ -497,7 +560,10 @@ def cmd_localize_compose(args):
     ops = frc.atlas_ops()
     s1 = loads(_read(args.first))
     s2 = loads(_read(args.second))
-    table = load_choice_table(args.choices, ops) if args.choices else frc.ChoiceTable()
+    table = frc.ChoiceTable()
+    if args.choices:
+        _writable(args.choices)
+        table = load_choice_table(args.choices, ops)
     out = frc.compose_spans(ops, table, s2, s1)
     if args.choices:
         save_choice_table(table, ops, args.choices)

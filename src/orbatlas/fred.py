@@ -40,7 +40,7 @@ class UnsupportedGroupoidError(Exception):
     atlas could be reconstructed."""
 
 
-@memo(lambda atlas, bound=WORD_BOUND: (atlas.key(), bound))
+@memo(lambda atlas, bound=WORD_BOUND: (atlas, bound))
 def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     """Germ groupoid of an atlas: one object piece per chart, one arrow
     family per affine map in the pseudogroup closure."""

@@ -1,10 +1,26 @@
 """Exact algebra of open rational polytope unions and partial affine maps.
 
-Everything here is computed over ``fractions.Fraction``; there is no floating
-point anywhere.  A :class:`Region` is a finite union of *open* convex pieces
-(open intervals in dimension 1, interiors of convex polygons in dimension 2).
-Open sets are represented by the closed convex hulls of their pieces; a point
-belongs to a piece iff it is *strictly* inside every bounding halfplane.
+Everything here is exact; there is no floating point anywhere.  A
+:class:`Region` is a finite union of *open* convex pieces (open intervals in
+dimension 1, interiors of convex polygons in dimension 2).  Open sets are
+represented by the closed convex hulls of their pieces; a point belongs to a
+piece iff it is *strictly* inside every bounding halfplane.
+
+The kernel computes on integers only.  Each value is held as integer
+numerators over one positive denominator, divided by the gcd of all its
+integers, so equal values have equal integer forms:
+
+- an :class:`AffineMap` ``x |-> (M x + o) / d`` as the flat matrix ``M``, the
+  offset ``o`` and ``d``;
+- an :class:`Interval` as ``(lo, hi)`` over ``d``;
+- a :class:`Polygon` as its vertices over ``d``;
+- a halfplane ``a.x >= c`` as the integer tuple ``(a..., c)``.
+
+``Fraction`` appears only at the boundary: the ``make`` constructors, the
+points passed to ``AffineMap.__call__`` and ``contains_point`` or returned as
+points and witnesses, and the ``matrix``, ``offset``, ``lo``, ``hi``,
+``verts``, ``key()`` and ``repr`` views, which are built on first use and
+cached.
 
 The crucial consequence of staying affine is rigidity: two affine maps that
 agree on a nonempty open set are equal.  Germs of partial affine isomorphisms
@@ -17,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class GeometryError(Exception):
@@ -46,82 +63,152 @@ def frac(x) -> Fraction:
     raise GeometryError(f"not an exact rational: {x!r}")
 
 
+def _over(values):
+    """Integer numerators of rationals over their least common denominator;
+    the result is gcd-normalized."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _homogeneous(p):
+    """A rational point as integer numerators over one positive denominator."""
+    if len(p) == 1:
+        return (p[0].numerator,), p[0].denominator
+    x, y = p
+    xd, yd = x.denominator, y.denominator
+    return (x.numerator * yd, y.numerator * xd), xd * yd
+
+
+def _check_dim(n):
+    if n not in (1, 2):
+        raise DimensionMismatchError("only dimensions 1 and 2 are supported")
+
+
 # ---------------------------------------------------------------------------
 # Affine maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x |-> matrix @ x + offset with exact rational entries."""
+def _affine(m, o, d) -> "AffineMap":
+    """The map x |-> (m x + o) / d for integer m (flat, row-major), o and
+    d != 0, normalized."""
+    if d < 0:
+        m, o, d = tuple(-e for e in m), tuple(-e for e in o), -d
+    g = gcd(d, *m, *o)
+    if g != 1:
+        m, o, d = tuple(e // g for e in m), tuple(e // g for e in o), d // g
+    return AffineMap(m, o, d)
 
-    matrix: tuple
-    offset: tuple
+
+class AffineMap:
+    """x |-> matrix @ x + offset with exact rational entries, held as
+    x |-> (M x + o) / d with integer M (flat, row-major), o and d > 0."""
+
+    __slots__ = ("dim", "_m", "_o", "_d", "_hash", "_view")
+
+    def __init__(self, m: tuple, o: tuple, d: int):
+        # m, o, d must already be normalized; use `make` from rationals
+        self.dim = len(o)
+        self._m, self._o, self._d = m, o, d
+        self._hash = hash((m, o, d))
+        self._view = None
 
     @staticmethod
     def make(matrix, offset) -> "AffineMap":
-        m = tuple(tuple(frac(e) for e in row) for row in matrix)
-        o = tuple(frac(e) for e in offset)
-        n = len(o)
-        if len(m) != n or any(len(row) != n for row in m):
+        rows = [[frac(e) for e in row] for row in matrix]
+        off = [frac(e) for e in offset]
+        n = len(off)
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix/offset shape mismatch")
-        return AffineMap(m, o)
+        _check_dim(n)
+        nums, d = _over([e for row in rows for e in row] + off)
+        return AffineMap(tuple(nums[:n * n]), tuple(nums[n * n:]), d)
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":
-        m = tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
-        return AffineMap(m, tuple(Fraction(0) for _ in range(dim)))
+        _check_dim(dim)
+        return AffineMap((1,), (0,), 1) if dim == 1 else AffineMap((1, 0, 0, 1), (0, 0), 1)
+
+    def _views(self):
+        if self._view is None:
+            d, n = self._d, self.dim
+            es = [Fraction(e, d) for e in self._m]
+            self._view = (tuple(tuple(es[i * n:(i + 1) * n]) for i in range(n)),
+                          tuple(Fraction(e, d) for e in self._o))
+        return self._view
 
     @property
-    def dim(self) -> int:
-        return len(self.offset)
+    def matrix(self) -> tuple:
+        return self._views()[0]
+
+    @property
+    def offset(self) -> tuple:
+        return self._views()[1]
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, AffineMap):
+            return NotImplemented
+        return (self._hash == other._hash and self._d == other._d
+                and self._m == other._m and self._o == other._o)
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, p: tuple) -> tuple:
         if len(p) != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
-        return tuple(
-            sum(self.matrix[i][j] * p[j] for j in range(self.dim)) + self.offset[i]
-            for i in range(self.dim)
-        )
+        (x, *rest), w = _homogeneous(p)
+        m, o, d = self._m, self._o, self._d * w
+        if not rest:
+            return (Fraction(m[0] * x + o[0] * w, d),)
+        y = rest[0]
+        return (Fraction(m[0] * x + m[1] * y + o[0] * w, d),
+                Fraction(m[2] * x + m[3] * y + o[1] * w, d))
+
+    def _det(self) -> int:
+        """Numerator of the determinant over d**dim; only its sign matters."""
+        m = self._m
+        return m[0] if self.dim == 1 else m[0] * m[3] - m[1] * m[2]
 
     def det(self) -> Fraction:
-        m = self.matrix
-        if self.dim == 1:
-            return m[0][0]
-        if self.dim == 2:
-            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        raise DimensionMismatchError("only dimensions 1 and 2 are supported")
+        return Fraction(self._det(), self._d ** self.dim)
 
     def is_invertible(self) -> bool:
-        return self.det() != 0
+        return self._det() != 0
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self.compose(other))(x) == self(other(x))."""
         if self.dim != other.dim:
             raise DimensionMismatchError("composing maps of different dimension")
-        n = self.dim
-        m = tuple(
-            tuple(sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return AffineMap(m, self(other.offset))
+        a, p, e = other._m, other._o, other._d
+        m, o = self._m, self._o
+        if self.dim == 1:
+            return _affine((m[0] * a[0],), (m[0] * p[0] + o[0] * e,), self._d * e)
+        return _affine(
+            (m[0] * a[0] + m[1] * a[2], m[0] * a[1] + m[1] * a[3],
+             m[2] * a[0] + m[3] * a[2], m[2] * a[1] + m[3] * a[3]),
+            (m[0] * p[0] + m[1] * p[1] + o[0] * e, m[2] * p[0] + m[3] * p[1] + o[1] * e),
+            self._d * e)
 
     def inverse(self) -> "AffineMap":
-        d = self.det()
-        if d == 0:
+        # y = (M x + o)/d  <=>  x = adj(M) (d y - o) / det(M)
+        det = self._det()
+        if det == 0:
             raise NonInvertibleMapError("affine map is singular")
+        m, o, d = self._m, self._o, self._d
         if self.dim == 1:
-            a = Fraction(1) / self.matrix[0][0]
-            return AffineMap(((a,),), (-a * self.offset[0],))
-        (a, b), (c, e) = self.matrix
-        inv = ((e / d, -b / d), (-c / d, a / d))
-        ox, oy = self.offset
-        return AffineMap(inv, (-(inv[0][0] * ox + inv[0][1] * oy), -(inv[1][0] * ox + inv[1][1] * oy)))
+            return _affine((d,), (-o[0],), det)
+        adj = (m[3], -m[1], -m[2], m[0])
+        return _affine(tuple(d * e for e in adj),
+                       (-(adj[0] * o[0] + adj[1] * o[1]), -(adj[2] * o[0] + adj[3] * o[1])),
+                       det)
 
     def is_identity(self) -> bool:
-        return self == AffineMap.identity(self.dim)
+        return self._d == 1 and not any(self._o) and self._m == ((1,) if self.dim == 1 else (1, 0, 0, 1))
 
     def key(self):
-        return (self.matrix, self.offset)
+        return self._views()
 
     def __repr__(self):
         return f"AffineMap({self.matrix}, {self.offset})"
@@ -140,47 +227,117 @@ def aff2(rows, off=(0, 0)) -> AffineMap:
 # Convex pieces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
-    """Open interval (lo, hi) with rational endpoints, lo < hi."""
+def _halfplane(*coeffs):
+    """gcd-normalized integer halfplane (a..., c) meaning a.x >= c."""
+    g = gcd(*coeffs)
+    return coeffs if g == 1 else tuple(e // g for e in coeffs)
 
-    lo: Fraction
-    hi: Fraction
+
+def _interval(ln, ld, hn, hd):
+    """The open interval (ln/ld, hn/hd) for positive ld, hd, or None when it
+    is empty."""
+    if ln * hd >= hn * ld:
+        return None
+    d = lcm(ld, hd)
+    lo, hi = ln * (d // ld), hn * (d // hd)
+    g = gcd(lo, hi, d)
+    return Interval(lo // g, hi // g, d // g)
+
+
+class Interval:
+    """Open interval (lo, hi) with rational endpoints, lo < hi, held as
+    integer numerators over one positive denominator."""
+
+    __slots__ = ("_lo", "_hi", "_d", "_meas", "_k", "_view")
+
+    def __init__(self, lo: int, hi: int, d: int):
+        # normalized integers; use `make` from rationals
+        self._lo, self._hi, self._d = lo, hi, d
+        self._meas = hi - lo      # the length is _meas / d
+        self._k = (lo, hi, d)
+        self._view = None
+
+    @staticmethod
+    def make(lo, hi) -> "Interval":
+        (a, b), d = _over([frac(lo), frac(hi)])
+        return Interval(a, b, d)
+
+    def key(self):
+        if self._view is None:
+            self._view = (Fraction(self._lo, self._d), Fraction(self._hi, self._d))
+        return self._view
+
+    @property
+    def lo(self) -> Fraction:
+        return self.key()[0]
+
+    @property
+    def hi(self) -> Fraction:
+        return self.key()[1]
+
+    def __eq__(self, other):
+        return isinstance(other, Interval) and self._k == other._k
+
+    def __hash__(self):
+        return hash(self._k)
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     def measure(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._meas, self._d)
+
+    def _has(self, num, w, strict=True) -> bool:
+        x = num[0] * self._d
+        if strict:
+            return self._lo * w < x < self._hi * w
+        return self._lo * w <= x <= self._hi * w
 
     def contains(self, p, strict=True) -> bool:
-        x = p[0]
-        if strict:
-            return self.lo < x < self.hi
-        return self.lo <= x <= self.hi
+        return self._has(*_homogeneous(p), strict)
+
+    def _centroid(self):
+        return (self._lo + self._hi,), 2 * self._d
 
     def interior_point(self) -> tuple:
-        return ((self.lo + self.hi) / 2,)
+        return (Fraction(self._lo + self._hi, 2 * self._d),)
 
     def intersect(self, other: "Interval"):
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo < hi else None
+        if self._k == other._k:
+            return self
+        a, b = self, other
+        lo = a if a._lo * b._d >= b._lo * a._d else b
+        hi = a if a._hi * b._d <= b._hi * a._d else b
+        if lo is hi:
+            return lo
+        return _interval(lo._lo, lo._d, hi._hi, hi._d)
 
     def image(self, m: AffineMap) -> "Interval":
-        a, b = m(( self.lo,))[0], m((self.hi,))[0]
-        if a == b:
+        (a,), (o,), d = m._m, m._o, self._d
+        u, v = a * self._lo + o * d, a * self._hi + o * d
+        if u == v:
             raise NonInvertibleMapError("interval collapsed by singular map")
-        return Interval(min(a, b), max(a, b))
+        return _interval(min(u, v), m._d * d, max(u, v), m._d * d)
 
     def hull_with(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        a, b = self, other
+        lo = a if a._lo * b._d <= b._lo * a._d else b
+        hi = a if a._hi * b._d >= b._hi * a._d else b
+        return _interval(lo._lo, lo._d, hi._hi, hi._d)
 
     def halfplanes(self):
-        # a*x >= c form, inward
-        return (((Fraction(1),), self.lo), ((Fraction(-1),), -self.hi))
+        """Inward halfplanes (a, c) meaning a*x >= c."""
+        return (_halfplane(self._d, self._lo), _halfplane(-self._d, -self._hi))
+
+    def clip(self, h) -> "Interval | None":
+        """Closed clip to the side a*x >= c of h = (a, c), a != 0."""
+        a, c = h
+        if a > 0:
+            return _interval(max(self._lo * a, c * self._d), self._d * a, self._hi, self._d)
+        return _interval(self._lo, self._d, min(self._hi * -a, -c * self._d), self._d * -a)
 
     def vertices(self):
         return ((self.lo,), (self.hi,))
-
-    def key(self):
-        return (self.lo, self.hi)
 
 
 def _cross(o, a, b):
@@ -205,133 +362,184 @@ def _hull(points):
     return lower[:-1] + upper[:-1]
 
 
-@dataclass(frozen=True)
+def _polygon(pts, d) -> "Polygon | None":
+    """Polygon from a CCW chain of distinct integer points over d without
+    collinear vertices: rotated to the least vertex, normalized, and None
+    unless it has positive area."""
+    if len(pts) < 3:
+        return None
+    k = pts.index(min(pts))
+    pts = pts[k:] + pts[:k]
+    g = gcd(d, *itertools.chain.from_iterable(pts))
+    if g != 1:
+        pts, d = [(x // g, y // g) for x, y in pts], d // g
+    poly = Polygon(tuple(pts), d)
+    return poly if poly._meas > 0 else None
+
+
 class Polygon:
     """Open interior of a convex polygon; vertices CCW starting at the
-    lexicographically least one, no three consecutive collinear."""
+    lexicographically least one, no three consecutive collinear, held as
+    integer numerators over one positive denominator."""
 
-    verts: tuple
+    __slots__ = ("_v", "_d", "_meas", "_k", "_hp", "_view")
+
+    def __init__(self, v: tuple, d: int):
+        # normalized vertex numerators; use `make` from rationals
+        self._v, self._d = v, d
+        s = 0
+        for i in range(len(v)):
+            (x1, y1), (x2, y2) = v[i - 1], v[i]
+            s += x1 * y2 - x2 * y1
+        self._meas = s            # twice the area is _meas / d**2
+        self._k = (d, v)
+        self._hp = self._view = None
 
     @staticmethod
     def make(points) -> "Polygon | None":
-        pts = _hull([tuple(frac(c) for c in p) for p in points])
-        if len(pts) < 3:
-            return None
-        k = min(range(len(pts)), key=lambda i: pts[i])
-        pts = pts[k:] + pts[:k]
-        poly = Polygon(tuple(pts))
-        return poly if poly.measure() > 0 else None
+        pts = [tuple(frac(c) for c in p) for p in points]
+        nums, d = _over([c for p in pts for c in p])
+        return _polygon(_hull(zip(nums[::2], nums[1::2])), d)
 
-    @staticmethod
-    def _from_convex(points) -> "Polygon | None":
-        """Canonicalize an already-convex CCW vertex chain in linear time
-        (deduplicate, drop collinear vertices, rotate to the least vertex)."""
-        pts = [points[0]]
-        for p in points[1:]:
-            if p != pts[-1]:
-                pts.append(p)
-        while len(pts) > 1 and pts[0] == pts[-1]:
-            pts.pop()
-        if len(pts) < 3:
-            return None
-        out = []
-        n = len(pts)
-        for i in range(n):
-            if _cross(pts[i - 1], pts[i], pts[(i + 1) % n]) != 0:
-                out.append(pts[i])
-        if len(out) < 3:
-            return None
-        k = min(range(len(out)), key=lambda i: out[i])
-        poly = Polygon(tuple(out[k:] + out[:k]))
-        return poly if poly.measure() > 0 else None
+    @property
+    def verts(self) -> tuple:
+        if self._view is None:
+            d = self._d
+            self._view = tuple((Fraction(x, d), Fraction(y, d)) for x, y in self._v)
+        return self._view
+
+    def key(self):
+        return self.verts
+
+    def __eq__(self, other):
+        return isinstance(other, Polygon) and self._k == other._k
+
+    def __hash__(self):
+        return hash(self._k)
+
+    def __repr__(self):
+        return f"Polygon(verts={self.verts!r})"
 
     def measure(self) -> Fraction:
-        cached = getattr(self, "_measure", None)
-        if cached is None:
-            s = Fraction(0)
-            v = self.verts
-            for i in range(len(v)):
-                x1, y1 = v[i]
-                x2, y2 = v[(i + 1) % len(v)]
-                s += x1 * y2 - x2 * y1
-            cached = s  # twice the area, positive for CCW
-            object.__setattr__(self, "_measure", cached)
-        return cached
+        return Fraction(self._meas, self._d * self._d)  # twice the area
 
     def halfplanes(self):
-        """Inward halfplanes ((ax, ay), c) meaning ax*x + ay*y >= c."""
-        cached = getattr(self, "_hp", None)
-        if cached is None:
+        """Inward halfplanes (a, b, c) meaning a*x + b*y >= c."""
+        if self._hp is None:
+            v, d = self._v, self._d
             out = []
-            v = self.verts
             for i in range(len(v)):
                 (x1, y1), (x2, y2) = v[i], v[(i + 1) % len(v)]
-                a = (-(y2 - y1), x2 - x1)
-                out.append((a, a[0] * x1 + a[1] * y1))
-            cached = tuple(out)
-            object.__setattr__(self, "_hp", cached)
-        return cached
+                a, b = y1 - y2, x2 - x1
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                out.append(_halfplane(a * d, b * d, a * x1 + b * y1))
+            self._hp = tuple(out)
+        return self._hp
 
-    def contains(self, p, strict=True) -> bool:
-        for a, c in self.halfplanes():
-            s = a[0] * p[0] + a[1] * p[1]
-            if (s <= c) if strict else (s < c):
+    def _has(self, num, w, strict=True) -> bool:
+        x, y = num
+        for a, b, c in self.halfplanes():
+            s = a * x + b * y - c * w
+            if s <= 0 if strict else s < 0:
                 return False
         return True
 
-    def interior_point(self) -> tuple:
-        n = len(self.verts)
-        return (
-            sum(v[0] for v in self.verts) / n,
-            sum(v[1] for v in self.verts) / n,
-        )
+    def contains(self, p, strict=True) -> bool:
+        return self._has(*_homogeneous(p), strict)
 
-    def clip(self, a, c) -> "Polygon | None":
-        """Closed clip to the side a.x >= c (Sutherland-Hodgman)."""
-        v = self.verts
-        sides = [a[0] * p[0] + a[1] * p[1] - c for p in v]
-        if all(s >= 0 for s in sides):
+    def _centroid(self):
+        v = self._v
+        return (sum(x for x, _ in v), sum(y for _, y in v)), len(v) * self._d
+
+    def interior_point(self) -> tuple:
+        (x, y), w = self._centroid()
+        return (Fraction(x, w), Fraction(y, w))
+
+    def clip(self, h) -> "Polygon | None":
+        """Closed clip to the side a*x + b*y >= c of h = (a, b, c)
+        (Sutherland-Hodgman).  A cut point lies strictly inside an edge, so
+        the kept chain has no repeated and no collinear vertices."""
+        a, b, c = h
+        v, d = self._v, self._d
+        cd = c * d
+        sides = [a * x + b * y - cd for x, y in v]
+        if min(sides) >= 0:
             return self
-        out = []
-        for i in range(len(v)):
-            p, q = v[i], v[(i + 1) % len(v)]
-            sp, sq = sides[i], sides[(i + 1) % len(v)]
+        if max(sides) <= 0:
+            return None
+        n = len(v)
+        out = []                # points (x, y, k) over d * k
+        for i in range(n):
+            sp, sq = sides[i], sides[(i + 1) % n]
+            (px, py), (qx, qy) = v[i], v[(i + 1) % n]
             if sp >= 0:
-                out.append(p)
+                out.append((px, py, 1))
             if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-                t = sp / (sp - sq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        return Polygon._from_convex(out) if len(out) >= 3 else None
+                # p + t (q - p) with t = sp / (sp - sq)
+                k = sp - sq
+                if k < 0:
+                    sp, sq, k = -sp, -sq, -k
+                out.append((qx * sp - px * sq, qy * sp - py * sq, k))
+        if len(out) < 3:
+            return None
+        m = lcm(*(k for _, _, k in out))
+        return _polygon([(x * (m // k), y * (m // k)) for x, y, k in out], d * m)
 
     def intersect(self, other: "Polygon"):
+        if self._k == other._k or _piece_inside(self, other):
+            return self
+        if _piece_inside(other, self):
+            return other
         cur = self
-        for a, c in other.halfplanes():
-            cur = cur.clip(a, c)
+        for h in other.halfplanes():
+            cur = cur.clip(h)
             if cur is None:
                 return None
         return cur
 
     def image(self, m: AffineMap) -> "Polygon":
-        pts = [m(v) for v in self.verts]
-        if m.det() < 0:
+        (a, b, c, e), (o, p), d = m._m, m._o, self._d
+        od, pd = o * d, p * d
+        pts = [(a * x + b * y + od, c * x + e * y + pd) for x, y in self._v]
+        if m._det() < 0:
             pts.reverse()
-        poly = Polygon._from_convex(pts)
+        # an invertible map keeps vertices distinct and never collinear
+        poly = _polygon(pts, m._d * d)
         if poly is None:
             raise NonInvertibleMapError("polygon collapsed by singular map")
         return poly
 
     def hull_with(self, other: "Polygon") -> "Polygon":
-        return Polygon.make(self.verts + other.verts)
+        d = lcm(self._d, other._d)
+        s, t = d // self._d, d // other._d
+        pts = [(x * s, y * s) for x, y in self._v] + [(x * t, y * t) for x, y in other._v]
+        return _polygon(_hull(pts), d)
 
     def vertices(self):
-        return self.verts
-
-    def key(self):
         return self.verts
 
 
 def _piece_dim(piece) -> int:
     return 1 if isinstance(piece, Interval) else 2
+
+
+def _measure_pair(p):
+    """The measure of a piece as (numerator, positive denominator)."""
+    return p._meas, (p._d if isinstance(p, Interval) else p._d * p._d)
+
+
+def _sort_key(pieces):
+    """Sort key over `pieces` equal to the order of their rational `key()`s:
+    the numerators over one common denominator."""
+    m = lcm(*(p._d for p in pieces))
+
+    def key(p):
+        s = m // p._d
+        if isinstance(p, Interval):
+            return (p._lo * s, p._hi * s)
+        return tuple((x * s, y * s) for x, y in p._v)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -340,129 +548,126 @@ def _piece_dim(piece) -> int:
 
 def _cover_1d(lo, hi, open_ivs):
     """Is the open interval (lo, hi) contained in the union of the given open
-    intervals?  Returns None on success, else an uncovered rational witness.
+    intervals?  Rationals are (numerator, positive denominator) pairs.
+    Returns None on success, else an uncovered rational witness as a pair.
 
     Method: every endpoint of a covering interval that falls strictly inside
     (lo, hi) is a cut; between consecutive cuts each covering interval either
     contains the whole cell or misses it, so testing cell midpoints and the
-    cuts themselves decides coverage exactly.
+    cuts themselves decides coverage exactly.  Everything is scaled to twice
+    the common denominator, so that midpoints stay integers.
     """
-    ivs = [(a, b) for (a, b) in open_ivs if a < b]
+    s = 2 * lcm(lo[1], hi[1], *(e[1] for ab in open_ivs for e in ab))
+    lo, hi = lo[0] * (s // lo[1]), hi[0] * (s // hi[1])
+    ivs = [(a[0] * (s // a[1]), b[0] * (s // b[1])) for a, b in open_ivs]
+    ivs = [(a, b) for a, b in ivs if a < b]
     cuts = sorted({e for ab in ivs for e in ab if lo < e < hi})
     bounds = [lo] + cuts + [hi]
-    candidates = list(cuts)
-    for a, b in zip(bounds, bounds[1:]):
-        candidates.append((a + b) / 2)
+    candidates = cuts + [(a + b) // 2 for a, b in zip(bounds, bounds[1:])]
     for x in candidates:
         if not any(a < x < b for a, b in ivs):
-            return x
+            return (x, s)
     return None
 
 
-def _line_params(piece: Polygon, a, c):
-    """Clip the line {a.x == c} against a polygon's closed halfplanes.
+def _ratio(n, d):
+    return (-n, -d) if d < 0 else (n, d)
 
-    Returns (p0, d, t_lo, t_hi) with the closed intersection being
-    {p0 + t*d : t_lo <= t <= t_hi}, or None if empty/degenerate.
-    """
-    d = (-a[1], a[0])
-    if a[0] != 0:
-        p0 = (c / a[0], Fraction(0))
-    else:
-        p0 = (Fraction(0), c / a[1])
-    t_lo, t_hi = None, None
-    for h, k in piece.halfplanes():
-        hd = h[0] * d[0] + h[1] * d[1]
-        hp = h[0] * p0[0] + h[1] * p0[1]
+
+def _line_range(piece: Polygon, h, strict):
+    """The t-range of the points p0 + t*d of the line {a.x == c} of
+    h = (a0, a1, c), with p0 = (c/a0, 0) or (0, c/a1) and d = (-a1, a0),
+    that lie in the piece: open if strict, else closed.  Returns rational
+    pairs (t_lo, t_hi), or None if the range is empty or degenerate."""
+    a0, a1, c = h
+    lead, j = (a0, 0) if a0 != 0 else (a1, 1)
+    t_lo = t_hi = None
+    for hh in piece.halfplanes():
+        hd = hh[0] * -a1 + hh[1] * a0
+        hp = hh[j] * c                  # h.p0 == hp / lead
+        k = hh[2]
         if hd == 0:
-            if hp < k:
+            # the line is parallel to this edge: inside iff h.p0 >= k (> k)
+            diff = (hp - k * lead) * lead
+            if diff < 0 or (strict and diff == 0):
                 return None
             continue
-        t = (k - hp) / hd
+        t = _ratio(k * lead - hp, lead * hd)
         if hd > 0:
-            t_lo = t if t_lo is None else max(t_lo, t)
-        else:
-            t_hi = t if t_hi is None else min(t_hi, t)
-    if t_lo is None or t_hi is None or t_lo >= t_hi:
+            if t_lo is None or t[0] * t_lo[1] > t_lo[0] * t[1]:
+                t_lo = t
+        elif t_hi is None or t[0] * t_hi[1] < t_hi[0] * t[1]:
+            t_hi = t
+    if t_lo is None or t_hi is None or t_lo[0] * t_hi[1] >= t_hi[0] * t_lo[1]:
         return None
-    return (p0, d, t_lo, t_hi)
-
-
-def _open_line_range(piece: Polygon, p0, d):
-    """Open t-range where p0 + t*d is strictly inside the piece, or None."""
-    t_lo, t_hi = None, None
-    for h, k in piece.halfplanes():
-        hd = h[0] * d[0] + h[1] * d[1]
-        hp = h[0] * p0[0] + h[1] * p0[1]
-        if hd == 0:
-            if hp <= k:
-                return None
-            continue
-        t = (k - hp) / hd
-        if hd > 0:
-            t_lo = t if t_lo is None else max(t_lo, t)
-        else:
-            t_hi = t if t_hi is None else min(t_hi, t)
-    if t_lo is None or t_hi is None or t_lo >= t_hi:
-        return None
-    return (t_lo, t_hi)
+    return t_lo, t_hi
 
 
 def _piece_inside(p, q) -> bool:
     """Exact test for one open convex piece inside another: for
     full-dimensional convex sets this is containment of the closures,
     i.e. every vertex of p lies in the closed q."""
-    if _piece_dim(p) == 1:
-        return q.lo <= p.lo and p.hi <= q.hi
-    return all(q.contains(v, strict=False) for v in p.verts)
+    if isinstance(p, Interval):
+        return q._lo * p._d <= p._lo * q._d and p._hi * q._d <= q._hi * p._d
+    v, d = p._v, p._d
+    for a, b, c in q.halfplanes():
+        cd = c * d
+        for x, y in v:
+            if a * x + b * y < cd:
+                return False
+    return True
 
 
 def _covers_piece(piece, parts):
     """Decide exactly whether the open piece is contained in the union of the
     open pieces `parts`.  Returns None, or an uncovered point as witness."""
-    if _piece_dim(piece) == 1:
-        w = _cover_1d(piece.lo, piece.hi, [(p.lo, p.hi) for p in parts])
-        return None if w is None else (w,)
+    if isinstance(piece, Interval):
+        w = _cover_1d((piece._lo, piece._d), (piece._hi, piece._d),
+                      [((p._lo, p._d), (p._hi, p._d)) for p in parts])
+        return None if w is None else (Fraction(*w),)
 
     # collect the boundary lines of the parts that cross the piece's interior
     lines = {}
+    v, d = piece._v, piece._d
     for q in parts:
-        for a, c in q.halfplanes():
-            vals = [a[0] * v[0] + a[1] * v[1] for v in piece.verts]
-            if min(vals) < c < max(vals):
+        for h in q.halfplanes():
+            a, b, c = h
+            vals = [a * x + b * y for x, y in v]
+            if min(vals) < c * d < max(vals):
                 # unoriented normal form of the line a.x == c
-                lead = a[0] if a[0] != 0 else a[1]
-                lines[(a[0] / lead, a[1] / lead, c / lead)] = (a, c)
+                lines[h if a > 0 or (a == 0 and b > 0) else (-a, -b, -c)] = h
 
     # cells of the induced subdivision: no part boundary crosses a cell, so a
     # single interior point decides the whole cell
     cells = [piece]
-    for a, c in lines.values():
+    for a, b, c in lines.values():
         nxt = []
         for cell in cells:
-            for half in (cell.clip(a, c), cell.clip((-a[0], -a[1]), -c)):
+            for half in (cell.clip((a, b, c)), cell.clip((-a, -b, -c))):
                 if half is not None:
                     nxt.append(half)
         cells = nxt
     for cell in cells:
-        p = cell.interior_point()
-        if not any(q.contains(p) for q in parts):
-            return p
+        p = cell._centroid()
+        if not any(q._has(*p) for q in parts):
+            return (Fraction(p[0][0], p[1]), Fraction(p[0][1], p[1]))
 
     # points of the piece on a dividing line: 1-dimensional coverage along it
-    for a, c in lines.values():
-        clipped = _line_params(piece, a, c)
+    for h in lines.values():
+        clipped = _line_range(piece, h, strict=False)
         if clipped is None:
             continue
-        p0, d, t_lo, t_hi = clipped
         ranges = []
         for q in parts:
-            r = _open_line_range(q, p0, d)
+            r = _line_range(q, h, strict=True)
             if r is not None:
                 ranges.append(r)
-        w = _cover_1d(t_lo, t_hi, ranges)
+        w = _cover_1d(*clipped, ranges)
         if w is not None:
-            return (p0[0] + w * d[0], p0[1] + w * d[1])
+            a0, a1, c = h
+            t = Fraction(*w)
+            p0 = (Fraction(c, a0), Fraction(0)) if a0 != 0 else (Fraction(0), Fraction(c, a1))
+            return (p0[0] - t * a1, p0[1] + t * a0)
     return None
 
 
@@ -479,47 +684,50 @@ class Region:
     set equality is available via :meth:`same_set`.
     """
 
-    __slots__ = ("dim", "pieces", "_hash")
+    __slots__ = ("dim", "pieces", "_hash", "_view")
 
     def __init__(self, dim: int, pieces):
-        if dim not in (1, 2):
-            raise DimensionMismatchError("only dimensions 1 and 2 are supported")
+        _check_dim(dim)
         self.dim = dim
         self.pieces = self._canonical(dim, list(pieces))
-        self._hash = hash((dim, tuple(p.key() for p in self.pieces)))
+        self._hash = hash((dim, tuple(p._k for p in self.pieces)))
+        self._view = None
 
     @staticmethod
     def _canonical(dim, pieces):
         for p in pieces:
             if _piece_dim(p) != dim:
                 raise DimensionMismatchError("piece dimension mismatch")
-        pieces = [p for p in pieces if p.measure() > 0]
+        pieces = [p for p in pieces if p._meas > 0]
+        if len(pieces) < 2:
+            return tuple(pieces)
         merged = True
         while merged:
             merged = False
             for i, j in itertools.combinations(range(len(pieces)), 2):
                 p, q = pieces[i], pieces[j]
                 inter = p.intersect(q)
-                if inter is None or inter.measure() <= 0:
+                if inter is None or inter._meas <= 0:
                     continue
                 h = p.hull_with(q)
                 # for overlapping open convex pieces the hull equals the
                 # union exactly when the measures match (any leftover point
                 # would force disjoint supporting halfplanes)
-                if h.measure() == p.measure() + q.measure() - inter.measure():
+                (hn, hd), (pn, pd), (qn, qd), (rn, rd) = map(_measure_pair, (h, p, q, inter))
+                if hn * pd * qd * rd == (pn * qd * rd + qn * pd * rd - rn * pd * qd) * hd:
                     pieces = [pieces[k] for k in range(len(pieces)) if k not in (i, j)]
                     pieces.append(h)
                     merged = True
                     break
-        uniq = {p.key(): p for p in pieces}
-        return tuple(uniq[k] for k in sorted(uniq))
+        uniq = list({p._k: p for p in pieces}.values())
+        return tuple(sorted(uniq, key=_sort_key(uniq)))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def interval(lo, hi) -> "Region":
-        lo, hi = frac(lo), frac(hi)
-        return Region(1, [Interval(lo, hi)] if lo < hi else [])
+        iv = Interval.make(lo, hi)
+        return Region(1, [iv] if iv._meas > 0 else [])
 
     @staticmethod
     def polygon(pts) -> "Region":
@@ -536,39 +744,56 @@ class Region:
         return not self.pieces
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Region)
+            and self._hash == other._hash
             and self.dim == other.dim
-            and tuple(p.key() for p in self.pieces) == tuple(p.key() for p in other.pieces)
+            and len(self.pieces) == len(other.pieces)
+            and all(p._k == q._k for p, q in zip(self.pieces, other.pieces))
         )
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Region(dim={self.dim}, pieces={[p.key() for p in self.pieces]})"
+        return f"Region(dim={self.dim}, pieces={list(self.key()[1])})"
 
     def key(self):
-        return (self.dim, tuple(p.key() for p in self.pieces))
+        if self._view is None:
+            self._view = (self.dim, tuple(p.key() for p in self.pieces))
+        return self._view
 
     def _check_dim(self, other: "Region"):
         if self.dim != other.dim:
             raise DimensionMismatchError("regions of different dimension")
 
     def contains_point(self, p, strict=True) -> bool:
-        return any(piece.contains(p, strict) for piece in self.pieces)
+        num, w = _homogeneous(p)
+        return any(piece._has(num, w, strict) for piece in self.pieces)
 
     # -- algebra -----------------------------------------------------------
 
+    def _of(self, pieces, *others) -> "Region":
+        """The region of `pieces`; when they are the pieces of self or of one
+        of `others`, that region (canonical forms are fixed points)."""
+        pieces = tuple(pieces)
+        for r in (self,) + others:
+            if pieces == r.pieces:
+                return r
+        return Region(self.dim, pieces)
+
     def intersect(self, other: "Region") -> "Region":
-        self._check_dim(other)
+        if self.dim != other.dim:
+            raise DimensionMismatchError("regions of different dimension")
         out = []
         for p in self.pieces:
             for q in other.pieces:
                 r = p.intersect(q)
-                if r is not None and r.measure() > 0:
+                if r is not None and r._meas > 0:
                     out.append(r)
-        return Region(self.dim, out)
+        return self._of(out, other)
 
     def union(self, other: "Region") -> "Region":
         self._check_dim(other)
@@ -587,20 +812,21 @@ class Region:
                     nxt.append(p)
                     continue
                 if self.dim == 1:
-                    if p.lo < q.lo:
-                        nxt.append(Interval(p.lo, min(p.hi, q.lo)))
-                    if q.hi < p.hi:
-                        nxt.append(Interval(max(p.lo, q.hi), p.hi))
+                    # the parts of p left and right of q
+                    for part in (_interval(p._lo, p._d, q._lo, q._d),
+                                 _interval(q._hi, q._d, p._hi, p._d)):
+                        if part is not None:
+                            nxt.append(part.intersect(p))
                 else:
                     rest = p
-                    for a, c in q.halfplanes():
-                        outside = rest.clip((-a[0], -a[1]), -c)
-                        if outside is not None and outside.measure() > 0:
+                    for a, b, c in q.halfplanes():
+                        outside = rest.clip((-a, -b, -c))
+                        if outside is not None:
                             nxt.append(outside)
-                        rest = rest.clip(a, c)
+                        rest = rest.clip((a, b, c))
                         if rest is None:
                             break
-            pieces = [p for p in nxt if p.measure() > 0]
+            pieces = [p for p in nxt if p._meas > 0]
         return Region(self.dim, pieces)
 
     def image(self, m: AffineMap) -> "Region":
@@ -615,44 +841,40 @@ class Region:
         self._check_dim(target)
         if m.dim != self.dim:
             raise DimensionMismatchError("map dimension mismatch")
+        mm, mo, md = m._m, m._o, m._d
+        pulled = []
+        for q in target.pieces:
+            # pull each a.y >= c back through y = (Mx + o)/d: (aM).x >= c d - a.o
+            hs = []
+            for h in q.halfplanes():
+                if self.dim == 1:
+                    a, c = h
+                    aa = (a * mm[0],)
+                    cc = c * md - a * mo[0]
+                else:
+                    a, b, c = h
+                    aa = (a * mm[0] + b * mm[2], a * mm[1] + b * mm[3])
+                    cc = c * md - (a * mo[0] + b * mo[1])
+                if not any(aa):
+                    if cc >= 0:  # constant a.(Mx+o) fails the strict bound
+                        hs = None
+                        break
+                    continue
+                hs.append(_halfplane(*aa, cc))
+            pulled.append(hs)
         out = []
         for p in self.pieces:
-            for q in target.pieces:
+            for hs in pulled:
+                if hs is None:
+                    continue
                 cur = p
-                dead = False
-                for a, c in q.halfplanes():
-                    # pull a.y >= c back through y = Mx + o
-                    if self.dim == 1:
-                        aa = (a[0] * m.matrix[0][0],)
-                        cc = c - a[0] * m.offset[0]
-                    else:
-                        aa = (
-                            a[0] * m.matrix[0][0] + a[1] * m.matrix[1][0],
-                            a[0] * m.matrix[0][1] + a[1] * m.matrix[1][1],
-                        )
-                        cc = c - (a[0] * m.offset[0] + a[1] * m.offset[1])
-                    if all(x == 0 for x in aa):
-                        if cc >= 0:  # constant a.(Mx+o) fails the strict bound
-                            dead = True
-                            break
-                        continue
-                    cur = self._clip_piece(cur, aa, cc)
+                for h in hs:
+                    cur = cur.clip(h)
                     if cur is None:
-                        dead = True
                         break
-                if not dead and cur is not None and cur.measure() > 0:
+                if cur is not None and cur._meas > 0:
                     out.append(cur)
-        return Region(self.dim, out)
-
-    @staticmethod
-    def _clip_piece(piece, a, c):
-        if _piece_dim(piece) == 1:
-            if a[0] > 0:
-                lo = max(piece.lo, c / a[0])
-                return Interval(lo, piece.hi) if lo < piece.hi else None
-            hi = min(piece.hi, c / a[0])
-            return Interval(piece.lo, hi) if piece.lo < hi else None
-        return piece.clip(a, c)
+        return self._of(out)
 
     def covers(self, parts) -> bool:
         return self.covers_witness(parts) is None
@@ -687,6 +909,8 @@ class Region:
         with disjoint interiors are disconnected even if their closures
         touch."""
         n = len(self.pieces)
+        if n < 2:
+            return [self] if n else []
         parent = list(range(n))
 
         def find(i):
@@ -702,7 +926,8 @@ class Region:
         for i in range(n):
             groups.setdefault(find(i), []).append(self.pieces[i])
         comps = [Region(self.dim, ps) for ps in groups.values()]
-        return sorted(comps, key=lambda r: r.key())
+        key = _sort_key([p for r in comps for p in r.pieces])
+        return sorted(comps, key=lambda r: tuple(map(key, r.pieces)))
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

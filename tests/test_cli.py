@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orbatlas import cli
 from orbatlas import fractions as frc
@@ -219,3 +221,127 @@ def test_validate_kind_without_validator_is_a_schema_error(tmp_path, capsys):
     p.write_text(json.dumps({"kind": "region", "dim": 1, "pieces": [["0", "1"]]}))
     assert cli.run(["validate", str(p)]) == 3
     assert "schema_error" in json.loads(capsys.readouterr().out)
+
+
+_MAP = {"matrix": [["1"]], "offset": ["0"]}
+_IV = {"kind": "region", "dim": 1, "pieces": [["0", "1"]]}
+_CHART = {"id": "T", "domain": _IV, "group": [_MAP]}
+_ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ({"kind": "region", "dim": 1, "pieces": 5}, "/pieces"),
+    ({"kind": "region", "dim": 1, "pieces": [["0"]]}, "/pieces/0"),
+    ({"kind": "region", "dim": 2, "pieces": [[["0", "0"], "1"]]}, "/pieces/0/1"),
+    ({"kind": "region", "dim": "1", "pieces": []}, "/dim"),
+    ({"kind": "region", "dim": 1, "pieces": [["0", float("inf")]]}, ""),
+    ({"kind": ["atlas"]}, "/kind"),
+    ({"kind": "atlas", "charts": 5, "generators": []}, "/charts"),
+    ({"kind": "atlas", "charts": [dict(_CHART, id=5)], "generators": []}, "/charts/id"),
+    ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": 1, "offset": []}])],
+      "generators": []}, "/charts/group/matrix"),
+    # rejected by the make constructors: shape, dimension, duplicate ids
+    ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1", "0"]], "offset": ["0"]}])],
+      "generators": []}, "/charts/group"),
+    ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [], "offset": []}])],
+      "generators": []}, "/charts/group"),
+    ({"kind": "atlas", "charts": [_CHART, _CHART], "generators": []}, ""),
+    ({"kind": "change", "src": "T", "dst": "T", "map": {"matrix": [["0"]], "offset": ["0"]},
+      "dom": _IV}, ""),
+    ({"kind": "morphism", "source": _ATLAS, "target": _ATLAS, "chart_map": {"T": "T"},
+      "lifts": [], "entries": []}, "/lifts"),
+    ({"kind": "morphism", "source": _ATLAS, "target": _ATLAS, "chart_map": {"T": 1},
+      "lifts": {}, "entries": []}, "/chart_map/T"),
+    ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [["f", "P"]]}, "/families/0"),
+    ({"kind": "groupoid", "pieces": [["P", _IV]],
+      "families": [["f", "P", "P", _MAP, _IV], ["f", "P", "P", _MAP, _IV]]}, ""),
+    ({"kind": "groupoid", "pieces": {"P": _IV}, "families": []}, "/pieces"),
+])
+def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert cli.run(["validate", str(p)]) == 3
+    err = json.loads(capsys.readouterr().out)["schema_error"]
+    assert err.startswith(f"schema error at {pointer or '/'}:")
+
+
+def test_choice_table_that_is_not_a_table_is_a_schema_error(tmp_path, capsys):
+    ops = frc.atlas_ops()
+    p1 = write(tmp_path, "s1.json", frc.universal_embed(ops, M["emb_T_M"]))
+    p2 = write(tmp_path, "s2.json", frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]))
+    choices = tmp_path / "choices.json"
+    for text in ("[1, 2]", '{"entries": [[1, 2]]}', '{"entries": [["h", {"f": 1}]]}'):
+        choices.write_text(text)
+        assert cli.run(["localize-compose", p1, p2, "--choices", str(choices)]) == 3
+        assert "schema_error" in json.loads(capsys.readouterr().out)
+
+
+def test_unwritable_choice_table_fails_before_composing(tmp_path, capsys, monkeypatch):
+    ops = frc.atlas_ops()
+    p1 = write(tmp_path, "s1.json", frc.universal_embed(ops, M["emb_T_M"]))
+    p2 = write(tmp_path, "s2.json", frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]))
+
+    def no_work(*args):
+        raise AssertionError("composed before checking the choice table path")
+    monkeypatch.setattr(frc, "compose_spans", no_work)
+    choices = str(tmp_path / "nodir" / "choices.json")
+    assert cli.run(["localize-compose", p1, p2, "--choices", choices]) == 3
+    assert "schema_error" in json.loads(capsys.readouterr().out)
+
+
+def test_saved_choice_table_reloads_byte_for_byte(tmp_path):
+    ops = frc.atlas_ops()
+    table = frc.ChoiceTable()
+    legs = frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])
+    for s1 in (frc.universal_embed(ops, M["emb_T_M"]), frc.universal_embed(ops, M["flip_M"]),
+               legs):
+        frc.compose_spans(ops, table, legs, s1)
+    assert len(table.entries) == 3
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    cli.save_choice_table(table, ops, str(first))
+    cli.save_choice_table(cli.load_choice_table(str(first), ops), ops, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    # entries are ordered by the repr of their keys
+    keys = [repr(k) for k in table.entries]
+    reloaded = cli.load_choice_table(str(first), ops)
+    assert [repr(k) for k in reloaded.entries] == sorted(keys)
+
+
+_leaves = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["", "T", "1/2", "x"])
+_json = st.recursive(_leaves, lambda c: st.lists(c, max_size=3)
+                     | st.dictionaries(st.sampled_from(["T", "M", "kind"]), c, max_size=2),
+                     max_leaves=5)
+
+
+def _subtrees(doc, at=()):
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _subtrees(v, at + (k,))
+
+
+@pytest.fixture(scope="module")
+def documents():
+    values = [MIRROR_REF, M["leg1_MR_M"], catalog_2cells()["legs"], frd.fred0(MIRROR),
+              frd.fred1(M["flip_M"]), frd.fred2(catalog_2cells()["legs"]),
+              frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])]
+    return [json.loads(cli.dumps(v)) for v in values]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_document_parses_or_is_a_schema_error(documents, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(documents))))
+    at = data.draw(st.sampled_from(list(_subtrees(doc))))
+    new = data.draw(_json)
+    if not at:
+        doc = new
+    else:
+        parent = doc
+        for k in at[:-1]:
+            parent = parent[k]
+        parent[at[-1]] = new
+    try:
+        cli.parse(doc)
+    except cli.SchemaError:
+        pass
