@@ -785,8 +785,7 @@ class Region:
         return Region(self.dim, pieces)
 
     def intersect(self, other: "Region") -> "Region":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("regions of different dimension")
+        self._check_dim(other)
         out = []
         for p in self.pieces:
             for q in other.pieces:
