@@ -79,7 +79,7 @@ def _homogeneous(p):
     return (x.numerator * yd, y.numerator * xd), xd * yd
 
 
-def _check_dim(n):
+def _check_supported(n):
     if n not in (1, 2):
         raise DimensionMismatchError("only dimensions 1 and 2 are supported")
 
@@ -119,13 +119,13 @@ class AffineMap:
         n = len(off)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix/offset shape mismatch")
-        _check_dim(n)
+        _check_supported(n)
         nums, d = _over([e for row in rows for e in row] + off)
         return AffineMap(tuple(nums[:n * n]), tuple(nums[n * n:]), d)
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":
-        _check_dim(dim)
+        _check_supported(dim)
         return AffineMap((1,), (0,), 1) if dim == 1 else AffineMap((1, 0, 0, 1), (0, 0), 1)
 
     def _views(self):
@@ -295,9 +295,6 @@ class Interval:
 
     def contains(self, p, strict=True) -> bool:
         return self._has(*_homogeneous(p), strict)
-
-    def _centroid(self):
-        return (self._lo + self._hi,), 2 * self._d
 
     def interior_point(self) -> tuple:
         return (Fraction(self._lo + self._hi, 2 * self._d),)
@@ -570,10 +567,6 @@ def _cover_1d(lo, hi, open_ivs):
     return None
 
 
-def _ratio(n, d):
-    return (-n, -d) if d < 0 else (n, d)
-
-
 def _line_range(piece: Polygon, h, strict):
     """The t-range of the points p0 + t*d of the line {a.x == c} of
     h = (a0, a1, c), with p0 = (c/a0, 0) or (0, c/a1) and d = (-a1, a0),
@@ -592,7 +585,9 @@ def _line_range(piece: Polygon, h, strict):
             if diff < 0 or (strict and diff == 0):
                 return None
             continue
-        t = _ratio(k * lead - hp, lead * hd)
+        t = (k * lead - hp, lead * hd)
+        if t[1] < 0:
+            t = (-t[0], -t[1])
         if hd > 0:
             if t_lo is None or t[0] * t_lo[1] > t_lo[0] * t[1]:
                 t_lo = t
@@ -687,7 +682,7 @@ class Region:
     __slots__ = ("dim", "pieces", "_hash", "_view")
 
     def __init__(self, dim: int, pieces):
-        _check_dim(dim)
+        _check_supported(dim)
         self.dim = dim
         self.pieces = self._canonical(dim, list(pieces))
         self._hash = hash((dim, tuple(p._k for p in self.pieces)))
