@@ -32,12 +32,9 @@ class SchemaError(Exception):
         self.path = path
 
 
-_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
-
-
 def _typed(value, kind, path):
     if not isinstance(value, kind):
-        raise SchemaError(path, f"expected {_TYPE_NAMES[kind]}, got {json.dumps(value)[:40]}")
+        raise SchemaError(path, f"expected {kind.__name__}, got {json.dumps(value)[:40]}")
     return value
 
 

@@ -167,7 +167,7 @@ class AffineMap:
                 Fraction(m[2] * x + m[3] * y + o[1] * w, d))
 
     def _det(self) -> int:
-        """Numerator of the determinant over d**dim; only its sign matters."""
+        """The determinant times d**dim: an integer of the same sign."""
         m = self._m
         return m[0] if self.dim == 1 else m[0] * m[3] - m[1] * m[2]
 
