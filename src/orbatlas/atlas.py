@@ -27,7 +27,7 @@ from .geometry import (
     Region,
     distinct_points,
 )
-from .memo import memo
+from .memo import cached_hash, memo
 from .reports import (
     ComposabilityError,
     Report,
@@ -42,6 +42,7 @@ FAMILY_CAP = 256
 # Charts, changes of charts, atlases
 # ---------------------------------------------------------------------------
 
+@cached_hash
 @dataclass(frozen=True)
 class Chart:
     """Connected open region with a finite effective affine symmetry group.
@@ -72,6 +73,7 @@ class Chart:
         return (self.cid, self.domain.key(), tuple(g.key() for g in self.group))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ChangeOfCharts:
     """Partial affine isomorphism from one chart to another, compatible with
@@ -119,6 +121,7 @@ def compose_changes(later: ChangeOfCharts, earlier: ChangeOfCharts):
     return ChangeOfCharts(earlier.src, later.dst, iso)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Atlas:
     """Finite family of charts together with generating changes of charts."""
@@ -405,6 +408,7 @@ def validate_atlas(atlas: Atlas, bound: int = WORD_BOUND) -> Report:
 # Morphisms
 # ---------------------------------------------------------------------------
 
+@cached_hash
 @dataclass(frozen=True)
 class PEntry:
     """One element of the distinguished generating family of changes of
@@ -438,6 +442,7 @@ def _normalize_entries(entries):
     return tuple(sorted(merged.values(), key=lambda e: e.key()))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Morphism:
     """A morphism of atlases, held as a normalized representative of its
@@ -599,7 +604,7 @@ def validate_morphism(m: Morphism, bound: int = WORD_BOUND) -> Report:
 def equal_morphisms(a: Morphism, b: Morphism) -> bool:
     """Germ-agreement equality: same chart map and lifts, and wherever two
     entries carry the same germ the assigned germs coincide."""
-    if a.source.key() != b.source.key() or a.target.key() != b.target.key():
+    if a.source != b.source or a.target != b.target:
         return False
     if a.chart_map != b.chart_map or a.lifts != b.lifts:
         return False
@@ -636,7 +641,7 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     """Composite g after f.  Each entry of f is matched, by exact affine
     equality, against the entries of g covering its assigned change; the
     entry is restricted to the matched part and handed g's assignment."""
-    if f.target.key() != g.source.key():
+    if f.target != g.source:
         raise ComposabilityError("target of the first factor is not the source of the second")
     cm = {i: g.chart_image(j) for i, j in f.chart_map}
     lifts = {i: g.lift(f.chart_image(i)).compose(L) for i, L in f.lifts}
@@ -737,7 +742,7 @@ def morphism_from_lifts(source: Atlas, target: Atlas, chart_map, lifts,
 def inclusion(sub: Atlas, amb: Atlas, bound: int = WORD_BOUND) -> Morphism:
     """Inclusion of an atlas into a larger one containing its charts."""
     for c in sub.charts:
-        if amb.chart(c.cid).key() != c.key():
+        if amb.chart(c.cid) != c:
             raise ValueError(f"chart {c.cid} differs in the ambient atlas")
     return morphism_from_lifts(
         sub, amb,
@@ -899,6 +904,7 @@ def _normalize_patches(patches):
     return out
 
 
+@cached_hash
 @dataclass(frozen=True)
 class TwoCell:
     """A 2-morphism between parallel morphisms, as a normalized family of
@@ -937,7 +943,7 @@ def invert_2cell(c: TwoCell) -> TwoCell:
 def validate_2cell(c: TwoCell, bound: int = WORD_BOUND) -> Report:
     rep = Report("2-cell")
     f1, f2 = c.source_morphism, c.target_morphism
-    if f1.source.key() != f2.source.key() or f1.target.key() != f2.target.key():
+    if f1.source != f2.source or f1.target != f2.target:
         rep.fail("2M0", "morphisms are not parallel")
         return rep
     src, tgt = f1.source, f1.target
@@ -1059,7 +1065,7 @@ def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
     construction needs is unnecessary here."""
     f1, f2 = delta.source_morphism, delta.target_morphism
     g1, g2 = xi.source_morphism, xi.target_morphism
-    if f1.target.key() != g1.source.key():
+    if f1.target != g1.source:
         raise ComposabilityError("2-cells not horizontally composable")
     left = compose_morphisms(g1, f1)
     right = compose_morphisms(g2, f2)
@@ -1115,7 +1121,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
     of an A-chart; w' is the chart-wise inclusion (a refinement by
     construction) and f' transports through w."""
     C, B, A = f.source, f.target, w.source
-    if w.target.key() != B.key():
+    if w.target != B:
         raise ComposabilityError("the two morphisms do not share their target")
     if not f.is_etale() or not w.is_etale():
         raise ValueError("pullback squares need open-embedding lifts")
@@ -1245,7 +1251,7 @@ def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
     """The unique 2-cell between two open embeddings with the same induced
     base map; the patch germ over each chart is forced to be the second lift
     after the inverse of the first."""
-    if w1.source.key() != w2.source.key() or w1.target.key() != w2.target.key():
+    if w1.source != w2.source or w1.target != w2.target:
         raise ComposabilityError("morphisms are not parallel")
     if not (w1.is_etale() and w2.is_etale()):
         raise ValueError("both morphisms must have open-embedding lifts")

@@ -55,6 +55,14 @@ def _tuples(value, size, path):
     return [_tuple(item, size, f"{path}/{i}") for i, item in enumerate(_typed(value, list, path))]
 
 
+def _known(name, known, path, what):
+    """A name by which a document refers to a part of another; a name that
+    refers to nothing is a schema error at `path`."""
+    if name not in known:
+        raise SchemaError(path, f"no {what} {name!r}")
+    return name
+
+
 def _made(path, make, *args, **kwargs):
     """Call a `make` constructor on parsed parts; the ValueError or
     GeometryError by which it rejects them is a schema error at `path`."""
@@ -184,12 +192,16 @@ def _str_map(doc, key, path):
 
 def parse_morphism(doc, path=""):
     cert = _typed(doc, dict, path).get("certificate")
+    source = parse_atlas(_need(doc, "source", path), f"{path}/source")
+    target = parse_atlas(_need(doc, "target", path), f"{path}/target")
+    ids, tids = source.chart_ids(), target.chart_ids()
     return _made(
-        path, atl.Morphism.make,
-        parse_atlas(_need(doc, "source", path), f"{path}/source"),
-        parse_atlas(_need(doc, "target", path), f"{path}/target"),
-        _str_map(doc, "chart_map", path),
-        {i: parse_affine(L, f"{path}/lifts") for i, L in _need(doc, "lifts", path, dict).items()},
+        path, atl.Morphism.make, source, target,
+        {_known(i, ids, f"{path}/chart_map/{i}", "source chart"):
+         _known(j, tids, f"{path}/chart_map/{i}", "target chart")
+         for i, j in _str_map(doc, "chart_map", path).items()},
+        {_known(i, ids, f"{path}/lifts/{i}", "source chart"): parse_affine(L, f"{path}/lifts")
+         for i, L in _need(doc, "lifts", path, dict).items()},
         [atl.PEntry(parse_change(_need(e, "change", f"{path}/entries"), f"{path}/entries"),
                     parse_change(_need(e, "nu", f"{path}/entries"), f"{path}/entries"))
          for e in _need(doc, "entries", path, list)],
@@ -205,12 +217,14 @@ def twocell_doc(c: atl.TwoCell):
 
 
 def parse_twocell(doc, path=""):
+    source = parse_morphism(_need(doc, "source", path), f"{path}/source")
+    ids = source.source.chart_ids()
     return _made(
-        path, atl.TwoCell.make,
-        parse_morphism(_need(doc, "source", path), f"{path}/source"),
+        path, atl.TwoCell.make, source,
         parse_morphism(_need(doc, "target", path), f"{path}/target"),
-        {cid: [(parse_region(r, f"{path}/patches"), parse_change(ch, f"{path}/patches"))
-               for r, ch in _tuples(items, 2, f"{path}/patches/{cid}")]
+        {_known(cid, ids, f"{path}/patches/{cid}", "source chart"):
+         [(parse_region(r, f"{path}/patches"), parse_change(ch, f"{path}/patches"))
+          for r, ch in _tuples(items, 2, f"{path}/patches/{cid}")]
          for cid, items in _need(doc, "patches", path, dict).items()})
 
 
@@ -261,16 +275,21 @@ def gpd_morphism_doc(psi: gpd.GroupoidMorphism):
 
 
 def parse_gpd_morphism(doc, path=""):
+    source = parse_groupoid(_need(doc, "source", path), f"{path}/source")
+    target = parse_groupoid(_need(doc, "target", path), f"{path}/target")
+    pids, tpids = source.piece_ids(), target.piece_ids()
     objects = {}
     for p, pair in _need(doc, "object_map", path, dict).items():
-        q, m = _tuple(pair, 2, f"{path}/object_map/{p}")
-        objects[p] = (_typed(q, str, f"{path}/object_map/{p}"),
-                      parse_affine(m, f"{path}/object_map"))
-    return _made(
-        path, gpd.GroupoidMorphism.make,
-        parse_groupoid(_need(doc, "source", path), f"{path}/source"),
-        parse_groupoid(_need(doc, "target", path), f"{path}/target"),
-        objects, _str_map(doc, "family_map", path))
+        at = f"{path}/object_map/{p}"
+        q, m = _tuple(pair, 2, at)
+        objects[_known(p, pids, at, "source piece")] = (
+            _known(_typed(q, str, at), tpids, at, "target piece"),
+            parse_affine(m, f"{path}/object_map"))
+    fids, tfids = source.family_ids(), target.family_ids()
+    families = {_known(f, fids, f"{path}/family_map/{f}", "source family"):
+                _known(t, tfids, f"{path}/family_map/{f}", "target family")
+                for f, t in _str_map(doc, "family_map", path).items()}
+    return _made(path, gpd.GroupoidMorphism.make, source, target, objects, families)
 
 
 def nat_transf_doc(a: gpd.NatTransf):
@@ -282,12 +301,16 @@ def nat_transf_doc(a: gpd.NatTransf):
 
 
 def parse_nat_transf(doc, path=""):
+    source = parse_gpd_morphism(_need(doc, "source", path), f"{path}/source")
+    pids, fids = source.source.piece_ids(), source.target.family_ids()
     return _made(
-        path, gpd.NatTransf.make,
-        parse_gpd_morphism(_need(doc, "source", path), f"{path}/source"),
+        path, gpd.NatTransf.make, source,
         parse_gpd_morphism(_need(doc, "target", path), f"{path}/target"),
-        {p: [(parse_region(r, f"{path}/assignments"), _typed(fid, str, f"{path}/assignments/{p}"))
-             for r, fid in _tuples(items, 2, f"{path}/assignments/{p}")]
+        {_known(p, pids, f"{path}/assignments/{p}", "source piece"):
+         [(parse_region(r, f"{path}/assignments"),
+           _known(_typed(fid, str, f"{path}/assignments/{p}"), fids,
+                  f"{path}/assignments/{p}", "target family"))
+          for r, fid in _tuples(items, 2, f"{path}/assignments/{p}")]
          for p, items in _need(doc, "assignments", path, dict).items()})
 
 
@@ -402,12 +425,17 @@ def _writable(path):
         raise SchemaError("", f"cannot write {path}: {folder} is not a writable directory")
 
 
+def _content_key(ops, f, w):
+    """The pair's endpoints and 1-cells as `key()` tuples: the order of the
+    entries of a saved table."""
+    return (tuple(x.key() for x in (ops.src(f), ops.dst(f), ops.src(w), ops.dst(w))),
+            f.key(), w.key())
+
+
 def save_choice_table(table: frc.ChoiceTable, ops, path: str):
     entries = []
-    for key, (d, wp, fp, cell) in sorted(table.entries.items(), key=lambda kv: repr(kv[0])):
-        if key not in table.cells:
-            continue
-        f, w = table.cells[key]
+    for (f, w), (d, wp, fp, cell) in sorted(table.entries.items(),
+                                           key=lambda kv: repr(_content_key(ops, *kv[0]))):
         fdoc, wdoc = morphism_doc(f), morphism_doc(w)
         entries.append([
             _pair_hash(fdoc, wdoc),
@@ -435,9 +463,7 @@ def load_choice_table(path: str, ops) -> frc.ChoiceTable:
                   parse_morphism(_need(e, "wleg", at), f"{at}/wleg"),
                   parse_morphism(_need(e, "fleg", at), f"{at}/fleg"),
                   parse_twocell(_need(e, "cell", at), f"{at}/cell"))
-        key = table.key(ops, f, w)
-        table.entries[key] = square
-        table.cells[key] = (f, w)
+        table.entries[(f, w)] = square
     return table
 
 
@@ -591,8 +617,17 @@ def cmd_equiv_report(args):
     return 0 if rep.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are schema errors, exit 3: argparse's own exit code 2
+    means undecided here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SchemaError("", f"usage: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="orbatlas",
         description="exact orbifold-atlas 2-category toolkit")
     p.add_argument("--bound", type=int, default=atl.WORD_BOUND,
@@ -649,9 +684,8 @@ def build_parser():
 
 
 def run(argv=None) -> int:
-    p = build_parser()
-    args = p.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as e:
         print(json.dumps({"kind": "report", "ok": False,

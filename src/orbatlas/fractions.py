@@ -7,8 +7,9 @@ presented groupoids at Morita equivalences.  1-cells of the localized
 bicategory are spans (middle, W-leg, arrow leg); 2-cells are classes of
 filled squares in the simplified shape (middle, two W-legs, base 2-cell),
 the remaining filler being unique.  Composition of spans goes through
-chosen squares recorded in a persistent, content-addressed choice table,
-with the two forced choices that make identity spans strict units.
+chosen squares recorded in a persistent choice table keyed by the values of
+the 1-cells, with the two forced choices that make identity spans strict
+units.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ class TwoCatOps:
     """Operation bundle of a 2-category with a distinguished class W."""
 
     name: str
-    obj_key: callable
-    cell_key: callable
     src: callable
     dst: callable
     compose1: callable
@@ -50,6 +49,11 @@ class TwoCatOps:
     connect2: callable      # unique 2-cell between parallel W-composites
     cancel: callable        # (v in W, x, y, cell: v x => v y) -> (x => y)
 
+    def cell_key(self, cell):
+        """A 1-cell as a dict key: the value itself, which holds its
+        endpoints.  perfbench/tracer.py counts distinct W-tests by it."""
+        return cell
+
     def whisker_left(self, g, cell):
         """i_g * cell."""
         return self.comp2h(self.id2(g), cell)
@@ -62,8 +66,6 @@ class TwoCatOps:
 def atlas_ops() -> TwoCatOps:
     return TwoCatOps(
         name="atlas/refinements",
-        obj_key=lambda a: a.key(),
-        cell_key=lambda m: m.key(),
         src=lambda m: m.source,
         dst=lambda m: m.target,
         compose1=atl.compose_morphisms,
@@ -124,8 +126,6 @@ def _gpd_cancel(v, x, y, cell):
 def groupoid_ops() -> TwoCatOps:
     return TwoCatOps(
         name="groupoid/morita",
-        obj_key=lambda g: g.key(),
-        cell_key=lambda m: m.key(),
         src=lambda m: m.source,
         dst=lambda m: m.target,
         compose1=gpd.compose_gpd_morphisms,
@@ -170,15 +170,15 @@ def span_target(ops, s):
 
 
 def span_equal(ops, s, t) -> bool:
-    return (ops.obj_key(s.middle) == ops.obj_key(t.middle)
+    return (s.middle == t.middle
             and ops.eq1(s.left, t.left) and ops.eq1(s.right, t.right))
 
 
 def validate_span(ops, s: Span) -> Report:
     rep = Report("span")
-    if ops.obj_key(ops.src(s.left)) != ops.obj_key(s.middle):
+    if ops.src(s.left) != s.middle:
         rep.fail("SP1", "left leg does not start at the middle object")
-    if ops.obj_key(ops.src(s.right)) != ops.obj_key(s.middle):
+    if ops.src(s.right) != s.middle:
         rep.fail("SP1", "right leg does not start at the middle object")
     w = ops.is_w(s.left)
     if w is False:
@@ -239,28 +239,18 @@ def validate_fraction_cell(ops, c: FractionCell) -> Report:
 
 class ChoiceTable:
     """Deterministic record of the squares chosen to compose spans, keyed by
-    the (arrow, W-arrow) pair.  Append-only; safe for concurrent readers."""
+    the (arrow, W-arrow) pair of values; a 1-cell value holds its source and
+    target.  Append-only; safe for concurrent readers."""
 
     def __init__(self):
         self.entries = {}
-        self.cells = {}
-
-    @staticmethod
-    def key(ops, f, w):
-        """Content key of the pair.  A cell key does not name its source and
-        target, so the endpoint objects are part of the key."""
-        return (tuple(ops.obj_key(x) for x in (ops.src(f), ops.dst(f), ops.src(w), ops.dst(w))),
-                ops.cell_key(f), ops.cell_key(w))
 
     def lookup(self, ops, f, w):
-        return self.entries.get(self.key(ops, f, w))
+        # `ops` is unused; perfbench/tracer.py wraps this signature
+        return self.entries.get((f, w))
 
-    def record(self, ops, f, w, square):
-        key = self.key(ops, f, w)
-        if key not in self.entries:
-            self.entries[key] = square
-            self.cells[key] = (f, w)
-        return self.entries[key]
+    def record(self, f, w, square):
+        return self.entries.setdefault((f, w), square)
 
 
 def chosen_square(ops, table, f, w):
@@ -276,14 +266,14 @@ def chosen_square(ops, table, f, w):
     if got is None:
         got = ops.square(f, w)
         if table is not None:
-            table.record(ops, f, w, got)
+            table.record(f, w, got)
     return got
 
 
 def compose_spans(ops, table, s2: Span, s1: Span) -> Span:
     """Composite span s2 o s1 through the chosen square for
     (s1.right, s2.left)."""
-    if ops.obj_key(span_target(ops, s1)) != ops.obj_key(span_source(ops, s2)):
+    if span_target(ops, s1) != span_source(ops, s2):
         raise ComposabilityError("spans not composable")
     d, vp, fp, _ = chosen_square(ops, table, s1.right, s2.left)
     return Span(d, ops.compose1(s1.left, vp), ops.compose1(s2.right, fp))
@@ -463,18 +453,17 @@ class Universe:
 
     def composable_pairs(self, ops):
         for (n1, f), (n2, g) in itertools.product(self.cells, repeat=2):
-            if ops.obj_key(ops.dst(f)) == ops.obj_key(ops.src(g)):
+            if ops.dst(f) == ops.src(g):
                 yield (n1, f), (n2, g)
 
     def parallel_pairs(self, ops):
         for (n1, f), (n2, g) in itertools.combinations(self.cells, 2):
-            if (ops.obj_key(ops.src(f)) == ops.obj_key(ops.src(g))
-                    and ops.obj_key(ops.dst(f)) == ops.obj_key(ops.dst(g))):
+            if ops.src(f) == ops.src(g) and ops.dst(f) == ops.dst(g):
                 yield (n1, f), (n2, g)
 
     def cells_into(self, ops, obj):
         for n, f in self.cells:
-            if ops.obj_key(ops.dst(f)) == ops.obj_key(obj):
+            if ops.dst(f) == obj:
                 yield n, f
 
 
@@ -489,14 +478,13 @@ def depth2_universe(ops, objects, cells) -> Universe:
             names.add(key)
     base = list(out)
     for (n1, f), (n2, g) in itertools.product(base, repeat=2):
-        if ops.obj_key(ops.dst(f)) != ops.obj_key(ops.src(g)):
+        if ops.dst(f) != ops.src(g):
             continue
         key = f"{n2}.{n1}"
         comp = ops.compose1(g, f)
         if key in names:
             continue
-        if any(ops.obj_key(ops.src(h)) == ops.obj_key(ops.src(comp))
-               and ops.obj_key(ops.dst(h)) == ops.obj_key(ops.dst(comp))
+        if any(ops.src(h) == ops.src(comp) and ops.dst(h) == ops.dst(comp)
                and ops.eq1(h, comp) for _, h in out):
             continue
         out.append((key, comp))
@@ -544,7 +532,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
         for (nf, f), (nw, w) in itertools.product(universe.cells, repeat=2):
             if ops.is_w(w) is not True:
                 continue
-            if ops.obj_key(ops.dst(f)) != ops.obj_key(ops.dst(w)):
+            if ops.dst(f) != ops.dst(w):
                 continue
             try:
                 d, wp, fp, alpha = chosen_square(ops, table, f, w)
@@ -565,10 +553,9 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
             if ops.is_w(w) is not True:
                 continue
             for (n1, f1), (n2, f2) in itertools.product(universe.cells, repeat=2):
-                if ops.obj_key(ops.dst(f1)) != ops.obj_key(ops.src(w)):
+                if ops.dst(f1) != ops.src(w):
                     continue
-                if (ops.obj_key(ops.src(f1)) != ops.obj_key(ops.src(f2))
-                        or ops.obj_key(ops.dst(f1)) != ops.obj_key(ops.dst(f2))):
+                if ops.src(f1) != ops.src(f2) or ops.dst(f1) != ops.dst(f2):
                     continue
                 alpha = _try_connect(ops, rep, ops.compose1(w, f1), ops.compose1(w, f2))
                 if alpha is None:
@@ -597,7 +584,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 for nu, u0 in universe.cells:
                     if ops.is_w(u0) is not True:
                         continue
-                    if ops.obj_key(ops.dst(u0)) != ops.obj_key(ops.src(f1)):
+                    if ops.dst(u0) != ops.src(f1):
                         continue
                     beta2 = ops.comp2h(beta, ops.id2(u0))
                     u_pr = ops.id1(ops.src(u0))

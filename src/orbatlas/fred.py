@@ -151,7 +151,7 @@ def atlas_from_groupoid(g: PresentedGroupoid, bound: int = WORD_BOUND):
     note = g.annotation
     if isinstance(note, Atlas):
         again = fred0(note, bound)
-        if again.key() != g.key():
+        if again != g:
             raise UnsupportedGroupoidError(
                 "annotation atlas does not present this groupoid")
         from .groupoid import identity_gpd_morphism

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .memo import cached_hash
+
 
 class GeometryError(Exception):
     pass
@@ -978,6 +980,7 @@ def distinct_points(region: Region, count: int) -> list:
 # Partial affine isomorphisms and germs
 # ---------------------------------------------------------------------------
 
+@cached_hash
 @dataclass(frozen=True)
 class PartialAffineIso:
     """An invertible affine map restricted to an open region; the codomain is

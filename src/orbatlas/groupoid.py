@@ -16,9 +16,11 @@ import itertools
 from dataclasses import dataclass, field
 
 from .geometry import AffineMap, PartialAffineIso, Region
+from .memo import cached_hash
 from .reports import ComposabilityError, Report
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ArrowFamily:
     """The set of germs {(x, iso.map) : x in iso.dom} between two pieces."""
@@ -44,6 +46,7 @@ class ArrowFamily:
         return (self.src, self.dst, self.iso.key())
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PresentedGroupoid:
     pieces: tuple          # sorted (piece id, Region) pairs
@@ -69,6 +72,9 @@ class PresentedGroupoid:
 
     def piece_ids(self):
         return tuple(p for p, _ in self.pieces)
+
+    def family_ids(self):
+        return tuple(f.fid for f in self.families)
 
     def family(self, fid: str) -> ArrowFamily:
         for f in self.families:
@@ -201,6 +207,7 @@ def orbit(g: PresentedGroupoid, p) -> set:
 # Morphisms and natural transformations
 # ---------------------------------------------------------------------------
 
+@cached_hash
 @dataclass(frozen=True)
 class GroupoidMorphism:
     source: PresentedGroupoid
@@ -236,7 +243,7 @@ def identity_gpd_morphism(g: PresentedGroupoid) -> GroupoidMorphism:
 
 
 def compose_gpd_morphisms(b: GroupoidMorphism, a: GroupoidMorphism) -> GroupoidMorphism:
-    if a.target.key() != b.source.key():
+    if a.target != b.source:
         raise ComposabilityError("groupoid morphisms not composable")
     om = {}
     for p, (q, m) in a.object_map:
@@ -249,7 +256,7 @@ def compose_gpd_morphisms(b: GroupoidMorphism, a: GroupoidMorphism) -> GroupoidM
 def equal_gpd_morphisms(a: GroupoidMorphism, b: GroupoidMorphism) -> bool:
     """Equality as set maps on objects and arrows: equal object maps, and
     matched families carry equal affine maps on the target side."""
-    if a.source.key() != b.source.key() or a.target.key() != b.target.key():
+    if a.source != b.source or a.target != b.target:
         return False
     if a.object_map != b.object_map:
         return False
@@ -264,7 +271,7 @@ def validate_gpd_morphism(psi: GroupoidMorphism) -> Report:
     rep = Report("groupoid morphism")
     g, h = psi.source, psi.target
     om, fm = dict(psi.object_map), dict(psi.family_map)
-    if set(om) != set(g.piece_ids()) or set(fm) != {f.fid for f in g.families}:
+    if set(om) != set(g.piece_ids()) or set(fm) != set(g.family_ids()):
         rep.fail("GM0", "object/family maps not total")
         return rep
     for p, (q, m) in om.items():
@@ -319,6 +326,7 @@ def _probe_points(region: Region, count: int = 8):
     return distinct_points(region, count)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class NatTransf:
     """Assignment of a target arrow to every source object: piecewise, a
@@ -351,7 +359,7 @@ def identity_nat_transf(psi: GroupoidMorphism) -> NatTransf:
 def validate_nat_transf(alpha: NatTransf) -> Report:
     rep = Report("natural transformation")
     p1, p2 = alpha.source_morphism, alpha.target_morphism
-    if p1.source.key() != p2.source.key() or p1.target.key() != p2.target.key():
+    if p1.source != p2.source or p1.target != p2.target:
         rep.fail("NT0", "morphisms not parallel")
         return rep
     g, h = p1.source, p1.target
@@ -465,7 +473,7 @@ def horizontal_compose_nt(xi: NatTransf, delta: NatTransf) -> NatTransf:
     between (f1, f2), the transformation g1 f1 => g2 f2."""
     f1, f2 = delta.source_morphism, delta.target_morphism
     g1, g2 = xi.source_morphism, xi.target_morphism
-    if f1.target.key() != g1.source.key():
+    if f1.target != g1.source:
         raise ComposabilityError("not horizontally composable")
     left = compose_gpd_morphisms(g1, f1)
     right = compose_gpd_morphisms(g2, f2)
@@ -554,7 +562,7 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
     the local section psi2 o psi1^{-1} against the target families.
     Returns (NatTransf, None) or (None, coarse mismatch witness)."""
     g, h = psi1.source, psi1.target
-    if psi2.source.key() != g.key() or psi2.target.key() != h.key():
+    if psi2.source != g or psi2.target != h:
         raise ComposabilityError("morphisms not parallel")
     assigns = {}
     for pid, region in g.pieces:

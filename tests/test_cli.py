@@ -345,3 +345,60 @@ def test_damaged_document_parses_or_is_a_schema_error(documents, data):
         cli.parse(doc)
     except cli.SchemaError:
         pass
+
+
+def _edited(tmp_path, value, edit):
+    doc = json.loads(cli.dumps(value))
+    edit(doc)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _rename_key(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+@pytest.mark.parametrize("argv, value, edit, pointer", [
+    # an object map over a piece the source does not have
+    (["morita"], frd.fred1(M["leg1_MR_M"]),
+     lambda d: _rename_key(d["object_map"], "M", "X"), "/object_map/X"),
+    # ... or into a piece the target does not have
+    (["morita"], frd.fred1(M["leg1_MR_M"]),
+     lambda d: d["object_map"]["M"].__setitem__(0, "X"), "/object_map/M"),
+    (["morita"], frd.fred1(M["leg1_MR_M"]),
+     lambda d: d["family_map"].__setitem__(next(iter(d["family_map"])), "nofam"),
+     "/family_map/"),
+    # a chart map into a chart the target does not have
+    (["fred", "1"], M["flip_M"], lambda d: d["chart_map"].__setitem__("M", "Z"),
+     "/chart_map/M"),
+    (["fred", "1"], M["flip_M"], lambda d: _rename_key(d["lifts"], "M", "Z"), "/lifts/Z"),
+    (["fred", "2"], catalog_2cells()["id_to_flip"],
+     lambda d: _rename_key(d["patches"], "M", "Z"), "/patches/Z"),
+])
+def test_dangling_reference_is_a_schema_error(tmp_path, capsys, argv, value, edit, pointer):
+    assert cli.run(argv + [_edited(tmp_path, value, edit)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert f"schema error at {pointer}" in out["schema_error"]
+
+
+def test_dangling_family_in_nat_transf_is_a_schema_error(tmp_path, capsys):
+    def edit(d):
+        items = next(iter(d["assignments"].values()))
+        items[0][1] = "nofam"
+    nt = frd.fred2(catalog_2cells()["id_to_flip"])
+    assert cli.run(["validate", _edited(tmp_path, nt, edit)]) == 3
+    assert "no target family 'nofam'" in json.loads(capsys.readouterr().out)["schema_error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bogus", "validate", "x.json"],
+    ["bf-check", "atlas", "--axiom", "9"],
+    ["fred", "3", "x.json"],
+    [],
+])
+def test_usage_errors_are_schema_errors(capsys, argv):
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert "usage:" in json.loads(captured.out)["schema_error"]
+    assert captured.err.startswith("usage: orbatlas")

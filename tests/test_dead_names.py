@@ -65,3 +65,35 @@ def test_guard_sees_an_unreferenced_name(tmp_path):
                                        'dead = Caller().go()\n')
     files = [pkg / "__init__.py", pkg / "m.py", tmp_path / "bench.py"]
     assert _unreferenced(pkg, files) == ["m.py:dead", "m.py:recursive"]
+
+
+def _key_comparisons(path):
+    """`==`/`!=` comparisons with a `.key()` call as an operand: values are
+    their own keys, so such a test should compare the values."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        for side in (node.left, *node.comparators):
+            if (isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute)
+                    and side.func.attr == "key" and not side.args):
+                out.append(f"{path.name}:{node.lineno}")
+                break
+    return out
+
+
+def test_no_key_comparisons_in_src():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _key_comparisons(path)]
+    assert found == [], f"compare the values, not their key() tuples: {found}"
+
+
+def test_guard_sees_a_key_comparison(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("a = x.key() != y.key()\n"
+                 "b = x == y.key()\n"
+                 "c = sorted(xs, key=lambda v: v.key())\n"
+                 "d = x.key() < y.key()\n"
+                 "e = x.key(1) == y\n")
+    assert _key_comparisons(p) == ["m.py:1", "m.py:2"]

@@ -55,15 +55,16 @@ def test_composite_span_through_square(ops, table):
 
 
 def test_choice_table_keys_name_the_endpoints(ops):
-    # the pair (incl o emb_T_M, incl o flip_M) has the cell keys of the pair
-    # (emb_T_M, flip_M), but lands in MIRROR_REF instead of MIRROR
+    # the pair (incl o emb_T_M, incl o flip_M) has the content keys of the
+    # pair (emb_T_M, flip_M), but lands in MIRROR_REF instead of MIRROR
     table = frc.ChoiceTable()
     frc.chosen_square(ops, table, M["emb_T_M"], M["flip_M"])
     f = ops.compose1(M["incl_M_MR"], M["emb_T_M"])
     w = ops.compose1(M["incl_M_MR"], M["flip_M"])
-    assert (ops.cell_key(f), ops.cell_key(w)) == (ops.cell_key(M["emb_T_M"]),
-                                                  ops.cell_key(M["flip_M"]))
+    assert (f.key(), w.key()) == (M["emb_T_M"].key(), M["flip_M"].key())
+    assert (f, w) != (M["emb_T_M"], M["flip_M"])
     _, wp, fp, cell = frc.chosen_square(ops, table, f, w)
+    assert set(table.entries) == {(M["emb_T_M"], M["flip_M"]), (f, w)}
     _, wp2, fp2, cell2 = ops.square(f, w)
     assert ops.eq1(wp, wp2) and ops.eq1(fp, fp2)
     assert ops.eq1(ops.two_src(cell), ops.two_src(cell2))
