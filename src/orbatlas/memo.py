@@ -49,10 +49,9 @@ def clear():
 
 
 def cached_hash(cls):
-    """Class decorator for a frozen dataclass with at least two compared
-    fields.  Fields declared with `compare=False` take part in neither the
-    hash nor the equality.  The hash is stored in the instance's `__dict__`
-    on first use."""
+    """Class decorator for a frozen dataclass.  Fields declared with
+    `compare=False` take part in neither the hash nor the equality.  The
+    hash is stored in the instance's `__dict__` on first use."""
     compared = attrgetter(*(f.name for f in fields(cls) if f.compare))
 
     def __hash__(self):
