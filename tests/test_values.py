@@ -3,9 +3,9 @@
 Each of the eleven frozen value classes of the atlas and groupoid layers
 hashes once and compares by its compared fields.  Over the fixture catalog,
 its structure-functor images, both depth-2 universes and the squares their
-BF3 check chooses, two values are
-equal exactly when their content is equal, equal values hash alike, and a
-value survives a trip through its canonical JSON with its hash.
+BF3 check chooses, two values are equal exactly when their content is
+equal, equal values hash alike, and a value survives a trip through its
+canonical JSON with its hash.
 
 `key()` omits what `pullback_square`'s chart names and the canonical sort
 orders never needed: the endpoints of a morphism and the ids of arrow
