@@ -28,7 +28,6 @@ from .geometry import (
     aff2,
     frac,
     germ_of,
-    interior_point,
 )
 from .atlas import (
     Atlas,

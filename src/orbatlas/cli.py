@@ -609,8 +609,7 @@ def cmd_cell_equal(args):
 
 def cmd_equiv_report(args):
     from . import fixtures as fx
-    rep = grd.equivalence_report(fx.acceptance_catalog(), args.bound,
-                                 args.samples, args.seed)
+    rep = grd.equivalence_report(fx.acceptance_catalog(), args.bound)
     out = rep.to_json()
     out["kind"] = "report"
     print(json.dumps(out, indent=1, sort_keys=True, default=str))
@@ -632,10 +631,6 @@ def build_parser():
         description="exact orbifold-atlas 2-category toolkit")
     p.add_argument("--bound", type=int, default=atl.WORD_BOUND,
                    help="word bound for pseudogroup closures")
-    p.add_argument("--samples", type=int, default=grd.SIDE_SAMPLES,
-                   help="sample count for the coarse side-condition checks "
-                        "of equiv-report")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", help="validate a document")

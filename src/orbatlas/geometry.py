@@ -206,6 +206,18 @@ class AffineMap:
                        (-(adj[0] * o[0] + adj[1] * o[1]), -(adj[2] * o[0] + adj[3] * o[1])),
                        det)
 
+    def agreement(self, other: "AffineMap"):
+        """A halfplane `(a..., c)` whose boundary `a.x = c` holds every point
+        where two different maps agree, or None where they agree nowhere."""
+        d, e, n = self._d, other._d, self.dim
+        m = [p * e - q * d for p, q in zip(self._m, other._m)]
+        o = [q * d - p * e for p, q in zip(self._o, other._o)]
+        for i in range(n):
+            a = m[i * n:(i + 1) * n]
+            if any(a):
+                return _halfplane(*a, o[i])
+        return None
+
     def is_identity(self) -> bool:
         return self._d == 1 and not any(self._o) and self._m == ((1,) if self.dim == 1 else (1, 0, 0, 1))
 
@@ -933,25 +945,15 @@ class Region:
             raise EmptyRegionError("empty region has no interior point")
         return self.pieces[0].interior_point()
 
-    def sample_points(self, count: int, rng) -> list:
-        """Deterministic rational sample points, `rng` a random.Random."""
-        pts = []
-        for _ in range(count):
-            piece = self.pieces[rng.randrange(len(self.pieces))]
-            vs = piece.vertices()
-            weights = [Fraction(rng.randint(1, 97), 1) for _ in vs]
-            tot = sum(weights)
-            pts.append(tuple(
-                sum(w * v[k] for w, v in zip(weights, vs)) / tot
-                for k in range(self.dim)
-            ))
-        return pts
-
-
-def interior_point(r: Region) -> tuple:
-    """Deterministic rational interior point (centroid of the first
-    canonical piece)."""
-    return r.interior_point()
+    def interior_point_off(self, halfplanes) -> tuple:
+        """An interior point of the first piece on none of the boundary lines
+        `a.x = c` of `halfplanes`: each line cuts the piece down to one of
+        its open sides, and at least one side keeps positive measure."""
+        piece = self.pieces[0]
+        for h in halfplanes:
+            if h is not None:
+                piece = piece.clip(h) or piece.clip(tuple(-e for e in h))
+        return piece.interior_point()
 
 
 def distinct_points(region: Region, count: int) -> list:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import AffineMap, PartialAffineIso, Region
 from .memo import cached_hash
@@ -67,8 +68,12 @@ class PresentedGroupoid:
     def dim(self):
         return self.pieces[0][1].dim
 
+    @cached_property
+    def _piece_index(self):
+        return dict(self.pieces)
+
     def piece(self, pid: str) -> Region:
-        return dict(self.pieces)[pid]
+        return self._piece_index[pid]
 
     def piece_ids(self):
         return tuple(p for p, _ in self.pieces)
@@ -221,11 +226,19 @@ class GroupoidMorphism:
         fm = tuple(sorted(dict(family_map).items()))
         return GroupoidMorphism(source, target, om, fm)
 
+    @cached_property
+    def _object_index(self):
+        return dict(self.object_map)
+
+    @cached_property
+    def _family_index(self):
+        return dict(self.family_map)
+
     def on_piece(self, pid):
-        return dict(self.object_map)[pid]
+        return self._object_index[pid]
 
     def on_family(self, fid):
-        return dict(self.family_map)[fid]
+        return self._family_index[fid]
 
     def is_etale(self):
         return all(m.is_invertible() for _, (_, m) in self.object_map)
@@ -343,8 +356,12 @@ class NatTransf:
             for p, items in dict(assignments).items()))
         return NatTransf(src_m, dst_m, out)
 
+    @cached_property
+    def _assignment_index(self):
+        return dict(self.assignments)
+
     def at(self, pid):
-        return dict(self.assignments).get(pid, ())
+        return self._assignment_index.get(pid, ())
 
 
 def identity_nat_transf(psi: GroupoidMorphism) -> NatTransf:
@@ -436,9 +453,8 @@ def vertical_compose_nt(beta: NatTransf, alpha: NatTransf) -> NatTransf:
                 if r.is_empty():
                     continue
                 m = h.family(f2).map.compose(h.family(f1).map)
-                q1, _ = alpha.source_morphism.on_piece(pid)
+                q1, m1 = alpha.source_morphism.on_piece(pid)
                 q2, _ = beta.target_morphism.on_piece(pid)
-                m1 = dict(alpha.source_morphism.object_map)[pid][1]
                 fam = None
                 if m1.is_invertible():
                     fam = h.find_family(q1, q2, m, r.image(m1))
@@ -578,29 +594,6 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
             # witness: a source point whose two images are not connected by
             # any arrow with the right germ
             return None, (pid, m1.inverse()(covered))
-        assigns[pid] = tuple((region.preimage_under(m1, f.dom), f.fid)
-                             for f in cands
-                             if not region.preimage_under(m1, f.dom).is_empty())
+        pulled = ((region.preimage_under(m1, f.dom), f.fid) for f in cands)
+        assigns[pid] = tuple((r, fid) for r, fid in pulled if not r.is_empty())
     return NatTransf.make(psi1, psi2, assigns), None
-
-
-def coarse_homeomorphism_check(psi: GroupoidMorphism, samples: int = 16,
-                               seed: int = 0) -> Report:
-    """Spot-check that the induced coarse map of a Morita equivalence is a
-    bijection on sampled orbit pairs."""
-    import random
-    rep = Report("coarse bijectivity")
-    rng = random.Random(seed)
-    g, h = psi.source, psi.target
-    pts = []
-    for pid, region in g.pieces:
-        pts.extend((pid, x) for x in region.sample_points(max(1, samples // len(g.pieces)), rng))
-    for (p1, x1), (p2, x2) in itertools.combinations(pts, 2):
-        src_eq = coarse_equal(g, (p1, x1), (p2, x2), assume_closed=True)
-        im1 = (psi.on_piece(p1)[0], psi.on_piece(p1)[1](x1))
-        im2 = (psi.on_piece(p2)[0], psi.on_piece(p2)[1](x2))
-        dst_eq = coarse_equal(h, im1, im2, assume_closed=True)
-        if src_eq != dst_eq:
-            rep.fail("CB", f"coarse map not injective/well-defined on a sample",
-                     ((p1, x1), (p2, x2)))
-    return rep

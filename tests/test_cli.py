@@ -144,7 +144,7 @@ def test_bf_check_command(capsys):
 
 
 def test_equiv_report_command(capsys):
-    assert cli.run(["--samples", "16", "--seed", "7", "equiv-report"]) == 0
+    assert cli.run(["equiv-report"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True and out["kind"] == "report"
 
@@ -395,6 +395,8 @@ def test_dangling_family_in_nat_transf_is_a_schema_error(tmp_path, capsys):
     ["--bogus", "validate", "x.json"],
     ["bf-check", "atlas", "--axiom", "9"],
     ["fred", "3", "x.json"],
+    ["--samples", "16", "equiv-report"],
+    ["--seed", "7", "equiv-report"],
     [],
 ])
 def test_usage_errors_are_schema_errors(capsys, argv):

@@ -97,3 +97,34 @@ def test_guard_sees_a_key_comparison(tmp_path):
                  "d = x.key() < y.key()\n"
                  "e = x.key(1) == y\n")
     assert _key_comparisons(p) == ["m.py:1", "m.py:2"]
+
+
+def _random_imports(path):
+    """Imports of the standard `random` module: every verdict is decided
+    exactly, so nothing in the package may sample."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "random" or n.startswith("random.") for n in names):
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_random_in_src():
+    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in _random_imports(path)]
+    assert found == [], f"decide the verdict exactly instead of sampling: {found}"
+
+
+def test_guard_sees_a_random_import(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("import random\n"
+                 "from random import Random\n"
+                 "def f():\n    import os, random as r\n"
+                 "from . import random_walk\n"
+                 "import randomness\n")
+    assert _random_imports(p) == ["m.py:1", "m.py:2", "m.py:4"]

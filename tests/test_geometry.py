@@ -12,7 +12,6 @@ from orbatlas.geometry import (
     aff1,
     aff2,
     germ_of,
-    interior_point,
 )
 
 TRI = Region.polygon([(1, 0), (0, 1), (-1, -1)])
@@ -57,10 +56,24 @@ def test_difference_is_open_interior():
 
 
 def test_interior_point_deterministic():
-    assert interior_point(iv(0, 1)) == (F(1, 2),)
+    assert iv(0, 1).interior_point() == (F(1, 2),)
     r = iv(-1, 1).union(iv(2, 3))
-    assert interior_point(r) == interior_point(Region(1, r.pieces))
-    assert interior_point(TRI) == (F(0), F(0))
+    assert r.interior_point() == Region(1, r.pieces).interior_point()
+    assert TRI.interior_point() == (F(0), F(0))
+
+
+def test_interior_point_off_agreement_lines():
+    flip = aff1(-1, 1)
+    assert aff1(1).agreement(flip) == (2, 1)          # x = 1 - x at 1/2 only
+    assert aff1(1).agreement(aff1(1, 3)) is None      # parallel: never equal
+    assert iv(0, 1).interior_point_off([aff1(1).agreement(flip)]) == (F(3, 4),)
+    swap, rot = aff2([[0, 1], [1, 0]]), ROT3
+    lines = [swap.agreement(aff2([[1, 0], [0, 1]])), swap.agreement(rot),
+             swap.agreement(rot.compose(rot))]
+    assert TRI.interior_point() == (0, 0)             # on all three lines
+    x = TRI.interior_point_off(lines)
+    assert TRI.contains_point(x)
+    assert swap(x) not in (x, rot(x), rot(rot(x)))
 
 
 def test_triangle_rotation_symmetry():

@@ -1,10 +1,22 @@
+from fractions import Fraction as F
+
 import pytest
 
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas import gred as grd
 from orbatlas import groupoid as gpd
-from orbatlas.fixtures import ATLASES, MIRROR_REF, MORPHISMS, acceptance_catalog, catalog_2cells
+from orbatlas.fixtures import (
+    ATLASES,
+    CONE3,
+    MIRROR_REF,
+    MORPHISMS,
+    TRIV,
+    acceptance_catalog,
+    catalog_2cells,
+)
+from orbatlas.geometry import aff1, aff2, distinct_points
+from orbatlas.reports import ValidationFailure
 
 M = MORPHISMS
 
@@ -36,6 +48,93 @@ def test_gred_level2_with_side_condition():
     gc = grd.gred(2, fc)
     assert frc.validate_fraction_cell(gops, gc).ok
     assert frc.cell_equal(gops, gc, gc)
+
+
+def _legs_cell(a, b):
+    """A groupoid fraction cell with identity span W-legs, so that its two
+    leg composites are `a` and `b` themselves; the base cell is not read by
+    the side condition."""
+    i = gpd.identity_gpd_morphism(a.target)
+    s = frc.Span(a.target, i, i)
+    return frc.FractionCell(s, s, a.source, a, b, None)
+
+
+def _orbits(a, b, pid, x):
+    """Whether the images of (pid, x) under `a` and `b` share an orbit."""
+    (q1, m1), (q2, m2) = a.on_piece(pid), b.on_piece(pid)
+    return gpd.coarse_equal(a.target, (q1, m1(x)), (q2, m2(x)), assume_closed=True)
+
+
+def _twist(atlas, s):
+    """The self-morphism of the one-chart groupoid of `atlas` that moves its
+    piece by `s` and each family to the family of its s-conjugate."""
+    g = frd.fred0(atlas)
+    (pid, _), = g.pieces
+    conj = {f.fid: g.find_family(pid, pid, s.compose(f.map).compose(s.inverse())).fid
+            for f in g.families}
+    return gpd.GroupoidMorphism.make(g, g, {pid: (pid, s)}, conj)
+
+
+TWISTS = {
+    "reflect_T": (TRIV, aff1(-1, 1)),          # fixes the centroid 1/2
+    "swap_K": (CONE3, aff2([[0, 1], [1, 0]])),  # fixes the diagonal of the cone
+}
+
+
+def test_side_condition_fails_where_the_legs_separate_orbits():
+    a, b = frd.fred1(M["id_TRIV"]), frd.fred1(M["half_T"])
+    rep = grd.side_condition_check(_legs_cell(a, b))
+    assert not rep.ok
+    v = rep.first()
+    assert v.code == "SC" and v.witness == ("T", (F(1, 2),))
+    assert _orbits(a, b, *v.witness) == "distinct"
+    with pytest.raises(ValidationFailure):
+        rep.raise_if_failed()
+
+
+@pytest.mark.parametrize("name", sorted(TWISTS))
+def test_side_condition_witness_is_off_the_agreement_set(name):
+    """The twist agrees with the identity on a line through the centroid,
+    so the centroid of the piece is no witness; the reported point is."""
+    t = _twist(*TWISTS[name])
+    assert gpd.validate_gpd_morphism(t).ok
+    ident = gpd.identity_gpd_morphism(t.source)
+    pid, region = t.source.pieces[0]
+    assert _orbits(ident, t, pid, region.interior_point()) == "equal"
+    rep = grd.side_condition_check(_legs_cell(ident, t))
+    assert rep.first().code == "SC"
+    pid, x = rep.first().witness
+    assert region.contains_point(x)
+    assert _orbits(ident, t, pid, x) == "distinct"
+
+
+def _parallel_pairs():
+    gs = [frd.fred1(m) for m in M.values()]
+    gs += [_twist(*TWISTS[n]) for n in sorted(TWISTS)]
+    return [(a, b) for a in gs for b in gs
+            if a.source == b.source and a.target == b.target]
+
+
+def test_side_condition_matches_point_checks():
+    """Test-only cross-check against probe points: wherever one of them has
+    images in different orbits the exact check fails, and every failure's
+    witness has.  The converse does not hold for probes: the centroid and
+    the points towards the vertices of the cone all lie on the mirror lines
+    of the triangle, where `swap_K` and the rotations agree."""
+    verdicts = []
+    for a, b in _parallel_pairs():
+        separated = any(_orbits(a, b, pid, x) == "distinct"
+                        for pid, region in a.source.pieces
+                        for x in distinct_points(region, 9))
+        rep = grd.side_condition_check(_legs_cell(a, b))
+        if separated:
+            assert not rep.ok
+        if not rep.ok:
+            assert _orbits(a, b, *rep.first().witness) == "distinct"
+        verdicts.append((rep.ok, separated))
+    assert verdicts.count((True, False)) > 0
+    assert verdicts.count((False, True)) >= 4
+    assert verdicts.count((False, False)) > 0
 
 
 def test_commutation_on_embedded_cells():

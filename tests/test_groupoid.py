@@ -6,7 +6,6 @@ from orbatlas.groupoid import (
     ArrowFamily,
     PresentedGroupoid,
     coarse_equal,
-    coarse_homeomorphism_check,
     compose_gpd_morphisms,
     equal_nat_transfs,
     find_unique_nat_transf,
@@ -167,10 +166,3 @@ def test_equal_nat_transfs_needs_equal_endpoints():
     assert not equal_nat_transfs(identity_nat_transf(flip), identity_nat_transf(ident))
     d = fred2(catalog_2cells()["id_to_flip"])
     assert not equal_nat_transfs(d, invert_nat_transf(d))
-
-
-def test_coarse_homeomorphism_spot_check():
-    rep = coarse_homeomorphism_check(fred1(M["incl_M_MR"]), samples=12, seed=1)
-    assert rep.ok
-    rep2 = coarse_homeomorphism_check(fred1(M["shift_T"]), samples=8, seed=1)
-    assert rep2.ok
