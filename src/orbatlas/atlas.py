@@ -34,6 +34,9 @@ from .reports import (
     UndecidedError,
 )
 
+# The default word bound.  Everything that reaches `closure` takes the bound
+# as an argument; the CLI's --bound, the two ops factories of `fractions`,
+# `fred0`/`fred1` and the fixtures read this default, nothing else does.
 WORD_BOUND = 4
 FAMILY_CAP = 256
 
@@ -237,7 +240,7 @@ def _seed_families(atlas: Atlas):
 
 
 @lru_cache(maxsize=None)
-def closure(atlas: Atlas, bound: int = WORD_BOUND, cap: int = FAMILY_CAP) -> Pseudogroup:
+def closure(atlas: Atlas, bound: int, cap: int = FAMILY_CAP) -> Pseudogroup:
     """Bounded pseudogroup closure.  Appending one generating letter at a
     time reaches every word, so stability under a single append pass proves
     the closure is the full pseudogroup (complete=True).
@@ -312,7 +315,7 @@ def closure(atlas: Atlas, bound: int = WORD_BOUND, cap: int = FAMILY_CAP) -> Pse
     return Pseudogroup(fams, complete, overflowed)
 
 
-def coarse_equal_atlas(atlas: Atlas, p, q, bound: int = WORD_BOUND):
+def coarse_equal_atlas(atlas: Atlas, p, q, bound: int):
     """Are two chart points (chart_id, point) in the same orbit of the
     pseudogroup?  Returns 'equal', 'distinct' or 'undecided'."""
     (ci, x), (cj, y) = p, q
@@ -376,7 +379,7 @@ def validate_change(atlas: Atlas, ch: ChangeOfCharts) -> Report:
     return rep
 
 
-def validate_atlas(atlas: Atlas, bound: int = WORD_BOUND) -> Report:
+def validate_atlas(atlas: Atlas, bound: int) -> Report:
     rep = Report("atlas")
     if not atlas.charts:
         rep.fail("A1", "atlas has no charts")
@@ -487,7 +490,7 @@ def _lift_image(m: Morphism, cid: str, region: Region) -> Region:
     return region.image(m.lift(cid))
 
 
-def validate_morphism(m: Morphism, bound: int = WORD_BOUND) -> Report:
+def validate_morphism(m: Morphism, bound: int) -> Report:
     rep = Report("morphism")
     src, tgt = m.source, m.target
     cm, lifts = dict(m.chart_map), dict(m.lifts)
@@ -619,7 +622,7 @@ def equal_morphisms(a: Morphism, b: Morphism) -> bool:
     return True
 
 
-def identity_morphism(atlas: Atlas, bound: int = WORD_BOUND) -> Morphism:
+def identity_morphism(atlas: Atlas, bound: int) -> Morphism:
     cl = closure(atlas, bound)
     entries = []
     for src, dst, m, reg in cl.items():
@@ -707,7 +710,7 @@ def induced_hom(m: Morphism, cid: str) -> dict:
 
 
 def morphism_from_lifts(source: Atlas, target: Atlas, chart_map, lifts,
-                        bound: int = WORD_BOUND, certificate=None,
+                        bound: int, certificate=None,
                         target_search: Atlas = None) -> Morphism:
     """The unique morphism with the given open-embedding lifts: the
     assignment is forced by conjugation through the lifts.  `target_search`,
@@ -739,7 +742,7 @@ def morphism_from_lifts(source: Atlas, target: Atlas, chart_map, lifts,
                          certificate=certificate)
 
 
-def inclusion(sub: Atlas, amb: Atlas, bound: int = WORD_BOUND) -> Morphism:
+def inclusion(sub: Atlas, amb: Atlas, bound: int) -> Morphism:
     """Inclusion of an atlas into a larger one containing its charts."""
     for c in sub.charts:
         if amb.chart(c.cid) != c:
@@ -751,7 +754,7 @@ def inclusion(sub: Atlas, amb: Atlas, bound: int = WORD_BOUND) -> Morphism:
         bound, certificate=amb)
 
 
-def pushforward(atlas: Atlas, h: AffineMap, bound: int = WORD_BOUND):
+def pushforward(atlas: Atlas, h: AffineMap, bound: int):
     """Transport an atlas along an invertible affine map of the ambient
     space; returns the transported atlas and the induced isomorphism."""
     if not h.is_invertible():
@@ -838,8 +841,8 @@ def _fully_faithful(m: Morphism, yfams: Pseudogroup, xfams: Pseudogroup):
     return True, None
 
 
-@memo(lambda m, bound=WORD_BOUND: (_mkey(m), bound))
-def classify_morphism(m: Morphism, bound: int = WORD_BOUND) -> Classification:
+@memo(lambda m, bound: (_mkey(m), bound))
+def classify_morphism(m: Morphism, bound: int) -> Classification:
     """Strongest applicable class of a morphism.
 
     A morphism is a refinement when its lifts are open embeddings whose
@@ -940,7 +943,7 @@ def invert_2cell(c: TwoCell) -> TwoCell:
     return TwoCell.make(c.target_morphism, c.source_morphism, patches)
 
 
-def validate_2cell(c: TwoCell, bound: int = WORD_BOUND) -> Report:
+def validate_2cell(c: TwoCell, bound: int) -> Report:
     rep = Report("2-cell")
     f1, f2 = c.source_morphism, c.target_morphism
     if f1.source != f2.source or f1.target != f2.target:
@@ -1107,8 +1110,8 @@ def _search_atlas(atlas: Atlas, *certificates) -> Atlas:
     return atlas
 
 
-@memo(lambda f, w, bound=WORD_BOUND: (_mkey(f), _mkey(w), bound))
-def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
+@memo(lambda f, w, bound: (_mkey(f), _mkey(w), bound))
+def pullback_square(f: Morphism, w: Morphism, bound: int):
     """Fill the cospan f: C -> B <- A : w (with w a refinement and f with
     open-embedding lifts) to an invertible square
 
@@ -1219,7 +1222,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int = WORD_BOUND):
 
 
 def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
-                           bound: int = WORD_BOUND) -> TwoCell:
+                           bound: int) -> TwoCell:
     """Given a refinement v: Y' -> Y, morphisms x, y: M -> Y' and a 2-cell
     (v x) => (v y), return the unique 2-cell x => y with i_v * it equal to
     the given cell."""
@@ -1245,9 +1248,9 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
     return TwoCell.make(x, y, patches)
 
 
-@memo(lambda w1, w2, bound=WORD_BOUND: (_mkey(w1), _mkey(w2), bound))
+@memo(lambda w1, w2, bound: (_mkey(w1), _mkey(w2), bound))
 def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
-                                 bound: int = WORD_BOUND) -> TwoCell:
+                                 bound: int) -> TwoCell:
     """The unique 2-cell between two open embeddings with the same induced
     base map; the patch germ over each chart is forced to be the second lift
     after the inverse of the first."""

@@ -505,9 +505,9 @@ def cmd_validate(args):
         rep.note_undecided("a change of charts is validated against its atlas; "
                            "wrap it in an atlas document")
     elif kind == "span":
-        rep = frc.validate_span(frc.atlas_ops(), value)
+        rep = frc.validate_span(frc.atlas_ops(args.bound), value)
     elif kind == "fraction_cell":
-        rep = frc.validate_fraction_cell(frc.atlas_ops(), value)
+        rep = frc.validate_fraction_cell(frc.atlas_ops(args.bound), value)
     else:
         raise SchemaError("/kind", f"no validator for kind {kind!r}")
     out = rep.to_json()
@@ -554,24 +554,24 @@ def cmd_classify(args):
     return _emit(out, 2 if cls.label == "undecided" else 0)
 
 
-def _builtin_universe(instance):
+def _builtin_universe(instance, bound):
     from . import fixtures as fx
     if instance == "atlas":
-        ops = frc.atlas_ops()
+        ops = frc.atlas_ops(bound)
         objects = sorted(fx.ATLASES.items()) + [("TRIV_SHIFTED", fx.TRIV_SHIFTED)]
         cells = sorted(fx.MORPHISMS.items())
     elif instance == "groupoid":
-        ops = frc.groupoid_ops()
-        objects = [(n, frd.fred0(a)) for n, a in sorted(fx.ATLASES.items())]
-        objects.append(("TRIV_SHIFTED", frd.fred0(fx.TRIV_SHIFTED)))
-        cells = [(n, frd.fred1(m)) for n, m in sorted(fx.MORPHISMS.items())]
+        ops = frc.groupoid_ops(bound)
+        objects = [(n, frd.fred0(a, bound)) for n, a in sorted(fx.ATLASES.items())]
+        objects.append(("TRIV_SHIFTED", frd.fred0(fx.TRIV_SHIFTED, bound)))
+        cells = [(n, frd.fred1(m, bound)) for n, m in sorted(fx.MORPHISMS.items())]
     else:
         raise SchemaError("/instance", f"unknown instance {instance!r}")
     return ops, frc.depth2_universe(ops, objects, cells)
 
 
 def cmd_bf_check(args):
-    ops, uni = _builtin_universe(args.instance)
+    ops, uni = _builtin_universe(args.instance, args.bound)
     table = frc.ChoiceTable()
     rep = frc.check_bf(ops, args.axiom, uni, table)
     out = rep.to_json()
@@ -580,7 +580,7 @@ def cmd_bf_check(args):
 
 
 def cmd_localize_compose(args):
-    ops = frc.atlas_ops()
+    ops = frc.atlas_ops(args.bound)
     s1 = loads(_read(args.first))
     s2 = loads(_read(args.second))
     table = frc.ChoiceTable()
@@ -595,7 +595,7 @@ def cmd_localize_compose(args):
 
 
 def cmd_cell_equal(args):
-    ops = frc.atlas_ops()
+    ops = frc.atlas_ops(args.bound)
     c1 = loads(_read(args.first))
     c2 = loads(_read(args.second))
     try:
@@ -609,7 +609,7 @@ def cmd_cell_equal(args):
 
 def cmd_equiv_report(args):
     from . import fixtures as fx
-    rep = grd.equivalence_report(fx.acceptance_catalog(), args.bound)
+    rep = grd.equivalence_report(fx.acceptance_catalog(args.bound), args.bound)
     out = rep.to_json()
     out["kind"] = "report"
     print(json.dumps(out, indent=1, sort_keys=True, default=str))
@@ -680,7 +680,10 @@ def build_parser():
 
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.bound < 0:
+            parser.error(f"argument --bound: the word bound must be >= 0, not {args.bound}")
         return args.fn(args)
     except SchemaError as e:
         print(json.dumps({"kind": "report", "ok": False,

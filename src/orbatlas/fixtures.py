@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from .atlas import (
+    WORD_BOUND,
     Atlas,
     ChangeOfCharts,
     Chart,
@@ -26,6 +27,10 @@ from .atlas import (
     unique_2cell_open_embeddings,
 )
 from .geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
+
+# The word bound every fixture document is built at; the images of the
+# acceptance catalog take the bound of the run instead.
+_BOUND = WORD_BOUND
 
 ID1 = AffineMap.identity(1)
 ID2 = AffineMap.identity(2)
@@ -69,52 +74,52 @@ ATLASES = {
 def _build_morphisms():
     out = {}
     for name, a in ATLASES.items():
-        out[f"id_{name}"] = identity_morphism(a)
+        out[f"id_{name}"] = identity_morphism(a, _BOUND)
 
-    out["incl_M_MR"] = inclusion(MIRROR, MIRROR_REF)
-    out["incl_K_KR"] = inclusion(CONE3, CONE3_REF)
+    out["incl_M_MR"] = inclusion(MIRROR, MIRROR_REF, _BOUND)
+    out["incl_K_KR"] = inclusion(CONE3, CONE3_REF, _BOUND)
 
     # the two parallel refinement legs MIRROR_REF -> MIRROR
     out["leg1_MR_M"] = morphism_from_lifts(
-        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": ID1},
+        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": ID1}, _BOUND,
         certificate=MIRROR_REF)
     out["leg2_MR_M"] = morphism_from_lifts(
-        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": MIRROR_MAP},
+        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": MIRROR_MAP}, _BOUND,
         certificate=MIRROR_REF)
 
     # the nontrivial self-equivalence of MIRROR
     out["flip_M"] = morphism_from_lifts(
-        MIRROR, MIRROR, {"M": "M"}, {"M": MIRROR_MAP})
+        MIRROR, MIRROR, {"M": "M"}, {"M": MIRROR_MAP}, _BOUND)
 
     # open embedding of the trivial chart into the mirror chart; the orbit
     # of 0 is not in its image
     out["emb_T_M"] = morphism_from_lifts(
-        TRIV, MIRROR, {"T": "M"}, {"T": ID1})
+        TRIV, MIRROR, {"T": "M"}, {"T": ID1}, _BOUND)
 
     # a strict self-embedding of the trivial atlas
     out["half_T"] = morphism_from_lifts(
-        TRIV, TRIV, {"T": "T"}, {"T": aff1(F(1, 2))})
+        TRIV, TRIV, {"T": "T"}, {"T": aff1(F(1, 2))}, _BOUND)
 
     # transport of the trivial atlas along x -> x + 5
-    shifted, shift = pushforward(TRIV, aff1(1, 5))
+    shifted, shift = pushforward(TRIV, aff1(1, 5), _BOUND)
     out["shift_T"] = shift
     out["unshift_T"] = morphism_from_lifts(
-        shifted, TRIV, {"T@push": "T"}, {"T@push": aff1(1, -5)})
+        shifted, TRIV, {"T@push": "T"}, {"T@push": aff1(1, -5)}, _BOUND)
 
     # reflection acting on the refined mirror atlas
     out["flip_MR"] = morphism_from_lifts(
         MIRROR_REF, MIRROR_REF, {"M": "M", "C2": "M"},
-        {"M": MIRROR_MAP, "C2": MIRROR_MAP})
+        {"M": MIRROR_MAP, "C2": MIRROR_MAP}, _BOUND)
 
     # order-3 self-equivalence of the cone and the two cone legs
-    out["rot_K"] = morphism_from_lifts(CONE3, CONE3, {"K": "K"}, {"K": ROT3})
+    out["rot_K"] = morphism_from_lifts(CONE3, CONE3, {"K": "K"}, {"K": ROT3}, _BOUND)
     out["rot2_K"] = morphism_from_lifts(
-        CONE3, CONE3, {"K": "K"}, {"K": ROT3.compose(ROT3)})
+        CONE3, CONE3, {"K": "K"}, {"K": ROT3.compose(ROT3)}, _BOUND)
     out["leg1_KR_K"] = morphism_from_lifts(
-        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ID2},
+        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ID2}, _BOUND,
         certificate=CONE3_REF)
     out["leg2_KR_K"] = morphism_from_lifts(
-        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ROT3},
+        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ROT3}, _BOUND,
         certificate=CONE3_REF)
     return out, shifted
 
@@ -151,23 +156,23 @@ def catalog_2cells():
         "i_id_MIRROR": identity_2cell(m["id_MIRROR"]),
         "i_flip_M": identity_2cell(m["flip_M"]),
         "i_leg1": identity_2cell(m["leg1_MR_M"]),
-        "legs": unique_2cell_open_embeddings(m["leg1_MR_M"], m["leg2_MR_M"]),
-        "id_to_flip": unique_2cell_open_embeddings(m["id_MIRROR"], m["flip_M"]),
-        "flip_to_id": unique_2cell_open_embeddings(m["flip_M"], m["id_MIRROR"]),
-        "klegs": unique_2cell_open_embeddings(m["leg1_KR_K"], m["leg2_KR_K"]),
-        "id_to_rot": unique_2cell_open_embeddings(m["id_CONE3"], m["rot_K"]),
+        "legs": unique_2cell_open_embeddings(m["leg1_MR_M"], m["leg2_MR_M"], _BOUND),
+        "id_to_flip": unique_2cell_open_embeddings(m["id_MIRROR"], m["flip_M"], _BOUND),
+        "flip_to_id": unique_2cell_open_embeddings(m["flip_M"], m["id_MIRROR"], _BOUND),
+        "klegs": unique_2cell_open_embeddings(m["leg1_KR_K"], m["leg2_KR_K"], _BOUND),
+        "id_to_rot": unique_2cell_open_embeddings(m["id_CONE3"], m["rot_K"], _BOUND),
     }
     return cells
 
 
-def groupoid_catalog():
+def groupoid_catalog(bound: int):
     """Groupoids of germs of the catalog atlases, plus one custom groupoid
     annotated by an overlapping chart cover."""
     from .fred import fred0
     from .groupoid import PresentedGroupoid
 
-    out = [(name, fred0(a)) for name, a in ATLASES.items()]
-    gm = fred0(MIRROR)
+    out = [(name, fred0(a, bound)) for name, a in ATLASES.items()]
+    gm = fred0(MIRROR, bound)
     split = PresentedGroupoid.make(
         dict(gm.pieces), gm.families,
         annotation=(("M", Region.interval(-1, F(1, 2))),
@@ -176,16 +181,17 @@ def groupoid_catalog():
     return out
 
 
-def acceptance_catalog():
-    """The instance data the equivalence criteria are checked over."""
+def acceptance_catalog(bound: int):
+    """The instance data the equivalence criteria are checked over, imaged
+    at word bound `bound`."""
     from .atlas import TwoCell
     from .fred import fred1
     from .groupoid import find_unique_nat_transf, identity_gpd_morphism
 
     m = MORPHISMS
     cells = catalog_2cells()
-    f_leg1, f_leg2 = fred1(m["leg1_MR_M"]), fred1(m["leg2_MR_M"])
-    f_incl = fred1(m["incl_M_MR"])
+    f_leg1, f_leg2 = fred1(m["leg1_MR_M"], bound), fred1(m["leg2_MR_M"], bound)
+    f_incl = fred1(m["incl_M_MR"], bound)
     gm_ref = f_leg1.source
 
     alpha_legs, _ = find_unique_nat_transf(f_leg1, f_leg2)
@@ -197,18 +203,18 @@ def acceptance_catalog():
                _change("M", "M", MIRROR_MAP, Region.interval(-1, 1)))]})
 
     nt_flip_whisk, _ = find_unique_nat_transf(
-        _cg(fred1(m["id_MIRROR"]), f_leg1), _cg(fred1(m["flip_M"]), f_leg1))
+        _cg(fred1(m["id_MIRROR"], bound), f_leg1), _cg(fred1(m["flip_M"], bound), f_leg1))
 
     return {
-        "groupoids": groupoid_catalog(),
+        "groupoids": groupoid_catalog(bound),
         "gpd_spans": [
             ("legs", (f_leg1, f_leg2)),
             ("incl-id", (f_incl, identity_gpd_morphism(f_incl.source))),
         ],
         "gpd_arrows": [
-            ("emb", fred1(m["emb_T_M"])),
-            ("flip", fred1(m["flip_M"])),
-            ("half", fred1(m["half_T"])),
+            ("emb", fred1(m["emb_T_M"], bound)),
+            ("flip", fred1(m["flip_M"], bound)),
+            ("half", fred1(m["half_T"], bound)),
         ],
         "cell_pairs": [
             ("legs-equal", (cells["legs"], cells["legs"],

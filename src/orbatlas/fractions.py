@@ -35,7 +35,6 @@ class TwoCatOps:
     compose1: callable
     id1: callable
     eq1: callable
-    validate1: callable
     id2: callable
     comp2v: callable
     comp2h: callable
@@ -63,32 +62,32 @@ class TwoCatOps:
         return self.comp2h(cell, self.id2(f))
 
 
-def atlas_ops() -> TwoCatOps:
+def atlas_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
+    """The atlas instance, with its closures at word bound `bound`."""
     return TwoCatOps(
         name="atlas/refinements",
         src=lambda m: m.source,
         dst=lambda m: m.target,
         compose1=atl.compose_morphisms,
-        id1=atl.identity_morphism,
+        id1=lambda a: atl.identity_morphism(a, bound),
         eq1=atl.equal_morphisms,
-        validate1=atl.validate_morphism,
         id2=atl.identity_2cell,
         comp2v=atl.vertical_compose,
         comp2h=atl.horizontal_compose,
         inv2=atl.invert_2cell,
         eq2=atl.equal_2cells,
-        validate2=atl.validate_2cell,
+        validate2=lambda c: atl.validate_2cell(c, bound),
         two_src=lambda c: c.source_morphism,
         two_dst=lambda c: c.target_morphism,
-        is_w=_atlas_is_w,
-        square=atl.pullback_square,
-        connect2=atl.unique_2cell_open_embeddings,
-        cancel=atl.cancel_refinement_cell,
+        is_w=lambda m: _atlas_is_w(m, bound),
+        square=lambda f, w: atl.pullback_square(f, w, bound),
+        connect2=lambda x, y: atl.unique_2cell_open_embeddings(x, y, bound),
+        cancel=lambda v, x, y, cell: atl.cancel_refinement_cell(v, x, y, cell, bound),
     )
 
 
-def _atlas_is_w(m):
-    label = atl.classify_morphism(m).label
+def _atlas_is_w(m, bound):
+    label = atl.classify_morphism(m, bound).label
     if label == "undecided":
         return None
     return label == "refinement"
@@ -101,9 +100,9 @@ def _gpd_is_w(m):
     return gpd.is_morita(m)[0]
 
 
-def _gpd_square(f, w, bound=atl.WORD_BOUND):
-    fa = frd.fred_inverse(1, f, bound)
-    wa = frd.fred_inverse(1, w, bound)
+def _gpd_square(f, w, bound):
+    fa = frd.fred_inverse(1, f)
+    wa = frd.fred_inverse(1, w)
     d, wp, fp, alpha = atl.pullback_square(fa, wa, bound)
     return frd.fred0(d, bound), frd.fred1(wp, bound), frd.fred1(fp, bound), frd.fred2(alpha, bound)
 
@@ -115,15 +114,17 @@ def _gpd_connect2(x, y):
     return nt
 
 
-def _gpd_cancel(v, x, y, cell):
+def _gpd_cancel(v, x, y, cell, bound):
     xa = frd.fred_inverse(1, x)
     ya = frd.fred_inverse(1, y)
     va = frd.fred_inverse(1, v)
     ca = frd.fred_inverse(2, cell)
-    return frd.fred2(atl.cancel_refinement_cell(va, xa, ya, ca))
+    return frd.fred2(atl.cancel_refinement_cell(va, xa, ya, ca, bound), bound)
 
 
-def groupoid_ops() -> TwoCatOps:
+def groupoid_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
+    """The groupoid instance; its squares and cancellations go through the
+    atlas layer at word bound `bound`."""
     return TwoCatOps(
         name="groupoid/morita",
         src=lambda m: m.source,
@@ -131,7 +132,6 @@ def groupoid_ops() -> TwoCatOps:
         compose1=gpd.compose_gpd_morphisms,
         id1=gpd.identity_gpd_morphism,
         eq1=gpd.equal_gpd_morphisms,
-        validate1=gpd.validate_gpd_morphism,
         id2=gpd.identity_nat_transf,
         comp2v=gpd.vertical_compose_nt,
         comp2h=gpd.horizontal_compose_nt,
@@ -141,9 +141,9 @@ def groupoid_ops() -> TwoCatOps:
         two_src=lambda c: c.source_morphism,
         two_dst=lambda c: c.target_morphism,
         is_w=_gpd_is_w,
-        square=_gpd_square,
+        square=lambda f, w: _gpd_square(f, w, bound),
         connect2=_gpd_connect2,
-        cancel=_gpd_cancel,
+        cancel=lambda v, x, y, cell: _gpd_cancel(v, x, y, cell, bound),
     )
 
 

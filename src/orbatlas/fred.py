@@ -43,7 +43,8 @@ class UnsupportedGroupoidError(Exception):
 @memo(lambda atlas, bound=WORD_BOUND: (atlas, bound))
 def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     """Germ groupoid of an atlas: one object piece per chart, one arrow
-    family per affine map in the pseudogroup closure."""
+    family per affine map in the pseudogroup closure.  The bound defaults
+    for callers outside the package; the package always passes it."""
     cl = closure(atlas, bound)
     if cl.overflowed:
         raise ClosureOverflowError(
@@ -64,7 +65,7 @@ def _family_lookup(g: PresentedGroupoid):
 def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     """Image of a morphism: lifts on objects, change assignment on arrows.
     The assignment must be single-valued on every germ family (it always is
-    when the lifts are open embeddings)."""
+    when the lifts are open embeddings).  The bound defaults as for fred0."""
     gs, gt = fred0(m.source, bound), fred0(m.target, bound)
     object_map = {i: (m.chart_image(i), m.lift(i)) for i in m.source.chart_ids()}
     tgt_by_map = _family_lookup(gt)
@@ -84,7 +85,7 @@ def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     return GroupoidMorphism.make(gs, gt, object_map, family_map)
 
 
-def fred2(cell: TwoCell, bound: int = WORD_BOUND) -> NatTransf:
+def fred2(cell: TwoCell, bound: int) -> NatTransf:
     """Image of a 2-cell: the patch germs, read as arrows of the target
     groupoid of germs."""
     f1, f2 = cell.source_morphism, cell.target_morphism
@@ -103,12 +104,13 @@ def fred2(cell: TwoCell, bound: int = WORD_BOUND) -> NatTransf:
     return NatTransf.make(p1, p2, assigns)
 
 
-def fred_inverse(level: int, data, bound: int = WORD_BOUND):
+def fred_inverse(level: int, data):
     """Reconstruct the unique atlas-level cell with a given image.
 
     level 1 takes a GroupoidMorphism between groupoids of germs (their
     annotations must be the presenting atlases); level 2 takes a NatTransf
-    between images of morphisms."""
+    between images of morphisms.  It reads the images and computes no
+    closure, so it takes no word bound."""
     if level == 1:
         psi: GroupoidMorphism = data
         src, tgt = psi.source.annotation, psi.target.annotation
@@ -126,8 +128,8 @@ def fred_inverse(level: int, data, bound: int = WORD_BOUND):
         return Morphism.make(src, tgt, chart_map, lifts, entries)
     if level == 2:
         alpha: NatTransf = data
-        f1 = fred_inverse(1, alpha.source_morphism, bound)
-        f2 = fred_inverse(1, alpha.target_morphism, bound)
+        f1 = fred_inverse(1, alpha.source_morphism)
+        f2 = fred_inverse(1, alpha.target_morphism)
         gt = alpha.source_morphism.target
         patches = {}
         for pid, items in alpha.assignments:
@@ -140,7 +142,7 @@ def fred_inverse(level: int, data, bound: int = WORD_BOUND):
     raise ValueError("level must be 1 or 2")
 
 
-def atlas_from_groupoid(g: PresentedGroupoid, bound: int = WORD_BOUND):
+def atlas_from_groupoid(g: PresentedGroupoid, bound: int):
     """An atlas presenting the groupoid, together with a Morita equivalence
     from its groupoid of germs.
 
@@ -216,7 +218,7 @@ class CorrespondenceReport:
         }
 
 
-def correspondence_check(m: Morphism, bound: int = WORD_BOUND) -> CorrespondenceReport:
+def correspondence_check(m: Morphism, bound: int) -> CorrespondenceReport:
     """Weak equivalences of atlases correspond exactly to Morita equivalences
     of their groupoids of germs; this checks both sides on one morphism."""
     cls = classify_morphism(m, bound)

@@ -19,7 +19,7 @@ from . import groupoid as gpd
 from .reports import Report
 
 
-def gred(level: int, cell, bound: int = atl.WORD_BOUND):
+def gred(level: int, cell, bound: int):
     """Component-wise image of a localized cell: an atlas (level 0), a span
     (level 1) or a fraction cell (level 2, with the coarse side condition
     decided exactly)."""
@@ -75,29 +75,46 @@ def side_condition_check(c: frc.FractionCell) -> Report:
     return rep
 
 
-def commutation_check(m, bound: int = atl.WORD_BOUND) -> bool:
+# The embedded cells below are built from the layer functions, as
+# `frc.universal_embed` builds them from a bundle: a bundle at the bound of
+# the run needs a factory call with an argument, and the benchmark's traced
+# `equiv-report` replaces the factories with wrappers that take none.
+
+def _embeds(s, psi, ident) -> bool:
+    """Whether the groupoid span s is the embedding of psi, whose source has
+    the identity `ident`."""
+    return (s.middle == psi.source
+            and gpd.equal_gpd_morphisms(s.left, ident)
+            and gpd.equal_gpd_morphisms(s.right, psi))
+
+
+def commutation_check(m, bound: int) -> bool:
     """U o F = G o U on an embedded 1-cell: the image of the embedded span
     equals the embedding of the image, on the nose."""
-    gops = frc.groupoid_ops()
-    lhs = gred(1, frc.universal_embed(frc.atlas_ops(), m), bound)
-    rhs = frc.universal_embed(gops, frd.fred1(m, bound))
-    return frc.span_equal(gops, lhs, rhs)
+    lhs = gred(1, frc.Span(m.source, atl.identity_morphism(m.source, bound), m), bound)
+    psi = frd.fred1(m, bound)
+    return _embeds(lhs, psi, gpd.identity_gpd_morphism(psi.source))
 
 
-def commutation_check_2(cell, bound: int = atl.WORD_BOUND) -> bool:
-    gops = frc.groupoid_ops()
-    lhs = gred(2, frc.universal_embed(frc.atlas_ops(), cell, level=2), bound)
-    rhs = frc.universal_embed(gops, frd.fred2(cell, bound), level=2)
-    return (frc.span_equal(gops, lhs.src_span, rhs.src_span)
-            and frc.span_equal(gops, lhs.dst_span, rhs.dst_span)
-            and gpd.equal_nat_transfs(lhs.base, rhs.base))
+def commutation_check_2(cell, bound: int) -> bool:
+    f1, f2 = cell.source_morphism, cell.target_morphism
+    i = atl.identity_morphism(f1.source, bound)
+    lhs = gred(2, frc.FractionCell(
+        frc.Span(f1.source, i, f1), frc.Span(f1.source, i, f2), f1.source, i, i,
+        atl.horizontal_compose(cell, atl.identity_2cell(i))), bound)
+    alpha = frd.fred2(cell, bound)
+    j = gpd.identity_gpd_morphism(alpha.source_morphism.source)
+    return (_embeds(lhs.src_span, alpha.source_morphism, j)
+            and _embeds(lhs.dst_span, alpha.target_morphism, j)
+            and gpd.equal_nat_transfs(
+                lhs.base, gpd.horizontal_compose_nt(alpha, gpd.identity_nat_transf(j))))
 
 
 # ---------------------------------------------------------------------------
 # The equivalence criteria (A1)-(A5), instance checks over a catalog
 # ---------------------------------------------------------------------------
 
-def check_axiom_A(n: int, catalog, bound: int = atl.WORD_BOUND) -> Report:
+def check_axiom_A(n: int, catalog, bound: int) -> Report:
     """Check one equivalence criterion over the catalog.
 
     The catalog is a mapping with keys 'groupoids' (annotated presented
@@ -148,7 +165,7 @@ def _check_a2(catalog, bound) -> Report:
         except frd.UnsupportedGroupoidError as e:
             rep.note_undecided(f"{name}: {e}")
             continue
-        v = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi1, phi), bound)
+        v = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi1, phi))
         cls = atl.classify_morphism(v, bound)
         if cls.label == "refinement":
             w1 = v
@@ -157,9 +174,12 @@ def _check_a2(catalog, bound) -> Report:
                 f"{name}: the first leg pulls back to a {cls.label}; the "
                 f"refinement factorization is outside this catalog check")
             continue
-        w2 = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi2, phi), bound)
+        w2 = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi2, phi))
         cls2 = atl.classify_morphism(w2, bound)
-        if cls2.label not in ("refinement", "weak_equivalence"):
+        if cls2.label == "undecided":
+            rep.note_undecided(f"{name}: the second connecting arrow is undecided "
+                               f"at this bound")
+        elif cls2.label not in ("refinement", "weak_equivalence"):
             rep.fail("A2", f"{name}: second connecting arrow is {cls2.label}, "
                            f"not in the saturation")
         # the connecting diagram commutes on the nose
@@ -183,7 +203,7 @@ def _check_a3(catalog, bound) -> Report:
         except frd.UnsupportedGroupoidError as e:
             rep.note_undecided(f"{name}: {e}")
             continue
-        f_a = frd.fred_inverse(1, gpd.compose_gpd_morphisms(f_b, psi), bound)
+        f_a = frd.fred_inverse(1, gpd.compose_gpd_morphisms(f_b, psi))
         v = atl.validate_morphism(f_a, bound)
         if not v.ok:
             rep.fail("A3", f"{name}: lifted morphism invalid ({v.first()})")
@@ -213,7 +233,7 @@ def _check_a4(catalog, bound) -> Report:
         except frd.UnsupportedGroupoidError as e:
             rep.note_undecided(f"{name}: {e}")
             continue
-        u = frd.fred_inverse(1, gpd.compose_gpd_morphisms(z_b, phi), bound)
+        u = frd.fred_inverse(1, gpd.compose_gpd_morphisms(z_b, phi))
         if atl.classify_morphism(u, bound).label != "refinement":
             rep.note_undecided(f"{name}: equalizing arrow does not pull back "
                                f"to a refinement in this catalog")
@@ -237,14 +257,14 @@ def _check_a5(catalog, bound) -> Report:
         except frd.UnsupportedGroupoidError as e:
             rep.note_undecided(f"{name}: {e}")
             continue
-        u = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi, phi), bound)
+        u = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi, phi))
         if atl.classify_morphism(u, bound).label != "refinement":
             rep.note_undecided(f"{name}: source replacement is not a "
                                f"refinement in this catalog")
             continue
         iphi = gpd.identity_nat_transf(phi)
         whiskered = gpd.horizontal_compose_nt(alpha, iphi)
-        delta = frd.fred_inverse(2, whiskered, bound)
+        delta = frd.fred_inverse(2, whiskered)
         v = atl.validate_2cell(delta, bound)
         if not v.ok:
             rep.fail("A5", f"{name}: lifted 2-cell invalid ({v.first()})")
@@ -286,7 +306,7 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def equivalence_report(catalog, bound: int = atl.WORD_BOUND) -> EquivalenceReport:
+def equivalence_report(catalog, bound: int) -> EquivalenceReport:
     """Aggregate (A1)-(A5), hom-level bijectivity and the commutation of the
     universal arrows into one machine-readable report.  Nothing in it is
     sampled: the coarse side conditions are decided exactly."""
@@ -294,11 +314,11 @@ def equivalence_report(catalog, bound: int = atl.WORD_BOUND) -> EquivalenceRepor
     for n in range(1, 6):
         out.axioms[f"A{n}"] = check_axiom_A(n, catalog, bound)
     for name, m in catalog.get("morphisms", []):
-        rt = frd.fred_inverse(1, frd.fred1(m, bound), bound)
+        rt = frd.fred_inverse(1, frd.fred1(m, bound))
         out.round_trips[name] = atl.equal_morphisms(rt, m)
         out.commutation[name] = commutation_check(m, bound)
     for name, c in catalog.get("cells", []):
-        rt = frd.fred_inverse(2, frd.fred2(c, bound), bound)
+        rt = frd.fred_inverse(2, frd.fred2(c, bound))
         out.round_trips[f"cell:{name}"] = atl.equal_2cells(rt, c)
         out.commutation[f"cell:{name}"] = commutation_check_2(c, bound)
     return out

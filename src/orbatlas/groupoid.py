@@ -576,7 +576,12 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
     """Between two Morita equivalences inducing the same coarse map there is
     exactly one natural transformation; construct it piecewise by matching
     the local section psi2 o psi1^{-1} against the target families.
-    Returns (NatTransf, None) or (None, coarse mismatch witness)."""
+    Returns (NatTransf, None) or (None, coarse mismatch witness).  The
+    witness is a source point off the parts the matching families cover and
+    off every line where another family joins its two images, so that they
+    lie in different orbits (as in `gred.side_condition_check`); only a gap
+    of measure zero between those parts, which has no such point, is
+    witnessed by a point of the gap."""
     g, h = psi1.source, psi1.target
     if psi2.source != g or psi2.target != h:
         raise ComposabilityError("morphisms not parallel")
@@ -588,12 +593,17 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
             return None, (pid, "object maps not etale")
         target_map = m2.compose(m1.inverse())
         img = region.image(m1)
-        cands = [f for f in h.families_between(q1, q2) if f.map == target_map]
+        families = h.families_between(q1, q2)
+        cands = [f for f in families if f.map == target_map]
+        pulled = [(region.preimage_under(m1, f.dom), f.fid) for f in cands]
         covered = img.covers_witness([f.dom for f in cands])
         if covered is not None:
-            # witness: a source point whose two images are not connected by
-            # any arrow with the right germ
-            return None, (pid, m1.inverse()(covered))
-        pulled = ((region.preimage_under(m1, f.dom), f.fid) for f in cands)
+            rest = region
+            for r, _ in pulled:
+                rest = rest.difference(r)
+            if rest.is_empty():
+                return None, (pid, m1.inverse()(covered))
+            lines = [f.map.compose(m1).agreement(m2) for f in families if f.map != target_map]
+            return None, (pid, rest.interior_point_off(lines))
         assigns[pid] = tuple((r, fid) for r, fid in pulled if not r.is_empty())
     return NatTransf.make(psi1, psi2, assigns), None

@@ -12,6 +12,7 @@ from orbatlas import fred as frd
 from orbatlas import gred as grd
 from orbatlas import groupoid as gpd
 from orbatlas.atlas import (
+    WORD_BOUND,
     classify_morphism,
     compose_morphisms,
     equal_2cells,
@@ -109,10 +110,10 @@ def test_criterion_1_two_category_laws():
         f1, f2, f3 = (P[rng.randrange(len(P))] for _ in range(3))
         g1, g2, g3 = (Q[rng.randrange(len(Q))] for _ in range(3))
         h1 = R[rng.randrange(len(R))]
-        delta = unique_2cell_open_embeddings(f1, f2)
-        sigma = unique_2cell_open_embeddings(f2, f3)
-        xi = unique_2cell_open_embeddings(g1, g2)
-        eta = unique_2cell_open_embeddings(g2, g3)
+        delta = unique_2cell_open_embeddings(f1, f2, WORD_BOUND)
+        sigma = unique_2cell_open_embeddings(f2, f3, WORD_BOUND)
+        xi = unique_2cell_open_embeddings(g1, g2, WORD_BOUND)
+        eta = unique_2cell_open_embeddings(g2, g3, WORD_BOUND)
         # interchange
         lhs = horizontal_compose(vertical_compose(eta, xi),
                                  vertical_compose(sigma, delta))
@@ -127,7 +128,7 @@ def test_criterion_1_two_category_laws():
             horizontal_compose(identity_2cell(g1), identity_2cell(f1)),
             identity_2cell(compose_morphisms(g1, f1)))
         # unit morphisms
-        src_id = identity_morphism(f1.source)
+        src_id = identity_morphism(f1.source, WORD_BOUND)
         assert equal_morphisms(compose_morphisms(f1, src_id), f1)
         # associativity of 1-cell composition
         a = compose_morphisms(h1, compose_morphisms(g1, f1))
@@ -151,19 +152,19 @@ def test_criterion_2_functoriality():
                 ok = ok and gpd.equal_gpd_morphisms(lhs, rhs)
     for name, a in ATLASES.items():
         ok = ok and gpd.equal_gpd_morphisms(
-            frd.fred1(identity_morphism(a)),
+            frd.fred1(identity_morphism(a, WORD_BOUND)),
             gpd.identity_gpd_morphism(frd.fred0(a)))
     cells = catalog_2cells()
     d, s = cells["id_to_flip"], cells["flip_to_id"]
     ok = ok and gpd.equal_nat_transfs(
-        frd.fred2(vertical_compose(s, d)),
-        gpd.vertical_compose_nt(frd.fred2(s), frd.fred2(d)))
+        frd.fred2(vertical_compose(s, d), WORD_BOUND),
+        gpd.vertical_compose_nt(frd.fred2(s, WORD_BOUND), frd.fred2(d, WORD_BOUND)))
     ok = ok and gpd.equal_nat_transfs(
-        frd.fred2(horizontal_compose(s, d)),
-        gpd.horizontal_compose_nt(frd.fred2(s), frd.fred2(d)))
+        frd.fred2(horizontal_compose(s, d), WORD_BOUND),
+        gpd.horizontal_compose_nt(frd.fred2(s, WORD_BOUND), frd.fred2(d, WORD_BOUND)))
     for name, m in M.items():
         ok = ok and gpd.equal_nat_transfs(
-            frd.fred2(identity_2cell(m)),
+            frd.fred2(identity_2cell(m), WORD_BOUND),
             gpd.identity_nat_transf(frd.fred1(m)))
     _line(2, "2-functoriality of the structure functor", ok)
 
@@ -173,7 +174,7 @@ def test_criterion_3_hom_bijectivity():
     for name, m in M.items():
         ok = ok and equal_morphisms(frd.fred_inverse(1, frd.fred1(m)), m)
     for name, c in catalog_2cells().items():
-        ok = ok and equal_2cells(frd.fred_inverse(2, frd.fred2(c)), c)
+        ok = ok and equal_2cells(frd.fred_inverse(2, frd.fred2(c, WORD_BOUND)), c)
     _line(3, "hom-level round trips are identities", ok)
 
 
@@ -184,10 +185,10 @@ def test_criterion_4_morita_correspondence():
     assert len(names) >= 10
     ok = True
     for name in names:
-        r = frd.correspondence_check(M[name])
+        r = frd.correspondence_check(M[name], WORD_BOUND)
         ok = ok and r.agreement
     from fractions import Fraction
-    neg = frd.correspondence_check(M["emb_T_M"])
+    neg = frd.correspondence_check(M["emb_T_M"], WORD_BOUND)
     witness_ok = (not neg.morita
                   and neg.morita_report.first().code == "ME1"
                   and neg.morita_report.first().witness == (Fraction(0),))
@@ -207,8 +208,8 @@ def test_criterion_5_bf_axioms(aops, gops, atlas_universe, gpd_universe, table):
                 details.append(rep.summary())
     # the classification statement behind the last axiom: a morphism
     # 2-isomorphic to a refinement is itself classified as one
-    cell = unique_2cell_open_embeddings(M["id_MIRROR"], M["flip_M"])
-    ok = ok and classify_morphism(M["flip_M"]).label == "refinement"
+    cell = unique_2cell_open_embeddings(M["id_MIRROR"], M["flip_M"], WORD_BOUND)
+    ok = ok and classify_morphism(M["flip_M"], WORD_BOUND).label == "refinement"
     _line(5, "BF1-BF5 on both localization instances", ok, "; ".join(details))
 
 
@@ -216,7 +217,7 @@ def test_criterion_6_saturation(aops, atlas_universe):
     ok = True
     for name, m in M.items():
         sat, _ = frc.saturate(aops, atlas_universe, m)
-        is_we = classify_morphism(m).label in ("refinement", "weak_equivalence")
+        is_we = classify_morphism(m, WORD_BOUND).label in ("refinement", "weak_equivalence")
         ok = ok and (sat == is_we)
     _line(6, "saturation of refinements = weak equivalences", ok,
           f"{len(M)} morphisms")
@@ -236,8 +237,8 @@ def test_criterion_7_effectiveness_and_isotropy():
 
 
 def test_criterion_8_uniqueness_of_connecting_cells():
-    cell = unique_2cell_open_embeddings(M["leg1_MR_M"], M["leg2_MR_M"])
-    ok = validate_2cell(cell).ok
+    cell = unique_2cell_open_embeddings(M["leg1_MR_M"], M["leg2_MR_M"], WORD_BOUND)
+    ok = validate_2cell(cell, WORD_BOUND).ok
     # any valid parallel cell agrees with it: rebuild from a split cover
     from orbatlas.atlas import TwoCell
     from orbatlas.geometry import Region
@@ -247,12 +248,12 @@ def test_criterion_8_uniqueness_of_connecting_cells():
         "C2": [(Region.interval(F(1, 4), F(3, 4)), cell.patches_at("C2")[0][1]),
                (Region.interval(F(1, 2), 1), cell.patches_at("C2")[0][1])],
     })
-    ok = ok and validate_2cell(split).ok and equal_2cells(cell, split)
+    ok = ok and validate_2cell(split, WORD_BOUND).ok and equal_2cells(cell, split)
     # groupoid side: exactly one natural transformation
     a, _ = gpd.find_unique_nat_transf(frd.fred1(M["leg1_MR_M"]),
                                       frd.fred1(M["leg2_MR_M"]))
     ok = ok and a is not None and gpd.validate_nat_transf(a).ok
-    ok = ok and gpd.equal_nat_transfs(a, frd.fred2(cell))
+    ok = ok and gpd.equal_nat_transfs(a, frd.fred2(cell, WORD_BOUND))
     b, wit = gpd.find_unique_nat_transf(frd.fred1(M["id_TRIV"]),
                                         frd.fred1(M["half_T"]))
     ok = ok and b is None
@@ -325,7 +326,7 @@ def test_criterion_9_localized_coherence(aops, table):
         samples += 1
 
     # every W-image of the universal arrow has a verified quasi-inverse
-    w_names = [n for n in M if classify_morphism(M[n]).label == "refinement"]
+    w_names = [n for n in M if classify_morphism(M[n], WORD_BOUND).label == "refinement"]
     for name in w_names:
         rev, c1, c2 = frc.quasi_inverse(aops, table, M[name])
         ok = ok and frc.validate_fraction_cell(aops, c1).ok
@@ -336,6 +337,6 @@ def test_criterion_9_localized_coherence(aops, table):
 
 
 def test_criterion_10_equivalence_criteria():
-    rep = grd.equivalence_report(acceptance_catalog())
+    rep = grd.equivalence_report(acceptance_catalog(WORD_BOUND), WORD_BOUND)
     _line(10, "instance equivalence criteria and commutation", rep.ok,
           f"{sum(rep.commutation.values())}/{len(rep.commutation)} commutation checks")

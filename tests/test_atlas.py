@@ -8,6 +8,7 @@ from orbatlas.atlas import (
     Chart,
     Morphism,
     TwoCell,
+    WORD_BOUND,
     classify_morphism,
     closure,
     coarse_equal_atlas,
@@ -50,12 +51,12 @@ ID1 = AffineMap.identity(1)
 
 def test_fixture_atlases_validate():
     for name, a in ATLASES.items():
-        rep = validate_atlas(a)
+        rep = validate_atlas(a, WORD_BOUND)
         assert rep.ok and rep.decided, (name, rep.summary())
 
 
 def test_empty_atlas_is_reported_as_empty():
-    rep = validate_atlas(Atlas.make([]))
+    rep = validate_atlas(Atlas.make([]), WORD_BOUND)
     assert not rep.ok
     assert rep.first().code == "A1" and rep.first().message == "atlas has no charts"
 
@@ -90,21 +91,21 @@ def test_chart_group_closure():
 
 def test_closures_complete_and_small():
     for name, a in ATLASES.items():
-        cl = closure(a)
+        cl = closure(a, WORD_BOUND)
         assert cl.complete and not cl.overflowed
         assert cl.count() <= 10, name
 
 
 def test_morphism_validation_all_catalog():
     for name, m in M.items():
-        rep = validate_morphism(m)
+        rep = validate_morphism(m, WORD_BOUND)
         assert rep.ok and rep.decided, (name, rep.summary())
 
 
 def test_classification_matches_expected():
     from orbatlas.fixtures import EXPECTED_CLASS
     for name, m in M.items():
-        assert classify_morphism(m).label == EXPECTED_CLASS[name], name
+        assert classify_morphism(m, WORD_BOUND).label == EXPECTED_CLASS[name], name
 
 
 def test_self_change_element():
@@ -141,8 +142,8 @@ def test_equal_is_reflexive_and_tolerant():
 
 def test_flip_not_equal_to_id_but_2_isomorphic():
     assert not equal_morphisms(M["flip_M"], M["id_MIRROR"])
-    cell = unique_2cell_open_embeddings(M["id_MIRROR"], M["flip_M"])
-    assert validate_2cell(cell).ok
+    cell = unique_2cell_open_embeddings(M["id_MIRROR"], M["flip_M"], WORD_BOUND)
+    assert validate_2cell(cell, WORD_BOUND).ok
 
 
 def test_composition_unit_and_assoc():
@@ -153,41 +154,43 @@ def test_composition_unit_and_assoc():
     b = compose_morphisms(compose_morphisms(M["flip_M"], M["leg1_MR_M"]),
                           M["incl_M_MR"])
     assert equal_morphisms(a, b)
-    assert validate_morphism(c).ok
+    assert validate_morphism(c, WORD_BOUND).ok
 
 
 def test_morphism_from_lifts_unique_class():
     mor = morphism_from_lifts(MIRROR_REF, MIRROR, {"M": "M", "C2": "M"},
-                              {"M": ID1, "C2": ID1})
+                              {"M": ID1, "C2": ID1}, WORD_BOUND)
     assert equal_morphisms(mor, M["leg1_MR_M"])
     with pytest.raises(ValueError):
-        morphism_from_lifts(TRIV, TRIV, {"T": "T"}, {"T": aff1(0)})
+        morphism_from_lifts(TRIV, TRIV, {"T": "T"}, {"T": aff1(0)}, WORD_BOUND)
 
 
 def test_pushforward_translation():
-    shifted, mor = pushforward(TRIV, aff1(1, 5))
+    shifted, mor = pushforward(TRIV, aff1(1, 5), WORD_BOUND)
     dom = shifted.chart("T@push").domain
     assert dom == Region.interval(5, 6)
-    assert classify_morphism(mor).label == "weak_equivalence"
-    assert validate_morphism(mor).ok
+    assert classify_morphism(mor, WORD_BOUND).label == "weak_equivalence"
+    assert validate_morphism(mor, WORD_BOUND).ok
 
 
 def test_inclusion_classified_refinement():
-    inc = inclusion(MIRROR, MIRROR_REF)
-    assert classify_morphism(inc).label == "refinement"
+    inc = inclusion(MIRROR, MIRROR_REF, WORD_BOUND)
+    assert classify_morphism(inc, WORD_BOUND).label == "refinement"
 
 
 def test_classify_open_embedding_not_we():
-    cls = classify_morphism(M["emb_T_M"])
+    cls = classify_morphism(M["emb_T_M"], WORD_BOUND)
     assert cls.label == "open_embedding"
     # the uncovered orbit is the fixed point of the reflection
     assert cls.witness is not None and cls.witness[1] == (F(0),)
 
 
 def test_coarse_equality_of_atlas_points():
-    assert coarse_equal_atlas(MIRROR, ("M", (F(1, 2),)), ("M", (F(-1, 2),))) == "equal"
-    assert coarse_equal_atlas(MIRROR, ("M", (F(1, 2),)), ("M", (F(1, 3),))) == "distinct"
-    assert coarse_equal_atlas(MIRROR_REF, ("C2", (F(1, 2),)), ("M", (F(-1, 2),))) == "equal"
+    def coarse(a, p, q):
+        return coarse_equal_atlas(a, p, q, WORD_BOUND)
+    assert coarse(MIRROR, ("M", (F(1, 2),)), ("M", (F(-1, 2),))) == "equal"
+    assert coarse(MIRROR, ("M", (F(1, 2),)), ("M", (F(1, 3),))) == "distinct"
+    assert coarse(MIRROR_REF, ("C2", (F(1, 2),)), ("M", (F(-1, 2),))) == "equal"
 
 
 # -- 2-cells ------------------------------------------------------------------
@@ -195,14 +198,14 @@ def test_coarse_equality_of_atlas_points():
 def test_2cell_validation_examples():
     cells = catalog_2cells()
     for name, c in cells.items():
-        assert validate_2cell(c).ok, name
+        assert validate_2cell(c, WORD_BOUND).ok, name
 
     # the reflection patch between two copies of the identity violates the
     # lift-intertwining axiom, with the witness away from the fixed point
     bad = TwoCell.make(M["id_MIRROR"], M["id_MIRROR"], {
         "M": [(Region.interval(-1, 1),
                ChangeOfCharts.make("M", "M", MIRROR_MAP, Region.interval(-1, 1)))]})
-    rep = validate_2cell(bad)
+    rep = validate_2cell(bad, WORD_BOUND)
     assert not rep.ok
     first = rep.first()
     assert first.code == "2Mc"
@@ -213,7 +216,7 @@ def test_2cell_patch_coverage_checked():
     half = TwoCell.make(M["id_MIRROR"], M["id_MIRROR"], {
         "M": [(Region.interval(0, 1),
                ChangeOfCharts.make("M", "M", ID1, Region.interval(-1, 1)))]})
-    rep = validate_2cell(half)
+    rep = validate_2cell(half, WORD_BOUND)
     assert any(v.code == "2Ma" for v in rep.violations)
 
 
@@ -238,7 +241,7 @@ def test_equal_2cells_needs_equal_endpoints():
 
 def test_unique_2cell_of_equal_morphisms_is_identity():
     for name in ("leg1_MR_M", "flip_M", "id_CONE3"):
-        cell = unique_2cell_open_embeddings(M[name], M[name])
+        cell = unique_2cell_open_embeddings(M[name], M[name], WORD_BOUND)
         assert equal_2cells(cell, identity_2cell(M[name])), name
 
 
@@ -252,7 +255,7 @@ def test_unique_2cell_between_legs():
     assert ch_m.map.is_identity()
     # no 2-cell between morphisms with different base maps
     with pytest.raises(ValueError):
-        unique_2cell_open_embeddings(M["id_TRIV"], M["half_T"])
+        unique_2cell_open_embeddings(M["id_TRIV"], M["half_T"], WORD_BOUND)
 
 
 def test_interchange_on_mirror():
@@ -264,7 +267,7 @@ def test_interchange_on_mirror():
     rhs = vertical_compose(horizontal_compose(eta, sigma),
                            horizontal_compose(xi, delta))
     assert equal_2cells(lhs, rhs)
-    assert validate_2cell(lhs).ok and validate_2cell(rhs).ok
+    assert validate_2cell(lhs, WORD_BOUND).ok and validate_2cell(rhs, WORD_BOUND).ok
 
 
 def test_identity_2cell_units():
@@ -280,27 +283,27 @@ def test_identity_2cell_units():
 # -- squares ------------------------------------------------------------------
 
 def test_pullback_square_flip_legs():
-    d, wp, fp, alpha = pullback_square(M["flip_M"], M["leg1_MR_M"])
-    assert validate_atlas(d).ok
-    assert classify_morphism(wp).label == "refinement"
-    assert validate_morphism(fp).ok
-    assert validate_2cell(alpha).ok
+    d, wp, fp, alpha = pullback_square(M["flip_M"], M["leg1_MR_M"], WORD_BOUND)
+    assert validate_atlas(d, WORD_BOUND).ok
+    assert classify_morphism(wp, WORD_BOUND).label == "refinement"
+    assert validate_morphism(fp, WORD_BOUND).ok
+    assert validate_2cell(alpha, WORD_BOUND).ok
 
 
 def test_common_refinement_of_parallel_legs():
-    u, v1, v2, cell = pullback_square(M["leg1_MR_M"], M["leg2_MR_M"])
-    assert classify_morphism(v1).label == "refinement"
-    assert classify_morphism(v2).label == "refinement"
-    assert classify_morphism(compose_morphisms(M["leg1_MR_M"], v1)).label == "refinement"
-    assert classify_morphism(compose_morphisms(M["leg2_MR_M"], v2)).label == "refinement"
-    assert validate_2cell(cell).ok
+    u, v1, v2, cell = pullback_square(M["leg1_MR_M"], M["leg2_MR_M"], WORD_BOUND)
+    assert classify_morphism(v1, WORD_BOUND).label == "refinement"
+    assert classify_morphism(v2, WORD_BOUND).label == "refinement"
+    for leg, v in ((M["leg1_MR_M"], v1), (M["leg2_MR_M"], v2)):
+        assert classify_morphism(compose_morphisms(leg, v), WORD_BOUND).label == "refinement"
+    assert validate_2cell(cell, WORD_BOUND).ok
 
 
 def test_common_refinement_identities():
-    u, v1, v2, cell = pullback_square(M["id_MIRROR"], M["id_MIRROR"])
-    assert classify_morphism(v1).label == "refinement"
-    assert classify_morphism(v2).label == "refinement"
-    assert validate_2cell(cell).ok
+    u, v1, v2, cell = pullback_square(M["id_MIRROR"], M["id_MIRROR"], WORD_BOUND)
+    assert classify_morphism(v1, WORD_BOUND).label == "refinement"
+    assert classify_morphism(v2, WORD_BOUND).label == "refinement"
+    assert validate_2cell(cell, WORD_BOUND).ok
     assert equal_morphisms(compose_morphisms(M["id_MIRROR"], v1),
                            compose_morphisms(M["id_MIRROR"], v2))
 
@@ -333,7 +336,7 @@ def test_equality_respected_by_composition(a, b, w):
 @settings(max_examples=30, deadline=None)
 @given(_endo_mirror, _endo_mirror, _endo_mirror)
 def test_unique_cells_compose_transitively(a, b, c):
-    d1 = unique_2cell_open_embeddings(M[a], M[b])
-    d2 = unique_2cell_open_embeddings(M[b], M[c])
-    direct = unique_2cell_open_embeddings(M[a], M[c])
+    d1 = unique_2cell_open_embeddings(M[a], M[b], WORD_BOUND)
+    d2 = unique_2cell_open_embeddings(M[b], M[c], WORD_BOUND)
+    direct = unique_2cell_open_embeddings(M[a], M[c], WORD_BOUND)
     assert equal_2cells(vertical_compose(d2, d1), direct)

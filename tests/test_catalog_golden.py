@@ -21,7 +21,7 @@ from pathlib import Path
 from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
-from orbatlas.atlas import compose_morphisms
+from orbatlas.atlas import WORD_BOUND, compose_morphisms
 from orbatlas.fixtures import (
     ATLASES,
     MIRROR,
@@ -59,7 +59,7 @@ def _values():
         out[f"fred1:{name}"] = frd.fred1(m)
     for name, c in sorted(catalog_2cells().items()):
         out[f"2cell:{name}"] = c
-        out[f"fred2:{name}"] = frd.fred2(c)
+        out[f"fred2:{name}"] = frd.fred2(c, WORD_BOUND)
     pools = _pools()
     for pn, qn in _CHAINS:
         for f in pools[pn]:

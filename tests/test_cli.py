@@ -1,13 +1,17 @@
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from orbatlas import atlas as atl
 from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
+from orbatlas import memo
+from orbatlas.atlas import WORD_BOUND
 from orbatlas.fixtures import MIRROR, MIRROR_REF, MORPHISMS, catalog_2cells
 
 M = MORPHISMS
@@ -26,7 +30,7 @@ def test_round_trip_stability():
         catalog_2cells()["legs"],
         frd.fred0(MIRROR_REF),
         frd.fred1(M["leg1_MR_M"]),
-        frd.fred2(catalog_2cells()["legs"]),
+        frd.fred2(catalog_2cells()["legs"], WORD_BOUND),
     ]
     for v in values:
         text = cli.dumps(v)
@@ -323,7 +327,7 @@ def _subtrees(doc, at=()):
 @pytest.fixture(scope="module")
 def documents():
     values = [MIRROR_REF, M["leg1_MR_M"], catalog_2cells()["legs"], frd.fred0(MIRROR),
-              frd.fred1(M["flip_M"]), frd.fred2(catalog_2cells()["legs"]),
+              frd.fred1(M["flip_M"]), frd.fred2(catalog_2cells()["legs"], WORD_BOUND),
               frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])]
     return [json.loads(cli.dumps(v)) for v in values]
 
@@ -386,7 +390,7 @@ def test_dangling_family_in_nat_transf_is_a_schema_error(tmp_path, capsys):
     def edit(d):
         items = next(iter(d["assignments"].values()))
         items[0][1] = "nofam"
-    nt = frd.fred2(catalog_2cells()["id_to_flip"])
+    nt = frd.fred2(catalog_2cells()["id_to_flip"], WORD_BOUND)
     assert cli.run(["validate", _edited(tmp_path, nt, edit)]) == 3
     assert "no target family 'nofam'" in json.loads(capsys.readouterr().out)["schema_error"]
 
@@ -397,6 +401,7 @@ def test_dangling_family_in_nat_transf_is_a_schema_error(tmp_path, capsys):
     ["fred", "3", "x.json"],
     ["--samples", "16", "equiv-report"],
     ["--seed", "7", "equiv-report"],
+    ["--bound", "-1", "validate", "x.json"],
     [],
 ])
 def test_usage_errors_are_schema_errors(capsys, argv):
@@ -404,3 +409,68 @@ def test_usage_errors_are_schema_errors(capsys, argv):
     captured = capsys.readouterr()
     assert "usage:" in json.loads(captured.out)["schema_error"]
     assert captured.err.startswith("usage: orbatlas")
+
+
+def _closure_bounds(monkeypatch):
+    """Record the bound of every `atlas.closure` call, in every orbatlas
+    namespace that holds the function.  The memos are emptied first, so
+    that a result stored at another bound cannot stand in for a call."""
+    memo.clear()
+    seen = set()
+    closure = atl.closure
+
+    def spy(a, bound, *rest, **kwargs):
+        seen.add(bound)
+        return closure(a, bound, *rest, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "orbatlas" and getattr(mod, "closure", None) is closure:
+            monkeypatch.setattr(mod, "closure", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv, value", [
+    pytest.param(["validate"], MIRROR, id="validate-atlas"),
+    pytest.param(["validate"], M["leg1_MR_M"], id="validate-morphism"),
+    pytest.param(["validate"], "2cell", id="validate-2cell"),
+    pytest.param(["validate"], "span", id="validate-span"),
+    pytest.param(["validate"], "fraction_cell", id="validate-fraction_cell"),
+    pytest.param(["classify"], M["leg1_MR_M"], id="classify"),
+    pytest.param(["fred", "1"], M["leg1_MR_M"], id="fred1"),
+    pytest.param(["bf-check", "atlas", "--axiom", "1"], None, id="bf-check-atlas"),
+    pytest.param(["bf-check", "groupoid", "--axiom", "1"], None, id="bf-check-groupoid"),
+    pytest.param(["localize-compose", "{emb}"], "span", id="localize-compose"),
+    pytest.param(["cell-equal", "{fraction_cell}"], "fraction_cell", id="cell-equal"),
+])
+def test_every_closure_runs_at_the_given_bound(tmp_path, capsys, monkeypatch, argv, value):
+    """`--bound` reaches every closure a command computes, through the
+    operation bundles and the built-in universes too."""
+    ops = frc.atlas_ops()
+    docs = {
+        "2cell": catalog_2cells()["legs"],
+        "span": frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]),
+        "fraction_cell": frc.universal_embed(ops, catalog_2cells()["id_to_flip"], level=2),
+        "emb": frc.universal_embed(ops, M["emb_T_M"]),
+    }
+    paths = {k: write(tmp_path, f"{k}.json", v) for k, v in docs.items()}
+    argv = [a.format(**paths) for a in argv]
+    if value is not None:
+        argv.append(paths[value] if isinstance(value, str) else write(tmp_path, "in.json", value))
+    seen = _closure_bounds(monkeypatch)
+    code = cli.run(["--bound", "0"] + argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert seen == {0}
+
+
+def test_bf_check_at_bound_zero_is_undecided_not_failed(capsys):
+    assert cli.run(["--bound", "0", "bf-check", "atlas", "--axiom", "3"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True and out["undecided"]
+
+
+def test_equiv_report_at_bound_zero_is_a_report(capsys):
+    """The acceptance catalog is imaged at the bound of the run, so the
+    report composes what it checks at bound 0 as well."""
+    assert cli.run(["--bound", "0", "equiv-report"]) in (0, 2)
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "report" and out["ok"] is True

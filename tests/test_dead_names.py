@@ -128,3 +128,53 @@ def test_guard_sees_a_random_import(tmp_path):
                  "from . import random_walk\n"
                  "import randomness\n")
     assert _random_imports(p) == ["m.py:1", "m.py:2", "m.py:4"]
+
+
+# The entry points whose word bound may default: the unchanged benchmark
+# calls them without one.  Everything else takes the bound it is given.
+BOUND_DEFAULTS = {"atlas_ops", "groupoid_ops", "fred0", "fred1"}
+
+
+def _bound_leaks(path):
+    """A `bound` parameter with a default, other than on BOUND_DEFAULTS and
+    the memo keys in their decorators; and a call of `fred0`/`fred1` that
+    passes no bound, which would fall back to the default."""
+    allowed = set()
+    out = []
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in BOUND_DEFAULTS:
+            allowed.add(node)
+            allowed.update(n for d in node.decorator_list for n in ast.walk(d))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if node not in allowed and any(arg.arg == "bound" for arg in defaulted):
+                out.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if (name in ("fred0", "fred1") and len(node.args) < 2
+                    and not any(k.arg == "bound" for k in node.keywords)):
+                out.append(node.lineno)
+    return [f"{path.name}:{n}" for n in sorted(out)]
+
+
+def test_the_word_bound_is_passed_not_defaulted():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _bound_leaks(path)]
+    assert found == [], f"take the word bound from the caller: {found}"
+
+
+def test_guard_sees_a_defaulted_bound(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("@memo(lambda a, bound=4: (a, bound))\n"
+                 "def fred0(a, bound=4):\n    return closure(a, bound)\n"
+                 "def closure(a, bound=4):\n    pass\n"
+                 "def check(a, *, bound=4):\n    pass\n"
+                 "key = lambda m, bound=4: m\n"
+                 "def atlas_ops(bound=4):\n    return fred1(m)\n"
+                 "x = frd.fred0(a), fred1(m, bound), frd.fred1(m, bound=b), fred2(c)\n")
+    assert _bound_leaks(p) == ["m.py:4", "m.py:6", "m.py:8", "m.py:10", "m.py:11"]

@@ -4,7 +4,7 @@ import pytest
 
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
-from orbatlas.atlas import classify_morphism
+from orbatlas.atlas import WORD_BOUND, classify_morphism
 from orbatlas.fixtures import ATLASES, MIRROR, MIRROR_REF, MORPHISMS, TRIV_SHIFTED, catalog_2cells
 from orbatlas.reports import UndecidedError
 
@@ -51,7 +51,7 @@ def test_composite_span_through_square(ops, table):
     sf = frc.universal_embed(ops, M["emb_T_M"])
     t = frc.compose_spans(ops, table, sw, sf)
     assert frc.validate_span(ops, t).ok
-    assert classify_morphism(t.left).label == "refinement"
+    assert classify_morphism(t.left, WORD_BOUND).label == "refinement"
 
 
 def test_choice_table_keys_name_the_endpoints(ops):

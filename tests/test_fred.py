@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbatlas.atlas import (
+    WORD_BOUND,
     compose_morphisms,
     equal_2cells,
     equal_morphisms,
@@ -62,20 +63,20 @@ def test_fred1_functorial():
         rhs = compose_gpd_morphisms(fred1(M[gn]), fred1(M[fn]))
         assert equal_gpd_morphisms(lhs, rhs), (gn, fn)
     for name, a in ATLASES.items():
-        assert equal_gpd_morphisms(fred1(identity_morphism(a)),
+        assert equal_gpd_morphisms(fred1(identity_morphism(a, WORD_BOUND)),
                                    identity_gpd_morphism(fred0(a)))
 
 
 def test_fred2_functorial():
     cells = catalog_2cells()
     d, s = cells["id_to_flip"], cells["flip_to_id"]
-    assert equal_nat_transfs(fred2(vertical_compose(s, d)),
-                             vertical_compose_nt(fred2(s), fred2(d)))
-    assert equal_nat_transfs(fred2(horizontal_compose(s, d)),
-                             horizontal_compose_nt(fred2(s), fred2(d)))
+    assert equal_nat_transfs(fred2(vertical_compose(s, d), WORD_BOUND),
+                             vertical_compose_nt(fred2(s, WORD_BOUND), fred2(d, WORD_BOUND)))
+    assert equal_nat_transfs(fred2(horizontal_compose(s, d), WORD_BOUND),
+                             horizontal_compose_nt(fred2(s, WORD_BOUND), fred2(d, WORD_BOUND)))
     for name in ("id_MIRROR", "flip_M", "leg1_MR_M"):
         ic = identity_2cell(M[name])
-        assert equal_nat_transfs(fred2(ic), identity_nat_transf(fred1(M[name])))
+        assert equal_nat_transfs(fred2(ic, WORD_BOUND), identity_nat_transf(fred1(M[name])))
 
 
 def test_round_trips_all_catalog():
@@ -83,7 +84,7 @@ def test_round_trips_all_catalog():
         rt = fred_inverse(1, fred1(m))
         assert equal_morphisms(rt, m), name
     for name, c in catalog_2cells().items():
-        rt = fred_inverse(2, fred2(c))
+        rt = fred_inverse(2, fred2(c, WORD_BOUND))
         assert equal_2cells(rt, c), name
 
 
@@ -92,13 +93,13 @@ def test_fred_inverse_matches_unique_cell():
     alpha, _ = find_unique_nat_transf(fred1(M["leg1_MR_M"]), fred1(M["leg2_MR_M"]))
     lifted = fred_inverse(2, alpha)
     assert equal_2cells(lifted,
-                        unique_2cell_open_embeddings(M["leg1_MR_M"], M["leg2_MR_M"]))
+                        unique_2cell_open_embeddings(M["leg1_MR_M"], M["leg2_MR_M"], WORD_BOUND))
 
 
 def test_atlas_from_groupoid_identity_cases():
     for name in ("MIRROR", "MIRROR_REF", "TRIV"):
         g = fred0(ATLASES[name])
-        a, psi = atlas_from_groupoid(g)
+        a, psi = atlas_from_groupoid(g, WORD_BOUND)
         assert a.key() == ATLASES[name].key()
         assert is_morita(psi)[0]
 
@@ -109,7 +110,7 @@ def test_atlas_from_groupoid_cover_annotation():
         dict(gm.pieces), gm.families,
         annotation=(("M", Region.interval(-1, F(1, 2))),
                     ("M", Region.interval(F(-1, 2), 1))))
-    a, psi = atlas_from_groupoid(g)
+    a, psi = atlas_from_groupoid(g, WORD_BOUND)
     assert len(a.charts) == 2
     assert validate_gpd_morphism(psi).ok
     assert is_morita(psi)[0]
@@ -119,15 +120,15 @@ def test_atlas_from_groupoid_unsupported():
     gm = fred0(MIRROR)
     bare = PresentedGroupoid.make(dict(gm.pieces), gm.families)
     with pytest.raises(UnsupportedGroupoidError):
-        atlas_from_groupoid(bare)
+        atlas_from_groupoid(bare, WORD_BOUND)
 
 
 def test_correspondence_on_catalog():
     positives = ("leg1_MR_M", "incl_M_MR", "id_MIRROR", "shift_T", "flip_M")
     negatives = ("emb_T_M", "half_T")
     for name in positives:
-        r = correspondence_check(M[name])
+        r = correspondence_check(M[name], WORD_BOUND)
         assert r.agreement and r.morita, name
     for name in negatives:
-        r = correspondence_check(M[name])
+        r = correspondence_check(M[name], WORD_BOUND)
         assert r.agreement and not r.morita, name

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
+from orbatlas.atlas import WORD_BOUND
 from orbatlas.fixtures import ATLASES, CONE3, MIRROR, MORPHISMS, TRIV, catalog_2cells
 from orbatlas.fred import fred0, fred1, fred2
+from orbatlas.geometry import AffineMap, PartialAffineIso, Region
 from orbatlas.groupoid import (
     ArrowFamily,
     PresentedGroupoid,
@@ -10,6 +12,7 @@ from orbatlas.groupoid import (
     equal_nat_transfs,
     find_unique_nat_transf,
     horizontal_compose_nt,
+    identity_gpd_morphism,
     identity_nat_transf,
     invert_nat_transf,
     is_effective,
@@ -141,17 +144,30 @@ def test_morita_two_out_of_three_left_cancel():
 def test_find_unique_nat_transf():
     a, wit = find_unique_nat_transf(fred1(M["leg1_MR_M"]), fred1(M["leg2_MR_M"]))
     assert a is not None and validate_nat_transf(a).ok
-    assert equal_nat_transfs(a, fred2(catalog_2cells()["legs"]))
+    assert equal_nat_transfs(a, fred2(catalog_2cells()["legs"], WORD_BOUND))
     b, wit2 = find_unique_nat_transf(fred1(M["id_TRIV"]), fred1(M["half_T"]))
     assert b is None and wit2 is not None
     c, _ = find_unique_nat_transf(fred1(M["id_MIRROR"]), fred1(M["id_MIRROR"]))
     assert equal_nat_transfs(c, identity_nat_transf(fred1(M["id_MIRROR"])))
 
 
+def test_nat_transf_gap_of_measure_zero_is_witnessed_in_the_gap():
+    """Two identity families on (0, 1/2) and (1/2, 1) leave out only the
+    seam 1/2, where no point off the families exists: the witness is the
+    seam itself."""
+    ident = AffineMap.identity(1)
+    g = PresentedGroupoid.make(
+        {"P": Region.interval(0, 1)},
+        [ArrowFamily("a", "P", "P", PartialAffineIso(ident, Region.interval(0, F(1, 2)))),
+         ArrowFamily("b", "P", "P", PartialAffineIso(ident, Region.interval(F(1, 2), 1)))])
+    i = identity_gpd_morphism(g)
+    assert find_unique_nat_transf(i, i) == (None, ("P", (F(1, 2),)))
+
+
 def test_nat_transf_algebra():
     cells = catalog_2cells()
-    d = fred2(cells["id_to_flip"])
-    s = fred2(cells["flip_to_id"])
+    d = fred2(cells["id_to_flip"], WORD_BOUND)
+    s = fred2(cells["flip_to_id"], WORD_BOUND)
     v = vertical_compose_nt(s, d)
     assert equal_nat_transfs(v, identity_nat_transf(fred1(M["id_MIRROR"])))
     assert equal_nat_transfs(invert_nat_transf(d), s)
@@ -164,5 +180,5 @@ def test_nat_transf_algebra():
 def test_equal_nat_transfs_needs_equal_endpoints():
     flip, ident = fred1(M["flip_M"]), fred1(M["id_MIRROR"])
     assert not equal_nat_transfs(identity_nat_transf(flip), identity_nat_transf(ident))
-    d = fred2(catalog_2cells()["id_to_flip"])
+    d = fred2(catalog_2cells()["id_to_flip"], WORD_BOUND)
     assert not equal_nat_transfs(d, invert_nat_transf(d))

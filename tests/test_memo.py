@@ -7,7 +7,7 @@ from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas import groupoid as gpd
 from orbatlas import memo as memo_mod
-from orbatlas.atlas import classify_morphism
+from orbatlas.atlas import WORD_BOUND, classify_morphism
 from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED
 from orbatlas.memo import memo
 
@@ -69,7 +69,7 @@ def test_clear_empties_every_memo():
     f, seen = _counting({0: "a"})
     f(0)
     f(0)
-    classify_morphism(MORPHISMS["flip_M"])
+    classify_morphism(MORPHISMS["flip_M"], WORD_BOUND)
     assert f.table and classify_morphism.table
     memo_mod.clear()
     assert not f.table and not classify_morphism.table

@@ -22,7 +22,7 @@ import pytest
 from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
-from orbatlas.atlas import Atlas, ChangeOfCharts, Chart, Morphism, PEntry, TwoCell
+from orbatlas.atlas import WORD_BOUND, Atlas, ChangeOfCharts, Chart, Morphism, PEntry, TwoCell
 from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED, catalog_2cells
 from orbatlas.geometry import PartialAffineIso
 from orbatlas.groupoid import ArrowFamily, GroupoidMorphism, NatTransf, PresentedGroupoid
@@ -76,9 +76,9 @@ def top_level():
     out = list(atlases.values()) + list(MORPHISMS.values()) + list(catalog_2cells().values())
     out += [frd.fred0(a) for a in atlases.values()]
     out += [frd.fred1(m) for m in MORPHISMS.values()]
-    out += [frd.fred2(c) for c in catalog_2cells().values()]
+    out += [frd.fred2(c, WORD_BOUND) for c in catalog_2cells().values()]
     for instance in ("atlas", "groupoid"):
-        ops, uni = cli._builtin_universe(instance)
+        ops, uni = cli._builtin_universe(instance, WORD_BOUND)
         out += [o for _, o in uni.objects] + [c for _, c in uni.cells]
     return out
 
@@ -87,7 +87,7 @@ def top_level():
 def by_class(top_level):
     squares = []
     for instance in ("atlas", "groupoid"):
-        ops, uni = cli._builtin_universe(instance)
+        ops, uni = cli._builtin_universe(instance, WORD_BOUND)
         table = frc.ChoiceTable()
         assert frc.check_bf(ops, 3, uni, table).ok
         squares += [x for square in table.entries.values() for x in square]
