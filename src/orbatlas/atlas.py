@@ -623,7 +623,14 @@ def equal_morphisms(a: Morphism, b: Morphism) -> bool:
 
 
 def identity_morphism(atlas: Atlas, bound: int) -> Morphism:
+    """The identity of an atlas: every germ of its closure, assigned to
+    itself.  An incomplete closure lists only the germs found so far, which
+    is no identity, so that case is undecided."""
     cl = closure(atlas, bound)
+    if not cl.complete:
+        raise UndecidedError(
+            f"pseudogroup closure incomplete at word bound {bound}; "
+            f"the identity morphism was not constructed")
     entries = []
     for src, dst, m, reg in cl.items():
         ch = ChangeOfCharts(src, dst, PartialAffineIso(m, reg))

@@ -28,10 +28,6 @@ from .atlas import (
 )
 from .geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
 
-# The word bound every fixture document is built at; the images of the
-# acceptance catalog take the bound of the run instead.
-_BOUND = WORD_BOUND
-
 ID1 = AffineMap.identity(1)
 ID2 = AffineMap.identity(2)
 MIRROR_MAP = aff1(-1)
@@ -74,52 +70,52 @@ ATLASES = {
 def _build_morphisms():
     out = {}
     for name, a in ATLASES.items():
-        out[f"id_{name}"] = identity_morphism(a, _BOUND)
+        out[f"id_{name}"] = identity_morphism(a, WORD_BOUND)
 
-    out["incl_M_MR"] = inclusion(MIRROR, MIRROR_REF, _BOUND)
-    out["incl_K_KR"] = inclusion(CONE3, CONE3_REF, _BOUND)
+    out["incl_M_MR"] = inclusion(MIRROR, MIRROR_REF, WORD_BOUND)
+    out["incl_K_KR"] = inclusion(CONE3, CONE3_REF, WORD_BOUND)
 
     # the two parallel refinement legs MIRROR_REF -> MIRROR
     out["leg1_MR_M"] = morphism_from_lifts(
-        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": ID1}, _BOUND,
+        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": ID1}, WORD_BOUND,
         certificate=MIRROR_REF)
     out["leg2_MR_M"] = morphism_from_lifts(
-        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": MIRROR_MAP}, _BOUND,
+        MIRROR_REF, MIRROR, {"M": "M", "C2": "M"}, {"M": ID1, "C2": MIRROR_MAP}, WORD_BOUND,
         certificate=MIRROR_REF)
 
     # the nontrivial self-equivalence of MIRROR
     out["flip_M"] = morphism_from_lifts(
-        MIRROR, MIRROR, {"M": "M"}, {"M": MIRROR_MAP}, _BOUND)
+        MIRROR, MIRROR, {"M": "M"}, {"M": MIRROR_MAP}, WORD_BOUND)
 
     # open embedding of the trivial chart into the mirror chart; the orbit
     # of 0 is not in its image
     out["emb_T_M"] = morphism_from_lifts(
-        TRIV, MIRROR, {"T": "M"}, {"T": ID1}, _BOUND)
+        TRIV, MIRROR, {"T": "M"}, {"T": ID1}, WORD_BOUND)
 
     # a strict self-embedding of the trivial atlas
     out["half_T"] = morphism_from_lifts(
-        TRIV, TRIV, {"T": "T"}, {"T": aff1(F(1, 2))}, _BOUND)
+        TRIV, TRIV, {"T": "T"}, {"T": aff1(F(1, 2))}, WORD_BOUND)
 
     # transport of the trivial atlas along x -> x + 5
-    shifted, shift = pushforward(TRIV, aff1(1, 5), _BOUND)
+    shifted, shift = pushforward(TRIV, aff1(1, 5), WORD_BOUND)
     out["shift_T"] = shift
     out["unshift_T"] = morphism_from_lifts(
-        shifted, TRIV, {"T@push": "T"}, {"T@push": aff1(1, -5)}, _BOUND)
+        shifted, TRIV, {"T@push": "T"}, {"T@push": aff1(1, -5)}, WORD_BOUND)
 
     # reflection acting on the refined mirror atlas
     out["flip_MR"] = morphism_from_lifts(
         MIRROR_REF, MIRROR_REF, {"M": "M", "C2": "M"},
-        {"M": MIRROR_MAP, "C2": MIRROR_MAP}, _BOUND)
+        {"M": MIRROR_MAP, "C2": MIRROR_MAP}, WORD_BOUND)
 
     # order-3 self-equivalence of the cone and the two cone legs
-    out["rot_K"] = morphism_from_lifts(CONE3, CONE3, {"K": "K"}, {"K": ROT3}, _BOUND)
+    out["rot_K"] = morphism_from_lifts(CONE3, CONE3, {"K": "K"}, {"K": ROT3}, WORD_BOUND)
     out["rot2_K"] = morphism_from_lifts(
-        CONE3, CONE3, {"K": "K"}, {"K": ROT3.compose(ROT3)}, _BOUND)
+        CONE3, CONE3, {"K": "K"}, {"K": ROT3.compose(ROT3)}, WORD_BOUND)
     out["leg1_KR_K"] = morphism_from_lifts(
-        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ID2}, _BOUND,
+        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ID2}, WORD_BOUND,
         certificate=CONE3_REF)
     out["leg2_KR_K"] = morphism_from_lifts(
-        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ROT3}, _BOUND,
+        CONE3_REF, CONE3, {"K": "K", "C3": "K"}, {"K": ID2, "C3": ROT3}, WORD_BOUND,
         certificate=CONE3_REF)
     return out, shifted
 
@@ -156,11 +152,11 @@ def catalog_2cells():
         "i_id_MIRROR": identity_2cell(m["id_MIRROR"]),
         "i_flip_M": identity_2cell(m["flip_M"]),
         "i_leg1": identity_2cell(m["leg1_MR_M"]),
-        "legs": unique_2cell_open_embeddings(m["leg1_MR_M"], m["leg2_MR_M"], _BOUND),
-        "id_to_flip": unique_2cell_open_embeddings(m["id_MIRROR"], m["flip_M"], _BOUND),
-        "flip_to_id": unique_2cell_open_embeddings(m["flip_M"], m["id_MIRROR"], _BOUND),
-        "klegs": unique_2cell_open_embeddings(m["leg1_KR_K"], m["leg2_KR_K"], _BOUND),
-        "id_to_rot": unique_2cell_open_embeddings(m["id_CONE3"], m["rot_K"], _BOUND),
+        "legs": unique_2cell_open_embeddings(m["leg1_MR_M"], m["leg2_MR_M"], WORD_BOUND),
+        "id_to_flip": unique_2cell_open_embeddings(m["id_MIRROR"], m["flip_M"], WORD_BOUND),
+        "flip_to_id": unique_2cell_open_embeddings(m["flip_M"], m["id_MIRROR"], WORD_BOUND),
+        "klegs": unique_2cell_open_embeddings(m["leg1_KR_K"], m["leg2_KR_K"], WORD_BOUND),
+        "id_to_rot": unique_2cell_open_embeddings(m["id_CONE3"], m["rot_K"], WORD_BOUND),
     }
     return cells
 

@@ -15,7 +15,7 @@ units.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import atlas as atl
 from . import fred as frd
@@ -450,6 +450,7 @@ class Universe:
 
     objects: list          # (name, object)
     cells: list            # (name, 1-cell)
+    undecided: list = field(default_factory=list)  # identities left out
 
     def composable_pairs(self, ops):
         for (n1, f), (n2, g) in itertools.product(self.cells, repeat=2):
@@ -468,13 +469,18 @@ class Universe:
 
 
 def depth2_universe(ops, objects, cells) -> Universe:
-    """Close a cell list under identities and one round of composition."""
+    """Close a cell list under identities and one round of composition.
+    An identity the word bound cannot build is left out and noted."""
     out = list(cells)
     names = {n for n, _ in out}
+    undecided = []
     for n, o in objects:
         key = f"id_{n}"
         if key not in names:
-            out.append((key, ops.id1(o)))
+            try:
+                out.append((key, ops.id1(o)))
+            except UndecidedError as e:
+                undecided.append(f"{key} left out of the universe: {e}")
             names.add(key)
     base = list(out)
     for (n1, f), (n2, g) in itertools.product(base, repeat=2):
@@ -489,7 +495,7 @@ def depth2_universe(ops, objects, cells) -> Universe:
             continue
         out.append((key, comp))
         names.add(key)
-    return Universe(list(objects), out)
+    return Universe(list(objects), out, undecided)
 
 
 # The errors by which a construction says that what it builds does not exist.
@@ -513,9 +519,15 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
     """Check one of the five fraction axioms over the universe; axioms 3 and
     4 are checked by producing and validating constructive witnesses."""
     rep = Report(f"BF{axiom} [{ops.name}]")
+    for note in universe.undecided:
+        rep.note_undecided(note)
     if axiom == 1:
         for n, o in universe.objects:
-            got = ops.is_w(ops.id1(o))
+            try:
+                got = ops.is_w(ops.id1(o))
+            except UndecidedError as e:
+                rep.note_undecided(f"identity of {n} undecided: {e}")
+                continue
             if got is False:
                 rep.fail("BF1", f"identity of {n} is not in W")
             elif got is None:
@@ -570,7 +582,11 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 except UndecidedError as e:
                     rep.note_undecided(f"beta for ({nw}; {n1}, {n2}) undecided: {e}")
                     continue
-                v = ops.id1(ops.src(f1))
+                try:
+                    v = ops.id1(ops.src(f1))
+                except UndecidedError as e:
+                    rep.note_undecided(f"identity for ({nw}; {n1}, {n2}) undecided: {e}")
+                    continue
                 lhs = ops.comp2h(alpha, ops.id2(v))
                 rhs = ops.comp2h(ops.id2(w), beta)
                 if not ops.eq2(lhs, rhs):
@@ -587,7 +603,12 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                     if ops.dst(u0) != ops.src(f1):
                         continue
                     beta2 = ops.comp2h(beta, ops.id2(u0))
-                    u_pr = ops.id1(ops.src(u0))
+                    try:
+                        u_pr = ops.id1(ops.src(u0))
+                    except UndecidedError as e:
+                        rep.note_undecided(f"identity for ({nw}; {n1}, {n2}; {nu}) "
+                                           f"undecided: {e}")
+                        continue
                     zeta = _try_connect(ops, rep, ops.compose1(v, u0),
                                         ops.compose1(u0, u_pr))
                     if zeta is None:

@@ -32,7 +32,7 @@ from .groupoid import (
     is_morita,
 )
 from .memo import memo
-from .reports import ClosureOverflowError, Report
+from .reports import ClosureOverflowError, Report, UndecidedError
 
 
 class UnsupportedGroupoidError(Exception):
@@ -43,13 +43,18 @@ class UnsupportedGroupoidError(Exception):
 @memo(lambda atlas, bound=WORD_BOUND: (atlas, bound))
 def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     """Germ groupoid of an atlas: one object piece per chart, one arrow
-    family per affine map in the pseudogroup closure.  The bound defaults
-    for callers outside the package; the package always passes it."""
+    family per affine map in the pseudogroup closure, undecided when the
+    closure is incomplete.  The bound defaults for callers outside the
+    package; the package always passes it."""
     cl = closure(atlas, bound)
     if cl.overflowed:
         raise ClosureOverflowError(
             "pseudogroup closure exceeded the family cap; the groupoid of "
             "germs was not constructed")
+    if not cl.complete:
+        raise UndecidedError(
+            f"pseudogroup closure incomplete at word bound {bound}; the "
+            f"groupoid of germs was not constructed")
     pieces = {c.cid: c.domain for c in atlas.charts}
     families = []
     for k, (src, dst, m, reg) in enumerate(cl.items()):

@@ -51,8 +51,8 @@ def side_condition_check(c: frc.FractionCell) -> Report:
     other family (the unit families included) joins them only on a proper
     affine subspace; the coarse maps are continuous into a Hausdorff orbit
     space, so the condition holds iff those parts cover U up to measure
-    zero.  A failure's witness is a point of the uncovered rest off every
-    such subspace, where the two orbits are distinct."""
+    zero.  A failure's witness is `gpd.separating_point` of U, where the
+    two orbits are distinct."""
     rep = Report("coarse side condition")
     left = gpd.compose_gpd_morphisms(c.src_span.left, c.left_leg)
     right = gpd.compose_gpd_morphisms(c.dst_span.left, c.right_leg)
@@ -60,54 +60,40 @@ def side_condition_check(c: frc.FractionCell) -> Report:
         (q1, m1), (q2, m2) = left.on_piece(pid), right.on_piece(pid)
         if q1 == q2 and m1 == m2:
             continue
-        rest, others = region, []
-        for f in left.target.families_between(q1, q2):
-            g = f.map.compose(m1)
-            if g == m2:
-                # not covers_witness: seams between the parts are no failure
-                rest = rest.difference(region.preimage_under(m1, f.dom))
-            else:
-                others.append(g)
-        if not rest.is_empty():
-            x = rest.interior_point_off([g.agreement(m2) for g in others])
+        x = gpd.separating_point(region, m1, m2, left.target.families_between(q1, q2))
+        if x is not None:
             rep.fail("SC", "the two leg composites separate an orbit", (pid, x))
             return rep
     return rep
 
 
-# The embedded cells below are built from the layer functions, as
-# `frc.universal_embed` builds them from a bundle: a bundle at the bound of
-# the run needs a factory call with an argument, and the benchmark's traced
-# `equiv-report` replaces the factories with wrappers that take none.
-
-def _embeds(s, psi, ident) -> bool:
-    """Whether the groupoid span s is the embedding of psi, whose source has
-    the identity `ident`."""
-    return (s.middle == psi.source
-            and gpd.equal_gpd_morphisms(s.left, ident)
-            and gpd.equal_gpd_morphisms(s.right, psi))
-
+# The atlas-side embedded cells below are built from the layer functions, as
+# `frc.universal_embed` builds them from a bundle: an atlas bundle at the
+# bound of the run needs a factory call with an argument, and the
+# benchmark's traced `equiv-report` replaces the factories with wrappers that
+# take none.  The groupoid slots used here (`id1`, `eq1`, `id2`, `comp2h`)
+# read no bound.
 
 def commutation_check(m, bound: int) -> bool:
     """U o F = G o U on an embedded 1-cell: the image of the embedded span
     equals the embedding of the image, on the nose."""
+    gops = frc.groupoid_ops()
     lhs = gred(1, frc.Span(m.source, atl.identity_morphism(m.source, bound), m), bound)
-    psi = frd.fred1(m, bound)
-    return _embeds(lhs, psi, gpd.identity_gpd_morphism(psi.source))
+    rhs = frc.universal_embed(gops, frd.fred1(m, bound))
+    return frc.span_equal(gops, lhs, rhs)
 
 
 def commutation_check_2(cell, bound: int) -> bool:
+    gops = frc.groupoid_ops()
     f1, f2 = cell.source_morphism, cell.target_morphism
     i = atl.identity_morphism(f1.source, bound)
     lhs = gred(2, frc.FractionCell(
         frc.Span(f1.source, i, f1), frc.Span(f1.source, i, f2), f1.source, i, i,
         atl.horizontal_compose(cell, atl.identity_2cell(i))), bound)
-    alpha = frd.fred2(cell, bound)
-    j = gpd.identity_gpd_morphism(alpha.source_morphism.source)
-    return (_embeds(lhs.src_span, alpha.source_morphism, j)
-            and _embeds(lhs.dst_span, alpha.target_morphism, j)
-            and gpd.equal_nat_transfs(
-                lhs.base, gpd.horizontal_compose_nt(alpha, gpd.identity_nat_transf(j))))
+    rhs = frc.universal_embed(gops, frd.fred2(cell, bound), level=2)
+    return (frc.span_equal(gops, lhs.src_span, rhs.src_span)
+            and frc.span_equal(gops, lhs.dst_span, rhs.dst_span)
+            and gpd.equal_nat_transfs(lhs.base, rhs.base))
 
 
 # ---------------------------------------------------------------------------

@@ -572,15 +572,33 @@ def is_morita(psi: GroupoidMorphism):
     return rep.ok, rep
 
 
+def separating_point(region, m1, m2, families):
+    """A point of `region` whose images under m1 and m2 lie in different
+    orbits, or None when there is none off a set of measure zero.  The
+    families f with f.map o m1 == m2 identify the two images on the parts
+    m1^-1(f.dom), and any other family joins them only on a line; the point
+    lies in what those parts leave of the region (by `Region.difference`,
+    not `covers_witness`: seams between the parts are no gap), off each
+    such line."""
+    rest, others = region, []
+    for f in families:
+        g = f.map.compose(m1)
+        if g == m2:
+            rest = rest.difference(region.preimage_under(m1, f.dom))
+        else:
+            others.append(g)
+    if rest.is_empty():
+        return None
+    return rest.interior_point_off([g.agreement(m2) for g in others])
+
+
 def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
     """Between two Morita equivalences inducing the same coarse map there is
     exactly one natural transformation; construct it piecewise by matching
     the local section psi2 o psi1^{-1} against the target families.
     Returns (NatTransf, None) or (None, coarse mismatch witness).  The
-    witness is a source point off the parts the matching families cover and
-    off every line where another family joins its two images, so that they
-    lie in different orbits (as in `gred.side_condition_check`); only a gap
-    of measure zero between those parts, which has no such point, is
+    witness is a `separating_point`; only a gap of measure zero between the
+    parts the matching families cover, which has no such point, is
     witnessed by a point of the gap."""
     g, h = psi1.source, psi1.target
     if psi2.source != g or psi2.target != h:
@@ -598,12 +616,7 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
         pulled = [(region.preimage_under(m1, f.dom), f.fid) for f in cands]
         covered = img.covers_witness([f.dom for f in cands])
         if covered is not None:
-            rest = region
-            for r, _ in pulled:
-                rest = rest.difference(r)
-            if rest.is_empty():
-                return None, (pid, m1.inverse()(covered))
-            lines = [f.map.compose(m1).agreement(m2) for f in families if f.map != target_map]
-            return None, (pid, rest.interior_point_off(lines))
+            x = separating_point(region, m1, m2, families)
+            return None, (pid, m1.inverse()(covered) if x is None else x)
         assigns[pid] = tuple((r, fid) for r, fid in pulled if not r.is_empty())
     return NatTransf.make(psi1, psi2, assigns), None
