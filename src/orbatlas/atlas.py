@@ -240,17 +240,25 @@ def _seed_families(atlas: Atlas):
 
 
 @lru_cache(maxsize=None)
-def closure(atlas: Atlas, bound: int, cap: int = FAMILY_CAP) -> Pseudogroup:
+def closure(atlas: Atlas, bound: int) -> Pseudogroup:
     """Bounded pseudogroup closure.  Appending one generating letter at a
     time reaches every word, so stability under a single append pass proves
     the closure is the full pseudogroup (complete=True).
 
-    Most families are unchanged from one round to the next, so each round
-    reuses the steps of earlier ones: preimages, composites and unions are
-    pure functions of their arguments, and a region whose pieces are all
-    pieces of the family already is absorbed without a union (the pieces of
-    a canonical region are pairwise unmergeable, so that union would only
-    drop the duplicates).  The output is the same as without the reuse."""
+    The rounds are semi-naive: `absorb` records the key (src, dst, map) of
+    every family it inserts or enlarges, and the next round steps only the
+    families recorded by the one before, in family order.  This is exact.
+    A family that did not grow re-emits the steps that an earlier round
+    already absorbed, and absorbing a region that a family already holds
+    changes nothing, so the families, their order, `complete`, `overflowed`
+    and the round of the cap check are those of stepping every family in
+    every round.  A round that records nothing proves stability.
+
+    Within one call each step is computed once: preimages, composites and
+    unions are pure functions of their arguments, and a region whose pieces
+    are all pieces of the family already is absorbed without a union (the
+    pieces of a canonical region are pairwise unmergeable, so that union
+    would only drop the duplicates)."""
     seeds = _seed_families(atlas)
     # letters[chart]: the seeds leaving the chart as (dst, m2, d2, lid), where
     # lid numbers the distinct (d2, m2) values
@@ -262,15 +270,16 @@ def closure(atlas: Atlas, bound: int, cap: int = FAMILY_CAP) -> Pseudogroup:
     steps = {}   # (d1, m1) -> {lid: (d1.preimage_under(m1, d2), m2.compose(m1))}
     unions = {}  # (cur, region) -> their union, or False when it is cur
     fams = {}
+    grown = set()  # keys (src, dst, m) inserted or enlarged since the last round
 
     def absorb(src, dst, m, region):
         by_map = fams.setdefault((src, dst), {})
         cur = by_map.get(m)
         if cur is None:
-            if region.is_empty():
-                return False
-            by_map[m] = region
-            return True
+            if not region.is_empty():
+                by_map[m] = region
+                grown.add((src, dst, m))
+            return
         key = (cur, region)
         new = unions.get(key)
         if new is None:
@@ -281,20 +290,20 @@ def closure(atlas: Atlas, bound: int, cap: int = FAMILY_CAP) -> Pseudogroup:
                 if new == cur:
                     new = False
             unions[key] = new
-        if new is False:
-            return False
-        by_map[m] = new
-        return True
+        if new is not False:
+            by_map[m] = new
+            grown.add((src, dst, m))
 
     for s in seeds:
         absorb(*s)
     complete = False
     overflowed = False
     for _ in range(bound):
-        changed = False
         snapshot = [(src, dst, m, reg)
                     for (src, dst), by_map in fams.items()
-                    for m, reg in by_map.items()]
+                    for m, reg in by_map.items()
+                    if (src, dst, m) in grown]
+        grown.clear()
         for (src, mid, m1, d1) in snapshot:
             row = steps.setdefault((d1, m1), {})
             for (dst, m2, d2, lid) in letters.get(mid, ()):
@@ -304,12 +313,12 @@ def closure(atlas: Atlas, bound: int, cap: int = FAMILY_CAP) -> Pseudogroup:
                 dom, m21 = step
                 if dom.is_empty():
                     continue
-                changed |= absorb(src, dst, m21, dom)
+                absorb(src, dst, m21, dom)
         total = sum(len(v) for v in fams.values())
-        if total > cap:
+        if total > FAMILY_CAP:
             overflowed = True
             break
-        if not changed:
+        if not grown:
             complete = True
             break
     return Pseudogroup(fams, complete, overflowed)

@@ -613,7 +613,7 @@ def cmd_equiv_report(args):
     out = rep.to_json()
     out["kind"] = "report"
     print(json.dumps(out, indent=1, sort_keys=True, default=str))
-    return 0 if rep.ok else 1
+    return 1 if not rep.ok else 0 if rep.decided else 2
 
 
 class _Parser(argparse.ArgumentParser):

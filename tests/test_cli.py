@@ -10,6 +10,7 @@ from orbatlas import atlas as atl
 from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
+from orbatlas import gred as grd
 from orbatlas import memo
 from orbatlas.atlas import WORD_BOUND
 from orbatlas.fixtures import MIRROR, MIRROR_REF, MORPHISMS, catalog_2cells
@@ -151,6 +152,7 @@ def test_equiv_report_command(capsys):
     assert cli.run(["equiv-report"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True and out["kind"] == "report"
+    assert not any(ax["undecided"] for ax in out["axioms"].values())
 
 
 def test_compose_cells_command(tmp_path, capsys):
@@ -473,6 +475,29 @@ def test_bf_check_at_bound_zero_has_no_failure(capsys, instance, axiom):
     out = json.loads(capsys.readouterr().out)
     assert not out.get("violations") and out["undecided"]
     assert out["ok"] is (instance == "atlas")
+
+
+def test_equiv_report_exits_2_on_an_undecided_note(capsys, monkeypatch):
+    """A report with no violation but an undecided note exits 2.  Every
+    classification of the catalog is decided, so A2's verdict on the second
+    leg of the `legs` span is stubbed, as in `tests/test_gred.py`."""
+    classify, check_a2 = atl.classify_morphism, grd._check_a2
+    calls = []
+
+    def stub(m, bound):
+        calls.append(m)
+        return atl.Classification("undecided") if len(calls) == 2 else classify(m, bound)
+
+    def a2(catalog, bound):
+        with monkeypatch.context() as mp:
+            mp.setattr(atl, "classify_morphism", stub)
+            return check_a2(catalog, bound)
+    monkeypatch.setattr(grd, "_check_a2", a2)
+    assert cli.run(["equiv-report"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True
+    assert [u for ax in out["axioms"].values() for u in ax["undecided"]] == [
+        "legs: the second connecting arrow is undecided at this bound"]
 
 
 def test_equiv_report_at_bound_zero_is_undecided(capsys):
