@@ -21,12 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .geometry import (
-    AffineMap,
-    PartialAffineIso,
-    Region,
-    distinct_points,
-)
+from .geometry import AffineMap, PartialAffineIso, Region
 from .memo import cached_hash, memo
 from .reports import (
     ComposabilityError,
@@ -493,12 +488,6 @@ class Morphism:
                 tuple(e.key() for e in self.entries))
 
 
-def _lift_image(m: Morphism, cid: str, region: Region) -> Region:
-    """Image of a region in a source chart under the lift; exact for
-    invertible lifts, which is the only case the callers rely on."""
-    return region.image(m.lift(cid))
-
-
 def validate_morphism(m: Morphism, bound: int) -> Report:
     rep = Report("morphism")
     src, tgt = m.source, m.target
@@ -521,15 +510,9 @@ def validate_morphism(m: Morphism, bound: int) -> Report:
         if L.dim != src.dim:
             rep.fail("M3", f"lift at {i} has wrong dimension")
             continue
-        if L.is_invertible():
-            if not dom_i.image(L).covers([dom_j]):
-                rep.fail("M3", f"lift at {i} leaves the target chart",
-                         dom_i.interior_point())
-        else:
-            for p in distinct_points(dom_i, 8):
-                if not dom_j.contains_point(L(p)):
-                    rep.fail("M3", f"lift at {i} leaves the target chart", p)
-                    break
+        w = dom_i.escape_witness(L, dom_j)
+        if w is not None:
+            rep.fail("M3", f"lift at {i} leaves the target chart", w)
 
     scl = closure(src, bound)
     tcl = closure(tgt, bound)
@@ -554,12 +537,12 @@ def validate_morphism(m: Morphism, bound: int) -> Report:
             w = e.change.dom.interior_point()
             rep.fail("M5c", "lift does not intertwine the change with its image", w)
         # (M5a)/(M5b) domain and codomain containments
-        if L.is_invertible():
-            if not _lift_image(m, i, e.change.dom).covers([e.nu.dom]):
-                rep.fail("M5a", "image of the change domain escapes the assigned domain")
-        if Lp.is_invertible():
-            if not _lift_image(m, ip, e.change.cod).covers([e.nu.cod]):
-                rep.fail("M5b", "image of the change codomain escapes the assigned codomain")
+        w = e.change.dom.escape_witness(L, e.nu.dom)
+        if w is not None:
+            rep.fail("M5a", "image of the change domain escapes the assigned domain", w)
+        w = e.change.cod.escape_witness(Lp, e.nu.cod)
+        if w is not None:
+            rep.fail("M5b", "image of the change codomain escapes the assigned codomain", w)
 
     # (M4): the entries reproduce every germ of the source pseudogroup
     for i, ip, mm, reg in scl.items():
@@ -983,13 +966,17 @@ def validate_2cell(c: TwoCell, bound: int) -> Report:
                 rep.fail("2Mb", "patch change not certified by the target pseudogroup",
                          ch.map)
             # (2Mb) image containments
-            if L1.is_invertible() and not region.image(L1).covers([ch.dom]):
-                rep.fail("2Mb", f"first lift image escapes the patch domain at {i}")
-            if L2.is_invertible() and not region.image(L2).covers([ch.cod]):
-                rep.fail("2Mb", f"second lift image escapes the patch codomain at {i}")
-            # (2Mc) the patch change carries the first lift to the second
-            if L2 != ch.map.compose(L1):
-                w = _value_witness(region, L2, ch.map.compose(L1))
+            w = region.escape_witness(L1, ch.dom)
+            if w is not None:
+                rep.fail("2Mb", f"first lift image escapes the patch domain at {i}", w)
+            w = region.escape_witness(L2, ch.cod)
+            if w is not None:
+                rep.fail("2Mb", f"second lift image escapes the patch codomain at {i}", w)
+            # (2Mc) the patch change carries the first lift to the second; the
+            # witness is off the line where the two maps may still agree
+            moved = ch.map.compose(L1)
+            if L2 != moved:
+                w = region.interior_point_off([L2.agreement(moved)])
                 rep.fail("2Mc", "patch change does not relate the two lifts", w)
         # (2Md) overlapping patches agree as germs
         for (r1, c1), (r2, c2) in itertools.combinations(items, 2):
@@ -1022,24 +1009,6 @@ def validate_2cell(c: TwoCell, bound: int) -> Report:
                     rep.fail("2Me", "patch germs do not intertwine the two assignments",
                              w.interior_point())
     return rep
-
-
-def _value_witness(region: Region, m1: AffineMap, m2: AffineMap):
-    """A rational point of the region where two unequal affine maps take
-    different values (they may agree at symmetric points such as the
-    centroid, so midpoints towards each vertex are probed next)."""
-    c = region.interior_point()
-    candidates = [c]
-    for piece in region.pieces:
-        for v in sorted(piece.vertices(), reverse=True):
-            candidates.append(tuple((ci + vi) / 2 for ci, vi in zip(c, v)))
-    for p in candidates:
-        if region.contains_point(p) and m1(p) != m2(p):
-            return p
-    for p in distinct_points(region, 12):
-        if m1(p) != m2(p):
-            return p
-    return c
 
 
 def equal_2cells(a: TwoCell, b: TwoCell) -> bool:
@@ -1253,8 +1222,7 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
         for r, ch in cell.patches_at(i):
             d_map = v.lift(j2).inverse().compose(ch.map).compose(v.lift(j1))
             fam = tcl.region(j1, j2, d_map)
-            img = r.image(x.lift(i)) if x.lift(i).is_invertible() else None
-            if fam is None or (img is not None and not img.covers([fam])):
+            if fam is None or r.escape_witness(x.lift(i), fam) is not None:
                 if not tcl.complete:
                     raise UndecidedError(
                         f"cannot certify the cancelled germ at chart {i}")

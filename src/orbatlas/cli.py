@@ -350,30 +350,23 @@ def parse_fraction_cell(doc, path=""):
 
 
 KINDS = {
-    "region": (region_doc, parse_region),
-    "chart": (chart_doc, parse_chart),
-    "change": (change_doc, parse_change),
-    "atlas": (atlas_doc, parse_atlas),
-    "morphism": (morphism_doc, parse_morphism),
-    "2cell": (twocell_doc, parse_twocell),
-    "groupoid": (groupoid_doc, parse_groupoid),
-    "gpd_morphism": (gpd_morphism_doc, parse_gpd_morphism),
-    "nat_transf": (nat_transf_doc, parse_nat_transf),
-    "span": (span_doc, parse_span),
-    "fraction_cell": (fraction_cell_doc, parse_fraction_cell),
+    "region": (Region, region_doc, parse_region),
+    "chart": (atl.Chart, chart_doc, parse_chart),
+    "change": (atl.ChangeOfCharts, change_doc, parse_change),
+    "atlas": (atl.Atlas, atlas_doc, parse_atlas),
+    "morphism": (atl.Morphism, morphism_doc, parse_morphism),
+    "2cell": (atl.TwoCell, twocell_doc, parse_twocell),
+    "groupoid": (gpd.PresentedGroupoid, groupoid_doc, parse_groupoid),
+    "gpd_morphism": (gpd.GroupoidMorphism, gpd_morphism_doc, parse_gpd_morphism),
+    "nat_transf": (gpd.NatTransf, nat_transf_doc, parse_nat_transf),
+    "span": (frc.Span, span_doc, parse_span),
+    "fraction_cell": (frc.FractionCell, fraction_cell_doc, parse_fraction_cell),
 }
 
 
 def serialize(value) -> dict:
-    for kind, (enc, _) in KINDS.items():
-        ok = {
-            "region": Region, "chart": atl.Chart, "change": atl.ChangeOfCharts,
-            "atlas": atl.Atlas, "morphism": atl.Morphism, "2cell": atl.TwoCell,
-            "groupoid": gpd.PresentedGroupoid,
-            "gpd_morphism": gpd.GroupoidMorphism, "nat_transf": gpd.NatTransf,
-            "span": frc.Span, "fraction_cell": frc.FractionCell,
-        }[kind]
-        if isinstance(value, ok):
+    for cls, enc, _ in KINDS.values():
+        if isinstance(value, cls):
             return enc(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -382,7 +375,7 @@ def parse(doc):
     kind = _need(doc, "kind", "")
     if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError("/kind", f"unknown kind {kind!r}")
-    return KINDS[kind][1](doc, "")
+    return KINDS[kind][2](doc, "")
 
 
 def dumps(value) -> str:
@@ -612,8 +605,7 @@ def cmd_equiv_report(args):
     rep = grd.equivalence_report(fx.acceptance_catalog(args.bound), args.bound)
     out = rep.to_json()
     out["kind"] = "report"
-    print(json.dumps(out, indent=1, sort_keys=True, default=str))
-    return 1 if not rep.ok else 0 if rep.decided else 2
+    return _emit(out, _report_code(rep))
 
 
 class _Parser(argparse.ArgumentParser):

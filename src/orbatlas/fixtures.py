@@ -180,7 +180,6 @@ def groupoid_catalog(bound: int):
 def acceptance_catalog(bound: int):
     """The instance data the equivalence criteria are checked over, imaged
     at word bound `bound`."""
-    from .atlas import TwoCell
     from .fred import fred1
     from .groupoid import find_unique_nat_transf, identity_gpd_morphism
 
@@ -194,9 +193,9 @@ def acceptance_catalog(bound: int):
 
     # a structurally well-formed but axiom-violating patch family; its image
     # disagrees with the identity cell, so the A4 precondition fails
+    whole = Region.interval(-1, 1)
     bogus = TwoCell.make(m["id_MIRROR"], m["id_MIRROR"], {
-        "M": [(Region.interval(-1, 1),
-               _change("M", "M", MIRROR_MAP, Region.interval(-1, 1)))]})
+        "M": [(whole, ChangeOfCharts("M", "M", PartialAffineIso(MIRROR_MAP, whole)))]})
 
     nt_flip_whisk, _ = find_unique_nat_transf(
         _cg(fred1(m["id_MIRROR"], bound), f_leg1), _cg(fred1(m["flip_M"], bound), f_leg1))
@@ -229,11 +228,6 @@ def acceptance_catalog(bound: int):
         "morphisms": sorted(MORPHISMS.items()),
         "cells": sorted(cells.items()),
     }
-
-
-def _change(src, dst, mp, dom):
-    from .atlas import ChangeOfCharts
-    return ChangeOfCharts(src, dst, PartialAffineIso(mp, dom))
 
 
 def _cg(b, a):

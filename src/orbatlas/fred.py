@@ -29,10 +29,11 @@ from .groupoid import (
     GroupoidMorphism,
     NatTransf,
     PresentedGroupoid,
+    identity_gpd_morphism,
     is_morita,
 )
 from .memo import memo
-from .reports import ClosureOverflowError, Report, UndecidedError
+from .reports import Report, UndecidedError
 
 
 class UnsupportedGroupoidError(Exception):
@@ -48,7 +49,7 @@ def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     package; the package always passes it."""
     cl = closure(atlas, bound)
     if cl.overflowed:
-        raise ClosureOverflowError(
+        raise UndecidedError(
             "pseudogroup closure exceeded the family cap; the groupoid of "
             "germs was not constructed")
     if not cl.complete:
@@ -161,7 +162,6 @@ def atlas_from_groupoid(g: PresentedGroupoid, bound: int):
         if again != g:
             raise UnsupportedGroupoidError(
                 "annotation atlas does not present this groupoid")
-        from .groupoid import identity_gpd_morphism
         return note, identity_gpd_morphism(g)
     if isinstance(note, tuple) and note and all(
             isinstance(t, tuple) and len(t) == 2 for t in note):

@@ -884,6 +884,11 @@ class Region:
                     out.append(cur)
         return self._of(out)
 
+    def escape_witness(self, m: AffineMap, target: "Region"):
+        """None when `m` carries self into `target`, else a rational point of
+        self that `m` sends outside `target`; exact for arbitrary affine m."""
+        return self.covers_witness([self.preimage_under(m, target)])
+
     def covers(self, parts) -> bool:
         return self.covers_witness(parts) is None
 
@@ -954,28 +959,6 @@ class Region:
             if h is not None:
                 piece = piece.clip(h) or piece.clip(tuple(-e for e in h))
         return piece.interior_point()
-
-
-def distinct_points(region: Region, count: int) -> list:
-    """Deterministic list of up to `count` distinct rational points in the
-    region: piece centroids, then midpoints towards each vertex."""
-    pts = []
-    seen = set()
-    queue = []
-    for piece in region.pieces:
-        c = piece.interior_point()
-        queue.append(c)
-        for v in piece.vertices():
-            # stay strictly inside: step 1/3 of the way towards the vertex
-            queue.append(tuple(ci + (vi - ci) / 3 for ci, vi in zip(c, v)))
-            queue.append(tuple(ci + (vi - ci) * 2 / 3 for ci, vi in zip(c, v)))
-    for p in queue:
-        if p not in seen and region.contains_point(p):
-            pts.append(p)
-            seen.add(p)
-        if len(pts) >= count:
-            break
-    return pts
 
 
 # ---------------------------------------------------------------------------

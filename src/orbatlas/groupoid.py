@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .geometry import AffineMap, PartialAffineIso, Region
+from .geometry import AffineMap, Germ, PartialAffineIso, Region
 from .memo import cached_hash
 from .reports import ComposabilityError, Report
 
@@ -154,7 +154,6 @@ def kappa(g: PresentedGroupoid, x0, x0p, arrow):
         raise ValueError("arrow does not start at the first point")
     if fam.map(base) != tuple(x0p):
         raise ValueError("arrow does not end at the second point")
-    from .geometry import Germ
     return Germ(base, fam.map)
 
 
@@ -288,14 +287,9 @@ def validate_gpd_morphism(psi: GroupoidMorphism) -> Report:
         rep.fail("GM0", "object/family maps not total")
         return rep
     for p, (q, m) in om.items():
-        if m.is_invertible():
-            if not g.piece(p).image(m).covers([h.piece(q)]):
-                rep.fail("GM1", f"object map leaves the target piece at {p}")
-        else:
-            for x in _probe_points(g.piece(p)):
-                if not h.piece(q).contains_point(m(x)):
-                    rep.fail("GM1", f"object map leaves the target piece at {p}", x)
-                    break
+        w = g.piece(p).escape_witness(m, h.piece(q))
+        if w is not None:
+            rep.fail("GM1", f"object map leaves the target piece at {p}", w)
     for f in g.families:
         t = h.family(fm[f.fid])
         qs, ms = om[f.src]
@@ -308,8 +302,9 @@ def validate_gpd_morphism(psi: GroupoidMorphism) -> Report:
         if t.map.compose(ms) != mt.compose(f.map):
             rep.fail("GM2", f"family image does not intertwine the object maps "
                             f"({f.fid})")
-        if ms.is_invertible() and not f.dom.image(ms).covers([t.dom]):
-            rep.fail("GM2", f"family image domain escapes the target family ({f.fid})")
+        w = f.dom.escape_witness(ms, t.dom)
+        if w is not None:
+            rep.fail("GM2", f"family image domain escapes the target family ({f.fid})", w)
     # multiplicativity and units on the family level
     for f1, f2 in itertools.product(g.families, repeat=2):
         if f1.dst != f2.src:
@@ -332,11 +327,6 @@ def validate_gpd_morphism(psi: GroupoidMorphism) -> Report:
             if not h.family(fm[f.fid]).map.is_identity():
                 rep.fail("GM4", f"unit family {f.fid} not sent to a unit")
     return rep
-
-
-def _probe_points(region: Region, count: int = 8):
-    from .geometry import distinct_points
-    return distinct_points(region, count)
 
 
 @cached_hash
@@ -396,8 +386,9 @@ def validate_nat_transf(alpha: NatTransf) -> Report:
             if fam.map.compose(m1) != m2:
                 rep.fail("NT1", "assigned arrows do not end at the second "
                                 "morphism's image", r.interior_point())
-            if m1.is_invertible() and not r.image(m1).covers([fam.dom]):
-                rep.fail("NT1", f"assigned family domain too small at {pid}")
+            w = r.escape_witness(m1, fam.dom)
+            if w is not None:
+                rep.fail("NT1", f"assigned family domain too small at {pid}", w)
         # germ consistency on overlaps
         for (r1, f1), (r2, f2) in itertools.combinations(items, 2):
             if not r1.intersect(r2).is_empty():
@@ -497,18 +488,15 @@ def horizontal_compose_nt(xi: NatTransf, delta: NatTransf) -> NatTransf:
     assigns = {}
     for pid, _ in f1.source.pieces:
         out = []
-        q1, m1 = f1.on_piece(pid)
+        q2, m2 = f2.on_piece(pid)
         for r1, fid1 in delta.at(pid):
             # push the delta arrow through g1
             t1 = hz.family(g1.on_family(fid1))
-            for r2, fid2 in xi.at(f2.on_piece(pid)[0]):
+            for r2, fid2 in xi.at(q2):
                 # xi assignment at the image piece of f2
                 m = hz.family(fid2).map.compose(t1.map)
-                r = r1
-                if m1.is_invertible():
-                    # restrict to where the f2-image lies in the xi patch
-                    q2, m2 = f2.on_piece(pid)
-                    r = r.preimage_under(m2, r2)
+                # restrict to where the f2-image lies in the xi patch
+                r = r1.preimage_under(m2, r2)
                 if r.is_empty():
                     continue
                 pa, pm = left.on_piece(pid)

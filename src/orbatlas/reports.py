@@ -101,7 +101,3 @@ class UndecidedError(Exception):
 
 class ComposabilityError(Exception):
     pass
-
-
-class ClosureOverflowError(Exception):
-    """The bounded pseudogroup closure exceeded the configured family cap."""

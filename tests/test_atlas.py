@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbatlas import cli
 from orbatlas.atlas import (
     Atlas,
     ChangeOfCharts,
     Chart,
     Morphism,
+    PEntry,
     TwoCell,
     WORD_BOUND,
     classify_morphism,
@@ -43,7 +45,9 @@ from orbatlas.fixtures import (
     TRIV,
     catalog_2cells,
 )
-from orbatlas.geometry import AffineMap, Region, aff1
+from orbatlas.fred import fred1
+from orbatlas.geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
+from orbatlas.groupoid import validate_gpd_morphism
 
 M = MORPHISMS
 ID1 = AffineMap.identity(1)
@@ -312,6 +316,53 @@ def test_merge_atlases_conflicts():
     assert merge_atlases(MIRROR, MIRROR_REF) is not None
     other = Atlas.make([Chart.make("M", Region.interval(0, 1), [ID1])])
     assert merge_atlases(MIRROR, other) is None
+
+
+# -- lifts that are not open embeddings ----------------------------------------
+
+_TRI = Region.polygon([(1, 0), (0, 1), (-1, -1)])
+_SQUARE = Region.polygon([(F(-3, 4), -1), (F(3, 4), -1), (F(3, 4), 1), (F(-3, 4), 1)])
+
+
+def _lifted(src_region, tgt_region, lift):
+    """The one-chart atlases on the two regions, trivial groups, and the
+    morphism with the given lift and the identity assignment."""
+    idn = AffineMap.identity(src_region.dim)
+    src = Atlas.make([Chart.make("A", src_region, [idn])])
+    tgt = Atlas.make([Chart.make("B", tgt_region, [idn])])
+    entry = PEntry(ChangeOfCharts("A", "A", PartialAffineIso(idn, src_region)),
+                   ChangeOfCharts("B", "B", PartialAffineIso(idn, tgt_region)))
+    return Morphism.make(src, tgt, {"A": "B"}, {"A": lift}, [entry])
+
+
+@pytest.mark.parametrize("lift, escapes", [
+    (aff2([[1, 0], [0, 0]]), True),            # rank 1: (x, y) -> (x, 0)
+    (aff2([[0, 0], [0, 0]]), False),           # rank 0, inside the square
+    (aff2([[0, 0], [0, 0]], (1, 0)), True),    # rank 0, outside the square
+], ids=["rank1", "rank0-inside", "rank0-outside"])
+def test_non_etale_lift_containment_is_exact(tmp_path, capsys, lift, escapes):
+    m = _lifted(_TRI, _SQUARE, lift)
+    p = tmp_path / "m.json"
+    p.write_text(cli.dumps(m))
+    assert cli.run(["validate", str(p)]) == (1 if escapes else 0)
+    capsys.readouterr()
+    for rep, codes in [(validate_morphism(m, WORD_BOUND), {"M3", "M5a"}),
+                       (validate_gpd_morphism(fred1(m)), {"GM1", "GM2"})]:
+        assert rep.ok is not escapes and rep.decided
+        if escapes:
+            assert codes <= {v.code for v in rep.violations}
+        for v in rep.violations:
+            assert _TRI.contains_point(v.witness)
+            assert not _SQUARE.contains_point(lift(v.witness))
+
+
+def test_etale_m3_witness_escapes():
+    m = _lifted(Region.interval(0, 1), Region.interval(0, F(3, 4)), ID1)
+    rep = validate_morphism(m, WORD_BOUND)
+    w = rep.first().witness
+    assert rep.first().code == "M3"
+    assert Region.interval(0, 1).contains_point(w)
+    assert not Region.interval(0, F(3, 4)).contains_point(w)
 
 
 # -- algebraic laws over sampled catalog cells ---------------------------------

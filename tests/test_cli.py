@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +15,7 @@ from orbatlas import gred as grd
 from orbatlas import memo
 from orbatlas.atlas import WORD_BOUND
 from orbatlas.fixtures import MIRROR, MIRROR_REF, MORPHISMS, catalog_2cells
+from orbatlas.geometry import AffineMap, Region, aff1
 
 M = MORPHISMS
 
@@ -138,6 +140,20 @@ def test_undecided_exit_code(tmp_path, capsys):
     p = write(tmp_path, "leg.json", M["leg1_MR_M"])
     assert cli.run(["--bound", "0", "validate", p]) == 2
     capsys.readouterr()
+
+
+def test_overflowed_closure_is_undecided(tmp_path, capsys):
+    # the shifts x + 1/p generate more than FAMILY_CAP families on (0, 1000)
+    idn = AffineMap.identity(1)
+    a = atl.Atlas.make(
+        [atl.Chart.make("T", Region.interval(0, 1000), [idn])],
+        [atl.ChangeOfCharts.make("T", "T", aff1(1, F(1, p)), Region.interval(0, 1000 - F(1, p)))
+         for p in (2, 3, 5, 7, 11, 13)])
+    assert atl.closure(a, WORD_BOUND).overflowed
+    path = write(tmp_path, "a.json", a)
+    for argv in (["validate", path], ["fred", "0", path]):
+        assert cli.run(argv) == 2
+        assert json.loads(capsys.readouterr().out)["undecided"]
 
 
 def test_bf_check_command(capsys):

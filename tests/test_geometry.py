@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbatlas.fixtures import ATLASES
 from orbatlas.geometry import (
+    AffineMap,
     EmptyRegionError,
     NonInvertibleMapError,
     PartialAffineIso,
@@ -266,3 +268,31 @@ def test_triangle_image_preimage_roundtrip(a):
     assert img.image(m.inverse()) == a
     back = img.preimage_under(m.inverse(), a)
     assert back.same_set(img)
+
+
+_DOMAINS = [c.domain for a in ATLASES.values() for c in a.charts]
+_coeffs = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+
+
+@st.composite
+def containments(draw):
+    """A catalog chart domain, an invertible rational map and a catalog chart
+    domain of the same dimension."""
+    src = draw(st.sampled_from(_DOMAINS))
+    tgt = draw(st.sampled_from([d for d in _DOMAINS if d.dim == src.dim]))
+    n = src.dim
+    c = draw(st.lists(_coeffs, min_size=n * n, max_size=n * n))
+    m = AffineMap.make([c[i * n:(i + 1) * n] for i in range(n)],
+                       draw(st.lists(_coeffs, min_size=n, max_size=n)))
+    assume(m.is_invertible())
+    return src, m, tgt
+
+
+@settings(max_examples=150, deadline=None)
+@given(containments())
+def test_escape_witness_agrees_with_the_image_for_invertible_maps(case):
+    src, m, tgt = case
+    w = src.escape_witness(m, tgt)
+    assert (w is None) == src.image(m).covers([tgt])
+    if w is not None:
+        assert src.contains_point(w) and not tgt.contains_point(m(w))

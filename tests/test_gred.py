@@ -17,10 +17,32 @@ from orbatlas.fixtures import (
     acceptance_catalog,
     catalog_2cells,
 )
-from orbatlas.geometry import aff1, aff2, distinct_points
+from orbatlas.geometry import Region, aff1, aff2
 from orbatlas.reports import ValidationFailure
 
 M = MORPHISMS
+
+
+def distinct_points(region: Region, count: int) -> list:
+    """Deterministic list of up to `count` distinct rational points in the
+    region: piece centroids, then midpoints towards each vertex."""
+    pts = []
+    seen = set()
+    queue = []
+    for piece in region.pieces:
+        c = piece.interior_point()
+        queue.append(c)
+        for v in piece.vertices():
+            # stay strictly inside: step 1/3 of the way towards the vertex
+            queue.append(tuple(ci + (vi - ci) / 3 for ci, vi in zip(c, v)))
+            queue.append(tuple(ci + (vi - ci) * 2 / 3 for ci, vi in zip(c, v)))
+    for p in queue:
+        if p not in seen and region.contains_point(p):
+            pts.append(p)
+            seen.add(p)
+        if len(pts) >= count:
+            break
+    return pts
 
 
 @pytest.fixture(scope="module")
