@@ -23,11 +23,7 @@ from functools import lru_cache
 
 from .geometry import AffineMap, PartialAffineIso, Region
 from .memo import cached_hash, memo
-from .reports import (
-    ComposabilityError,
-    Report,
-    UndecidedError,
-)
+from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError
 
 # The default word bound.  Everything that reaches `closure` takes the bound
 # as an argument; the CLI's --bound, the two ops factories of `fractions`,
@@ -1160,9 +1156,10 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
                 continue
             kept.append(cand)
             covered.append(comp)
-        if not c.domain.covers(covered):
-            raise ComposabilityError(
-                f"the W-arrow does not reach every orbit over chart {c.cid}")
+        x = c.domain.covers_witness(covered)
+        if x is not None:
+            raise NoSuchCellError(
+                f"the W-arrow does not reach every orbit over chart {c.cid}", (c.cid, x))
         for (cid, acid, mm, dom, lift_fp, comp) in kept:
             did = f"{cid}|{acid}|{tok}{len(charts)}"
             group = [g for g in c.group if comp.image(g).same_set(comp)]
@@ -1222,11 +1219,12 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
         for r, ch in cell.patches_at(i):
             d_map = v.lift(j2).inverse().compose(ch.map).compose(v.lift(j1))
             fam = tcl.region(j1, j2, d_map)
-            if fam is None or r.escape_witness(x.lift(i), fam) is not None:
+            w = r.interior_point() if fam is None else r.escape_witness(x.lift(i), fam)
+            if w is not None:
                 if not tcl.complete:
                     raise UndecidedError(
                         f"cannot certify the cancelled germ at chart {i}")
-                raise ValueError(f"no cancelled germ exists at chart {i}")
+                raise NoSuchCellError(f"no cancelled germ exists at chart {i}", (i, w))
             out.append((r, ChangeOfCharts(j1, j2, PartialAffineIso(d_map, fam))))
         patches[i] = out
     return TwoCell.make(x, y, patches)
@@ -1247,15 +1245,14 @@ def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
     for i in w1.source.chart_ids():
         d_map = w2.lift(i).compose(w1.lift(i).inverse())
         j1, j2 = w1.chart_image(i), w2.chart_image(i)
-        img = w1.source.chart(i).domain.image(w1.lift(i))
-        got = tcl.covered(j1, j2, d_map, img)
-        if got is True:
-            patches[i] = [(w1.source.chart(i).domain,
-                           ChangeOfCharts(j1, j2,
-                                          PartialAffineIso(d_map, tcl.region(j1, j2, d_map))))]
-        elif got is None:
+        dom, fam = w1.source.chart(i).domain, tcl.region(j1, j2, d_map)
+        x = dom.interior_point() if fam is None else dom.escape_witness(w1.lift(i), fam)
+        if x is None:
+            patches[i] = [(dom, ChangeOfCharts(j1, j2, PartialAffineIso(d_map, fam)))]
+        elif not tcl.complete:
             raise UndecidedError(f"no certified connecting germ found at chart {i} "
                                  f"within the word bound")
         else:
-            raise ValueError(f"the base maps differ: no 2-cell exists (chart {i})")
+            raise NoSuchCellError(f"the base maps differ: no 2-cell exists (chart {i})",
+                                  (i, x))
     return TwoCell.make(w1, w2, patches)

@@ -5,7 +5,8 @@ Documents carry a top-level "kind"; rationals are strings "p/q" in lowest
 terms with positive denominator; all lists are in canonical sorted order,
 so parse(serialize(x)) == x bit-exactly.  Exit codes: 0 pass, 1 semantic
 failure (witness in the report), 2 undecided at the word bound, 3 schema
-error.
+error.  A proof that a cell does not exist and non-composable input are
+semantic failures; a document of the wrong kind is a schema error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import fred as frd
 from . import gred as grd
 from . import groupoid as gpd
 from .geometry import AffineMap, GeometryError, Interval, PartialAffineIso, Polygon, Region
-from .reports import Report, UndecidedError
+from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError, _wjson
 
 
 class SchemaError(Exception):
@@ -403,6 +404,15 @@ def loads(text: str):
     return parse(_json(text))
 
 
+def _load(path, kind):
+    """The value of the document at `path`, which must be of `kind`; another
+    kind is a schema error at /kind."""
+    value = loads(_read(path))
+    if not isinstance(value, KINDS[kind][0]):
+        raise SchemaError("/kind", f"expected a {kind} document")
+    return value
+
+
 # -- choice table persistence -------------------------------------------------
 
 def _pair_hash(fdoc, wdoc) -> str:
@@ -509,29 +519,31 @@ def cmd_validate(args):
 
 
 def cmd_compose(args):
-    a = loads(_read(args.first))
-    b = loads(_read(args.second))
-    if args.mode == "morphism":
-        out = atl.compose_morphisms(b, a)
-    elif args.mode == "vertical":
-        out = atl.vertical_compose(b, a)
-    elif args.mode == "horizontal":
-        out = atl.horizontal_compose(b, a)
-    else:
-        raise SchemaError("/mode", f"unknown mode {args.mode}")
+    kind = "morphism" if args.mode == "morphism" else "2cell"
+    a, b = _load(args.first, kind), _load(args.second, kind)
+    try:
+        if args.mode == "morphism":
+            out = atl.compose_morphisms(b, a)
+        elif args.mode == "vertical":
+            out = atl.vertical_compose(b, a)
+        else:
+            out = atl.horizontal_compose(b, a)
+    except ComposabilityError as e:
+        return _emit({"kind": "report", "subject": "composition", "ok": False,
+                      "not_composable": str(e)}, 1)
     print(dumps(out))
     return 0
 
 
 def cmd_fred(args):
-    value = loads(_read(args.file))
+    value = _load(args.file, ("atlas", "morphism", "2cell")[args.level])
     out = [frd.fred0, frd.fred1, frd.fred2][args.level](value, args.bound)
     print(dumps(out))
     return 0
 
 
 def cmd_morita(args):
-    psi = loads(_read(args.file))
+    psi = _load(args.file, "gpd_morphism")
     ok, rep = gpd.is_morita(psi)
     out = rep.to_json()
     out["kind"] = "report"
@@ -540,7 +552,7 @@ def cmd_morita(args):
 
 
 def cmd_classify(args):
-    m = loads(_read(args.file))
+    m = _load(args.file, "morphism")
     cls = atl.classify_morphism(m, args.bound)
     out = {"kind": "report", "subject": "classification", "class": cls.label,
            "notes": list(cls.notes), "ok": cls.label != "undecided"}
@@ -574,8 +586,7 @@ def cmd_bf_check(args):
 
 def cmd_localize_compose(args):
     ops = frc.atlas_ops(args.bound)
-    s1 = loads(_read(args.first))
-    s2 = loads(_read(args.second))
+    s1, s2 = _load(args.first, "span"), _load(args.second, "span")
     table = frc.ChoiceTable()
     if args.choices:
         _writable(args.choices)
@@ -589,8 +600,7 @@ def cmd_localize_compose(args):
 
 def cmd_cell_equal(args):
     ops = frc.atlas_ops(args.bound)
-    c1 = loads(_read(args.first))
-    c2 = loads(_read(args.second))
+    c1, c2 = _load(args.first, "fraction_cell"), _load(args.second, "fraction_cell")
     try:
         eq = frc.cell_equal(ops, c1, c2)
     except UndecidedError as e:
@@ -678,13 +688,12 @@ def run(argv=None) -> int:
             parser.error(f"argument --bound: the word bound must be >= 0, not {args.bound}")
         return args.fn(args)
     except SchemaError as e:
-        print(json.dumps({"kind": "report", "ok": False,
-                          "schema_error": str(e)}, indent=1))
-        return 3
+        return _emit({"kind": "report", "ok": False, "schema_error": str(e)}, 3)
     except UndecidedError as e:
-        print(json.dumps({"kind": "report", "ok": False,
-                          "undecided": [str(e)]}, indent=1))
-        return 2
+        return _emit({"kind": "report", "ok": False, "undecided": [str(e)]}, 2)
+    except NoSuchCellError as e:
+        return _emit({"kind": "report", "ok": False, "no_such_cell": str(e),
+                      "witness": _wjson(e.witness)}, 1)
 
 
 def main():

@@ -26,7 +26,14 @@ from .atlas import (
     pushforward,
     unique_2cell_open_embeddings,
 )
+from .fred import fred0, fred1
 from .geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
+from .groupoid import (
+    PresentedGroupoid,
+    compose_gpd_morphisms,
+    find_unique_nat_transf,
+    identity_gpd_morphism,
+)
 
 ID1 = AffineMap.identity(1)
 ID2 = AffineMap.identity(2)
@@ -164,9 +171,6 @@ def catalog_2cells():
 def groupoid_catalog(bound: int):
     """Groupoids of germs of the catalog atlases, plus one custom groupoid
     annotated by an overlapping chart cover."""
-    from .fred import fred0
-    from .groupoid import PresentedGroupoid
-
     out = [(name, fred0(a, bound)) for name, a in ATLASES.items()]
     gm = fred0(MIRROR, bound)
     split = PresentedGroupoid.make(
@@ -180,16 +184,13 @@ def groupoid_catalog(bound: int):
 def acceptance_catalog(bound: int):
     """The instance data the equivalence criteria are checked over, imaged
     at word bound `bound`."""
-    from .fred import fred1
-    from .groupoid import find_unique_nat_transf, identity_gpd_morphism
-
     m = MORPHISMS
     cells = catalog_2cells()
     f_leg1, f_leg2 = fred1(m["leg1_MR_M"], bound), fred1(m["leg2_MR_M"], bound)
     f_incl = fred1(m["incl_M_MR"], bound)
     gm_ref = f_leg1.source
 
-    alpha_legs, _ = find_unique_nat_transf(f_leg1, f_leg2)
+    alpha_legs = find_unique_nat_transf(f_leg1, f_leg2)
 
     # a structurally well-formed but axiom-violating patch family; its image
     # disagrees with the identity cell, so the A4 precondition fails
@@ -197,8 +198,9 @@ def acceptance_catalog(bound: int):
     bogus = TwoCell.make(m["id_MIRROR"], m["id_MIRROR"], {
         "M": [(whole, ChangeOfCharts("M", "M", PartialAffineIso(MIRROR_MAP, whole)))]})
 
-    nt_flip_whisk, _ = find_unique_nat_transf(
-        _cg(fred1(m["id_MIRROR"], bound), f_leg1), _cg(fred1(m["flip_M"], bound), f_leg1))
+    nt_flip_whisk = find_unique_nat_transf(
+        compose_gpd_morphisms(fred1(m["id_MIRROR"], bound), f_leg1),
+        compose_gpd_morphisms(fred1(m["flip_M"], bound), f_leg1))
 
     return {
         "groupoids": groupoid_catalog(bound),
@@ -228,8 +230,3 @@ def acceptance_catalog(bound: int):
         "morphisms": sorted(MORPHISMS.items()),
         "cells": sorted(cells.items()),
     }
-
-
-def _cg(b, a):
-    from .groupoid import compose_gpd_morphisms
-    return compose_gpd_morphisms(b, a)

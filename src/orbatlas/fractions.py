@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from . import atlas as atl
 from . import fred as frd
 from . import groupoid as gpd
-from .geometry import GeometryError
 from .memo import memo
-from .reports import ComposabilityError, Report, UndecidedError
+from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError
 
 
 @dataclass
@@ -107,13 +106,6 @@ def _gpd_square(f, w, bound):
     return frd.fred0(d, bound), frd.fred1(wp, bound), frd.fred1(fp, bound), frd.fred2(alpha, bound)
 
 
-def _gpd_connect2(x, y):
-    nt, wit = gpd.find_unique_nat_transf(x, y)
-    if nt is None:
-        raise ValueError(f"no natural transformation exists: coarse mismatch {wit}")
-    return nt
-
-
 def _gpd_cancel(v, x, y, cell, bound):
     xa = frd.fred_inverse(1, x)
     ya = frd.fred_inverse(1, y)
@@ -142,7 +134,7 @@ def groupoid_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
         two_dst=lambda c: c.target_morphism,
         is_w=_gpd_is_w,
         square=lambda f, w: _gpd_square(f, w, bound),
-        connect2=_gpd_connect2,
+        connect2=gpd.find_unique_nat_transf,
         cancel=lambda v, x, y, cell: _gpd_cancel(v, x, y, cell, bound),
     )
 
@@ -498,17 +490,14 @@ def depth2_universe(ops, objects, cells) -> Universe:
     return Universe(list(objects), out, undecided)
 
 
-# The errors by which a construction says that what it builds does not exist.
-# Anything else is a defect and propagates rather than pass an axiom vacuously.
-_NO_SUCH_CELL = (ComposabilityError, ValueError, GeometryError)
-
-
 def _try_connect(ops, rep, f, g):
     """The unique 2-cell f => g, or None when there is none; when the word
-    bound cannot settle it, the report notes it as undecided."""
+    bound cannot settle it, the report notes it as undecided.  Any error
+    other than a proof of nonexistence propagates rather than pass an axiom
+    vacuously."""
     try:
         return ops.connect2(f, g)
-    except _NO_SUCH_CELL:
+    except NoSuchCellError:
         return None
     except UndecidedError as e:
         rep.note_undecided(f"connecting 2-cell undecided: {e}")
@@ -548,8 +537,8 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 continue
             try:
                 d, wp, fp, alpha = chosen_square(ops, table, f, w)
-            except _NO_SUCH_CELL as e:
-                rep.fail("BF3", f"no square for ({nf}, {nw}): {e}")
+            except NoSuchCellError as e:
+                rep.fail("BF3", f"no square for ({nf}, {nw}): {e}", e.witness)
                 continue
             except UndecidedError as e:
                 rep.note_undecided(f"square for ({nf}, {nw}) undecided: {e}")
@@ -576,8 +565,8 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 # (a): cancellation produces beta with alpha * i_v = i_w * beta
                 try:
                     beta = ops.cancel(w, f1, f2, alpha)
-                except _NO_SUCH_CELL as e:
-                    rep.fail("BF4a", f"no beta for ({nw}; {n1}, {n2}): {e}")
+                except NoSuchCellError as e:
+                    rep.fail("BF4a", f"no beta for ({nw}; {n1}, {n2}): {e}", e.witness)
                     continue
                 except UndecidedError as e:
                     rep.note_undecided(f"beta for ({nw}; {n1}, {n2}) undecided: {e}")

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .geometry import AffineMap, Germ, PartialAffineIso, Region
 from .memo import cached_hash
-from .reports import ComposabilityError, Report
+from .reports import ComposabilityError, NoSuchCellError, Report
 
 
 @cached_hash
@@ -446,17 +446,18 @@ def vertical_compose_nt(beta: NatTransf, alpha: NatTransf) -> NatTransf:
                 m = h.family(f2).map.compose(h.family(f1).map)
                 q1, m1 = alpha.source_morphism.on_piece(pid)
                 q2, _ = beta.target_morphism.on_piece(pid)
-                fam = None
-                if m1.is_invertible():
-                    fam = h.find_family(q1, q2, m, r.image(m1))
-                if fam is None:
-                    fam = h.find_family(q1, q2, m)
-                if fam is None:
-                    raise ComposabilityError(
-                        "target families not closed under the needed composite")
-                out.append((r, fam.fid))
+                out.append((r, _family_along(h, q1, q2, m, r, m1).fid))
         assigns[pid] = out
     return NatTransf.make(alpha.source_morphism, beta.target_morphism, assigns)
+
+
+def _family_along(h, src, dst, m, region, lift):
+    """The first family src -> dst with map `m` into whose domain `lift`
+    carries `region`; exact for every affine `lift`."""
+    for f in h.families_between(src, dst):
+        if f.map == m and region.escape_witness(lift, f.dom) is None:
+            return f
+    raise ComposabilityError("target families not closed under the needed composite")
 
 
 def invert_nat_transf(alpha: NatTransf) -> NatTransf:
@@ -501,14 +502,7 @@ def horizontal_compose_nt(xi: NatTransf, delta: NatTransf) -> NatTransf:
                     continue
                 pa, pm = left.on_piece(pid)
                 qa, _ = right.on_piece(pid)
-                fam = None
-                if pm.is_invertible():
-                    fam = hz.find_family(pa, qa, m, r.image(pm))
-                if fam is None:
-                    fam = hz.find_family(pa, qa, m)
-                if fam is None:
-                    raise ComposabilityError("missing composite family")
-                out.append((r, fam.fid))
+                out.append((r, _family_along(hz, pa, qa, m, r, pm).fid))
         assigns[pid] = out
     return NatTransf.make(left, right, assigns)
 
@@ -583,20 +577,20 @@ def separating_point(region, m1, m2, families):
 def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
     """Between two Morita equivalences inducing the same coarse map there is
     exactly one natural transformation; construct it piecewise by matching
-    the local section psi2 o psi1^{-1} against the target families.
-    Returns (NatTransf, None) or (None, coarse mismatch witness).  The
-    witness is a `separating_point`; only a gap of measure zero between the
-    parts the matching families cover, which has no such point, is
-    witnessed by a point of the gap."""
+    the local section psi2 o psi1^{-1} against the target families.  A
+    coarse mismatch raises NoSuchCellError; its witness is a
+    `separating_point`, and only a gap of measure zero between the parts
+    the matching families cover, which has no such point, is witnessed by
+    a point of the gap."""
     g, h = psi1.source, psi1.target
     if psi2.source != g or psi2.target != h:
         raise ComposabilityError("morphisms not parallel")
+    if not (psi1.is_etale() and psi2.is_etale()):
+        raise ValueError("natural transformations are matched between etale morphisms only")
     assigns = {}
     for pid, region in g.pieces:
         q1, m1 = psi1.on_piece(pid)
         q2, m2 = psi2.on_piece(pid)
-        if not (m1.is_invertible() and m2.is_invertible()):
-            return None, (pid, "object maps not etale")
         target_map = m2.compose(m1.inverse())
         img = region.image(m1)
         families = h.families_between(q1, q2)
@@ -605,6 +599,7 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
         covered = img.covers_witness([f.dom for f in cands])
         if covered is not None:
             x = separating_point(region, m1, m2, families)
-            return None, (pid, m1.inverse()(covered) if x is None else x)
+            raise NoSuchCellError(f"no natural transformation: coarse mismatch on {pid}",
+                                  (pid, m1.inverse()(covered) if x is None else x))
         assigns[pid] = tuple((r, fid) for r, fid in pulled if not r.is_empty())
-    return NatTransf.make(psi1, psi2, assigns), None
+    return NatTransf.make(psi1, psi2, assigns)

@@ -101,3 +101,12 @@ class UndecidedError(Exception):
 
 class ComposabilityError(Exception):
     pass
+
+
+class NoSuchCellError(Exception):
+    """A construction proved that the cell it builds does not exist.  The
+    witness is (chart or piece id, rational point) where the cell fails."""
+
+    def __init__(self, message, witness):
+        super().__init__(message)
+        self.witness = witness

@@ -24,6 +24,7 @@ from orbatlas.atlas import (
     validate_2cell,
     vertical_compose,
 )
+from orbatlas.reports import NoSuchCellError
 from orbatlas.fixtures import (
     ATLASES,
     MIRROR,
@@ -250,13 +251,12 @@ def test_criterion_8_uniqueness_of_connecting_cells():
     })
     ok = ok and validate_2cell(split, WORD_BOUND).ok and equal_2cells(cell, split)
     # groupoid side: exactly one natural transformation
-    a, _ = gpd.find_unique_nat_transf(frd.fred1(M["leg1_MR_M"]),
-                                      frd.fred1(M["leg2_MR_M"]))
-    ok = ok and a is not None and gpd.validate_nat_transf(a).ok
+    a = gpd.find_unique_nat_transf(frd.fred1(M["leg1_MR_M"]),
+                                   frd.fred1(M["leg2_MR_M"]))
+    ok = ok and gpd.validate_nat_transf(a).ok
     ok = ok and gpd.equal_nat_transfs(a, frd.fred2(cell, WORD_BOUND))
-    b, wit = gpd.find_unique_nat_transf(frd.fred1(M["id_TRIV"]),
-                                        frd.fred1(M["half_T"]))
-    ok = ok and b is None
+    with pytest.raises(NoSuchCellError):
+        gpd.find_unique_nat_transf(frd.fred1(M["id_TRIV"]), frd.fred1(M["half_T"]))
     _line(8, "unique connecting 2-cells between parallel open embeddings", ok)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbatlas import cli
+from orbatlas import fractions as frc
 from orbatlas.atlas import (
     Atlas,
     ChangeOfCharts,
@@ -11,6 +12,7 @@ from orbatlas.atlas import (
     PEntry,
     TwoCell,
     WORD_BOUND,
+    cancel_refinement_cell,
     classify_morphism,
     closure,
     coarse_equal_atlas,
@@ -19,6 +21,7 @@ from orbatlas.atlas import (
     equal_morphisms,
     horizontal_compose,
     identity_2cell,
+    identity_morphism,
     inclusion,
     induced_hom,
     invert_2cell,
@@ -43,11 +46,13 @@ from orbatlas.fixtures import (
     MORPHISMS,
     ROT3,
     TRIV,
+    TRIV_SHIFTED,
     catalog_2cells,
 )
-from orbatlas.fred import fred1
+from orbatlas.fred import fred0, fred1
 from orbatlas.geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
 from orbatlas.groupoid import validate_gpd_morphism
+from orbatlas.reports import NoSuchCellError
 
 M = MORPHISMS
 ID1 = AffineMap.identity(1)
@@ -258,7 +263,7 @@ def test_unique_2cell_between_legs():
     (r_m, ch_m), = by_chart["M"]
     assert ch_m.map.is_identity()
     # no 2-cell between morphisms with different base maps
-    with pytest.raises(ValueError):
+    with pytest.raises(NoSuchCellError):
         unique_2cell_open_embeddings(M["id_TRIV"], M["half_T"], WORD_BOUND)
 
 
@@ -324,12 +329,13 @@ _TRI = Region.polygon([(1, 0), (0, 1), (-1, -1)])
 _SQUARE = Region.polygon([(F(-3, 4), -1), (F(3, 4), -1), (F(3, 4), 1), (F(-3, 4), 1)])
 
 
-def _lifted(src_region, tgt_region, lift):
-    """The one-chart atlases on the two regions, trivial groups, and the
-    morphism with the given lift and the identity assignment."""
+def _lifted(src_region, tgt_region, lift, generators=()):
+    """The one-chart atlases on the two regions, trivial groups and the
+    given generators on the target, and the morphism with the given lift
+    and the identity assignment."""
     idn = AffineMap.identity(src_region.dim)
     src = Atlas.make([Chart.make("A", src_region, [idn])])
-    tgt = Atlas.make([Chart.make("B", tgt_region, [idn])])
+    tgt = Atlas.make([Chart.make("B", tgt_region, [idn])], generators)
     entry = PEntry(ChangeOfCharts("A", "A", PartialAffineIso(idn, src_region)),
                    ChangeOfCharts("B", "B", PartialAffineIso(idn, tgt_region)))
     return Morphism.make(src, tgt, {"A": "B"}, {"A": lift}, [entry])
@@ -356,6 +362,23 @@ def test_non_etale_lift_containment_is_exact(tmp_path, capsys, lift, escapes):
             assert not _SQUARE.contains_point(lift(v.witness))
 
 
+@pytest.mark.parametrize("instance", ["atlas", "groupoid"])
+def test_bf4_over_a_rank0_morphism_raises(instance):
+    """The connecting cell of (id_B; phi, phi) needs open-embedding lifts,
+    which phi's rank-0 lift breaks.  That is an error, not a missing cell,
+    so BF4 raises instead of skipping the triple."""
+    phi = _lifted(_TRI, _SQUARE, aff2([[0, 0], [0, 0]]))
+    objects = [("A", phi.source), ("B", phi.target)]
+    if instance == "atlas":
+        ops, cells = frc.atlas_ops(WORD_BOUND), [("phi", phi)]
+    else:
+        ops, cells = frc.groupoid_ops(WORD_BOUND), [("phi", fred1(phi, WORD_BOUND))]
+        objects = [(n, fred0(a, WORD_BOUND)) for n, a in objects]
+    universe = frc.depth2_universe(ops, objects, cells)
+    with pytest.raises(ValueError, match="etale|open-embedding"):
+        frc.check_bf(ops, 4, universe)
+
+
 def test_etale_m3_witness_escapes():
     m = _lifted(Region.interval(0, 1), Region.interval(0, F(3, 4)), ID1)
     rep = validate_morphism(m, WORD_BOUND)
@@ -363,6 +386,76 @@ def test_etale_m3_witness_escapes():
     assert rep.first().code == "M3"
     assert Region.interval(0, 1).contains_point(w)
     assert not Region.interval(0, F(3, 4)).contains_point(w)
+
+
+# -- witnesses of cells that do not exist ----------------------------------------
+
+_I01 = Region.interval(0, 1)
+_FOLD = aff1(-1, 1)
+# the chart (0, 1) glued to itself by x -> 1 - x on (0, 1/2): the germs of
+# that map cover the chart except the seam 1/2
+_SEAM = [ChangeOfCharts.make("B", "B", _FOLD, Region.interval(0, F(1, 2)))]
+# the chart (0, 3) glued to itself by x -> x + 1 on (0, 3/2): on the chart
+# (0, 2) the germs of that map stop at 3/2, and the chart's centroid 1 is
+# not a witness
+_STEP = aff1(1, 1)
+_SHIFT = [ChangeOfCharts.make("B", "B", _STEP, Region.interval(0, F(3, 2)))]
+_I02, _I03 = Region.interval(0, 2), Region.interval(0, 3)
+
+
+def _germ_fails(atlas, j1, j2, d_map, y):
+    """Whether no pseudogroup germ with map `d_map` from j1 to j2 is
+    defined at the point y."""
+    dom = closure(atlas, WORD_BOUND).region(j1, j2, d_map)
+    return dom is None or not dom.contains_point(y)
+
+
+@pytest.mark.parametrize("w1, w2", [
+    (M["id_TRIV"], M["half_T"]),
+    (_lifted(_I01, _I01, ID1, _SEAM), _lifted(_I01, _I01, _FOLD, _SEAM)),
+    (_lifted(_I02, _I03, ID1, _SHIFT), _lifted(_I02, _I03, _STEP, _SHIFT)),
+], ids=["no-family", "seam", "part"])
+def test_unique_2cell_witness_is_where_no_germ_connects(w1, w2):
+    with pytest.raises(NoSuchCellError) as e:
+        unique_2cell_open_embeddings(w1, w2, WORD_BOUND)
+    i, x = e.value.witness
+    assert w1.source.chart(i).domain.contains_point(x)
+    d_map = w2.lift(i).compose(w1.lift(i).inverse())
+    assert _germ_fails(w1.target, w1.chart_image(i), w2.chart_image(i), d_map, w1.lift(i)(x))
+
+
+@pytest.mark.parametrize("x, y, germ", [
+    (M["id_TRIV"], M["half_T"], aff1(F(1, 2))),
+    (_lifted(_I01, _I01, ID1, _SEAM), _lifted(_I01, _I01, _FOLD, _SEAM), _FOLD),
+    (_lifted(_I02, _I03, ID1, _SHIFT), _lifted(_I02, _I03, _STEP, _SHIFT), _STEP),
+], ids=["no-family", "seam", "part"])
+def test_cancelled_germ_witness_is_where_no_germ_cancels(x, y, germ):
+    v = identity_morphism(x.target, WORD_BOUND)
+    i = x.source.charts[0].cid
+    j = x.chart_image(i)
+    dom = x.source.chart(i).domain
+    cell = TwoCell.make(x, y, {i: [(dom, ChangeOfCharts.make(j, j, germ, dom.image(x.lift(i))))]})
+    with pytest.raises(NoSuchCellError) as e:
+        cancel_refinement_cell(v, x, y, cell, WORD_BOUND)
+    wi, pt = e.value.witness
+    assert wi == i and dom.contains_point(pt)
+    assert _germ_fails(x.target, j, y.chart_image(i), germ, x.lift(i)(pt))
+
+
+def test_pullback_square_witness_is_not_reached_by_the_w_arrow():
+    """half_T reaches only (0, 1/2) of TRIV, and unshift_T carries
+    TRIV_SHIFTED's chart onto all of TRIV."""
+    f, w = M["unshift_T"], M["half_T"]
+    with pytest.raises(NoSuchCellError) as e:
+        pullback_square(f, w, WORD_BOUND)
+    cid, x = e.value.witness
+    assert TRIV_SHIFTED.chart(cid).domain.contains_point(x)
+    y = f.lift(cid)(x)
+    for a in w.source.charts:
+        img = a.domain.image(w.lift(a.cid))
+        for mm, dom in closure(f.target, WORD_BOUND).maps(f.chart_image(cid),
+                                                          w.chart_image(a.cid)).items():
+            assert not (dom.contains_point(y) and img.contains_point(mm(y)))
 
 
 # -- algebraic laws over sampled catalog cells ---------------------------------

@@ -14,7 +14,7 @@ from orbatlas import fred as frd
 from orbatlas import gred as grd
 from orbatlas import memo
 from orbatlas.atlas import WORD_BOUND
-from orbatlas.fixtures import MIRROR, MIRROR_REF, MORPHISMS, catalog_2cells
+from orbatlas.fixtures import MIRROR, MIRROR_REF, MORPHISMS, TRIV, TRIV_SHIFTED, catalog_2cells
 from orbatlas.geometry import AffineMap, Region, aff1
 
 M = MORPHISMS
@@ -92,6 +92,45 @@ def test_compose_command(tmp_path, capsys):
     out = cli.loads(capsys.readouterr().out)
     from orbatlas.atlas import equal_morphisms
     assert equal_morphisms(out, M["id_MIRROR"])
+
+
+def test_compose_of_non_composable_morphisms_is_a_failure(tmp_path, capsys):
+    code = cli.run(["compose", write(tmp_path, "f.json", M["id_TRIV"]),
+                    write(tmp_path, "g.json", M["flip_M"])])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["ok"] is False
+    assert "not the source of the second" in out["not_composable"]
+
+
+def test_span_composite_with_no_square_is_a_failure_with_witness(tmp_path, capsys):
+    """half_T reaches only (0, 1/2) of TRIV, so no square fills the cospan
+    (unshift_T, half_T); the witness is a point of TRIV_SHIFTED's chart
+    that unshift_T carries outside it."""
+    ops = frc.atlas_ops()
+    s1 = frc.Span(TRIV_SHIFTED, ops.id1(TRIV_SHIFTED), M["unshift_T"])
+    s2 = frc.Span(TRIV, M["half_T"], ops.id1(TRIV))
+    code = cli.run(["localize-compose", write(tmp_path, "s1.json", s1),
+                    write(tmp_path, "s2.json", s2)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["ok"] is False
+    assert "does not reach every orbit" in out["no_such_cell"]
+    cid, x = out["witness"]
+    x = tuple(F(c) for c in x)
+    assert TRIV_SHIFTED.chart(cid).domain.contains_point(x)
+    assert not Region.interval(0, F(1, 2)).contains_point(M["unshift_T"].lift(cid)(x))
+
+
+@pytest.mark.parametrize("argv, value, want", [
+    (["morita"], M["flip_M"], "gpd_morphism"),
+    (["classify"], frd.fred1(M["flip_M"]), "morphism"),
+    (["fred", "1"], frd.fred1(M["flip_M"]), "morphism"),
+    (["fred", "2"], M["flip_M"], "2cell"),
+], ids=["morita-on-morphism", "classify-on-gpd_morphism", "fred1-on-gpd_morphism",
+        "fred2-on-morphism"])
+def test_wrong_kind_is_a_schema_error(tmp_path, capsys, argv, value, want):
+    assert cli.run(argv + [write(tmp_path, "x.json", value)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert f"schema error at /kind: expected a {want} document" in out["schema_error"]
 
 
 def test_fred_command(tmp_path, capsys):

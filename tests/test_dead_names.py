@@ -1,4 +1,5 @@
 import ast
+import builtins
 from pathlib import Path
 
 from orbatlas import memo as memo_mod
@@ -178,3 +179,73 @@ def test_guard_sees_a_defaulted_bound(tmp_path):
                  "def atlas_ops(bound=4):\n    return fred1(m)\n"
                  "x = frd.fred0(a), fred1(m, bound), frd.fred1(m, bound=b), fred2(c)\n")
     assert _bound_leaks(p) == ["m.py:4", "m.py:6", "m.py:8", "m.py:10", "m.py:11"]
+
+
+# Only a proof of nonexistence (`NoSuchCellError`) or an undecided verdict
+# may be caught on the way to a verdict: an error of these kinds means a
+# broken precondition, and the catch-alls hide any error.
+PRECONDITIONS = {"ValueError", "ComposabilityError", "GeometryError"}
+CATCH_ALLS = {"Exception", "BaseException"}
+
+
+def _broad_excepts(paths):
+    """`except` clauses that are bare, or that name a catch-all, one of
+    PRECONDITIONS or a subclass of one (defined in `paths` or built in), or
+    a module-level tuple of such names."""
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    bases, aliases = {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_name(b) for b in node.bases]
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                  and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+                aliases[node.targets[0].id] = [_name(e) for e in node.value.elts]
+
+    def precondition(name):
+        builtin = getattr(builtins, name or "", None)
+        if name in PRECONDITIONS or (isinstance(builtin, type) and issubclass(builtin, ValueError)):
+            return True
+        return any(precondition(b) for b in bases.get(name, ()))
+
+    def broad(name):
+        return (name in CATCH_ALLS or precondition(name)
+                or any(broad(e) for e in aliases.get(name, ())))
+
+    out = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(broad(_name(c)) for c in caught):
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_no_broad_excepts_in_src():
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"]
+    found = _broad_excepts(files)
+    assert found == [], f"catch NoSuchCellError or UndecidedError, let the rest propagate: {found}"
+
+
+def test_guard_sees_a_broad_except(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("class GeometryError(Exception): pass\n"
+                 "class EmptyRegionError(GeometryError): pass\n"
+                 "class NoSuchCellError(Exception): pass\n"
+                 "NO_CELL = (KeyError, EmptyRegionError)\n"
+                 "try: pass\nexcept: pass\n"
+                 "try: pass\nexcept Exception: pass\n"
+                 "try: pass\nexcept (KeyError, ValueError): pass\n"
+                 "try: pass\nexcept geo.EmptyRegionError: pass\n"
+                 "try: pass\nexcept UnicodeDecodeError: pass\n"
+                 "try: pass\nexcept NO_CELL: pass\n"
+                 "try: pass\nexcept (KeyError, NoSuchCellError, UndecidedError): pass\n"
+                 "try: pass\nexcept frd.UnsupportedGroupoidError as e: pass\n")
+    assert _broad_excepts([p]) == ["m.py:6", "m.py:8", "m.py:10", "m.py:12", "m.py:14",
+                                   "m.py:16"]

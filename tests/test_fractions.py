@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction as F
 
 import pytest
 
@@ -6,7 +7,8 @@ from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas.atlas import WORD_BOUND, classify_morphism
 from orbatlas.fixtures import ATLASES, MIRROR, MIRROR_REF, MORPHISMS, TRIV_SHIFTED, catalog_2cells
-from orbatlas.reports import UndecidedError
+from orbatlas.geometry import GeometryError
+from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
 
 M = MORPHISMS
 
@@ -186,10 +188,16 @@ def test_bf_axioms_small_universe(ops, small_universe, table):
         assert rep.ok, rep.summary()
 
 
-def _connect_raising(ops, exc):
-    def connect2(f, g):
-        raise exc("connect2 raised")
-    return dataclasses.replace(ops, connect2=connect2)
+_WITNESS = ("M", (F(1, 2),))
+
+
+def _raising(ops, field, exc):
+    """`ops` with the operation `field` replaced by a stub that raises."""
+    def stub(*args):
+        if exc is NoSuchCellError:
+            raise exc(f"{field} raised", _WITNESS)
+        raise exc(f"{field} raised")
+    return dataclasses.replace(ops, **{field: stub})
 
 
 @pytest.fixture(scope="module")
@@ -200,18 +208,49 @@ def half_universe():
                         [("id_TRIV", M["id_TRIV"]), ("half_T", M["half_T"])])
 
 
+@pytest.fixture(scope="module")
+def legs_universe(ops):
+    # BF3 asks for a square on (flip_M, leg1_MR_M), BF4 for the cell
+    # (id_MIRROR; flip_M, flip_M) and its cancellation
+    return frc.depth2_universe(ops, [("MIRROR", MIRROR), ("MIRROR_REF", MIRROR_REF)],
+                               [("leg1_MR_M", M["leg1_MR_M"]), ("flip_M", M["flip_M"])])
+
+
+# each stubbed operation, and an axiom that reaches it
+_STUBS = [("square", 3), ("connect2", 4), ("cancel", 4), ("connect2", 5)]
+
+
 def test_bf_propagates_programming_errors(ops, half_universe):
     with pytest.raises(TypeError):
-        frc.check_bf(_connect_raising(ops, TypeError), 5, half_universe)
+        frc.check_bf(_raising(ops, "connect2", TypeError), 5, half_universe)
 
 
-def test_bf_no_connecting_cell_is_skipped(ops, half_universe):
-    rep = frc.check_bf(_connect_raising(ops, ValueError), 5, half_universe)
+@pytest.mark.parametrize("exc", [ValueError, GeometryError, ComposabilityError])
+@pytest.mark.parametrize("field, axiom", _STUBS)
+def test_bf_propagates_broken_preconditions(ops, legs_universe, half_universe,
+                                            field, axiom, exc):
+    universe = half_universe if axiom == 5 else legs_universe
+    with pytest.raises(exc, match=f"{field} raised"):
+        frc.check_bf(_raising(ops, field, exc), axiom, universe)
+
+
+def test_bf_no_connecting_cell_is_skipped(ops, half_universe, legs_universe):
+    stubbed = _raising(ops, "connect2", NoSuchCellError)
+    rep = frc.check_bf(stubbed, 5, half_universe)
     assert rep.ok and rep.decided
+    rep = frc.check_bf(stubbed, 4, legs_universe)
+    assert rep.ok and rep.undecided == ["no 2-cells found to exercise BF4 on"]
+
+
+@pytest.mark.parametrize("field, axiom, code", [("square", 3, "BF3"), ("cancel", 4, "BF4a")])
+def test_bf_missing_cell_fails_with_its_witness(ops, legs_universe, field, axiom, code):
+    rep = frc.check_bf(_raising(ops, field, NoSuchCellError), axiom, legs_universe)
+    assert {v.code for v in rep.violations} == {code}
+    assert all(v.witness == _WITNESS for v in rep.violations)
 
 
 def test_bf_undecided_connection_is_noted(ops, half_universe):
-    rep = frc.check_bf(_connect_raising(ops, UndecidedError), 5, half_universe)
+    rep = frc.check_bf(_raising(ops, "connect2", UndecidedError), 5, half_universe)
     assert rep.ok and not rep.decided
     assert "connect2 raised" in rep.undecided[0]
 

@@ -90,7 +90,7 @@ def test_round_trips_all_catalog():
 
 def test_fred_inverse_matches_unique_cell():
     from orbatlas.groupoid import find_unique_nat_transf
-    alpha, _ = find_unique_nat_transf(fred1(M["leg1_MR_M"]), fred1(M["leg2_MR_M"]))
+    alpha = find_unique_nat_transf(fred1(M["leg1_MR_M"]), fred1(M["leg2_MR_M"]))
     lifted = fred_inverse(2, alpha)
     assert equal_2cells(lifted,
                         unique_2cell_open_embeddings(M["leg1_MR_M"], M["leg2_MR_M"], WORD_BOUND))

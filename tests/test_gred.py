@@ -18,7 +18,7 @@ from orbatlas.fixtures import (
     catalog_2cells,
 )
 from orbatlas.geometry import Region, aff1, aff2
-from orbatlas.reports import ValidationFailure
+from orbatlas.reports import NoSuchCellError, ValidationFailure
 
 M = MORPHISMS
 
@@ -140,8 +140,9 @@ def test_nat_transf_witness_separates_orbits(name):
     t = _twist(*TWISTS[name])
     ident = gpd.identity_gpd_morphism(t.source)
     for a, b in ((ident, t), (t, ident)):
-        nt, (pid, x) = gpd.find_unique_nat_transf(a, b)
-        assert nt is None
+        with pytest.raises(NoSuchCellError) as e:
+            gpd.find_unique_nat_transf(a, b)
+        pid, x = e.value.witness
         assert t.source.piece(pid).contains_point(x)
         assert _orbits(a, b, pid, x) == "distinct"
 
@@ -265,7 +266,7 @@ def test_gred_pseudofunctoriality_on_composites():
     sigma = gops.connect2(gops.compose1(comp_then_image.left, z1),
                           gops.compose1(image_then_comp.left, z2))
     assert gpd.validate_nat_transf(sigma).ok
-    rho, _ = gpd.find_unique_nat_transf(
+    rho = gpd.find_unique_nat_transf(
         gops.compose1(comp_then_image.right, z1),
         gops.compose1(image_then_comp.right, z2))
-    assert rho is not None and gpd.validate_nat_transf(rho).ok
+    assert gpd.validate_nat_transf(rho).ok

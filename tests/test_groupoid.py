@@ -1,9 +1,12 @@
 from fractions import Fraction as F
 
+import pytest
+
 from orbatlas.atlas import WORD_BOUND
 from orbatlas.fixtures import ATLASES, CONE3, MIRROR, MORPHISMS, TRIV, catalog_2cells
 from orbatlas.fred import fred0, fred1, fred2
 from orbatlas.geometry import AffineMap, PartialAffineIso, Region
+from orbatlas.reports import NoSuchCellError
 from orbatlas.groupoid import (
     ArrowFamily,
     PresentedGroupoid,
@@ -142,12 +145,13 @@ def test_morita_two_out_of_three_left_cancel():
 
 
 def test_find_unique_nat_transf():
-    a, wit = find_unique_nat_transf(fred1(M["leg1_MR_M"]), fred1(M["leg2_MR_M"]))
-    assert a is not None and validate_nat_transf(a).ok
+    a = find_unique_nat_transf(fred1(M["leg1_MR_M"]), fred1(M["leg2_MR_M"]))
+    assert validate_nat_transf(a).ok
     assert equal_nat_transfs(a, fred2(catalog_2cells()["legs"], WORD_BOUND))
-    b, wit2 = find_unique_nat_transf(fred1(M["id_TRIV"]), fred1(M["half_T"]))
-    assert b is None and wit2 is not None
-    c, _ = find_unique_nat_transf(fred1(M["id_MIRROR"]), fred1(M["id_MIRROR"]))
+    with pytest.raises(NoSuchCellError) as e:
+        find_unique_nat_transf(fred1(M["id_TRIV"]), fred1(M["half_T"]))
+    assert e.value.witness is not None
+    c = find_unique_nat_transf(fred1(M["id_MIRROR"]), fred1(M["id_MIRROR"]))
     assert equal_nat_transfs(c, identity_nat_transf(fred1(M["id_MIRROR"])))
 
 
@@ -161,7 +165,9 @@ def test_nat_transf_gap_of_measure_zero_is_witnessed_in_the_gap():
         [ArrowFamily("a", "P", "P", PartialAffineIso(ident, Region.interval(0, F(1, 2)))),
          ArrowFamily("b", "P", "P", PartialAffineIso(ident, Region.interval(F(1, 2), 1)))])
     i = identity_gpd_morphism(g)
-    assert find_unique_nat_transf(i, i) == (None, ("P", (F(1, 2),)))
+    with pytest.raises(NoSuchCellError) as e:
+        find_unique_nat_transf(i, i)
+    assert e.value.witness == ("P", (F(1, 2),))
 
 
 def test_nat_transf_algebra():
