@@ -60,9 +60,6 @@ class Chart:
     def dim(self):
         return self.domain.dim
 
-    def stabilizer(self, x) -> tuple:
-        return tuple(g for g in self.group if g(x) == x)
-
     def key(self):
         return (self.cid, self.domain.key(), tuple(g.key() for g in self.group))
 
@@ -96,9 +93,6 @@ class ChangeOfCharts:
 
     def inverse(self) -> "ChangeOfCharts":
         return ChangeOfCharts(self.dst, self.src, self.iso.inverse())
-
-    def restrict(self, region: Region) -> "ChangeOfCharts":
-        return ChangeOfCharts(self.src, self.dst, self.iso.restrict(region))
 
     def key(self):
         return (self.src, self.dst, self.iso.key())

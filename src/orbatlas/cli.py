@@ -6,7 +6,8 @@ terms with positive denominator; all lists are in canonical sorted order,
 so parse(serialize(x)) == x bit-exactly.  Exit codes: 0 pass, 1 semantic
 failure (witness in the report), 2 undecided at the word bound, 3 schema
 error.  A proof that a cell does not exist and non-composable input are
-semantic failures; a document of the wrong kind is a schema error.
+semantic failures; a document of the wrong kind is a schema error.  `run`
+is the one place that maps an error to its exit code.
 """
 
 from __future__ import annotations
@@ -350,26 +351,39 @@ def parse_fraction_cell(doc, path=""):
         parse_twocell(_need(doc, "base", path), f"{path}/base"))
 
 
+# Each kind: its class, serializer, parser and validator `(value, bound) ->
+# Report`; a region has no validator.
 KINDS = {
-    "region": (Region, region_doc, parse_region),
-    "chart": (atl.Chart, chart_doc, parse_chart),
-    "change": (atl.ChangeOfCharts, change_doc, parse_change),
-    "atlas": (atl.Atlas, atlas_doc, parse_atlas),
-    "morphism": (atl.Morphism, morphism_doc, parse_morphism),
-    "2cell": (atl.TwoCell, twocell_doc, parse_twocell),
-    "groupoid": (gpd.PresentedGroupoid, groupoid_doc, parse_groupoid),
-    "gpd_morphism": (gpd.GroupoidMorphism, gpd_morphism_doc, parse_gpd_morphism),
-    "nat_transf": (gpd.NatTransf, nat_transf_doc, parse_nat_transf),
-    "span": (frc.Span, span_doc, parse_span),
-    "fraction_cell": (frc.FractionCell, fraction_cell_doc, parse_fraction_cell),
+    "region": (Region, region_doc, parse_region, None),
+    "chart": (atl.Chart, chart_doc, parse_chart, lambda c, bound: atl.validate_chart(c)),
+    "change": (atl.ChangeOfCharts, change_doc, parse_change, lambda ch, bound: Report(
+        "change", undecided=["a change of charts is validated against its atlas; "
+                             "wrap it in an atlas document"])),
+    "atlas": (atl.Atlas, atlas_doc, parse_atlas, atl.validate_atlas),
+    "morphism": (atl.Morphism, morphism_doc, parse_morphism, atl.validate_morphism),
+    "2cell": (atl.TwoCell, twocell_doc, parse_twocell, atl.validate_2cell),
+    "groupoid": (gpd.PresentedGroupoid, groupoid_doc, parse_groupoid,
+                 lambda g, bound: gpd.validate_groupoid(g)),
+    "gpd_morphism": (gpd.GroupoidMorphism, gpd_morphism_doc, parse_gpd_morphism,
+                     lambda psi, bound: gpd.validate_gpd_morphism(psi)),
+    "nat_transf": (gpd.NatTransf, nat_transf_doc, parse_nat_transf,
+                   lambda a, bound: gpd.validate_nat_transf(a)),
+    "span": (frc.Span, span_doc, parse_span,
+             lambda s, bound: frc.validate_span(frc.atlas_ops(bound), s)),
+    "fraction_cell": (frc.FractionCell, fraction_cell_doc, parse_fraction_cell,
+                      lambda c, bound: frc.validate_fraction_cell(frc.atlas_ops(bound), c)),
 }
 
 
-def serialize(value) -> dict:
-    for cls, enc, _ in KINDS.values():
+def _kind_of(value) -> str:
+    for kind, (cls, *_) in KINDS.items():
         if isinstance(value, cls):
-            return enc(value)
+            return kind
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def serialize(value) -> dict:
+    return KINDS[_kind_of(value)][1](value)
 
 
 def parse(doc):
@@ -404,12 +418,12 @@ def loads(text: str):
     return parse(_json(text))
 
 
-def _load(path, kind):
-    """The value of the document at `path`, which must be of `kind`; another
-    kind is a schema error at /kind."""
+def _load(path, *kinds):
+    """The value of the document at `path`, which must be of one of `kinds`;
+    another kind is a schema error at /kind."""
     value = loads(_read(path))
-    if not isinstance(value, KINDS[kind][0]):
-        raise SchemaError("/kind", f"expected a {kind} document")
+    if _kind_of(value) not in kinds:
+        raise SchemaError("/kind", f"expected a {' or '.join(kinds)} document")
     return value
 
 
@@ -428,17 +442,17 @@ def _writable(path):
         raise SchemaError("", f"cannot write {path}: {folder} is not a writable directory")
 
 
-def _content_key(ops, f, w):
+def _content_key(f, w):
     """The pair's endpoints and 1-cells as `key()` tuples: the order of the
     entries of a saved table."""
-    return (tuple(x.key() for x in (ops.src(f), ops.dst(f), ops.src(w), ops.dst(w))),
+    return (tuple(x.key() for x in (f.source, f.target, w.source, w.target)),
             f.key(), w.key())
 
 
-def save_choice_table(table: frc.ChoiceTable, ops, path: str):
+def save_choice_table(table: frc.ChoiceTable, path: str):
     entries = []
     for (f, w), (d, wp, fp, cell) in sorted(table.entries.items(),
-                                           key=lambda kv: repr(_content_key(ops, *kv[0]))):
+                                           key=lambda kv: repr(_content_key(*kv[0]))):
         fdoc, wdoc = morphism_doc(f), morphism_doc(w)
         entries.append([
             _pair_hash(fdoc, wdoc),
@@ -453,7 +467,7 @@ def save_choice_table(table: frc.ChoiceTable, ops, path: str):
         raise SchemaError("", f"cannot write {path}: {e}")
 
 
-def load_choice_table(path: str, ops) -> frc.ChoiceTable:
+def load_choice_table(path: str) -> frc.ChoiceTable:
     table = frc.ChoiceTable()
     if not os.path.exists(path):
         return table
@@ -477,60 +491,31 @@ def _emit(report_json, code):
     return code
 
 
-def _report_code(rep: Report) -> int:
-    if not rep.ok:
-        return 1
-    if not rep.decided:
-        return 2
-    return 0
+def _report(rep: Report, **extra) -> int:
+    """Print `rep` as a report document with the `extra` keys; exit 1 on a
+    violation, else 2 on an undecided note, else 0."""
+    code = 1 if not rep.ok else 2 if not rep.decided else 0
+    return _emit(dict(rep.to_json(), kind="report", **extra), code)
 
 
 def cmd_validate(args):
-    doc = _json(_read(args.file))
-    kind = _need(doc, "kind", "")
-    value = parse(doc)
-    if kind == "atlas":
-        rep = atl.validate_atlas(value, args.bound)
-    elif kind == "chart":
-        rep = atl.validate_chart(value)
-    elif kind == "morphism":
-        rep = atl.validate_morphism(value, args.bound)
-    elif kind == "2cell":
-        rep = atl.validate_2cell(value, args.bound)
-    elif kind == "groupoid":
-        rep = gpd.validate_groupoid(value)
-    elif kind == "gpd_morphism":
-        rep = gpd.validate_gpd_morphism(value)
-    elif kind == "nat_transf":
-        rep = gpd.validate_nat_transf(value)
-    elif kind == "change":
-        rep = Report("change")
-        rep.note_undecided("a change of charts is validated against its atlas; "
-                           "wrap it in an atlas document")
-    elif kind == "span":
-        rep = frc.validate_span(frc.atlas_ops(args.bound), value)
-    elif kind == "fraction_cell":
-        rep = frc.validate_fraction_cell(frc.atlas_ops(args.bound), value)
-    else:
+    value = _load(args.file, *KINDS)
+    kind = _kind_of(value)
+    check = KINDS[kind][3]
+    if check is None:
         raise SchemaError("/kind", f"no validator for kind {kind!r}")
-    out = rep.to_json()
-    out["kind"] = "report"
-    return _emit(out, _report_code(rep))
+    return _report(check(value, args.bound))
 
 
 def cmd_compose(args):
     kind = "morphism" if args.mode == "morphism" else "2cell"
     a, b = _load(args.first, kind), _load(args.second, kind)
-    try:
-        if args.mode == "morphism":
-            out = atl.compose_morphisms(b, a)
-        elif args.mode == "vertical":
-            out = atl.vertical_compose(b, a)
-        else:
-            out = atl.horizontal_compose(b, a)
-    except ComposabilityError as e:
-        return _emit({"kind": "report", "subject": "composition", "ok": False,
-                      "not_composable": str(e)}, 1)
+    if args.mode == "morphism":
+        out = atl.compose_morphisms(b, a)
+    elif args.mode == "vertical":
+        out = atl.vertical_compose(b, a)
+    else:
+        out = atl.horizontal_compose(b, a)
     print(dumps(out))
     return 0
 
@@ -545,10 +530,7 @@ def cmd_fred(args):
 def cmd_morita(args):
     psi = _load(args.file, "gpd_morphism")
     ok, rep = gpd.is_morita(psi)
-    out = rep.to_json()
-    out["kind"] = "report"
-    out["morita"] = ok
-    return _emit(out, 0 if ok else 1)
+    return _report(rep, morita=ok)
 
 
 def cmd_classify(args):
@@ -578,10 +560,7 @@ def _builtin_universe(instance, bound):
 def cmd_bf_check(args):
     ops, uni = _builtin_universe(args.instance, args.bound)
     table = frc.ChoiceTable()
-    rep = frc.check_bf(ops, args.axiom, uni, table)
-    out = rep.to_json()
-    out["kind"] = "report"
-    return _emit(out, _report_code(rep))
+    return _report(frc.check_bf(ops, args.axiom, uni, table))
 
 
 def cmd_localize_compose(args):
@@ -590,10 +569,10 @@ def cmd_localize_compose(args):
     table = frc.ChoiceTable()
     if args.choices:
         _writable(args.choices)
-        table = load_choice_table(args.choices, ops)
+        table = load_choice_table(args.choices)
     out = frc.compose_spans(ops, table, s2, s1)
     if args.choices:
-        save_choice_table(table, ops, args.choices)
+        save_choice_table(table, args.choices)
     print(dumps(out))
     return 0
 
@@ -601,21 +580,14 @@ def cmd_localize_compose(args):
 def cmd_cell_equal(args):
     ops = frc.atlas_ops(args.bound)
     c1, c2 = _load(args.first, "fraction_cell"), _load(args.second, "fraction_cell")
-    try:
-        eq = frc.cell_equal(ops, c1, c2)
-    except UndecidedError as e:
-        return _emit({"kind": "report", "subject": "cell equality",
-                      "ok": False, "undecided": [str(e)]}, 2)
+    eq = frc.cell_equal(ops, c1, c2)
     return _emit({"kind": "report", "subject": "cell equality", "equal": eq,
                   "ok": True}, 0 if eq else 1)
 
 
 def cmd_equiv_report(args):
     from . import fixtures as fx
-    rep = grd.equivalence_report(fx.acceptance_catalog(args.bound), args.bound)
-    out = rep.to_json()
-    out["kind"] = "report"
-    return _emit(out, _report_code(rep))
+    return _report(grd.equivalence_report(fx.acceptance_catalog(args.bound), args.bound))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -694,6 +666,8 @@ def run(argv=None) -> int:
     except NoSuchCellError as e:
         return _emit({"kind": "report", "ok": False, "no_such_cell": str(e),
                       "witness": _wjson(e.witness)}, 1)
+    except ComposabilityError as e:
+        return _emit({"kind": "report", "ok": False, "not_composable": str(e)}, 1)
 
 
 def main():

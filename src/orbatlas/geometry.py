@@ -989,9 +989,6 @@ class PartialAffineIso:
     def inverse(self) -> "PartialAffineIso":
         return PartialAffineIso(self.map.inverse(), self.cod)
 
-    def restrict(self, region: Region) -> "PartialAffineIso":
-        return PartialAffineIso(self.map, self.dom.intersect(region))
-
     def compose(self, other: "PartialAffineIso") -> "PartialAffineIso":
         """self after other, domain shrunk to where the composite is defined."""
         dom = other.dom.preimage_under(other.map, self.dom)

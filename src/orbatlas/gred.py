@@ -108,17 +108,9 @@ def check_axiom_A(n: int, catalog, bound: int) -> Report:
     equivalences out of a common groupoid), 'gpd_arrows' (groupoid morphisms
     into groupoids of germs) and 'cell_pairs' (pairs of parallel atlas
     2-cells with a Morita arrow into their source)."""
-    if n == 1:
-        return _check_a1(catalog, bound)
-    if n == 2:
-        return _check_a2(catalog, bound)
-    if n == 3:
-        return _check_a3(catalog, bound)
-    if n == 4:
-        return _check_a4(catalog, bound)
-    if n == 5:
-        return _check_a5(catalog, bound)
-    raise ValueError("criterion index must be 1..5")
+    if not 1 <= n <= 5:
+        raise ValueError("criterion index must be 1..5")
+    return (_check_a1, _check_a2, _check_a3, _check_a4, _check_a5)[n - 1](catalog, bound)
 
 
 def _check_a1(catalog, bound) -> Report:

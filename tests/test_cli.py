@@ -16,6 +16,7 @@ from orbatlas import memo
 from orbatlas.atlas import WORD_BOUND
 from orbatlas.fixtures import MIRROR, MIRROR_REF, MORPHISMS, TRIV, TRIV_SHIFTED, catalog_2cells
 from orbatlas.geometry import AffineMap, Region, aff1
+from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
 
 M = MORPHISMS
 
@@ -118,6 +119,39 @@ def test_span_composite_with_no_square_is_a_failure_with_witness(tmp_path, capsy
     x = tuple(F(c) for c in x)
     assert TRIV_SHIFTED.chart(cid).domain.contains_point(x)
     assert not Region.interval(0, F(1, 2)).contains_point(M["unshift_T"].lift(cid)(x))
+
+
+def test_span_composite_of_non_matching_spans_is_not_composable(tmp_path, capsys):
+    """flip_M ends at MIRROR and half_T starts at TRIV: no composite exists,
+    which is a failure with a report, not a traceback."""
+    ops = frc.atlas_ops()
+    code = cli.run(["localize-compose",
+                    write(tmp_path, "s1.json", frc.universal_embed(ops, M["flip_M"])),
+                    write(tmp_path, "s2.json", frc.universal_embed(ops, M["half_T"]))])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 1 and out == {"kind": "report", "ok": False,
+                                 "not_composable": "spans not composable"}
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("error, code, key", [
+    (cli.SchemaError("/x", "bad"), 3, "schema_error"),
+    (UndecidedError("open"), 2, "undecided"),
+    (NoSuchCellError("no cell", ("T", (F(1, 2),))), 1, "no_such_cell"),
+    (ComposabilityError("no match"), 1, "not_composable"),
+], ids=["schema", "undecided", "no-such-cell", "not-composable"])
+def test_run_is_the_one_error_map(capsys, monkeypatch, error, code, key):
+    """Whatever command raises one of the four errors, `run` turns it into
+    its exit code and one report document."""
+    def raises(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_equiv_report", raises)
+    assert cli.run(["equiv-report"]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "report" and out["ok"] is False and key in out
+    if key == "no_such_cell":
+        assert out["witness"] == ["T", ["1/2"]]
 
 
 @pytest.mark.parametrize("argv, value, want", [
@@ -359,12 +393,12 @@ def test_saved_choice_table_reloads_byte_for_byte(tmp_path):
         frc.compose_spans(ops, table, legs, s1)
     assert len(table.entries) == 3
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    cli.save_choice_table(table, ops, str(first))
-    cli.save_choice_table(cli.load_choice_table(str(first), ops), ops, str(second))
+    cli.save_choice_table(table, str(first))
+    cli.save_choice_table(cli.load_choice_table(str(first)), str(second))
     assert first.read_bytes() == second.read_bytes()
     # entries are ordered by the repr of their keys
     keys = [repr(k) for k in table.entries]
-    reloaded = cli.load_choice_table(str(first), ops)
+    reloaded = cli.load_choice_table(str(first))
     assert [repr(k) for k in reloaded.entries] == sorted(keys)
 
 

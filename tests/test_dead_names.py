@@ -8,10 +8,10 @@ SRC = Path(memo_mod.__file__).parent
 ROOT = SRC.parent.parent
 
 
-def _references(node, own=None):
+def _references(node, own=()):
     """Names a node reads: plain names, attribute names, and the parts of
     dotted-path strings (the benchmark's tracer names its targets so).  A
-    definition referring to itself does not count."""
+    definition referring to itself, named in `own`, does not count."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
@@ -22,27 +22,43 @@ def _references(node, own=None):
             parts = n.value.split(".")
             if len(parts) > 1 and all(p.isidentifier() for p in parts):
                 out.update(parts)
-    out.discard(own)
-    return out
+    return out - set(own)
+
+
+def _is_method(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
 def _unreferenced(src, files):
-    """Module-level functions and classes of the modules in `src` that no
-    file refers to, other than by their own definition and the re-exports
-    of the package's `__init__.py`."""
+    """Module-level functions and classes of the modules in `src`, and the
+    methods of those classes other than dunders, that no file refers to,
+    other than by their own definition and the re-exports of the package's
+    `__init__.py`.  A method counts as referred to when any attribute or
+    dotted-path part bears its name."""
     defined, used = {}, set()
     for path in files:
         init = path == src / "__init__.py"
+        ours = path.parent == src and not init
         for node in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = node.name
-                if path.parent == src and not init:
-                    defined[own] = f"{path.name}:{own}"
             if init and isinstance(node, ast.ImportFrom):
                 continue
-            used |= _references(node, own)
-    return sorted(where for name, where in defined.items() if name not in used)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                used |= _references(node)
+                continue
+            if ours:
+                defined[node.name] = f"{path.name}:{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                used |= _references(node, [node.name])
+                continue
+            for part in node.decorator_list + node.bases + node.keywords + node.body:
+                if not _is_method(part):
+                    used |= _references(part, [node.name])
+                    continue
+                if ours:
+                    defined[f"{node.name}.{part.name}"] = f"{path.name}:{node.name}.{part.name}"
+                used |= _references(part, [node.name, part.name])
+    return sorted(where for name, where in defined.items() if name.split(".")[-1] not in used)
 
 
 def test_no_unreferenced_module_level_names():
@@ -66,6 +82,26 @@ def test_guard_sees_an_unreferenced_name(tmp_path):
                                        'dead = Caller().go()\n')
     files = [pkg / "__init__.py", pkg / "m.py", tmp_path / "bench.py"]
     assert _unreferenced(pkg, files) == ["m.py:dead", "m.py:recursive"]
+
+
+def test_guard_sees_an_unreferenced_method(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .m import Shape\n")
+    (pkg / "m.py").write_text(
+        "class Shape:\n"
+        "    def __init__(self):\n        self.n = 0\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "    def dead(self):\n        pass\n"
+        "    def used(self):\n        return self.traced()\n"
+        "    def traced(self):\n        pass\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1)\n"
+        "    @property\n    def size(self):\n        return 1\n")
+    (tmp_path / "bench.py").write_text('from pkg.m import Shape\n'
+                                       'TARGETS = [("m.Shape.traced", "pkg.m", "Shape.traced")]\n'
+                                       'x = Shape().used(), Shape().size\n')
+    files = [pkg / "__init__.py", pkg / "m.py", tmp_path / "bench.py"]
+    assert _unreferenced(pkg, files) == ["m.py:Shape.dead", "m.py:Shape.recursive"]
 
 
 def _key_comparisons(path):

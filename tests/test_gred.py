@@ -208,6 +208,13 @@ def test_axioms_a1_to_a5(catalog):
         assert rep.ok, rep.summary()
 
 
+@pytest.mark.parametrize("n", [0, -1, 6])
+def test_axiom_index_outside_1_to_5_is_an_error(n):
+    """Index 0 or -1 must not wrap around to A5."""
+    with pytest.raises(ValueError, match="criterion index must be 1..5"):
+        grd.check_axiom_A(n, {}, WORD_BOUND)
+
+
 def test_a4_vacuous_case_reported(catalog):
     """The images of the `mirror-distinct` cells are not equalized, so A4's
     precondition fails and A4 holds vacuously: a decided pass, with no
