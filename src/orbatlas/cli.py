@@ -5,9 +5,10 @@ Documents carry a top-level "kind"; rationals are strings "p/q" in lowest
 terms with positive denominator; all lists are in canonical sorted order,
 so parse(serialize(x)) == x bit-exactly.  Exit codes: 0 pass, 1 semantic
 failure (witness in the report), 2 undecided at the word bound, 3 schema
-error.  A proof that a cell does not exist and non-composable input are
-semantic failures; a document of the wrong kind is a schema error.  `run`
-is the one place that maps an error to its exit code.
+error.  A printed report's `ok` is false exactly on exit 1 and 3.  A proof
+that a cell does not exist and non-composable input are semantic failures;
+a document of the wrong kind is a schema error.  `run` is the one place
+that maps an error to its exit code.
 """
 
 from __future__ import annotations
@@ -472,10 +473,13 @@ def load_choice_table(path: str) -> frc.ChoiceTable:
     if not os.path.exists(path):
         return table
     doc = _json(_read(path))
-    for i, (_, e) in enumerate(_tuples(_need(doc, "entries", "", list), 2, "/entries")):
+    for i, (digest, e) in enumerate(_tuples(_need(doc, "entries", "", list), 2, "/entries")):
         at = f"/entries/{i}/1"
-        f = parse_morphism(_need(e, "f", at), f"{at}/f")
-        w = parse_morphism(_need(e, "w", at), f"{at}/w")
+        fdoc, wdoc = _need(e, "f", at), _need(e, "w", at)
+        if digest != _pair_hash(fdoc, wdoc):
+            raise SchemaError(f"/entries/{i}/0", "sha256 does not match the entry's f and w")
+        f = parse_morphism(fdoc, f"{at}/f")
+        w = parse_morphism(wdoc, f"{at}/w")
         square = (parse_atlas(_need(e, "middle", at), f"{at}/middle"),
                   parse_morphism(_need(e, "wleg", at), f"{at}/wleg"),
                   parse_morphism(_need(e, "fleg", at), f"{at}/fleg"),
@@ -528,17 +532,15 @@ def cmd_fred(args):
 
 
 def cmd_morita(args):
-    psi = _load(args.file, "gpd_morphism")
-    ok, rep = gpd.is_morita(psi)
-    return _report(rep, morita=ok)
+    rep = gpd.is_morita(_load(args.file, "gpd_morphism"))
+    return _report(rep, morita=rep.ok)
 
 
 def cmd_classify(args):
-    m = _load(args.file, "morphism")
-    cls = atl.classify_morphism(m, args.bound)
-    out = {"kind": "report", "subject": "classification", "class": cls.label,
-           "notes": list(cls.notes), "ok": cls.label != "undecided"}
-    return _emit(out, 2 if cls.label == "undecided" else 0)
+    cls = atl.classify_morphism(_load(args.file, "morphism"), args.bound)
+    notes = list(cls.notes)
+    rep = Report("classification", undecided=notes if cls.label == "undecided" else [])
+    return _report(rep, notes=notes, witness=_wjson(cls.witness), **{"class": cls.label})
 
 
 def _builtin_universe(instance, bound):
@@ -580,9 +582,10 @@ def cmd_localize_compose(args):
 def cmd_cell_equal(args):
     ops = frc.atlas_ops(args.bound)
     c1, c2 = _load(args.first, "fraction_cell"), _load(args.second, "fraction_cell")
-    eq = frc.cell_equal(ops, c1, c2)
-    return _emit({"kind": "report", "subject": "cell equality", "equal": eq,
-                  "ok": True}, 0 if eq else 1)
+    rep = Report("cell equality")
+    if not frc.cell_equal(ops, c1, c2):
+        rep.fail("CE", "the two fraction cells are not equal")
+    return _report(rep, equal=rep.ok)
 
 
 def cmd_equiv_report(args):
@@ -662,7 +665,7 @@ def run(argv=None) -> int:
     except SchemaError as e:
         return _emit({"kind": "report", "ok": False, "schema_error": str(e)}, 3)
     except UndecidedError as e:
-        return _emit({"kind": "report", "ok": False, "undecided": [str(e)]}, 2)
+        return _emit({"kind": "report", "ok": True, "undecided": [str(e)]}, 2)
     except NoSuchCellError as e:
         return _emit({"kind": "report", "ok": False, "no_such_cell": str(e),
                       "witness": _wjson(e.witness)}, 1)

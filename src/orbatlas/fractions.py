@@ -96,7 +96,7 @@ def _atlas_is_w(m, bound):
 def _gpd_is_w(m):
     """Whether a groupoid morphism is a Morita equivalence.  Memoized on the
     morphism value, which holds everything `is_morita` reads."""
-    return gpd.is_morita(m)[0]
+    return gpd.is_morita(m).ok
 
 
 def _gpd_square(f, w, bound):
@@ -490,18 +490,21 @@ def depth2_universe(ops, objects, cells) -> Universe:
     return Universe(list(objects), out, undecided)
 
 
-def _try_connect(ops, rep, f, g):
-    """The unique 2-cell f => g, or None when there is none; when the word
-    bound cannot settle it, the report notes it as undecided.  Any error
-    other than a proof of nonexistence propagates rather than pass an axiom
-    vacuously."""
+def _built(rep, code, what, make, *args):
+    """`make(*args)`, or None when the construction fails: a proof that the
+    cell does not exist is recorded in `rep` as a `code` failure with its
+    witness (with no `code`, as no failure: where no connecting 2-cell
+    exists there is nothing to check), and a bound too small to settle it
+    as an undecided note.  Any other error propagates rather than pass an
+    axiom vacuously."""
     try:
-        return ops.connect2(f, g)
-    except NoSuchCellError:
-        return None
+        return make(*args)
+    except NoSuchCellError as e:
+        if code is not None:
+            rep.fail(code, f"no {what}: {e}", e.witness)
     except UndecidedError as e:
-        rep.note_undecided(f"connecting 2-cell undecided: {e}")
-        return None
+        rep.note_undecided(f"{what} undecided: {e}")
+    return None
 
 
 def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
@@ -512,11 +515,10 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
         rep.note_undecided(note)
     if axiom == 1:
         for n, o in universe.objects:
-            try:
-                got = ops.is_w(ops.id1(o))
-            except UndecidedError as e:
-                rep.note_undecided(f"identity of {n} undecided: {e}")
+            ident = _built(rep, "BF1", f"identity of {n}", ops.id1, o)
+            if ident is None:
                 continue
+            got = ops.is_w(ident)
             if got is False:
                 rep.fail("BF1", f"identity of {n} is not in W")
             elif got is None:
@@ -535,14 +537,11 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 continue
             if ops.dst(f) != ops.dst(w):
                 continue
-            try:
-                d, wp, fp, alpha = chosen_square(ops, table, f, w)
-            except NoSuchCellError as e:
-                rep.fail("BF3", f"no square for ({nf}, {nw}): {e}", e.witness)
+            square = _built(rep, "BF3", f"square for ({nf}, {nw})",
+                            chosen_square, ops, table, f, w)
+            if square is None:
                 continue
-            except UndecidedError as e:
-                rep.note_undecided(f"square for ({nf}, {nw}) undecided: {e}")
-                continue
+            d, wp, fp, alpha = square
             if ops.is_w(wp) is not True:
                 rep.fail("BF3", f"square W-leg for ({nf}, {nw}) is not in W")
             v2 = ops.validate2(alpha)
@@ -558,23 +557,18 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                     continue
                 if ops.src(f1) != ops.src(f2) or ops.dst(f1) != ops.dst(f2):
                     continue
-                alpha = _try_connect(ops, rep, ops.compose1(w, f1), ops.compose1(w, f2))
+                alpha = _built(rep, None, "connecting 2-cell", ops.connect2,
+                               ops.compose1(w, f1), ops.compose1(w, f2))
                 if alpha is None:
                     continue
                 count += 1
                 # (a): cancellation produces beta with alpha * i_v = i_w * beta
-                try:
-                    beta = ops.cancel(w, f1, f2, alpha)
-                except NoSuchCellError as e:
-                    rep.fail("BF4a", f"no beta for ({nw}; {n1}, {n2}): {e}", e.witness)
+                beta = _built(rep, "BF4a", f"beta for ({nw}; {n1}, {n2})",
+                              ops.cancel, w, f1, f2, alpha)
+                if beta is None:
                     continue
-                except UndecidedError as e:
-                    rep.note_undecided(f"beta for ({nw}; {n1}, {n2}) undecided: {e}")
-                    continue
-                try:
-                    v = ops.id1(ops.src(f1))
-                except UndecidedError as e:
-                    rep.note_undecided(f"identity for ({nw}; {n1}, {n2}) undecided: {e}")
+                v = _built(rep, "BF4a", f"identity for ({nw}; {n1}, {n2})", ops.id1, ops.src(f1))
+                if v is None:
                     continue
                 lhs = ops.comp2h(alpha, ops.id2(v))
                 rhs = ops.comp2h(ops.id2(w), beta)
@@ -592,14 +586,12 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                     if ops.dst(u0) != ops.src(f1):
                         continue
                     beta2 = ops.comp2h(beta, ops.id2(u0))
-                    try:
-                        u_pr = ops.id1(ops.src(u0))
-                    except UndecidedError as e:
-                        rep.note_undecided(f"identity for ({nw}; {n1}, {n2}; {nu}) "
-                                           f"undecided: {e}")
+                    u_pr = _built(rep, "BF4c", f"identity for ({nw}; {n1}, {n2}; {nu})",
+                                  ops.id1, ops.src(u0))
+                    if u_pr is None:
                         continue
-                    zeta = _try_connect(ops, rep, ops.compose1(v, u0),
-                                        ops.compose1(u0, u_pr))
+                    zeta = _built(rep, None, "connecting 2-cell", ops.connect2,
+                                  ops.compose1(v, u0), ops.compose1(u0, u_pr))
                     if zeta is None:
                         continue
                     lhs = ops.comp2v(ops.comp2h(beta2, ops.id2(u_pr)),
@@ -616,7 +608,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
             for a, b, na, nb in ((f, w, n1, n2), (w, f, n2, n1)):
                 if ops.is_w(b) is not True or ops.is_w(a) is True:
                     continue
-                cell = _try_connect(ops, rep, a, b)
+                cell = _built(rep, None, "connecting 2-cell", ops.connect2, a, b)
                 if cell is None:
                     continue
                 got = ops.is_w(a)

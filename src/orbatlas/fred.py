@@ -10,8 +10,6 @@ and the inverse reconstructions are implemented alongside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atlas import (
     Atlas,
     ChangeOfCharts,
@@ -205,31 +203,19 @@ def atlas_from_groupoid(g: PresentedGroupoid, bound: int):
         "general groupoids without a chart-cover annotation are not supported")
 
 
-@dataclass
-class CorrespondenceReport:
-    morphism_class: str
-    is_weak_equivalence: object
-    morita: bool
-    agreement: bool
-    morita_report: Report
-
-    def to_json(self):
-        return {
-            "class": self.morphism_class,
-            "weak_equivalence": self.is_weak_equivalence,
-            "morita": self.morita,
-            "agreement": self.agreement,
-            "morita_report": self.morita_report.to_json(),
-        }
-
-
-def correspondence_check(m: Morphism, bound: int) -> CorrespondenceReport:
+def correspondence_check(m: Morphism, bound: int) -> Report:
     """Weak equivalences of atlases correspond exactly to Morita equivalences
-    of their groupoids of germs; this checks both sides on one morphism."""
+    of their groupoids of germs; this checks both sides on one morphism.  It
+    fails (WM) when they disagree, with the witness of the side that says
+    no, and is undecided when the class is."""
+    rep = Report("weak equivalence / Morita correspondence")
     cls = classify_morphism(m, bound)
     if cls.label == "undecided":
-        is_we = None
-    else:
-        is_we = cls.label in ("refinement", "weak_equivalence")
-    ok, rep = is_morita(fred1(m, bound))
-    return CorrespondenceReport(cls.label, is_we, ok, is_we == ok, rep)
+        rep.note_undecided(f"the morphism class is undecided: {cls}")
+        return rep
+    morita = is_morita(fred1(m, bound))
+    if (cls.label in ("refinement", "weak_equivalence")) != morita.ok:
+        no = cls.witness if morita.ok else morita.first().witness
+        rep.fail("WM", f"the morphism is {cls.label} but its image is "
+                       f"{'' if morita.ok else 'not '}a Morita equivalence", no)
+    return rep

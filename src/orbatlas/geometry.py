@@ -1018,9 +1018,6 @@ class Germ:
             raise GeometryError("germs not composable at these base points")
         return Germ(other.base_point, self.map.compose(other.map))
 
-    def inverse(self) -> "Germ":
-        return Germ(self.target_point(), self.map.inverse())
-
 
 def germ_of(iso: PartialAffineIso, x) -> Germ:
     """Germ of the partial isomorphism at x; x must lie in the domain."""

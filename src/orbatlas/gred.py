@@ -16,13 +16,13 @@ from . import atlas as atl
 from . import fractions as frc
 from . import fred as frd
 from . import groupoid as gpd
-from .reports import Report
+from .reports import NoSuchCellError, Report
 
 
 def gred(level: int, cell, bound: int):
     """Component-wise image of a localized cell: an atlas (level 0), a span
     (level 1) or a fraction cell (level 2, with the coarse side condition
-    decided exactly)."""
+    decided exactly; a cell that fails it does not exist)."""
     if level == 0:
         return frd.fred0(cell, bound)
     if level == 1:
@@ -38,7 +38,9 @@ def gred(level: int, cell, bound: int):
             frd.fred1(cell.left_leg, bound),
             frd.fred1(cell.right_leg, bound),
             frd.fred2(cell.base, bound))
-        side_condition_check(out).raise_if_failed()
+        v = side_condition_check(out).first()
+        if v is not None:
+            raise NoSuchCellError(f"coarse side condition fails: {v.message}", v.witness)
         return out
     raise ValueError("level must be 0, 1 or 2")
 
@@ -113,6 +115,17 @@ def check_axiom_A(n: int, catalog, bound: int) -> Report:
     return (_check_a1, _check_a2, _check_a3, _check_a4, _check_a5)[n - 1](catalog, bound)
 
 
+def _from_germs(rep, name, g, bound):
+    """The Morita equivalence of `frd.atlas_from_groupoid(g, bound)` from a
+    groupoid of germs onto `g`, or None with the reason noted in `rep` when
+    `g` carries no annotation an atlas can be rebuilt from."""
+    try:
+        return frd.atlas_from_groupoid(g, bound)[1]
+    except frd.UnsupportedGroupoidError as e:
+        rep.note_undecided(f"{name}: {e}")
+        return None
+
+
 def _check_a1(catalog, bound) -> Report:
     """Every catalog groupoid is reached, through a Morita equivalence, from
     the groupoid of germs of some atlas."""
@@ -120,13 +133,11 @@ def _check_a1(catalog, bound) -> Report:
     if not catalog["groupoids"]:
         rep.note_undecided("empty catalog: vacuously true")
     for name, g in catalog["groupoids"]:
-        try:
-            a, psi = frd.atlas_from_groupoid(g, bound)
-        except frd.UnsupportedGroupoidError as e:
-            rep.note_undecided(f"{name}: {e}")
+        psi = _from_germs(rep, name, g, bound)
+        if psi is None:
             continue
-        ok, sub = gpd.is_morita(psi)
-        if not ok:
+        sub = gpd.is_morita(psi)
+        if not sub.ok:
             rep.fail("A1", f"{name}: reconstruction is not a Morita equivalence")
             rep.absorb(sub)
     return rep
@@ -137,11 +148,8 @@ def _check_a2(catalog, bound) -> Report:
     through an atlas-level span of refinements / saturated arrows."""
     rep = Report("A2")
     for name, (psi1, psi2) in catalog["gpd_spans"]:
-        g = psi1.source
-        try:
-            y, phi = frd.atlas_from_groupoid(g, bound)
-        except frd.UnsupportedGroupoidError as e:
-            rep.note_undecided(f"{name}: {e}")
+        phi = _from_germs(rep, name, psi1.source, bound)
+        if phi is None:
             continue
         v = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi1, phi))
         cls = atl.classify_morphism(v, bound)
@@ -175,11 +183,8 @@ def _check_a3(catalog, bound) -> Report:
     morphisms after replacing the source."""
     rep = Report("A3")
     for name, f_b in catalog["gpd_arrows"]:
-        g = f_b.source
-        try:
-            x, psi = frd.atlas_from_groupoid(g, bound)
-        except frd.UnsupportedGroupoidError as e:
-            rep.note_undecided(f"{name}: {e}")
+        psi = _from_germs(rep, name, f_b.source, bound)
+        if psi is None:
             continue
         f_a = frd.fred_inverse(1, gpd.compose_gpd_morphisms(f_b, psi))
         v = atl.validate_morphism(f_a, bound)
@@ -204,11 +209,8 @@ def _check_a4(catalog, bound) -> Report:
         rhs = gpd.horizontal_compose_nt(a2, iz)
         if not gpd.equal_nat_transfs(lhs, rhs):
             continue  # the precondition fails: vacuously true
-        g = z_b.source
-        try:
-            z_atlas, phi = frd.atlas_from_groupoid(g, bound)
-        except frd.UnsupportedGroupoidError as e:
-            rep.note_undecided(f"{name}: {e}")
+        phi = _from_germs(rep, name, z_b.source, bound)
+        if phi is None:
             continue
         u = frd.fred_inverse(1, gpd.compose_gpd_morphisms(z_b, phi))
         if atl.classify_morphism(u, bound).label != "refinement":
@@ -228,11 +230,8 @@ def _check_a5(catalog, bound) -> Report:
     2-cells after a refinement replacement of the source."""
     rep = Report("A5")
     for name, (f1, f2, psi, alpha) in catalog["nt_lifts"]:
-        g = psi.source
-        try:
-            z_atlas, phi = frd.atlas_from_groupoid(g, bound)
-        except frd.UnsupportedGroupoidError as e:
-            rep.note_undecided(f"{name}: {e}")
+        phi = _from_germs(rep, name, psi.source, bound)
+        if phi is None:
             continue
         u = frd.fred_inverse(1, gpd.compose_gpd_morphisms(psi, phi))
         if atl.classify_morphism(u, bound).label != "refinement":
@@ -275,16 +274,6 @@ class EquivalenceReport:
             "commutation": self.commutation,
             "ok": self.ok,
         }
-
-    def summary(self):
-        lines = [r.summary() for r in self.axioms.values()]
-        lines.append(f"round trips: {sum(self.round_trips.values())}"
-                     f"/{len(self.round_trips)} pass")
-        lines.append(f"commutation: {sum(self.commutation.values())}"
-                     f"/{len(self.commutation)} pass")
-        lines.append("equivalence criteria: "
-                     + ("all pass" if self.ok else "FAILURES"))
-        return "\n".join(lines)
 
 
 def equivalence_report(catalog, bound: int) -> EquivalenceReport:

@@ -514,12 +514,12 @@ def horizontal_compose_nt(xi: NatTransf, delta: NatTransf) -> NatTransf:
 def is_morita(psi: GroupoidMorphism):
     """Essential surjectivity (every target orbit meets the image) and full
     faithfulness (target germs between image points are exactly the images
-    of source germs).  Returns (bool, Report)."""
+    of source germs).  Returns the Report."""
     rep = Report("Morita equivalence")
     g, h = psi.source, psi.target
     if not psi.is_etale():
         rep.fail("ME2", "object map is not a local isomorphism")
-        return False, rep
+        return rep
 
     # (ME1) essential surjectivity
     for qid, qreg in h.pieces:
@@ -551,7 +551,7 @@ def is_morita(psi: GroupoidMorphism):
                 if w is not None:
                     rep.fail("ME2", f"target germ between image points not in the "
                                     f"image ({p}->{pp})", w)
-    return rep.ok, rep
+    return rep
 
 
 def separating_point(region, m1, m2, families):

@@ -52,10 +52,6 @@ class Report:
     def first(self):
         return self.violations[0] if self.violations else None
 
-    def raise_if_failed(self):
-        if not self.ok:
-            raise ValidationFailure(self)
-
     def summary(self) -> str:
         if self.ok and self.decided:
             return f"{self.subject}: pass"
@@ -87,12 +83,6 @@ def _wjson(w):
     if isinstance(w, AffineMap):
         return {"matrix": _wjson(w.matrix), "offset": _wjson(w.offset)}
     return str(w)
-
-
-class ValidationFailure(Exception):
-    def __init__(self, report: Report):
-        super().__init__(report.summary())
-        self.report = report
 
 
 class UndecidedError(Exception):

@@ -186,13 +186,13 @@ def test_criterion_4_morita_correspondence():
     assert len(names) >= 10
     ok = True
     for name in names:
-        r = frd.correspondence_check(M[name], WORD_BOUND)
-        ok = ok and r.agreement
+        ok = ok and frd.correspondence_check(M[name], WORD_BOUND).ok
     from fractions import Fraction
-    neg = frd.correspondence_check(M["emb_T_M"], WORD_BOUND)
-    witness_ok = (not neg.morita
-                  and neg.morita_report.first().code == "ME1"
-                  and neg.morita_report.first().witness == (Fraction(0),))
+    neg = gpd.is_morita(frd.fred1(M["emb_T_M"], WORD_BOUND))
+    witness_ok = (frd.correspondence_check(M["emb_T_M"], WORD_BOUND).ok
+                  and not neg.ok
+                  and neg.first().code == "ME1"
+                  and neg.first().witness == (Fraction(0),))
     _line(4, "weak equivalence <=> Morita on >= 10 morphisms",
           ok and witness_ok, f"{len(names)} morphisms, ME1 witness = orbit of 0")
 

@@ -73,9 +73,17 @@ def test_classify_command(tmp_path, capsys):
     code = cli.run(["classify", write(tmp_path, "leg.json", M["leg1_MR_M"])])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["class"] == "refinement"
+    assert out["witness"] is None
     code = cli.run(["classify", write(tmp_path, "emb.json", M["emb_T_M"])])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["class"] == "open_embedding"
+    # the orbit of 0 in MIRROR's chart M is not reached
+    assert out["witness"] == ["M", ["0/1"]]
+    assert out["ok"] is True and out["violations"] == [] and out["undecided"] == []
+    code = cli.run(["--bound", "0", "classify", write(tmp_path, "emb.json", M["emb_T_M"])])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["class"] == "undecided"
+    assert out["ok"] is True and out["undecided"] == out["notes"] != []
 
 
 def test_morita_command_negative(tmp_path, capsys):
@@ -143,13 +151,13 @@ def test_span_composite_of_non_matching_spans_is_not_composable(tmp_path, capsys
 ], ids=["schema", "undecided", "no-such-cell", "not-composable"])
 def test_run_is_the_one_error_map(capsys, monkeypatch, error, code, key):
     """Whatever command raises one of the four errors, `run` turns it into
-    its exit code and one report document."""
+    its exit code and one report document, which is `ok` unless it fails."""
     def raises(args):
         raise error
     monkeypatch.setattr(cli, "cmd_equiv_report", raises)
     assert cli.run(["equiv-report"]) == code
     out = json.loads(capsys.readouterr().out)
-    assert out["kind"] == "report" and out["ok"] is False and key in out
+    assert out["kind"] == "report" and out["ok"] is (code == 2) and key in out
     if key == "no_such_cell":
         assert out["witness"] == ["T", ["1/2"]]
 
@@ -197,7 +205,14 @@ def test_cell_equal_command(tmp_path, capsys):
     fc = frc.universal_embed(ops, cells["id_to_flip"], level=2)
     p1 = write(tmp_path, "c1.json", fc)
     assert cli.run(["cell-equal", p1, p1]) == 0
-    capsys.readouterr()
+    out = json.loads(capsys.readouterr().out)
+    assert out["equal"] is True and out["ok"] is True
+    p2 = write(tmp_path, "c2.json", frc.universal_embed(ops, cells["i_id_MIRROR"], level=2))
+    p3 = write(tmp_path, "c3.json", frc.universal_embed(ops, cells["i_flip_M"], level=2))
+    assert cli.run(["cell-equal", p2, p3]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["equal"] is False and out["ok"] is False
+    assert out["violations"][0]["code"] == "CE"
 
 
 def test_schema_error_exit_code(tmp_path, capsys):
@@ -559,11 +574,12 @@ def test_bf_check_at_bound_zero_has_no_failure(capsys, instance, axiom):
     """No closure is complete at bound 0, so no identity and no groupoid of
     germs is built there: every such case is undecided, never a failure.
     The atlas universe is built, so its report is the axiom's; the groupoid
-    universe is not."""
+    universe is not, and its report is `run`'s undecided one."""
     assert cli.run(["--bound", "0", "bf-check", instance, "--axiom", str(axiom)]) == 2
     out = json.loads(capsys.readouterr().out)
     assert not out.get("violations") and out["undecided"]
-    assert out["ok"] is (instance == "atlas")
+    assert out["ok"] is True
+    assert ("subject" in out) is (instance == "atlas")
 
 
 def test_equiv_report_exits_2_on_an_undecided_note(capsys, monkeypatch):
@@ -595,3 +611,74 @@ def test_equiv_report_at_bound_zero_is_undecided(capsys):
     assert cli.run(["--bound", "0", "equiv-report"]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "report" and out["undecided"]
+
+
+def _contract_docs(tmp_path):
+    ops = frc.atlas_ops()
+    cells = catalog_2cells()
+    docs = {
+        "leg": M["leg1_MR_M"], "emb": M["emb_T_M"], "flip": M["flip_M"], "id_T": M["id_TRIV"],
+        "leg_gpd": frd.fred1(M["leg1_MR_M"]), "emb_gpd": frd.fred1(M["emb_T_M"]),
+        "legs_span": frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]),
+        "bad_span": frc.Span(M["emb_T_M"].source, M["emb_T_M"], M["emb_T_M"]),
+        "unshift": frc.Span(TRIV_SHIFTED, ops.id1(TRIV_SHIFTED), M["unshift_T"]),
+        "half": frc.Span(TRIV, M["half_T"], ops.id1(TRIV)),
+        "i_id": frc.universal_embed(ops, cells["i_id_MIRROR"], level=2),
+        "i_flip": frc.universal_embed(ops, cells["i_flip_M"], level=2),
+    }
+    paths = {k: write(tmp_path, f"{k}.json", v) for k, v in docs.items()}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({"kind": "atlas", "charts": []}))
+    paths["broken"] = str(broken)
+    return paths
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{leg}"], 0),
+    (["validate", "{bad_span}"], 1),
+    (["--bound", "0", "validate", "{leg}"], 2),
+    (["validate", "{broken}"], 3),
+    (["classify", "{emb}"], 0),
+    (["--bound", "0", "classify", "{emb}"], 2),
+    (["morita", "{leg_gpd}"], 0),
+    (["morita", "{emb_gpd}"], 1),
+    (["fred", "1", "{leg}"], 0),
+    (["compose", "{emb}", "{flip}"], 0),
+    (["compose", "{id_T}", "{flip}"], 1),
+    (["bf-check", "atlas", "--axiom", "1"], 0),
+    (["--bound", "0", "bf-check", "atlas", "--axiom", "3"], 2),
+    (["--bound", "0", "bf-check", "groupoid", "--axiom", "1"], 2),
+    (["localize-compose", "{legs_span}", "{legs_span}"], 0),
+    (["localize-compose", "{unshift}", "{half}"], 1),
+    (["cell-equal", "{i_id}", "{i_id}"], 0),
+    (["cell-equal", "{i_id}", "{i_flip}"], 1),
+    (["equiv-report"], 0),
+    (["--bound", "0", "equiv-report"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_ok_is_false_exactly_on_exit_1_and_3(tmp_path, capsys, argv, code):
+    """Every report a command prints is `ok` unless the command exits 1 (a
+    semantic failure) or 3 (a schema error); an undecided report is `ok`.
+    A command that prints a document exits 0."""
+    paths = _contract_docs(tmp_path)
+    assert cli.run([a.format(**paths) for a in argv]) == code
+    out = json.loads(capsys.readouterr().out)
+    if out["kind"] == "report":
+        assert out["ok"] is (code not in (1, 3))
+    else:
+        assert code == 0
+
+
+def test_tampered_choice_table_hash_is_a_schema_error(tmp_path, capsys):
+    """The saved sha256 of each entry's (f, w) is checked on loading."""
+    ops = frc.atlas_ops()
+    p1 = write(tmp_path, "s1.json", frc.universal_embed(ops, M["emb_T_M"]))
+    p2 = write(tmp_path, "s2.json", frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]))
+    choices = tmp_path / "choices.json"
+    assert cli.run(["localize-compose", p1, p2, "--choices", str(choices)]) == 0
+    capsys.readouterr()
+    doc = json.loads(choices.read_text())
+    doc["entries"][0][0] = "0" * 64
+    choices.write_text(json.dumps(doc))
+    assert cli.run(["localize-compose", p1, p2, "--choices", str(choices)]) == 3
+    err = json.loads(capsys.readouterr().out)["schema_error"]
+    assert err.startswith("schema error at /entries/0/0:")

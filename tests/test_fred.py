@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbatlas import fred as frd
 from orbatlas.atlas import (
     WORD_BOUND,
+    Classification,
     compose_morphisms,
     equal_2cells,
     equal_morphisms,
@@ -101,7 +103,7 @@ def test_atlas_from_groupoid_identity_cases():
         g = fred0(ATLASES[name])
         a, psi = atlas_from_groupoid(g, WORD_BOUND)
         assert a.key() == ATLASES[name].key()
-        assert is_morita(psi)[0]
+        assert is_morita(psi).ok
 
 
 def test_atlas_from_groupoid_cover_annotation():
@@ -113,7 +115,7 @@ def test_atlas_from_groupoid_cover_annotation():
     a, psi = atlas_from_groupoid(g, WORD_BOUND)
     assert len(a.charts) == 2
     assert validate_gpd_morphism(psi).ok
-    assert is_morita(psi)[0]
+    assert is_morita(psi).ok
 
 
 def test_atlas_from_groupoid_unsupported():
@@ -127,8 +129,30 @@ def test_correspondence_on_catalog():
     positives = ("leg1_MR_M", "incl_M_MR", "id_MIRROR", "shift_T", "flip_M")
     negatives = ("emb_T_M", "half_T")
     for name in positives:
-        r = correspondence_check(M[name], WORD_BOUND)
-        assert r.agreement and r.morita, name
+        assert correspondence_check(M[name], WORD_BOUND).ok, name
+        assert is_morita(fred1(M[name])).ok, name
     for name in negatives:
-        r = correspondence_check(M[name], WORD_BOUND)
-        assert r.agreement and not r.morita, name
+        assert correspondence_check(M[name], WORD_BOUND).ok, name
+        assert not is_morita(fred1(M[name])).ok, name
+
+
+@pytest.mark.parametrize("label, name, class_witness, witness", [
+    # the class says yes and Morita says no: the ME1 witness
+    ("refinement", "emb_T_M", None, (F(0),)),
+    # the class says no and Morita says yes: the class's witness
+    ("general", "leg1_MR_M", ("M", (F(1, 2),)), ("M", (F(1, 2),))),
+])
+def test_correspondence_disagreement_is_one_violation(monkeypatch, label, name,
+                                                      class_witness, witness):
+    monkeypatch.setattr(frd, "classify_morphism",
+                        lambda m, bound: Classification(label, (), class_witness))
+    rep = correspondence_check(M[name], WORD_BOUND)
+    assert [v.code for v in rep.violations] == ["WM"]
+    assert rep.first().witness == witness
+
+
+def test_correspondence_of_an_undecided_class_is_undecided(monkeypatch):
+    monkeypatch.setattr(frd, "classify_morphism",
+                        lambda m, bound: Classification("undecided", ("bound too small",)))
+    rep = correspondence_check(M["leg1_MR_M"], WORD_BOUND)
+    assert rep.ok and not rep.decided

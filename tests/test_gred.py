@@ -18,7 +18,7 @@ from orbatlas.fixtures import (
     catalog_2cells,
 )
 from orbatlas.geometry import Region, aff1, aff2
-from orbatlas.reports import NoSuchCellError, ValidationFailure
+from orbatlas.reports import NoSuchCellError
 
 M = MORPHISMS
 
@@ -61,7 +61,7 @@ def test_gred_level1_componentwise():
     s = frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])
     gs = grd.gred(1, s, WORD_BOUND)
     assert frc.validate_span(gops, gs).ok
-    assert gpd.is_morita(gs.left)[0]
+    assert gpd.is_morita(gs.left).ok
 
 
 def test_gred_level2_with_side_condition():
@@ -112,8 +112,13 @@ def test_side_condition_fails_where_the_legs_separate_orbits():
     v = rep.first()
     assert v.code == "SC" and v.witness == ("T", (F(1, 2),))
     assert _orbits(a, b, *v.witness) == "distinct"
-    with pytest.raises(ValidationFailure):
-        rep.raise_if_failed()
+    # the atlas cell with these legs has no image: gred proves it with the witness
+    i = M["id_TRIV"]
+    s = frc.Span(TRIV, i, i)
+    cell = frc.FractionCell(s, s, TRIV, i, M["half_T"], atl.identity_2cell(i))
+    with pytest.raises(NoSuchCellError) as e:
+        grd.gred(2, cell, WORD_BOUND)
+    assert e.value.witness == v.witness
 
 
 @pytest.mark.parametrize("name", sorted(TWISTS))

@@ -118,10 +118,10 @@ def test_gpd_morphisms_validate():
 
 
 def test_is_morita_cases():
-    assert is_morita(fred1(M["incl_M_MR"]))[0]
-    assert is_morita(fred1(M["id_MIRROR"]))[0]
-    ok, rep = is_morita(fred1(M["emb_T_M"]))
-    assert not ok
+    assert is_morita(fred1(M["incl_M_MR"])).ok
+    assert is_morita(fred1(M["id_MIRROR"])).ok
+    rep = is_morita(fred1(M["emb_T_M"]))
+    assert not rep.ok
     v = rep.first()
     assert v.code == "ME1" and v.witness == (F(0),)
 
@@ -129,19 +129,19 @@ def test_is_morita_cases():
 def test_morita_closed_under_composition():
     a = fred1(M["incl_M_MR"])
     b = fred1(M["leg1_MR_M"])
-    assert is_morita(compose_gpd_morphisms(b, a))[0]
+    assert is_morita(compose_gpd_morphisms(b, a)).ok
 
 
 def test_morita_two_out_of_three_left_cancel():
     # g and g o f Morita force f Morita on this pair
     f = fred1(M["incl_M_MR"])
     g = fred1(M["leg2_MR_M"])
-    assert is_morita(g)[0] and is_morita(compose_gpd_morphisms(g, f))[0]
-    assert is_morita(f)[0]
+    assert is_morita(g).ok and is_morita(compose_gpd_morphisms(g, f)).ok
+    assert is_morita(f).ok
     # and a composite with a non-Morita factor stays non-Morita
     h = fred1(M["emb_T_M"])
     flip = fred1(M["flip_M"])
-    assert not is_morita(compose_gpd_morphisms(flip, h))[0]
+    assert not is_morita(compose_gpd_morphisms(flip, h)).ok
 
 
 def test_find_unique_nat_transf():
