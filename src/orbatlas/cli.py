@@ -477,7 +477,8 @@ def load_choice_table(path: str) -> frc.ChoiceTable:
         at = f"/entries/{i}/1"
         fdoc, wdoc = _need(e, "f", at), _need(e, "w", at)
         if digest != _pair_hash(fdoc, wdoc):
-            raise SchemaError(f"/entries/{i}/0", "sha256 does not match the entry's f and w")
+            raise SchemaError(f"/entries/{i}/0", "sha256 does not match the entry's key pair (f, w) "
+                                                 "(it does not cover the cached square)")
         f = parse_morphism(fdoc, f"{at}/f")
         w = parse_morphism(wdoc, f"{at}/w")
         square = (parse_atlas(_need(e, "middle", at), f"{at}/middle"),

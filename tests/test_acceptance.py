@@ -186,10 +186,12 @@ def test_criterion_4_morita_correspondence():
     assert len(names) >= 10
     ok = True
     for name in names:
-        ok = ok and frd.correspondence_check(M[name], WORD_BOUND).ok
+        rep = frd.correspondence_check(M[name], WORD_BOUND)
+        ok = ok and rep.ok and rep.decided
     from fractions import Fraction
     neg = gpd.is_morita(frd.fred1(M["emb_T_M"], WORD_BOUND))
-    witness_ok = (frd.correspondence_check(M["emb_T_M"], WORD_BOUND).ok
+    rep = frd.correspondence_check(M["emb_T_M"], WORD_BOUND)
+    witness_ok = (rep.ok and rep.decided
                   and not neg.ok
                   and neg.first().code == "ME1"
                   and neg.first().witness == (Fraction(0),))

@@ -129,10 +129,12 @@ def test_correspondence_on_catalog():
     positives = ("leg1_MR_M", "incl_M_MR", "id_MIRROR", "shift_T", "flip_M")
     negatives = ("emb_T_M", "half_T")
     for name in positives:
-        assert correspondence_check(M[name], WORD_BOUND).ok, name
+        rep = correspondence_check(M[name], WORD_BOUND)
+        assert rep.ok and rep.decided, name
         assert is_morita(fred1(M[name])).ok, name
     for name in negatives:
-        assert correspondence_check(M[name], WORD_BOUND).ok, name
+        rep = correspondence_check(M[name], WORD_BOUND)
+        assert rep.ok and rep.decided, name
         assert not is_morita(fred1(M[name])).ok, name
 
 
