@@ -604,6 +604,7 @@ def equal_morphisms(a: Morphism, b: Morphism) -> bool:
     return True
 
 
+@memo(lambda atlas, bound: (atlas, bound))
 def identity_morphism(atlas: Atlas, bound: int) -> Morphism:
     """The identity of an atlas: every germ of its closure, assigned to
     itself.  An incomplete closure lists only the germs found so far, which
@@ -624,8 +625,15 @@ def identity_morphism(atlas: Atlas, bound: int) -> Morphism:
         entries, certificate=atlas)
 
 
+# Memo keys.  Certificates never take part in equality, so a key holds every
+# certificate that the result carries or reads, next to the value.
+
 def _mkey(m: Morphism):
     return (m, m.certificate)
+
+
+def _ckey(c: TwoCell):
+    return (c, c.source_morphism.certificate, c.target_morphism.certificate)
 
 
 @memo(lambda g, f: (_mkey(g), _mkey(f)))
@@ -1035,6 +1043,7 @@ def vertical_compose(sigma: TwoCell, delta: TwoCell) -> TwoCell:
     return TwoCell.make(delta.source_morphism, sigma.target_morphism, patches)
 
 
+@memo(lambda xi, delta: (_ckey(xi), _ckey(delta)))
 def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
     """Composite of [xi] (between g1, g2) alongside [delta] (between f1,
     f2): a 2-cell g1 f1 => g2 f2.  Each patch germ of delta is pushed

@@ -16,7 +16,7 @@ from . import atlas as atl
 from . import fractions as frc
 from . import fred as frd
 from . import groupoid as gpd
-from .reports import NoSuchCellError, Report
+from .reports import NoSuchCellError, Report, Violation
 
 
 def gred(level: int, cell, bound: int):
@@ -257,23 +257,37 @@ class EquivalenceReport:
     round_trips: dict = field(default_factory=dict)
     commutation: dict = field(default_factory=dict)
 
+    def verdict(self) -> Report:
+        """The parts as one report: each axiom's violations and undecided
+        notes tagged with the axiom, and one violation for each false round
+        trip or commutation entry."""
+        rep = Report("equivalence criteria")
+        for name, r in self.axioms.items():
+            rep.violations += [Violation(v.code, f"{name}: {v.message}", v.witness)
+                               for v in r.violations]
+            rep.undecided += [f"{name}: {u}" for u in r.undecided]
+        for code, entries, what in (("RT", self.round_trips, "round trip"),
+                                    ("COM", self.commutation, "commutation")):
+            for name, holds in entries.items():
+                if not holds:
+                    rep.fail(code, f"{name}: {what} fails")
+        return rep
+
     @property
     def ok(self):
-        return (all(r.ok for r in self.axioms.values())
-                and all(self.round_trips.values())
-                and all(self.commutation.values()))
+        return self.verdict().ok
 
     @property
     def decided(self):
-        return all(r.decided for r in self.axioms.values())
+        return self.verdict().decided
 
     def to_json(self):
-        return {
-            "axioms": {k: r.to_json() for k, r in self.axioms.items()},
-            "round_trips": self.round_trips,
-            "commutation": self.commutation,
-            "ok": self.ok,
-        }
+        return dict(
+            self.verdict().to_json(),
+            axioms={k: r.to_json() for k, r in self.axioms.items()},
+            round_trips=self.round_trips,
+            commutation=self.commutation,
+        )
 
 
 def equivalence_report(catalog, bound: int) -> EquivalenceReport:

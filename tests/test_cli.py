@@ -605,6 +605,24 @@ def test_equiv_report_exits_2_on_an_undecided_note(capsys, monkeypatch):
         "legs: the second connecting arrow is undecided at this bound"]
 
 
+def test_equiv_report_names_a_failed_round_trip(capsys, monkeypatch):
+    """A false round trip fails the report, and the top-level violations name
+    its entry.  Every round trip of the catalog holds, so one is stubbed."""
+    report = grd.equivalence_report
+
+    def stub(catalog, bound):
+        out = report(catalog, bound)
+        out.round_trips["flip_M"] = False
+        return out
+    monkeypatch.setattr(grd, "equivalence_report", stub)
+    assert cli.run(["equiv-report"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and out["round_trips"]["flip_M"] is False
+    assert out["subject"] == "equivalence criteria" and out["undecided"] == []
+    assert [(v["code"], v["message"]) for v in out["violations"]] == [
+        ("RT", "flip_M: round trip fails")]
+
+
 def test_equiv_report_at_bound_zero_is_undecided(capsys):
     """The acceptance catalog is imaged at the bound of the run, and at
     bound 0 it has no groupoid of germs to image."""

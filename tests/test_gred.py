@@ -18,7 +18,7 @@ from orbatlas.fixtures import (
     catalog_2cells,
 )
 from orbatlas.geometry import Region, aff1, aff2
-from orbatlas.reports import NoSuchCellError
+from orbatlas.reports import NoSuchCellError, Report
 
 M = MORPHISMS
 
@@ -258,6 +258,26 @@ def test_equivalence_report(catalog):
     assert all(rep.commutation.values())
     js = rep.to_json()
     assert js["ok"] is True
+
+
+def test_equivalence_report_verdict_tags_its_parts():
+    """The top-level verdict holds each axiom's violations and notes, tagged
+    with the axiom, and one violation per false round trip or commutation."""
+    a1, a2 = Report("A1"), Report("A2")
+    a1.fail("ME1", "orbit not reached", F(1, 2))
+    a2.note_undecided("legs: undecided")
+    rep = grd.EquivalenceReport({"A1": a1, "A2": a2},
+                                {"flip_M": True, "cell:legs": False},
+                                {"flip_M": False})
+    js = rep.to_json()
+    assert js["subject"] == "equivalence criteria" and js["ok"] is False
+    assert [(v["code"], v["message"], v["witness"]) for v in js["violations"]] == [
+        ("ME1", "A1: orbit not reached", "1/2"),
+        ("RT", "cell:legs: round trip fails", None),
+        ("COM", "flip_M: commutation fails", None)]
+    assert js["undecided"] == ["A2: legs: undecided"]
+    assert js["axioms"]["A1"] == a1.to_json() and js["round_trips"] == rep.round_trips
+    assert not rep.ok and not rep.decided
 
 
 def test_gred_pseudofunctoriality_on_composites():

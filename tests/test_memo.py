@@ -1,15 +1,27 @@
 import ast
+import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
 
+from orbatlas import atlas as atl
+from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas import groupoid as gpd
 from orbatlas import memo as memo_mod
 from orbatlas.atlas import WORD_BOUND, classify_morphism
-from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED
+from orbatlas.fixtures import (
+    ATLASES,
+    EXPECTED_CLASS,
+    MIRROR_REF,
+    MORPHISMS,
+    TRIV_SHIFTED,
+    catalog_2cells,
+)
 from orbatlas.memo import memo
+from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
 
 SRC = Path(memo_mod.__file__).parent
 
@@ -118,3 +130,146 @@ def test_groupoid_is_w_matches_is_morita():
         expected = gpd.is_morita(m).ok
         assert gops.is_w(m) is expected, name
         assert gops.is_w(m) is expected, name
+
+
+# -- the atlas memos are exact ------------------------------------------------
+#
+# Certificates never take part in equality, so each memo of the atlas layer
+# keys on every certificate that its result carries or reads.  The inputs are
+# the catalog morphisms, their identity 2-cells and the catalog 2-cells.
+
+def _atlas_cases():
+    b = WORD_BOUND
+    ms = [m for _, m in sorted(MORPHISMS.items())]
+    ends = list(dict.fromkeys([m.source for m in ms] + [m.target for m in ms]))
+    refinements = [m for n, m in sorted(MORPHISMS.items())
+                   if EXPECTED_CLASS[n] == "refinement"]
+    etale = [m for m in ms if m.is_etale()]
+    cells = list(dict.fromkeys([atl.identity_2cell(m) for m in ms]
+                               + list(catalog_2cells().values())))
+    return {
+        "identity_morphism": [(a, b) for a in ends],
+        "compose_morphisms": [(g, f) for g in ms for f in ms if f.target == g.source],
+        "classify_morphism": [(m, b) for m in ms],
+        "pullback_square": [(f, w, b) for f in ms for w in refinements
+                            if f.target == w.target],
+        "unique_2cell_open_embeddings": [
+            (w1, w2, b) for w1 in etale for w2 in etale
+            if (w1.source, w1.target) == (w2.source, w2.target)],
+        "horizontal_compose": [
+            (xi, delta) for xi in cells for delta in cells
+            if delta.source_morphism.target == xi.source_morphism.source],
+    }
+
+
+ATLAS_MEMOS = sorted(_atlas_cases())
+
+
+def _certificates(x):
+    """Every certificate inside a value, in order: a morphism's own, those of
+    the two morphisms of a 2-cell, those of the items of a tuple."""
+    if isinstance(x, atl.Morphism):
+        return [x.certificate]
+    if isinstance(x, atl.TwoCell):
+        return _certificates(x.source_morphism) + _certificates(x.target_morphism)
+    if isinstance(x, tuple):
+        return [c for item in x for c in _certificates(item)]
+    return []
+
+
+def _copy(x):
+    """A value-equal copy, certificates included, that shares no object."""
+    return x if isinstance(x, int) else cli.loads(cli.dumps(x))
+
+
+def _recertified(x, pick):
+    """`x` with the certificate changed of each morphism inside it, in the
+    order of `_certificates`, for which `pick()` is true, and nothing else:
+    none for a certified morphism, the merge of its ends for one without."""
+    if isinstance(x, atl.Morphism):
+        if not pick():
+            return x
+        alt = None if x.certificate is not None else atl.merge_atlases(x.source, x.target)
+        return dataclasses.replace(x, certificate=alt)
+    if isinstance(x, atl.TwoCell):
+        return dataclasses.replace(x, source_morphism=_recertified(x.source_morphism, pick),
+                                   target_morphism=_recertified(x.target_morphism, pick))
+    if isinstance(x, tuple):
+        return tuple(_recertified(item, pick) for item in x)
+    return x
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args), None
+    except (ComposabilityError, NoSuchCellError, UndecidedError) as e:
+        return None, type(e)
+
+
+def _exact(fn, args):
+    """The memoized call gives what the bare function gives, certificates
+    included, or raises as it does and stores nothing."""
+    want, want_error = _outcome(fn.__wrapped__, args)
+    size = len(fn.table)
+    got, error = _outcome(fn, args)
+    assert error is want_error, (fn.__name__, args)
+    if error is not None:
+        assert len(fn.table) == size
+        return None
+    assert got == want and _certificates(got) == _certificates(want), (fn.__name__, args)
+    return got
+
+
+def test_every_atlas_memo_is_covered():
+    memoized = sorted(name for name, v in vars(atl).items()
+                      if callable(v) and hasattr(v, "table") and v.__module__ == atl.__name__)
+    assert memoized == ATLAS_MEMOS
+
+
+@pytest.mark.parametrize("name", ATLAS_MEMOS)
+def test_atlas_memo_is_exact(name):
+    memo_mod.clear()
+    fn = getattr(atl, name)
+    cases = _atlas_cases()[name]
+    assert cases
+    for args in cases:
+        got = _exact(fn, args)
+        if got is None:
+            continue
+        # a value-equal copy finds the stored object
+        assert fn(*map(_copy, args)) is got, (name, args)
+        # another certificate on any one morphism is another entry, and its
+        # result carries that certificate
+        for k in range(len(_certificates(args))):
+            count = itertools.count()
+            other = _recertified(args, lambda: next(count) == k)
+            assert _certificates(other) != _certificates(args)
+            misses = fn.misses
+            again = _exact(fn, other)
+            assert fn.misses == misses + 1, (name, args, k)
+            assert again is None or fn(*other) is again
+
+
+def test_undecided_identity_is_never_stored():
+    """MIRROR_REF's closure is incomplete at word bound 1 and complete at 2."""
+    memo_mod.clear()
+    for _ in range(2):
+        with pytest.raises(UndecidedError):
+            atl.identity_morphism(MIRROR_REF, 1)
+    ident = atl.identity_morphism(MIRROR_REF, WORD_BOUND)
+    assert ident.certificate == MIRROR_REF
+    for _ in range(2):
+        with pytest.raises(UndecidedError):
+            atl.identity_morphism(MIRROR_REF, 1)
+    assert list(atl.identity_morphism.table) == [(MIRROR_REF, WORD_BOUND)]
+
+
+def test_clear_empties_the_atlas_memos():
+    cases = _atlas_cases()
+    fns = [getattr(atl, name) for name in ATLAS_MEMOS]
+    for fn, name in zip(fns, ATLAS_MEMOS):
+        fn(*cases[name][0])
+    assert all(fn.table for fn in fns)
+    memo_mod.clear()
+    assert not any(fn.table for fn in fns)
+    assert all((fn.hits, fn.misses) == (0, 0) for fn in fns)
