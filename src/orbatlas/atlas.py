@@ -243,7 +243,14 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
     unions are pure functions of their arguments, and a region whose pieces
     are all pieces of the family already is absorbed without a union (the
     pieces of a canonical region are pairwise unmergeable, so that union
-    would only drop the duplicates)."""
+    would only drop the duplicates).
+
+    `preimage_under` and `compose` are memoized in the geometry kernel, yet
+    the `steps` row stays: it finds a step by the small integer `lid` in a
+    row looked up once per family, where the memo hashes and compares a
+    key of three values on every step.  Stepping through the memos alone
+    made `coherence` slower, 0.256 -> 0.375 s median `run_s` over 3
+    alternating pairs of `perfbench/run.py --seconds 10` on a 2-core VM."""
     seeds = _seed_families(atlas)
     # letters[chart]: the seeds leaving the chart as (dst, m2, d2, lid), where
     # lid numbers the distinct (d2, m2) values

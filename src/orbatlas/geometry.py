@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .memo import cached_hash
+from .memo import cached_hash, memo
 
 
 class GeometryError(Exception):
@@ -179,6 +179,7 @@ class AffineMap:
     def is_invertible(self) -> bool:
         return self._det() != 0
 
+    @memo(lambda self, other: (self, other))
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self.compose(other))(x) == self(other(x))."""
         if self.dim != other.dim:
@@ -193,6 +194,7 @@ class AffineMap:
             (m[0] * p[0] + m[1] * p[1] + o[0] * e, m[2] * p[0] + m[3] * p[1] + o[1] * e),
             self._d * e)
 
+    @memo(lambda self: self)
     def inverse(self) -> "AffineMap":
         # y = (M x + o)/d  <=>  x = adj(M) (d y - o) / det(M)
         det = self._det()
@@ -793,6 +795,7 @@ class Region:
                 return r
         return Region(self.dim, pieces)
 
+    @memo(lambda self, other: (self, other))
     def intersect(self, other: "Region") -> "Region":
         self._check_dim(other)
         out = []
@@ -837,6 +840,7 @@ class Region:
             pieces = [p for p in nxt if p._meas > 0]
         return Region(self.dim, pieces)
 
+    @memo(lambda self, m: (self, m))
     def image(self, m: AffineMap) -> "Region":
         if m.dim != self.dim:
             raise DimensionMismatchError("map dimension mismatch")
@@ -844,6 +848,7 @@ class Region:
             raise NonInvertibleMapError("image requires an invertible map")
         return Region(self.dim, [p.image(m) for p in self.pieces])
 
+    @memo(lambda self, m, target: (self, m, target))
     def preimage_under(self, m: AffineMap, target: "Region") -> "Region":
         """{x in self : m(x) in target}, exact for arbitrary affine m."""
         self._check_dim(target)
@@ -896,7 +901,13 @@ class Region:
         """Exact decision of `self` being a subset of the union of `parts`;
         None if covered, else a rational point of self missing from the
         union.  Boundary points between parts count as uncovered (open
-        sets), e.g. (-1,1) is not covered by (-1,0) and (0,1)."""
+        sets), e.g. (-1,1) is not covered by (-1,0) and (0,1).  `parts` may
+        be any iterable of regions: it is read once, into the tuple that
+        the memo keys on."""
+        return self._covers_witness(tuple(parts))
+
+    @memo(lambda self, parts: (self, parts))
+    def _covers_witness(self, parts: tuple):
         allp = []
         for r in parts:
             self._check_dim(r)

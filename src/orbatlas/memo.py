@@ -6,6 +6,11 @@ stores nothing.  Each memoized function counts its `hits` and `misses`,
 and `clear()` empties every memo and resets the counters.  There is no size
 bound: the memos live as long as the process.
 
+A method is memoized like a function: the key receives `self` as its first
+argument and holds it, so one table serves every instance, and equal
+instances share their entries.  The key must read every argument, and only
+results that cannot be mutated may be stored.
+
 `@cached_hash` makes a frozen dataclass its own dict key: its hash is
 computed once, from the fields it compares, and equality checks identity,
 then that hash, then the fields.

@@ -285,3 +285,38 @@ def test_guard_sees_a_broad_except(tmp_path):
                  "try: pass\nexcept frd.UnsupportedGroupoidError as e: pass\n")
     assert _broad_excepts([p]) == ["m.py:6", "m.py:8", "m.py:10", "m.py:12", "m.py:14",
                                    "m.py:16"]
+
+
+def _memo_keys_dropping_arguments(path):
+    """`@memo(lambda ...)` keys that never read one of their parameters: such
+    a key makes calls that differ only in that argument share one entry."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call) or _name(node.func) != "memo":
+            continue
+        if not node.args or not isinstance(node.args[0], ast.Lambda):
+            continue
+        key = node.args[0]
+        a = key.args
+        params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        read = {n.id for n in ast.walk(key.body) if isinstance(n, ast.Name)}
+        out += [f"{path.name}:{key.lineno}:{p}" for p in params if p not in read]
+    return out
+
+
+def test_memo_keys_read_every_argument():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _memo_keys_dropping_arguments(path)]
+    assert found == [], f"a memo key must read every argument of the call: {found}"
+
+
+def test_guard_sees_a_memo_key_dropping_an_argument(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("@memo(lambda self, m, target: (self, m))\ndef f(self, m, target): pass\n"
+                 "@mm.memo(lambda a, bound=4: (a, bound))\ndef g(a, bound=4): pass\n"
+                 "@memo(lambda x, *rest, k=1: (x, k))\ndef h(x, *rest, k=1): pass\n"
+                 "@memo(lambda s, p: (s, _key(p)))\ndef i(s, p): pass\n"
+                 "@memo(lambda: 0)\ndef j(): pass\n"
+                 "@memo(key_of)\ndef k(v): pass\n")
+    assert _memo_keys_dropping_arguments(p) == ["m.py:1:target", "m.py:5:rest"]

@@ -1,14 +1,17 @@
 import ast
 import dataclasses
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
 
 from orbatlas import atlas as atl
 from orbatlas import cli
+from orbatlas import fixtures as fx
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
+from orbatlas import geometry as geo
 from orbatlas import groupoid as gpd
 from orbatlas import memo as memo_mod
 from orbatlas.atlas import WORD_BOUND, classify_morphism
@@ -20,6 +23,7 @@ from orbatlas.fixtures import (
     TRIV_SHIFTED,
     catalog_2cells,
 )
+from orbatlas.geometry import AffineMap, Region, aff1, aff2
 from orbatlas.memo import memo
 from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
 
@@ -273,3 +277,182 @@ def test_clear_empties_the_atlas_memos():
     memo_mod.clear()
     assert not any(fn.table for fn in fns)
     assert all((fn.hits, fn.misses) == (0, 0) for fn in fns)
+
+
+# -- the geometry memos are exact ---------------------------------------------
+#
+# The geometry values are their own keys: equal values have equal integer
+# forms and hashes.  The inputs are the catalog chart domains, the regions
+# and maps of the closure families, and the lifts of the catalog morphisms;
+# each memo also meets calls that raise.
+
+def _geometry_values():
+    atlases = [a for _, a in sorted(ATLASES.items())] + [TRIV_SHIFTED]
+    families = [(m, r) for a in atlases
+                for _, _, m, r in atl.closure(a, WORD_BOUND).items()]
+    regions = [c.domain for a in atlases for c in a.charts] + [r for _, r in families]
+    maps = [m for m, _ in families] + [L for _, m in sorted(MORPHISMS.items())
+                                       for _, L in m.lifts]
+    return list(dict.fromkeys(regions)), list(dict.fromkeys(maps))
+
+
+def _geometry_cases():
+    """name -> (argument tuples, (argument tuple, error) pairs that raise)."""
+    regions, maps = _geometry_values()
+    same = [(r, m) for r in regions for m in maps if r.dim == m.dim]
+    line, square = Region.interval(0, 1), Region.polygon([(0, 0), (1, 0), (0, 1)])
+    mismatch = geo.DimensionMismatchError
+    return {
+        "AffineMap.compose": (
+            [(g, f) for g in maps for f in maps if g.dim == f.dim],
+            [((aff1(2), aff2([[1, 0], [0, 1]])), mismatch)]),
+        "AffineMap.inverse": (
+            [(m,) for m in maps],
+            [((aff1(0),), geo.NonInvertibleMapError),
+             ((aff2([[1, 2], [2, 4]]),), geo.NonInvertibleMapError)]),
+        "Region.intersect": (
+            [(r, q) for r in regions for q in regions if r.dim == q.dim],
+            [((line, square), mismatch)]),
+        "Region.image": (
+            same,
+            [((line, aff1(0, 1)), geo.NonInvertibleMapError),
+             ((square, aff2([[1, 1], [1, 1]])), geo.NonInvertibleMapError),
+             ((line, aff2([[1, 0], [0, 1]])), mismatch)]),
+        "Region.preimage_under": (
+            [(r, m, t) for r, m in same for t in regions if t.dim == r.dim],
+            [((line, aff1(1), square), mismatch),
+             ((line, aff2([[1, 0], [0, 1]]), line), mismatch)]),
+        "Region._covers_witness": (
+            [(r, parts) for r in regions
+             for parts in [()] + [(q,) for q in regions if q.dim == r.dim]
+             + [tuple(q for q in regions if q.dim == r.dim and q != r)]],
+            [((line, (square,)), mismatch)]),
+    }
+
+
+GEOMETRY_MEMOS = sorted(_geometry_cases())
+
+
+def _geometry_memo(name):
+    cls, attr = name.split(".")
+    return vars(getattr(geo, cls))[attr]
+
+
+def _geometry_objects(x):
+    """The geometry objects inside a value: regions, their pieces, maps."""
+    if isinstance(x, tuple):
+        return [o for item in x for o in _geometry_objects(item)]
+    if isinstance(x, Region):
+        return [x, *x.pieces]
+    return [x] if isinstance(x, AffineMap) else []
+
+
+def test_every_geometry_memo_is_covered():
+    memoized = sorted(f"{cname}.{name}" for cname, cls in vars(geo).items()
+                      if isinstance(cls, type) and cls.__module__ == geo.__name__
+                      for name, v in vars(cls).items() if hasattr(v, "table"))
+    memoized += sorted(name for name, v in vars(geo).items()
+                       if callable(v) and hasattr(v, "table"))
+    assert memoized == GEOMETRY_MEMOS
+
+
+@pytest.mark.parametrize("name", GEOMETRY_MEMOS)
+def test_geometry_memo_is_exact(name):
+    memo_mod.clear()
+    fn = _geometry_memo(name)
+    cases, raising = _geometry_cases()[name]
+    assert cases
+    for args in cases:
+        misses = fn.misses
+        got = fn(*args)
+        assert fn.misses == misses + 1, (name, args)
+        assert got == fn.__wrapped__(*args), (name, args)
+        # a value-equal copy that shares no object finds the stored object
+        copy = pickle.loads(pickle.dumps(args))
+        ids = [{id(o) for o in _geometry_objects(x)} for x in (args, copy)]
+        assert copy == args and not ids[0] & ids[1]
+        assert fn(*copy) is got, (name, args)
+    for args, error in raising:
+        size = len(fn.table)
+        for call in (fn.__wrapped__, fn, fn):
+            with pytest.raises(error):
+                call(*args)
+        assert len(fn.table) == size, (name, args)
+
+
+def test_covers_witness_reads_a_generator_once():
+    """Parts given as a generator give the answer of the same parts as a
+    list.  Each call starts from empty memos, so that the list's answer is
+    not simply found again."""
+    whole = Region.interval(-1, 1)
+    left, right, wide = Region.interval(-1, 0), Region.interval(0, 1), Region.interval(-1, 2)
+    for parts, want in (([left, right], (0,)), ([left, wide], None), ([wide], None),
+                        ([], (0,))):
+        memo_mod.clear()
+        assert whole.covers_witness(p for p in parts) == want
+        memo_mod.clear()
+        assert whole.covers_witness(parts) == want
+        memo_mod.clear()
+        assert whole.covers(p for p in parts) is (want is None)
+
+
+# -- no memo stores a mutable container ---------------------------------------
+
+MUTABLE = (list, dict, set)
+
+
+def _mutable_inside(x, seen):
+    """The first list, dict or set found inside a value: the value itself, the
+    items of its tuples and frozensets, the fields of its dataclasses and
+    the pieces of its regions.  `seen` maps the id of each value walked to
+    the value, which keeps it alive, so that no later value takes its id."""
+    if id(x) in seen:
+        return None
+    seen[id(x)] = x
+    if isinstance(x, MUTABLE):
+        return x
+    if isinstance(x, (tuple, frozenset)):
+        items = x
+    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+        items = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    elif isinstance(x, Region):
+        items = x.pieces
+    else:
+        return None
+    for item in items:
+        found = _mutable_inside(item, seen)
+        if found is not None:
+            return found
+    return None
+
+
+def test_no_memo_stores_a_mutable_container():
+    """Over the catalog, its `fred1` images and the BF3 checks of one slice
+    of the depth-2 universe, as a `bf-atlas` benchmark job cuts it."""
+    memo_mod.clear()
+    morphisms, _ = fx._build_morphisms()
+    catalog_2cells()
+    for _, m in sorted(morphisms.items()):
+        frd.fred1(m, WORD_BOUND)
+    ops, uni = cli._builtin_universe("atlas", WORD_BOUND)
+    assert frc.check_bf(ops, 3, frc.Universe(uni.objects, uni.cells[::8]),
+                        frc.ChoiceTable()).ok
+    stored = [fn for fn in memo_mod._MEMOS if fn.table]
+    names = {fn.__qualname__ for fn in stored}
+    assert {"Region.preimage_under", "fred1", "pullback_square"} <= names
+    for fn in stored:
+        seen = {}
+        for entry in fn.table.items():
+            found = _mutable_inside(entry, seen)
+            assert found is None, (fn.__qualname__, type(found).__name__)
+
+
+def test_mutable_guard_sees_a_list():
+    @dataclasses.dataclass(frozen=True)
+    class Box:
+        items: object
+
+    assert _mutable_inside((1, Box((2, [3]))), {}) == [3]
+    assert _mutable_inside(Box({"a": 1}), {}) == {"a": 1}
+    assert _mutable_inside(((), set()), {}) == set()
+    assert _mutable_inside((Region.interval(0, 1), frozenset({2})), {}) is None
