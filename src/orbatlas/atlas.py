@@ -203,6 +203,29 @@ class Pseudogroup:
             return True
         return False if self.complete else None
 
+    def refute(self, message, witness):
+        """Raise for a germ that the closure lacks.  The miss proves that no
+        cell exists only when the closure is complete: `NoSuchCellError`
+        with the `(chart id, point)` witness.  Otherwise a longer word may
+        still supply the germ: `UndecidedError`."""
+        if self.complete:
+            raise NoSuchCellError(message, witness)
+        raise UndecidedError(f"{message} within the word bound, "
+                             f"whose pseudogroup closure is incomplete")
+
+    def forced(self, src, dst, m: AffineMap, cid, region: Region, lift: AffineMap,
+               message) -> Region:
+        """The domain of the family from chart src to chart dst with the
+        forced map `m`, which `lift` must carry `region` (of chart `cid`)
+        into.  A miss is refuted at a point of the region that the lift
+        sends outside the family, or at any point of it when the family is
+        missing."""
+        fam = self.region(src, dst, m)
+        w = region.interior_point() if fam is None else region.escape_witness(lift, fam)
+        if w is not None:
+            self.refute(message, (cid, w))
+        return fam
+
     def items(self):
         for (src, dst), by_map in sorted(self.families.items()):
             for m in sorted(by_map, key=lambda m: m.key()):
@@ -613,23 +636,14 @@ def equal_morphisms(a: Morphism, b: Morphism) -> bool:
 
 @memo(lambda atlas, bound: (atlas, bound))
 def identity_morphism(atlas: Atlas, bound: int) -> Morphism:
-    """The identity of an atlas: every germ of its closure, assigned to
-    itself.  An incomplete closure lists only the germs found so far, which
-    is no identity, so that case is undecided."""
-    cl = closure(atlas, bound)
-    if not cl.complete:
-        raise UndecidedError(
-            f"pseudogroup closure incomplete at word bound {bound}; "
-            f"the identity morphism was not constructed")
-    entries = []
-    for src, dst, m, reg in cl.items():
-        ch = ChangeOfCharts(src, dst, PartialAffineIso(m, reg))
-        entries.append(PEntry(ch, ch))
-    return Morphism.make(
+    """The identity of an atlas: the morphism with identity chart map and
+    identity lifts, so that every germ of its closure is assigned to
+    itself, certified by the atlas."""
+    return morphism_from_lifts(
         atlas, atlas,
         {c.cid: c.cid for c in atlas.charts},
         {c.cid: AffineMap.identity(atlas.dim) for c in atlas.charts},
-        entries, certificate=atlas)
+        bound, certificate=atlas)
 
 
 # Memo keys.  Certificates never take part in equality, so a key holds every
@@ -719,26 +733,25 @@ def morphism_from_lifts(source: Atlas, target: Atlas, chart_map, lifts,
     """The unique morphism with the given open-embedding lifts: the
     assignment is forced by conjugation through the lifts.  `target_search`,
     when given, is a larger atlas (containing the target's charts) whose
-    pseudogroup is used to certify the forced assignments."""
+    pseudogroup is used to certify the forced assignments.  An incomplete
+    source closure holds only the germs found so far, too few entries for
+    a morphism, so that case is undecided."""
     chart_map, lifts = dict(chart_map), dict(lifts)
     for i, L in lifts.items():
         if not L.is_invertible():
             raise ValueError(f"lift at {i} is not an open embedding")
     scl = closure(source, bound)
+    if not scl.complete:
+        raise UndecidedError(
+            f"source pseudogroup closure incomplete at word bound {bound}; "
+            f"the morphism was not constructed")
     tcl = closure(target_search if target_search is not None else target, bound)
     entries = []
     for i, ip, mm, reg in scl.items():
         j, jp = chart_map[i], chart_map[ip]
         nu_map = lifts[ip].compose(mm).compose(lifts[i].inverse())
-        fam = tcl.region(j, jp, nu_map)
-        img = reg.image(lifts[i])
-        if fam is None or not img.covers([fam]):
-            if not tcl.complete:
-                raise UndecidedError(
-                    f"target pseudogroup too small to certify the lift assignment "
-                    f"({i}->{ip})")
-            raise ValueError(
-                f"lifts are not base-compatible: no target germ matches {i}->{ip}")
+        fam = tcl.forced(j, jp, nu_map, i, reg, lifts[i],
+                         f"no target germ matches the forced assignment {i}->{ip}")
         entries.append(PEntry(
             ChangeOfCharts(i, ip, PartialAffineIso(mm, reg)),
             ChangeOfCharts(j, jp, PartialAffineIso(nu_map, fam))))
@@ -793,11 +806,11 @@ class Classification:
         return self.label + n
 
 
-def _essentially_surjective(m: Morphism, fams: Pseudogroup, tgt: Atlas):
+def _essentially_surjective(m: Morphism, fams: Pseudogroup):
     """Three-valued: is every target orbit hit by a lifted source point?
     A found cover is sound at any bound; a miss needs a complete closure."""
     witness = None
-    for jc in tgt.charts:
+    for jc in m.target.charts:
         parts = []
         for i, j in m.chart_map:
             img = m.source.chart(i).domain.image(m.lift(i))
@@ -854,13 +867,14 @@ def classify_morphism(m: Morphism, bound: int) -> Classification:
     (the morphism's certificate atlas, or the merge of source and target by
     shared chart ids) and the target orbits are exhausted; a weak
     equivalence when the induced coarse map is a certified bijection; an
-    open embedding when it is a certified injection."""
+    open embedding when it is a certified injection.  The certificate
+    decides only the identity base: the target orbits are those of the
+    target's own closure."""
     notes = []
     if not m.is_etale():
         return Classification("general", ("a lift is not an open embedding",))
     cert = m.certificate or merge_atlases(m.source, m.target)
     ident = False
-    surj_cert = None
     if cert is not None:
         ccl = closure(cert, bound)
         ident = True
@@ -869,15 +883,13 @@ def classify_morphism(m: Morphism, bound: int) -> Classification:
             if got is not True:
                 ident = got  # False, or None when the bound ran out
                 break
-        if ident:
-            surj_cert, _ = _essentially_surjective(m, ccl, m.target)
-            if surj_cert is True:
-                return Classification("refinement")
         if ident is None:
             notes.append("identity-base certification undecided at this bound")
     scl, tcl = closure(m.source, bound), closure(m.target, bound)
+    surj, wit_s = _essentially_surjective(m, tcl)
+    if ident is True and surj is True:
+        return Classification("refinement")
     full, wit_f = _fully_faithful(m, tcl, scl)
-    surj, wit_s = _essentially_surjective(m, tcl, m.target)
     if full is True and surj is True:
         return Classification("weak_equivalence", tuple(notes))
     if full is True and surj is False:
@@ -967,9 +979,12 @@ def validate_2cell(c: TwoCell, bound: int) -> Report:
             if ch.src != j1 or ch.dst != j2:
                 rep.fail("2Mb", f"patch change over the wrong chart pair at {i}")
                 continue
-            if tcl.covered(ch.src, ch.dst, ch.map, ch.dom) is False:
+            got = tcl.covered(ch.src, ch.dst, ch.map, ch.dom)
+            if got is False:
                 rep.fail("2Mb", "patch change not certified by the target pseudogroup",
                          ch.map)
+            elif got is None:
+                rep.note_undecided(f"patch change at {i} not certified within the word bound")
             # (2Mb) image containments
             w = region.escape_witness(L1, ch.dom)
             if w is not None:
@@ -1140,8 +1155,8 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
             for mm, dom in sorted(bcl.maps(jc, ja).items(), key=lambda kv: kv[0].key()):
                 r = c.domain.preimage_under(Lc, dom)
                 r = r.preimage_under(mm.compose(Lc), img_a)
+                lift_fp = w.lift(a.cid).inverse().compose(mm).compose(Lc)
                 for comp in r.components():
-                    lift_fp = w.lift(a.cid).inverse().compose(mm).compose(Lc)
                     dk = (comp, a.cid, lift_fp)
                     if dk in seen:
                         continue
@@ -1149,7 +1164,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
                     cands.append((c.cid, a.cid, mm, dom, lift_fp, comp))
         per_parent[c.cid] = cands
 
-    charts, info = [], {}
+    charts, pieces = [], []  # pieces: (did, cid, acid, mm, dom, lift_fp, comp)
     for c in C.charts:
         # identity germs first, then larger regions: keeps the chosen
         # squares as close to inclusions as the cospan allows
@@ -1168,20 +1183,19 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
             covered.append(comp)
         x = c.domain.covers_witness(covered)
         if x is not None:
-            raise NoSuchCellError(
-                f"the W-arrow does not reach every orbit over chart {c.cid}", (c.cid, x))
+            bcl.refute(f"the W-arrow does not reach every orbit over chart {c.cid}",
+                       (c.cid, x))
         for (cid, acid, mm, dom, lift_fp, comp) in kept:
             did = f"{cid}|{acid}|{tok}{len(charts)}"
             group = [g for g in c.group if comp.image(g).same_set(comp)]
             charts.append(Chart.make(did, comp, group))
-            info[(cid, comp, acid, lift_fp)] = (
-                did, cid, acid, mm, dom, lift_fp, comp)
+            pieces.append((did, cid, acid, mm, dom, lift_fp, comp))
 
     gens = []
     ccl = closure(C, bound)
-    by_id = {v[0]: v for v in info.values()}
-    for d1, (did1, c1, _, _, _, _, r1) in sorted(by_id.items()):
-        for d2, (did2, c2, _, _, _, _, r2) in sorted(by_id.items()):
+    by_did = sorted(pieces, key=lambda p: p[0])
+    for did1, c1, _, _, _, _, r1 in by_did:
+        for did2, c2, _, _, _, _, r2 in by_did:
             for mm, dom in ccl.maps(c1, c2).items():
                 g = r1.intersect(dom).preimage_under(mm, r2)
                 if g.is_empty():
@@ -1193,19 +1207,19 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
         tuple(C.charts) + tuple(charts),
         tuple(C.generators) + tuple(gens)
         + tuple(ChangeOfCharts(did, c1, PartialAffineIso(AffineMap.identity(C.dim), r1))
-                for did, c1, _, _, _, _, r1 in by_id.values()))
+                for did, c1, _, _, _, _, r1 in pieces))
     w_prime = morphism_from_lifts(
-        D, C, {did: v[1] for did, v in by_id.items()},
-        {did: AffineMap.identity(C.dim) for did in by_id},
+        D, C, {did: c1 for did, c1, *_ in pieces},
+        {did: AffineMap.identity(C.dim) for did, *_ in pieces},
         bound, certificate=cert)
     f_prime = morphism_from_lifts(
-        D, A, {did: v[2] for did, v in by_id.items()},
-        {did: v[5] for did, v in by_id.items()},
+        D, A, {did: a1 for did, _, a1, *_ in pieces},
+        {did: lift_fp for did, _, _, _, _, lift_fp, _ in pieces},
         bound, certificate=merge_many(cert, search, A),
         target_search=merge_many(search, A) or A)
 
     patches = {}
-    for did, (_, c1, a1, mm, dom, _, r1) in by_id.items():
+    for did, c1, a1, mm, dom, _, r1 in pieces:
         patches[did] = [(r1, ChangeOfCharts(f.chart_image(c1), w.chart_image(a1),
                                             PartialAffineIso(mm, dom)))]
     alpha = TwoCell.make(compose_morphisms(f, w_prime),
@@ -1228,13 +1242,8 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
         out = []
         for r, ch in cell.patches_at(i):
             d_map = v.lift(j2).inverse().compose(ch.map).compose(v.lift(j1))
-            fam = tcl.region(j1, j2, d_map)
-            w = r.interior_point() if fam is None else r.escape_witness(x.lift(i), fam)
-            if w is not None:
-                if not tcl.complete:
-                    raise UndecidedError(
-                        f"cannot certify the cancelled germ at chart {i}")
-                raise NoSuchCellError(f"no cancelled germ exists at chart {i}", (i, w))
+            fam = tcl.forced(j1, j2, d_map, i, r, x.lift(i),
+                             f"no germ cancels the cell at chart {i}")
             out.append((r, ChangeOfCharts(j1, j2, PartialAffineIso(d_map, fam))))
         patches[i] = out
     return TwoCell.make(x, y, patches)
@@ -1255,14 +1264,8 @@ def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
     for i in w1.source.chart_ids():
         d_map = w2.lift(i).compose(w1.lift(i).inverse())
         j1, j2 = w1.chart_image(i), w2.chart_image(i)
-        dom, fam = w1.source.chart(i).domain, tcl.region(j1, j2, d_map)
-        x = dom.interior_point() if fam is None else dom.escape_witness(w1.lift(i), fam)
-        if x is None:
-            patches[i] = [(dom, ChangeOfCharts(j1, j2, PartialAffineIso(d_map, fam)))]
-        elif not tcl.complete:
-            raise UndecidedError(f"no certified connecting germ found at chart {i} "
-                                 f"within the word bound")
-        else:
-            raise NoSuchCellError(f"the base maps differ: no 2-cell exists (chart {i})",
-                                  (i, x))
+        dom = w1.source.chart(i).domain
+        fam = tcl.forced(j1, j2, d_map, i, dom, w1.lift(i),
+                         f"no germ connects the two lifts at chart {i}")
+        patches[i] = [(dom, ChangeOfCharts(j1, j2, PartialAffineIso(d_map, fam)))]
     return TwoCell.make(w1, w2, patches)

@@ -26,11 +26,11 @@ from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError
 
 @dataclass
 class TwoCatOps:
-    """Operation bundle of a 2-category with a distinguished class W."""
+    """Operation bundle of a 2-category with a distinguished class W.  The
+    engine reads endpoints off the cells: a 1-cell's `source` and `target`,
+    a 2-cell's `source_morphism` and `target_morphism`."""
 
     name: str
-    src: callable
-    dst: callable
     compose1: callable
     id1: callable
     eq1: callable
@@ -40,8 +40,6 @@ class TwoCatOps:
     inv2: callable
     eq2: callable
     validate2: callable
-    two_src: callable
-    two_dst: callable
     is_w: callable          # bool, or None when undecided
     square: callable        # (f, w in W) -> (D, w', f', invertible 2-cell)
     connect2: callable      # unique 2-cell between parallel W-composites
@@ -65,8 +63,6 @@ def atlas_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
     """The atlas instance, with its closures at word bound `bound`."""
     return TwoCatOps(
         name="atlas/refinements",
-        src=lambda m: m.source,
-        dst=lambda m: m.target,
         compose1=atl.compose_morphisms,
         id1=lambda a: atl.identity_morphism(a, bound),
         eq1=atl.equal_morphisms,
@@ -76,8 +72,6 @@ def atlas_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
         inv2=atl.invert_2cell,
         eq2=atl.equal_2cells,
         validate2=lambda c: atl.validate_2cell(c, bound),
-        two_src=lambda c: c.source_morphism,
-        two_dst=lambda c: c.target_morphism,
         is_w=lambda m: _atlas_is_w(m, bound),
         square=lambda f, w: atl.pullback_square(f, w, bound),
         connect2=lambda x, y: atl.unique_2cell_open_embeddings(x, y, bound),
@@ -119,8 +113,6 @@ def groupoid_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
     atlas layer at word bound `bound`."""
     return TwoCatOps(
         name="groupoid/morita",
-        src=lambda m: m.source,
-        dst=lambda m: m.target,
         compose1=gpd.compose_gpd_morphisms,
         id1=gpd.identity_gpd_morphism,
         eq1=gpd.equal_gpd_morphisms,
@@ -130,8 +122,6 @@ def groupoid_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
         inv2=gpd.invert_nat_transf,
         eq2=gpd.equal_nat_transfs,
         validate2=gpd.validate_nat_transf,
-        two_src=lambda c: c.source_morphism,
-        two_dst=lambda c: c.target_morphism,
         is_w=_gpd_is_w,
         square=lambda f, w: _gpd_square(f, w, bound),
         connect2=gpd.find_unique_nat_transf,
@@ -153,14 +143,6 @@ class Span:
     right: object   # middle -> target object
 
 
-def span_source(ops, s):
-    return ops.dst(s.left)
-
-
-def span_target(ops, s):
-    return ops.dst(s.right)
-
-
 def span_equal(ops, s, t) -> bool:
     return (s.middle == t.middle
             and ops.eq1(s.left, t.left) and ops.eq1(s.right, t.right))
@@ -168,9 +150,9 @@ def span_equal(ops, s, t) -> bool:
 
 def validate_span(ops, s: Span) -> Report:
     rep = Report("span")
-    if ops.src(s.left) != s.middle:
+    if s.left.source != s.middle:
         rep.fail("SP1", "left leg does not start at the middle object")
-    if ops.src(s.right) != s.middle:
+    if s.right.source != s.middle:
         rep.fail("SP1", "right leg does not start at the middle object")
     w = ops.is_w(s.left)
     if w is False:
@@ -216,10 +198,10 @@ def validate_fraction_cell(ops, c: FractionCell) -> Report:
         elif w is None:
             rep.note_undecided(f"{name} leg membership in W undecided")
     rep.absorb(ops.validate2(c.base))
-    if not ops.eq1(ops.two_src(c.base),
+    if not ops.eq1(c.base.source_morphism,
                    ops.compose1(c.src_span.right, c.left_leg)):
         rep.fail("FC2", "base cell source does not match the span composite")
-    if not ops.eq1(ops.two_dst(c.base),
+    if not ops.eq1(c.base.target_morphism,
                    ops.compose1(c.dst_span.right, c.right_leg)):
         rep.fail("FC2", "base cell target does not match the span composite")
     return rep
@@ -248,12 +230,12 @@ class ChoiceTable:
 def chosen_square(ops, table, f, w):
     """The chosen square for composing past a W-arrow, honoring the forced
     identity cases and otherwise consulting (and extending) the table."""
-    if ops.eq1(f, ops.id1(ops.src(f))):
+    if ops.eq1(f, ops.id1(f.source)):
         # forced case (a): pulling an identity back along w
-        return (ops.src(w), w, ops.id1(ops.src(w)), ops.id2(w))
-    if ops.eq1(w, ops.id1(ops.src(w))):
+        return (w.source, w, ops.id1(w.source), ops.id2(w))
+    if ops.eq1(w, ops.id1(w.source)):
         # forced case (b): composing past an identity W-arrow
-        return (ops.src(f), ops.id1(ops.src(f)), f, ops.id2(f))
+        return (f.source, ops.id1(f.source), f, ops.id2(f))
     got = None if table is None else table.lookup(ops, f, w)
     if got is None:
         got = ops.square(f, w)
@@ -265,7 +247,7 @@ def chosen_square(ops, table, f, w):
 def compose_spans(ops, table, s2: Span, s1: Span) -> Span:
     """Composite span s2 o s1 through the chosen square for
     (s1.right, s2.left)."""
-    if span_target(ops, s1) != span_source(ops, s2):
+    if s1.right.target != s2.left.target:
         raise ComposabilityError("spans not composable")
     d, vp, fp, _ = chosen_square(ops, table, s1.right, s2.left)
     return Span(d, ops.compose1(s1.left, vp), ops.compose1(s2.right, fp))
@@ -276,11 +258,11 @@ def universal_embed(ops, cell, level: int = 1):
     goes to the span with identity W-leg, a 2-cell to the fraction cell with
     identity legs."""
     if level == 1:
-        x = ops.src(cell)
+        x = cell.source
         return Span(x, ops.id1(x), cell)
-    f1, f2 = ops.two_src(cell), ops.two_dst(cell)
+    f1, f2 = cell.source_morphism, cell.target_morphism
     s1, s2 = universal_embed(ops, f1), universal_embed(ops, f2)
-    x = ops.src(f1)
+    x = f1.source
     i = ops.id1(x)
     return FractionCell(s1, s2, x, i, i, ops.comp2h(cell, ops.id2(i)))
 
@@ -323,7 +305,7 @@ def vertical_compose_cells(ops, beta: FractionCell, alpha: FractionCell) -> Frac
         ops.whisker_right(beta.base, q),
         ops.comp2v(ops.whisker_left(f2, mu),
                    ops.whisker_right(alpha.base, p)))
-    middle = ops.src(p)
+    middle = p.source
     return FractionCell(alpha.src_span, beta.dst_span, middle,
                         ops.compose1(alpha.left_leg, p),
                         ops.compose1(beta.right_leg, q),
@@ -384,7 +366,7 @@ def horizontal_compose_cells(ops, table, beta: FractionCell,
                    ops.whisker_left(g2, muB)))
     left_leg = ops.compose1(e12, e3)
     right_leg = ops.compose1(hEp, e3)
-    return FractionCell(t, tp, ops.src(e3), left_leg, right_leg, base)
+    return FractionCell(t, tp, e3.source, left_leg, right_leg, base)
 
 
 def associator(ops, table, s3: Span, s2: Span, s1: Span) -> FractionCell:
@@ -427,7 +409,7 @@ def associator(ops, table, s3: Span, s2: Span, s1: Span) -> FractionCell:
                        ops.compose1(r32, qrzr),
                        c_c)
     base = ops.whisker_left(f3, tau_c)
-    built = FractionCell(t_right, t_left, ops.src(zl), zl, zr, base)
+    built = FractionCell(t_right, t_left, zl.source, zl, zr, base)
     # built: s3 (s2 s1) => (s3 s2) s1 ; the associator is its inverse
     return invert_fraction_cell(ops, built)
 
@@ -444,19 +426,19 @@ class Universe:
     cells: list            # (name, 1-cell)
     undecided: list = field(default_factory=list)  # identities left out
 
-    def composable_pairs(self, ops):
+    def composable_pairs(self):
         for (n1, f), (n2, g) in itertools.product(self.cells, repeat=2):
-            if ops.dst(f) == ops.src(g):
+            if f.target == g.source:
                 yield (n1, f), (n2, g)
 
-    def parallel_pairs(self, ops):
+    def parallel_pairs(self):
         for (n1, f), (n2, g) in itertools.combinations(self.cells, 2):
-            if ops.src(f) == ops.src(g) and ops.dst(f) == ops.dst(g):
+            if f.source == g.source and f.target == g.target:
                 yield (n1, f), (n2, g)
 
-    def cells_into(self, ops, obj):
+    def cells_into(self, obj):
         for n, f in self.cells:
-            if ops.dst(f) == obj:
+            if f.target == obj:
                 yield n, f
 
 
@@ -476,13 +458,13 @@ def depth2_universe(ops, objects, cells) -> Universe:
             names.add(key)
     base = list(out)
     for (n1, f), (n2, g) in itertools.product(base, repeat=2):
-        if ops.dst(f) != ops.src(g):
+        if f.target != g.source:
             continue
         key = f"{n2}.{n1}"
         comp = ops.compose1(g, f)
         if key in names:
             continue
-        if any(ops.src(h) == ops.src(comp) and ops.dst(h) == ops.dst(comp)
+        if any(h.source == comp.source and h.target == comp.target
                and ops.eq1(h, comp) for _, h in out):
             continue
         out.append((key, comp))
@@ -524,7 +506,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
             elif got is None:
                 rep.note_undecided(f"identity of {n} undecided")
     elif axiom == 2:
-        for (n1, f), (n2, g) in universe.composable_pairs(ops):
+        for (n1, f), (n2, g) in universe.composable_pairs():
             if ops.is_w(f) is True and ops.is_w(g) is True:
                 got = ops.is_w(ops.compose1(g, f))
                 if got is False:
@@ -535,7 +517,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
         for (nf, f), (nw, w) in itertools.product(universe.cells, repeat=2):
             if ops.is_w(w) is not True:
                 continue
-            if ops.dst(f) != ops.dst(w):
+            if f.target != w.target:
                 continue
             square = _built(rep, "BF3", f"square for ({nf}, {nw})",
                             chosen_square, ops, table, f, w)
@@ -553,9 +535,9 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
             if ops.is_w(w) is not True:
                 continue
             for (n1, f1), (n2, f2) in itertools.product(universe.cells, repeat=2):
-                if ops.dst(f1) != ops.src(w):
+                if f1.target != w.source:
                     continue
-                if ops.src(f1) != ops.src(f2) or ops.dst(f1) != ops.dst(f2):
+                if f1.source != f2.source or f1.target != f2.target:
                     continue
                 alpha = _built(rep, None, "connecting 2-cell", ops.connect2,
                                ops.compose1(w, f1), ops.compose1(w, f2))
@@ -567,7 +549,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                               ops.cancel, w, f1, f2, alpha)
                 if beta is None:
                     continue
-                v = _built(rep, "BF4a", f"identity for ({nw}; {n1}, {n2})", ops.id1, ops.src(f1))
+                v = _built(rep, "BF4a", f"identity for ({nw}; {n1}, {n2})", ops.id1, f1.source)
                 if v is None:
                     continue
                 lhs = ops.comp2h(alpha, ops.id2(v))
@@ -583,11 +565,11 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
                 for nu, u0 in universe.cells:
                     if ops.is_w(u0) is not True:
                         continue
-                    if ops.dst(u0) != ops.src(f1):
+                    if u0.target != f1.source:
                         continue
                     beta2 = ops.comp2h(beta, ops.id2(u0))
                     u_pr = _built(rep, "BF4c", f"identity for ({nw}; {n1}, {n2}; {nu})",
-                                  ops.id1, ops.src(u0))
+                                  ops.id1, u0.source)
                     if u_pr is None:
                         continue
                     zeta = _built(rep, None, "connecting 2-cell", ops.connect2,
@@ -604,7 +586,7 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
         if count == 0:
             rep.note_undecided("no 2-cells found to exercise BF4 on")
     elif axiom == 5:
-        for (n1, f), (n2, w) in universe.parallel_pairs(ops):
+        for (n1, f), (n2, w) in universe.parallel_pairs():
             for a, b, na, nb in ((f, w, n1, n2), (w, f, n2, n1)):
                 if ops.is_w(b) is not True or ops.is_w(a) is True:
                     continue
@@ -622,16 +604,16 @@ def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
     return rep
 
 
-def saturate(ops, universe: Universe, f, depth: int = 2):
+def saturate(ops, universe: Universe, f):
     """Membership of f in the right saturation of W, by bounded search for
     g, h in the universe with f g and g h in W.  Returns (verdict, witness)
     with verdict True, or (False, None) when the bounded search fails."""
     if ops.is_w(f) is True:
         return True, ("", "")
-    for ng, g in universe.cells_into(ops, ops.src(f)):
+    for ng, g in universe.cells_into(f.source):
         if ops.is_w(ops.compose1(f, g)) is not True:
             continue
-        for nh, h in universe.cells_into(ops, ops.src(g)):
+        for nh, h in universe.cells_into(g.source):
             if ops.is_w(ops.compose1(g, h)) is True:
                 return True, (ng, nh)
     return False, None
@@ -657,7 +639,7 @@ def quasi_inverse(ops, table, w):
     """For a W-arrow w: X -> Y, the reverse span (X, w, id): Y -> X together
     with invertible fraction cells witnessing both composites isomorphic to
     identity spans."""
-    x, y = ops.src(w), ops.dst(w)
+    x, y = w.source, w.target
     fw = universal_embed(ops, w)
     rev = Span(x, w, ops.id1(x))
 

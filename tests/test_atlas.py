@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -51,8 +53,8 @@ from orbatlas.fixtures import (
 )
 from orbatlas.fred import fred0, fred1
 from orbatlas.geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
-from orbatlas.groupoid import validate_gpd_morphism
-from orbatlas.reports import NoSuchCellError
+from orbatlas.groupoid import is_morita, validate_gpd_morphism
+from orbatlas.reports import NoSuchCellError, UndecidedError
 
 M = MORPHISMS
 ID1 = AffineMap.identity(1)
@@ -228,6 +230,25 @@ def test_2cell_patch_coverage_checked():
     rep = validate_2cell(half, WORD_BOUND)
     assert any(v.code == "2Ma" for v in rep.violations)
 
+
+def test_2cell_patch_uncertified_by_an_incomplete_closure_is_undecided():
+    """The chart (0, 10) glued to itself by x -> x + 1 on (0, 5) reaches
+    x + 7/2 by no word, but its closure stabilizes only at bound 6.  Below
+    that the patch with that germ is undecided, not a pass."""
+    src = Atlas.make([Chart.make("A", _I01, [ID1])])
+    tgt = Atlas.make([Chart.make("B", Region.interval(0, 10), [ID1])],
+                     [ChangeOfCharts.make("B", "B", aff1(1, 1), Region.interval(0, 5))])
+    entry = PEntry(ChangeOfCharts.make("A", "A", ID1, _I01),
+                   ChangeOfCharts.make("B", "B", ID1, Region.interval(0, 10)))
+    step = aff1(1, F(7, 2))
+    f1, f2 = (Morphism.make(src, tgt, {"A": "B"}, {"A": L}, [entry]) for L in (ID1, step))
+    cell = TwoCell.make(f1, f2, {"A": [(_I01, ChangeOfCharts.make("B", "B", step, _I01))]})
+    for bound, complete in ((WORD_BOUND, False), (6, True)):
+        assert closure(tgt, bound).complete is complete
+        rep = validate_2cell(cell, bound)
+        assert rep.decided is complete
+        assert rep.ok is not complete
+        assert {v.code for v in rep.violations} <= {"2Mb"}
 
 def test_2cell_equality_and_inverse():
     cells = catalog_2cells()
@@ -456,6 +477,150 @@ def test_pullback_square_witness_is_not_reached_by_the_w_arrow():
         for mm, dom in closure(f.target, WORD_BOUND).maps(f.chart_image(cid),
                                                           w.chart_image(a.cid)).items():
             assert not (dom.contains_point(y) and img.contains_point(mm(y)))
+
+
+_WIDE = Atlas.make([Chart.make("B", Region.interval(-1, 1), [ID1])])
+
+
+@pytest.mark.parametrize("source, target, cm, lifts", [
+    (TRIV, TRIV, {"T": "T"}, {"T": aff1(2)}),
+    (MIRROR, _WIDE, {"M": "B"}, {"M": ID1}),
+], ids=["escape", "no-family"])
+def test_missing_target_germ_witness_is_where_the_lift_leaves_the_family(
+        source, target, cm, lifts):
+    """x -> 2x carries (1/2, 1) off TRIV's only family; MIRROR's reflection
+    is forced onto a trivial chart that has no family with that map."""
+    with pytest.raises(NoSuchCellError) as e:
+        morphism_from_lifts(source, target, cm, lifts, WORD_BOUND)
+    i, x = e.value.witness
+    assert source.chart(i).domain.contains_point(x)
+    L = lifts[i]
+    forced = [(ip, lifts[ip].compose(mm).compose(L.inverse()))
+              for src, ip, mm, reg in closure(source, WORD_BOUND).items()
+              if src == i and reg.contains_point(x)]
+    assert any(_germ_fails(target, cm[i], cm[ip], nu, L(x)) for ip, nu in forced)
+
+
+def _identity_reference(a, bound):
+    """The identity by definition: every closure germ assigned to itself,
+    certified by the atlas."""
+    entries = []
+    for src, dst, m, reg in closure(a, bound).items():
+        ch = ChangeOfCharts(src, dst, PartialAffineIso(m, reg))
+        entries.append(PEntry(ch, ch))
+    ids = a.chart_ids()
+    return Morphism.make(a, a, {c: c for c in ids}, {c: AffineMap.identity(a.dim) for c in ids},
+                         entries, certificate=a)
+
+
+def _square_middles():
+    """The middles of the pullback squares that BF3 builds on the depth-2
+    atlas universe."""
+    ops = frc.atlas_ops(WORD_BOUND)
+    objects = sorted(ATLASES.items()) + [("TRIV_SHIFTED", TRIV_SHIFTED)]
+    cells = [c for _, c in frc.depth2_universe(ops, objects, sorted(M.items())).cells]
+    middles = {}
+    for f, w in itertools.product(cells, repeat=2):
+        if f.target != w.target or ops.is_w(w) is not True:
+            continue
+        try:
+            middles.setdefault(pullback_square(f, w, WORD_BOUND)[0])
+        except NoSuchCellError:
+            continue
+    return list(middles)
+
+
+def test_identity_is_the_definitional_reference():
+    middles = _square_middles()
+    assert len(middles) > 10
+    for a in list(ATLASES.values()) + [TRIV_SHIFTED] + middles:
+        got, ref = identity_morphism(a, WORD_BOUND), _identity_reference(a, WORD_BOUND)
+        assert got == ref and got.key() == ref.key()
+        assert got.certificate == a
+
+
+@pytest.mark.parametrize("build", [
+    lambda: morphism_from_lifts(MIRROR_REF, MIRROR, {"M": "M", "C2": "M"},
+                                {"M": ID1, "C2": ID1}, 0),
+    lambda: identity_morphism(TRIV, 0),
+    lambda: pullback_square(M["flip_M"], M["leg1_MR_M"], 0),
+    lambda: pullback_square(M["unshift_T"], M["half_T"], 0),
+], ids=["morphism_from_lifts", "identity", "square", "square-unreached"])
+def test_constructions_on_an_incomplete_closure_are_undecided(build):
+    """No closure is complete at bound 0: a source closure holds only the
+    germs found so far, and a germ or an orbit missing from a search closure
+    proves nothing."""
+    with pytest.raises(UndecidedError):
+        build()
+
+
+def test_stale_certificate_decides_only_the_identity_base():
+    """incl_M_MR with its target's generator shrunk from (1/4, 1) to
+    (1/4, 1/2) and the certificate left as it was.  The certificate still
+    glues all of C2 to M, the target no longer does, so the orbits of C2
+    beyond 1/2 are not reached: the class is in W exactly when the
+    groupoid image is a Morita equivalence."""
+    gen = ChangeOfCharts.make("C2", "M", ID1, Region.interval(F(1, 4), F(1, 2)))
+    stale = dataclasses.replace(M["incl_M_MR"], target=Atlas.make(MIRROR_REF.charts, [gen]))
+    assert stale.certificate == MIRROR_REF
+    rep = validate_morphism(stale, WORD_BOUND)
+    assert rep.ok and rep.decided
+    label = classify_morphism(stale, WORD_BOUND).label
+    morita = is_morita(fred1(stale, WORD_BOUND))
+    assert (label == "refinement") == morita.ok
+    assert label == "open_embedding" and not morita.ok
+
+
+# -- validator failure branches ---------------------------------------------------
+
+_WHOLE = MIRROR.chart("M").domain
+
+
+def _mirror_with(entries):
+    """A morphism MIRROR -> MIRROR with identity lift and the given
+    (source map, source domain, assigned map) entries over the chart M."""
+    return Morphism.make(MIRROR, MIRROR, {"M": "M"}, {"M": ID1}, [
+        PEntry(ChangeOfCharts.make("M", "M", m, dom),
+               ChangeOfCharts.make("M", "M", nu, _WHOLE))
+        for m, dom, nu in entries])
+
+
+def _violations(rep, code):
+    return [v for v in rep.violations if v.code == code]
+
+
+def test_m5d_witness_lies_where_equal_germs_overlap():
+    half = Region.interval(0, F(1, 2))
+    m = _mirror_with([(ID1, _WHOLE, ID1), (ID1, half, MIRROR_MAP)])
+    (v,) = _violations(validate_morphism(m, WORD_BOUND), "M5d")
+    assert half.contains_point(v.witness)
+
+
+@pytest.mark.parametrize("entries, message", [
+    # the reflection alone: its square, the identity, has no entry
+    ([(MIRROR_MAP, _WHOLE, MIRROR_MAP)],
+     "composite germ not reproduced inside the good subset"),
+    # the identity germ assigned the reflection: r r = id is sent to id, not r
+    ([(ID1, _WHOLE, MIRROR_MAP), (MIRROR_MAP, _WHOLE, MIRROR_MAP)],
+     "assignment not multiplicative"),
+], ids=["composite-missing", "not-multiplicative"])
+def test_m5e_witness_lies_on_the_composite_germ(entries, message):
+    vs = _violations(validate_morphism(_mirror_with(entries), WORD_BOUND), "M5e")
+    assert vs and {v.message for v in vs} == {message}
+    for v in vs:
+        assert _WHOLE.contains_point(v.witness)
+
+
+def test_2me_witness_lies_on_the_germ_the_patches_do_not_intertwine():
+    """The identity patch between id_MIRROR and a copy that assigns the
+    identity to the reflection: every patch axiom holds, but the patch does
+    not carry one assignment of the reflection to the other."""
+    tampered = _mirror_with([(ID1, _WHOLE, ID1), (MIRROR_MAP, _WHOLE, ID1)])
+    cell = TwoCell.make(M["id_MIRROR"], tampered, dict(identity_2cell(M["id_MIRROR"]).patches))
+    rep = validate_2cell(cell, WORD_BOUND)
+    assert {v.code for v in rep.violations} == {"2Me"}
+    for v in rep.violations:
+        assert _WHOLE.contains_point(v.witness)
 
 
 # -- algebraic laws over sampled catalog cells ---------------------------------

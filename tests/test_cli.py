@@ -670,6 +670,10 @@ def _contract_docs(tmp_path):
     (["localize-compose", "{unshift}", "{half}"], 1),
     (["cell-equal", "{i_id}", "{i_id}"], 0),
     (["cell-equal", "{i_id}", "{i_flip}"], 1),
+    # equal spans need a square, which no closure at bound 0 completes;
+    # the spans of i_id and i_flip differ, which reads no closure
+    (["--bound", "0", "cell-equal", "{i_id}", "{i_id}"], 2),
+    (["--bound", "0", "cell-equal", "{i_id}", "{i_flip}"], 1),
     (["equiv-report"], 0),
     (["--bound", "0", "equiv-report"], 2),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))

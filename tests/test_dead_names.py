@@ -287,6 +287,46 @@ def test_guard_sees_a_broad_except(tmp_path):
                                    "m.py:16"]
 
 
+def _no_such_cell_raised_outside(path, owner):
+    """`raise NoSuchCellError` statements outside the class `owner`.  Only
+    the closure knows whether it is complete, so only it may turn a missing
+    germ into a proof that no cell exists."""
+    tree = ast.parse(path.read_text())
+    inside = {id(n) for c in ast.walk(tree)
+              if isinstance(c, ast.ClassDef) and c.name == owner for n in ast.walk(c)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None or id(node) in inside:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if _name(exc) == "NoSuchCellError":
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_only_the_closure_refutes_a_cell_in_atlas():
+    found = _no_such_cell_raised_outside(SRC / "atlas.py", "Pseudogroup")
+    assert found == [], f"refute through Pseudogroup, which knows its completeness: {found}"
+
+
+def test_guard_sees_a_refutation_outside_the_closure(tmp_path):
+    p = tmp_path / "atlas.py"
+    p.write_text("class Pseudogroup:\n"
+                 "    def refute(self, message, witness):\n"
+                 "        raise NoSuchCellError(message, witness)\n"
+                 "def square(cl):\n"
+                 "    raise NoSuchCellError('no square', ('C', (0,)))\n"
+                 "def cancel(cl):\n"
+                 "    raise reports.NoSuchCellError\n"
+                 "class Other:\n"
+                 "    def f(self):\n"
+                 "        raise ValueError('not a refutation')\n"
+                 "    def g(self):\n"
+                 "        raise NoSuchCellError('m', None)\n")
+    assert _no_such_cell_raised_outside(p, "Pseudogroup") == ["atlas.py:5", "atlas.py:7",
+                                                              "atlas.py:12"]
+
+
 def _memo_keys_dropping_arguments(path):
     """`@memo(lambda ...)` keys that never read one of their parameters: such
     a key makes calls that differ only in that argument share one entry."""

@@ -69,9 +69,9 @@ def test_choice_table_keys_name_the_endpoints(ops):
     assert set(table.entries) == {(M["emb_T_M"], M["flip_M"]), (f, w)}
     _, wp2, fp2, cell2 = ops.square(f, w)
     assert ops.eq1(wp, wp2) and ops.eq1(fp, fp2)
-    assert ops.eq1(ops.two_src(cell), ops.two_src(cell2))
-    assert ops.eq1(ops.two_dst(cell), ops.two_dst(cell2))
-    assert ops.dst(ops.two_dst(cell)) == MIRROR_REF
+    assert ops.eq1(cell.source_morphism, cell2.source_morphism)
+    assert ops.eq1(cell.target_morphism, cell2.target_morphism)
+    assert cell.target_morphism.target == MIRROR_REF
     assert len(table.entries) == 2
 
 

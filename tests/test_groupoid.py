@@ -9,6 +9,8 @@ from orbatlas.geometry import AffineMap, PartialAffineIso, Region
 from orbatlas.reports import NoSuchCellError
 from orbatlas.groupoid import (
     ArrowFamily,
+    GroupoidMorphism,
+    NatTransf,
     PresentedGroupoid,
     coarse_equal,
     compose_gpd_morphisms,
@@ -188,3 +190,41 @@ def test_equal_nat_transfs_needs_equal_endpoints():
     assert not equal_nat_transfs(identity_nat_transf(flip), identity_nat_transf(ident))
     d = fred2(catalog_2cells()["id_to_flip"], WORD_BOUND)
     assert not equal_nat_transfs(d, invert_nat_transf(d))
+
+
+# -- validator failure branches ---------------------------------------------------
+
+def _mirror_families(psi):
+    """The identity and the reflection family ids of fred0(MIRROR)."""
+    g = psi.source
+    unit = next(f.fid for f in g.families if f.map.is_identity())
+    flip = next(f.fid for f in g.families if not f.map.is_identity())
+    return unit, flip
+
+
+def test_gm3_witness_lies_in_the_family_sent_off_its_product():
+    """The unit family sent to the reflection: the product of the unit with
+    itself is sent to r r = id, not to r."""
+    psi = fred1(M["id_MIRROR"])
+    unit, flip = _mirror_families(psi)
+    bad = GroupoidMorphism.make(psi.source, psi.target, dict(psi.object_map),
+                                {unit: flip, flip: flip})
+    vs = [v for v in validate_gpd_morphism(bad).violations if v.code == "GM3"]
+    assert vs
+    for v in vs:
+        assert psi.source.family(unit).dom.contains_point(v.witness)
+
+
+def test_nt2_witness_lies_on_the_arrow_family_that_breaks_the_exchange():
+    """The unit assignment between id_MIRROR's image and a copy that sends
+    the reflection family to the unit family: every assigned arrow is
+    right, but the reflection arrows do not commute with them."""
+    psi = fred1(M["id_MIRROR"])
+    unit, flip = _mirror_families(psi)
+    other = GroupoidMorphism.make(psi.source, psi.target, dict(psi.object_map),
+                                  {unit: unit, flip: unit})
+    alpha = NatTransf.make(psi, other, dict(identity_nat_transf(psi).assignments))
+    rep = validate_nat_transf(alpha)
+    assert {v.code for v in rep.violations} == {"NT2"}
+    for v in rep.violations:
+        assert psi.source.family(flip).dom.contains_point(v.witness)
