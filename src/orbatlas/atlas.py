@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import AffineMap, PartialAffineIso, Region
 from .memo import cached_hash, memo
-from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError
+from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError, Violation
 
 # The default word bound.  Everything that reaches `closure` takes the bound
 # as an argument; the CLI's --bound, the two ops factories of `fractions`,
@@ -475,15 +475,14 @@ class Morphism:
     """A morphism of atlases, held as a normalized representative of its
     germ-agreement class.  `certificate`, when present, is an atlas whose
     pseudogroup certifies that the lifts identify source and target points
-    over the identity of the underlying space; it never takes part in
-    equality."""
+    over the identity of the underlying space."""
 
     source: Atlas
     target: Atlas
     chart_map: tuple        # sorted (source chart id, target chart id) pairs
     lifts: tuple            # sorted (source chart id, AffineMap) pairs
     entries: tuple
-    certificate: Atlas = field(default=None, compare=False)
+    certificate: Atlas = None
 
     @staticmethod
     def make(source, target, chart_map, lifts, entries, certificate=None) -> "Morphism":
@@ -583,7 +582,12 @@ def validate_morphism(m: Morphism, bound: int) -> Report:
                 rep.fail("M5d", "equal germs with different assigned germs",
                          overlap.interior_point())
 
-    # (M5e): multiplicativity of the assignment on composable entries
+    # (M5e): multiplicativity of the assignment on composable entries.  Several
+    # pairs of entries can meet one fault; it is reported once.
+    def fail_m5e(message, w):
+        if Violation("M5e", message, w) not in rep.violations:
+            rep.fail("M5e", message, w)
+
     for e1 in m.entries:
         for e2 in m.entries:
             if e1.change.dst != e2.change.src:
@@ -591,21 +595,20 @@ def validate_morphism(m: Morphism, bound: int) -> Report:
             u = e1.change.dom.preimage_under(e1.change.map, e2.change.dom)
             if u.is_empty():
                 continue
+            i, ip = e1.change.src, e2.change.dst
             m3 = e2.change.map.compose(e1.change.map)
             nu3 = e2.nu.map.compose(e1.nu.map)
-            thirds = [e3 for e3 in m.entries_at(e1.change.src, e2.change.dst)
-                      if e3.change.map == m3]
+            thirds = [e3 for e3 in m.entries_at(i, ip) if e3.change.map == m3]
             w = u.covers_witness([e3.change.dom for e3 in thirds])
             if w is not None:
-                rep.fail("M5e", "composite germ not reproduced inside the good subset", w)
+                fail_m5e(f"composite germ not reproduced inside the good subset ({i}->{ip})", w)
                 continue
             for e3 in thirds:
                 if e3.nu.map == nu3:
                     continue
                 bad = e3.change.dom.intersect(u)
                 if not bad.is_empty():
-                    rep.fail("M5e", "assignment not multiplicative",
-                             bad.interior_point())
+                    fail_m5e(f"assignment not multiplicative ({i}->{ip})", bad.interior_point())
 
     # (M5f): identity germs map to identity germs
     for e in m.entries:
@@ -634,7 +637,7 @@ def equal_morphisms(a: Morphism, b: Morphism) -> bool:
     return True
 
 
-@memo(lambda atlas, bound: (atlas, bound))
+@memo
 def identity_morphism(atlas: Atlas, bound: int) -> Morphism:
     """The identity of an atlas: the morphism with identity chart map and
     identity lifts, so that every germ of its closure is assigned to
@@ -646,18 +649,7 @@ def identity_morphism(atlas: Atlas, bound: int) -> Morphism:
         bound, certificate=atlas)
 
 
-# Memo keys.  Certificates never take part in equality, so a key holds every
-# certificate that the result carries or reads, next to the value.
-
-def _mkey(m: Morphism):
-    return (m, m.certificate)
-
-
-def _ckey(c: TwoCell):
-    return (c, c.source_morphism.certificate, c.target_morphism.certificate)
-
-
-@memo(lambda g, f: (_mkey(g), _mkey(f)))
+@memo
 def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     """Composite g after f.  Each entry of f is matched, by exact affine
     equality, against the entries of g covering its assigned change; the
@@ -858,7 +850,7 @@ def _fully_faithful(m: Morphism, yfams: Pseudogroup, xfams: Pseudogroup):
     return True, None
 
 
-@memo(lambda m, bound: (_mkey(m), bound))
+@memo
 def classify_morphism(m: Morphism, bound: int) -> Classification:
     """Strongest applicable class of a morphism.
 
@@ -1065,7 +1057,7 @@ def vertical_compose(sigma: TwoCell, delta: TwoCell) -> TwoCell:
     return TwoCell.make(delta.source_morphism, sigma.target_morphism, patches)
 
 
-@memo(lambda xi, delta: (_ckey(xi), _ckey(delta)))
+@memo
 def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
     """Composite of [xi] (between g1, g2) alongside [delta] (between f1,
     f2): a 2-cell g1 f1 => g2 f2.  Each patch germ of delta is pushed
@@ -1116,7 +1108,7 @@ def _search_atlas(atlas: Atlas, *certificates) -> Atlas:
     return atlas
 
 
-@memo(lambda f, w, bound: (_mkey(f), _mkey(w), bound))
+@memo
 def pullback_square(f: Morphism, w: Morphism, bound: int):
     """Fill the cospan f: C -> B <- A : w (with w a refinement and f with
     open-embedding lifts) to an invertible square
@@ -1249,7 +1241,7 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
     return TwoCell.make(x, y, patches)
 
 
-@memo(lambda w1, w2, bound: (_mkey(w1), _mkey(w2), bound))
+@memo
 def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
                                  bound: int) -> TwoCell:
     """The unique 2-cell between two open embeddings with the same induced

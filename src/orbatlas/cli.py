@@ -444,10 +444,12 @@ def _writable(path):
 
 
 def _content_key(f, w):
-    """The pair's endpoints and 1-cells as `key()` tuples: the order of the
-    entries of a saved table."""
+    """The pair's endpoints, 1-cells and certificates as `key()` tuples (a
+    missing certificate as None): the order of the entries of a saved
+    table."""
     return (tuple(x.key() for x in (f.source, f.target, w.source, w.target)),
-            f.key(), w.key())
+            f.key(), w.key(),
+            tuple(None if m.certificate is None else m.certificate.key() for m in (f, w)))
 
 
 def save_choice_table(table: frc.ChoiceTable, path: str):

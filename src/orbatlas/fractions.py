@@ -47,7 +47,8 @@ class TwoCatOps:
 
     def cell_key(self, cell):
         """A 1-cell as a dict key: the value itself, which holds its
-        endpoints.  perfbench/tracer.py counts distinct W-tests by it."""
+        endpoints and, for an atlas morphism, its certificate.
+        perfbench/tracer.py counts distinct W-tests by it."""
         return cell
 
     def whisker_left(self, g, cell):
@@ -86,7 +87,7 @@ def _atlas_is_w(m, bound):
     return label == "refinement"
 
 
-@memo(lambda m: m)
+@memo
 def _gpd_is_w(m):
     """Whether a groupoid morphism is a Morita equivalence.  Memoized on the
     morphism value, which holds everything `is_morita` reads."""
@@ -214,7 +215,9 @@ def validate_fraction_cell(ops, c: FractionCell) -> Report:
 class ChoiceTable:
     """Deterministic record of the squares chosen to compose spans, keyed by
     the (arrow, W-arrow) pair of values; a 1-cell value holds its source and
-    target.  Append-only; safe for concurrent readers."""
+    target, and an atlas morphism its certificate too, so a key is the whole
+    of what the square is built from.  Append-only; safe for concurrent
+    readers."""
 
     def __init__(self):
         self.entries = {}
@@ -236,11 +239,9 @@ def chosen_square(ops, table, f, w):
     if ops.eq1(w, ops.id1(w.source)):
         # forced case (b): composing past an identity W-arrow
         return (f.source, ops.id1(f.source), f, ops.id2(f))
-    got = None if table is None else table.lookup(ops, f, w)
+    got = table.lookup(ops, f, w)
     if got is None:
-        got = ops.square(f, w)
-        if table is not None:
-            table.record(f, w, got)
+        got = table.record(f, w, ops.square(f, w))
     return got
 
 
@@ -489,7 +490,7 @@ def _built(rep, code, what, make, *args):
     return None
 
 
-def check_bf(ops, axiom: int, universe: Universe, table=None) -> Report:
+def check_bf(ops, axiom: int, universe: Universe, table) -> Report:
     """Check one of the five fraction axioms over the universe; axioms 3 and
     4 are checked by producing and validating constructive witnesses."""
     rep = Report(f"BF{axiom} [{ops.name}]")

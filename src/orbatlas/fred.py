@@ -39,7 +39,7 @@ class UnsupportedGroupoidError(Exception):
     atlas could be reconstructed."""
 
 
-@memo(lambda atlas, bound=WORD_BOUND: (atlas, bound))
+@memo
 def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     """Germ groupoid of an atlas: one object piece per chart, one arrow
     family per affine map in the pseudogroup closure, undecided when the
@@ -65,7 +65,7 @@ def _family_lookup(g: PresentedGroupoid):
     return {(f.src, f.dst, f.map): f for f in g.families}
 
 
-@memo(lambda m, bound=WORD_BOUND: (m, bound))
+@memo
 def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     """Image of a morphism: lifts on objects, change assignment on arrows.
     The assignment must be single-valued on every germ family (it always is

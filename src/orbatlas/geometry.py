@@ -179,7 +179,7 @@ class AffineMap:
     def is_invertible(self) -> bool:
         return self._det() != 0
 
-    @memo(lambda self, other: (self, other))
+    @memo
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self.compose(other))(x) == self(other(x))."""
         if self.dim != other.dim:
@@ -194,7 +194,7 @@ class AffineMap:
             (m[0] * p[0] + m[1] * p[1] + o[0] * e, m[2] * p[0] + m[3] * p[1] + o[1] * e),
             self._d * e)
 
-    @memo(lambda self: self)
+    @memo
     def inverse(self) -> "AffineMap":
         # y = (M x + o)/d  <=>  x = adj(M) (d y - o) / det(M)
         det = self._det()
@@ -303,14 +303,9 @@ class Interval:
     def measure(self) -> Fraction:
         return Fraction(self._meas, self._d)
 
-    def _has(self, num, w, strict=True) -> bool:
+    def _has(self, num, w) -> bool:
         x = num[0] * self._d
-        if strict:
-            return self._lo * w < x < self._hi * w
-        return self._lo * w <= x <= self._hi * w
-
-    def contains(self, p, strict=True) -> bool:
-        return self._has(*_homogeneous(p), strict)
+        return self._lo * w < x < self._hi * w
 
     def interior_point(self) -> tuple:
         return (Fraction(self._lo + self._hi, 2 * self._d),)
@@ -450,16 +445,15 @@ class Polygon:
             self._hp = tuple(out)
         return self._hp
 
-    def _has(self, num, w, strict=True) -> bool:
+    def _has(self, num, w) -> bool:
         x, y = num
         for a, b, c in self.halfplanes():
-            s = a * x + b * y - c * w
-            if s <= 0 if strict else s < 0:
+            if a * x + b * y - c * w <= 0:
                 return False
         return True
 
-    def contains(self, p, strict=True) -> bool:
-        return self._has(*_homogeneous(p), strict)
+    def contains(self, p) -> bool:
+        return self._has(*_homogeneous(p))
 
     def _centroid(self):
         v = self._v
@@ -780,9 +774,9 @@ class Region:
         if self.dim != other.dim:
             raise DimensionMismatchError("regions of different dimension")
 
-    def contains_point(self, p, strict=True) -> bool:
+    def contains_point(self, p) -> bool:
         num, w = _homogeneous(p)
-        return any(piece._has(num, w, strict) for piece in self.pieces)
+        return any(piece._has(num, w) for piece in self.pieces)
 
     # -- algebra -----------------------------------------------------------
 
@@ -795,7 +789,7 @@ class Region:
                 return r
         return Region(self.dim, pieces)
 
-    @memo(lambda self, other: (self, other))
+    @memo
     def intersect(self, other: "Region") -> "Region":
         self._check_dim(other)
         out = []
@@ -840,7 +834,7 @@ class Region:
             pieces = [p for p in nxt if p._meas > 0]
         return Region(self.dim, pieces)
 
-    @memo(lambda self, m: (self, m))
+    @memo
     def image(self, m: AffineMap) -> "Region":
         if m.dim != self.dim:
             raise DimensionMismatchError("map dimension mismatch")
@@ -848,7 +842,7 @@ class Region:
             raise NonInvertibleMapError("image requires an invertible map")
         return Region(self.dim, [p.image(m) for p in self.pieces])
 
-    @memo(lambda self, m, target: (self, m, target))
+    @memo
     def preimage_under(self, m: AffineMap, target: "Region") -> "Region":
         """{x in self : m(x) in target}, exact for arbitrary affine m."""
         self._check_dim(target)
@@ -906,7 +900,7 @@ class Region:
         the memo keys on."""
         return self._covers_witness(tuple(parts))
 
-    @memo(lambda self, parts: (self, parts))
+    @memo
     def _covers_witness(self, parts: tuple):
         allp = []
         for r in parts:

@@ -13,7 +13,7 @@ point are separated by their affine maps, a finite check by rigidity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import AffineMap, Germ, PartialAffineIso, Region
@@ -52,7 +52,7 @@ class ArrowFamily:
 class PresentedGroupoid:
     pieces: tuple          # sorted (piece id, Region) pairs
     families: tuple        # ArrowFamily, sorted by fid
-    annotation: object = field(default=None, compare=False)
+    annotation: object = None
     # annotation: an Atlas this groupoid presents, or a chart-cover
     # description ((piece id, Region), ...); consumed by atlas reconstruction
 

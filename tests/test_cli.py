@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -415,6 +416,21 @@ def test_saved_choice_table_reloads_byte_for_byte(tmp_path):
     keys = [repr(k) for k in table.entries]
     reloaded = cli.load_choice_table(str(first))
     assert [repr(k) for k in reloaded.entries] == sorted(keys)
+
+
+def test_saved_choice_table_orders_pairs_that_differ_only_in_a_certificate(tmp_path):
+    ops, f, w = frc.atlas_ops(), M["flip_M"], M["leg1_MR_M"]
+    bare = dataclasses.replace(w, certificate=None)
+    assert bare.key() == w.key() and bare != w
+    saved = []
+    for order in ((w, bare), (bare, w)):
+        table = frc.ChoiceTable()
+        for leg in order:
+            frc.chosen_square(ops, table, f, leg)
+        path = tmp_path / f"{len(saved)}.json"
+        cli.save_choice_table(table, str(path))
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 _leaves = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["", "T", "1/2", "x"])

@@ -173,16 +173,13 @@ BOUND_DEFAULTS = {"atlas_ops", "groupoid_ops", "fred0", "fred1"}
 
 
 def _bound_leaks(path):
-    """A `bound` parameter with a default, other than on BOUND_DEFAULTS and
-    the memo keys in their decorators; and a call of `fred0`/`fred1` that
-    passes no bound, which would fall back to the default."""
-    allowed = set()
-    out = []
+    """A `bound` parameter with a default, other than on BOUND_DEFAULTS; and
+    a call of `fred0`/`fred1` that passes no bound, which would fall back to
+    the default."""
     tree = ast.parse(path.read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in BOUND_DEFAULTS:
-            allowed.add(node)
-            allowed.update(n for d in node.decorator_list for n in ast.walk(d))
+    allowed = {node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in BOUND_DEFAULTS}
+    out = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
@@ -207,14 +204,13 @@ def test_the_word_bound_is_passed_not_defaulted():
 
 def test_guard_sees_a_defaulted_bound(tmp_path):
     p = tmp_path / "m.py"
-    p.write_text("@memo(lambda a, bound=4: (a, bound))\n"
-                 "def fred0(a, bound=4):\n    return closure(a, bound)\n"
+    p.write_text("def fred0(a, bound=4):\n    return closure(a, bound)\n"
                  "def closure(a, bound=4):\n    pass\n"
                  "def check(a, *, bound=4):\n    pass\n"
                  "key = lambda m, bound=4: m\n"
                  "def atlas_ops(bound=4):\n    return fred1(m)\n"
                  "x = frd.fred0(a), fred1(m, bound), frd.fred1(m, bound=b), fred2(c)\n")
-    assert _bound_leaks(p) == ["m.py:4", "m.py:6", "m.py:8", "m.py:10", "m.py:11"]
+    assert _bound_leaks(p) == ["m.py:3", "m.py:5", "m.py:7", "m.py:9", "m.py:10"]
 
 
 # Only a proof of nonexistence (`NoSuchCellError`) or an undecided verdict
@@ -326,37 +322,3 @@ def test_guard_sees_a_refutation_outside_the_closure(tmp_path):
     assert _no_such_cell_raised_outside(p, "Pseudogroup") == ["atlas.py:5", "atlas.py:7",
                                                               "atlas.py:12"]
 
-
-def _memo_keys_dropping_arguments(path):
-    """`@memo(lambda ...)` keys that never read one of their parameters: such
-    a key makes calls that differ only in that argument share one entry."""
-    out = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if not isinstance(node, ast.Call) or _name(node.func) != "memo":
-            continue
-        if not node.args or not isinstance(node.args[0], ast.Lambda):
-            continue
-        key = node.args[0]
-        a = key.args
-        params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
-        params += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
-        read = {n.id for n in ast.walk(key.body) if isinstance(n, ast.Name)}
-        out += [f"{path.name}:{key.lineno}:{p}" for p in params if p not in read]
-    return out
-
-
-def test_memo_keys_read_every_argument():
-    found = [hit for path in sorted(SRC.glob("*.py"))
-             for hit in _memo_keys_dropping_arguments(path)]
-    assert found == [], f"a memo key must read every argument of the call: {found}"
-
-
-def test_guard_sees_a_memo_key_dropping_an_argument(tmp_path):
-    p = tmp_path / "m.py"
-    p.write_text("@memo(lambda self, m, target: (self, m))\ndef f(self, m, target): pass\n"
-                 "@mm.memo(lambda a, bound=4: (a, bound))\ndef g(a, bound=4): pass\n"
-                 "@memo(lambda x, *rest, k=1: (x, k))\ndef h(x, *rest, k=1): pass\n"
-                 "@memo(lambda s, p: (s, _key(p)))\ndef i(s, p): pass\n"
-                 "@memo(lambda: 0)\ndef j(): pass\n"
-                 "@memo(key_of)\ndef k(v): pass\n")
-    assert _memo_keys_dropping_arguments(p) == ["m.py:1:target", "m.py:5:rest"]

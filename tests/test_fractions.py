@@ -222,7 +222,7 @@ _STUBS = [("square", 3), ("connect2", 4), ("cancel", 4), ("connect2", 5)]
 
 def test_bf_propagates_programming_errors(ops, half_universe):
     with pytest.raises(TypeError):
-        frc.check_bf(_raising(ops, "connect2", TypeError), 5, half_universe)
+        frc.check_bf(_raising(ops, "connect2", TypeError), 5, half_universe, frc.ChoiceTable())
 
 
 @pytest.mark.parametrize("exc", [ValueError, GeometryError, ComposabilityError])
@@ -231,26 +231,28 @@ def test_bf_propagates_broken_preconditions(ops, legs_universe, half_universe,
                                             field, axiom, exc):
     universe = half_universe if axiom == 5 else legs_universe
     with pytest.raises(exc, match=f"{field} raised"):
-        frc.check_bf(_raising(ops, field, exc), axiom, universe)
+        frc.check_bf(_raising(ops, field, exc), axiom, universe, frc.ChoiceTable())
 
 
 def test_bf_no_connecting_cell_is_skipped(ops, half_universe, legs_universe):
     stubbed = _raising(ops, "connect2", NoSuchCellError)
-    rep = frc.check_bf(stubbed, 5, half_universe)
+    rep = frc.check_bf(stubbed, 5, half_universe, frc.ChoiceTable())
     assert rep.ok and rep.decided
-    rep = frc.check_bf(stubbed, 4, legs_universe)
+    rep = frc.check_bf(stubbed, 4, legs_universe, frc.ChoiceTable())
     assert rep.ok and rep.undecided == ["no 2-cells found to exercise BF4 on"]
 
 
 @pytest.mark.parametrize("field, axiom, code", [("square", 3, "BF3"), ("cancel", 4, "BF4a")])
 def test_bf_missing_cell_fails_with_its_witness(ops, legs_universe, field, axiom, code):
-    rep = frc.check_bf(_raising(ops, field, NoSuchCellError), axiom, legs_universe)
+    rep = frc.check_bf(_raising(ops, field, NoSuchCellError), axiom, legs_universe,
+                       frc.ChoiceTable())
     assert {v.code for v in rep.violations} == {code}
     assert all(v.witness == _WITNESS for v in rep.violations)
 
 
 def test_bf_undecided_connection_is_noted(ops, half_universe):
-    rep = frc.check_bf(_raising(ops, "connect2", UndecidedError), 5, half_universe)
+    rep = frc.check_bf(_raising(ops, "connect2", UndecidedError), 5, half_universe,
+                       frc.ChoiceTable())
     assert rep.ok and not rep.decided
     assert "connect2 raised" in rep.undecided[0]
 

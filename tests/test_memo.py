@@ -35,7 +35,7 @@ def _counting(results):
     arguments it was really called with."""
     seen = []
 
-    @memo(lambda x: x)
+    @memo
     def f(x):
         seen.append(x)
         return results[x]
@@ -56,22 +56,29 @@ def test_counters_count():
     assert (f.hits, f.misses) == (3, 2)
 
 
-def test_key_function_sees_defaults_and_keywords():
+def test_key_is_the_arguments_with_defaults_applied():
     calls = []
 
-    @memo(lambda x, k=1: (x, k))
+    @memo
     def g(x, k=1):
         calls.append((x, k))
         return x * k
-    assert g(2) == g(2, 1) == g(2, k=1) == 2
-    assert g(2, k=3) == 6
+    assert g(2) == g(2, 1) == g(2, k=1) == g(x=2) == 2
+    assert g(2, k=3) == g(2, 3) == 6
     assert calls == [(2, 1), (2, 3)]
+    assert list(g.table) == [(2, 1), (2, 3)]
+
+
+def test_fred0_and_fred1_share_an_entry_whatever_the_bound_spelling():
+    a, m = ATLASES["MIRROR"], MORPHISMS["flip_M"]
+    assert frd.fred0(a) is frd.fred0(a, WORD_BOUND) is frd.fred0(a, bound=WORD_BOUND)
+    assert frd.fred1(m) is frd.fred1(m, WORD_BOUND) is frd.fred1(m, bound=WORD_BOUND)
 
 
 def test_exceptions_are_not_stored():
     calls = []
 
-    @memo(lambda x: x)
+    @memo
     def h(x):
         calls.append(x)
         raise ValueError(x)
@@ -138,9 +145,10 @@ def test_groupoid_is_w_matches_is_morita():
 
 # -- the atlas memos are exact ------------------------------------------------
 #
-# Certificates never take part in equality, so each memo of the atlas layer
-# keys on every certificate that its result carries or reads.  The inputs are
-# the catalog morphisms, their identity 2-cells and the catalog 2-cells.
+# A certificate is a field of its morphism, so the arguments of a memoized
+# atlas construction hold every certificate that its result carries or reads.
+# The inputs are the catalog morphisms, their identity 2-cells and the catalog
+# 2-cells.
 
 def _atlas_cases():
     b = WORD_BOUND

@@ -1,16 +1,16 @@
 """The hash/equality contract of the hash-consed value classes.
 
 Each of the eleven frozen value classes of the atlas and groupoid layers
-hashes once and compares by its compared fields.  Over the fixture catalog,
+hashes once and compares by all of its fields.  Over the fixture catalog,
 its structure-functor images, both depth-2 universes and the squares their
 BF3 check chooses, two values are equal exactly when their content is
 equal, equal values hash alike, and a value survives a trip through its
 canonical JSON with its hash.
 
 `key()` omits what `pullback_square`'s chart names and the canonical sort
-orders never needed: the endpoints of a morphism and the ids of arrow
-families.  The content key below adds them, so that it is exactly what
-equality compares.
+orders never needed: the endpoints and the certificate of a morphism, the
+ids of arrow families and the annotation of a groupoid.  The content key
+below adds them, so that it is exactly what equality compares.
 """
 
 import dataclasses
@@ -22,7 +22,17 @@ import pytest
 from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
-from orbatlas.atlas import WORD_BOUND, Atlas, ChangeOfCharts, Chart, Morphism, PEntry, TwoCell
+from orbatlas import memo
+from orbatlas.atlas import (
+    WORD_BOUND,
+    Atlas,
+    ChangeOfCharts,
+    Chart,
+    Morphism,
+    PEntry,
+    TwoCell,
+    classify_morphism,
+)
 from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED, catalog_2cells
 from orbatlas.geometry import PartialAffineIso
 from orbatlas.groupoid import ArrowFamily, GroupoidMorphism, NatTransf, PresentedGroupoid
@@ -38,9 +48,15 @@ def content(x):
     if isinstance(x, ArrowFamily):
         return (x.fid, x.key())
     if isinstance(x, PresentedGroupoid):
-        return (x.key(), tuple(f.fid for f in x.families))
+        ann = x.annotation
+        if isinstance(ann, Atlas):
+            ann = ann.key()
+        elif ann is not None:  # a cover: (piece id, region) pairs
+            ann = tuple((pid, r.key()) for pid, r in ann)
+        return (x.key(), tuple(f.fid for f in x.families), ann)
     if isinstance(x, Morphism):
-        return (x.source.key(), x.target.key(), x.key())
+        cert = None if x.certificate is None else x.certificate.key()
+        return (x.source.key(), x.target.key(), x.key(), cert)
     if isinstance(x, GroupoidMorphism):
         return (content(x.source), content(x.target), x.key())
     if isinstance(x, TwoCell):
@@ -135,13 +151,31 @@ def test_morphism_keys_collide_but_values_do_not(by_class):
     assert incl_emb != MORPHISMS["emb_T_M"]
 
 
-def test_uncompared_fields_take_no_part(by_class):
+def test_recertified_and_reannotated_values_are_other_values(by_class):
     for m in by_class[Morphism]:
-        bare = dataclasses.replace(m, certificate=None)
-        assert bare == m and hash(bare) == hash(m)
+        other = dataclasses.replace(m, certificate=m.target if m.certificate is None else None)
+        assert other != m and not other == m
     for g in by_class[PresentedGroupoid]:
-        bare = dataclasses.replace(g, annotation=None)
-        assert bare == g and hash(bare) == hash(g)
+        other = dataclasses.replace(g, annotation=ATLASES["TRIV"] if g.annotation is None
+                                    else None)
+        assert other != g and not other == g
+
+
+def test_a_recertified_morphism_has_its_own_entries():
+    """`leg1_MR_M` without its certificate is still a refinement, through
+    the merge of its ends; it is another key of the classification memo and
+    of a choice table, and its square is another square."""
+    w = MORPHISMS["leg1_MR_M"]
+    bare = dataclasses.replace(w, certificate=None)
+    assert bare != w
+    memo.clear()
+    assert classify_morphism(w, WORD_BOUND) == classify_morphism(bare, WORD_BOUND)
+    assert set(classify_morphism.table) == {(w, WORD_BOUND), (bare, WORD_BOUND)}
+    ops, table, f = frc.atlas_ops(WORD_BOUND), frc.ChoiceTable(), MORPHISMS["flip_M"]
+    square = frc.chosen_square(ops, table, f, w)
+    bare_square = frc.chosen_square(ops, table, f, bare)
+    assert set(table.entries) == {(f, w), (f, bare)}
+    assert bare_square != square and bare_square == ops.square(f, bare)
 
 
 def test_canonical_json_round_trip_keeps_value_and_hash(top_level):
