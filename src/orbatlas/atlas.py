@@ -19,9 +19,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .geometry import AffineMap, PartialAffineIso, Region
+from .geometry import AffineMap, PartialAffineIso, Region, clashes
 from .memo import cached_hash, memo
 from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError, Violation
 
@@ -93,6 +92,12 @@ class ChangeOfCharts:
 
     def inverse(self) -> "ChangeOfCharts":
         return ChangeOfCharts(self.dst, self.src, self.iso.inverse())
+
+    def union(self, other: "ChangeOfCharts") -> "ChangeOfCharts":
+        """The same germ family (src, dst, map) on the union of the two
+        domains; `other` carries that family too."""
+        return ChangeOfCharts(self.src, self.dst,
+                              PartialAffineIso(self.map, self.dom.union(other.dom)))
 
     def key(self):
         return (self.src, self.dst, self.iso.key())
@@ -247,7 +252,7 @@ def _seed_families(atlas: Atlas):
     return seeds
 
 
-@lru_cache(maxsize=None)
+@memo
 def closure(atlas: Atlas, bound: int) -> Pseudogroup:
     """Bounded pseudogroup closure.  Appending one generating letter at a
     time reaches every word, so stability under a single append pass proves
@@ -455,17 +460,9 @@ def _normalize_entries(entries):
         if e.change.dom.is_empty():
             continue
         k = (e.change.src, e.change.dst, e.change.map, e.nu.map, e.nu.src, e.nu.dst)
-        if k in merged:
-            prev = merged[k]
-            merged[k] = PEntry(
-                ChangeOfCharts(prev.change.src, prev.change.dst,
-                               PartialAffineIso(prev.change.map,
-                                                prev.change.dom.union(e.change.dom))),
-                ChangeOfCharts(prev.nu.src, prev.nu.dst,
-                               PartialAffineIso(prev.nu.map, prev.nu.dom.union(e.nu.dom))),
-            )
-        else:
-            merged[k] = e
+        prev = merged.get(k)
+        merged[k] = e if prev is None else PEntry(prev.change.union(e.change),
+                                                  prev.nu.union(e.nu))
     return tuple(sorted(merged.values(), key=lambda e: e.key()))
 
 
@@ -496,8 +493,10 @@ class Morphism:
     def lift(self, cid: str) -> AffineMap:
         return dict(self.lifts)[cid]
 
-    def entries_at(self, src: str, dst: str):
-        return [e for e in self.entries if e.change.src == src and e.change.dst == dst]
+    def entries_with(self, src: str, dst: str, m: AffineMap):
+        """The entries whose change carries the germ family (src, dst, m)."""
+        return [e for e in self.entries
+                if e.change.src == src and e.change.dst == dst and e.change.map == m]
 
     def is_etale(self) -> bool:
         return all(m.is_invertible() for _, m in self.lifts)
@@ -565,22 +564,20 @@ def validate_morphism(m: Morphism, bound: int) -> Report:
 
     # (M4): the entries reproduce every germ of the source pseudogroup
     for i, ip, mm, reg in scl.items():
-        doms = [e.change.dom for e in m.entries_at(i, ip) if e.change.map == mm]
+        doms = [e.change.dom for e in m.entries_with(i, ip, mm)]
         w = reg.covers_witness(doms)
         if w is not None:
             rep.fail("M4", f"pseudogroup germ not reproduced by the good subset "
                            f"({i}->{ip})", w)
 
-    # (M5d): overlapping entries with equal germs get equal assigned germs
-    for i, ip in {(e.change.src, e.change.dst) for e in m.entries}:
-        es = m.entries_at(i, ip)
-        for e1, e2 in itertools.combinations(es, 2):
-            if e1.change.map != e2.change.map or e1.nu.map == e2.nu.map:
-                continue
-            overlap = e1.change.dom.intersect(e2.change.dom)
-            if not overlap.is_empty():
-                rep.fail("M5d", "equal germs with different assigned germs",
-                         overlap.interior_point())
+    # (M5d): overlapping entries with equal germs get equal assigned germs;
+    # the germ families in the order of the sorted entries
+    for i, ip, mm in dict.fromkeys((e.change.src, e.change.dst, e.change.map)
+                                   for e in m.entries):
+        es = [(e.change.dom, e.nu.map) for e in m.entries_with(i, ip, mm)]
+        for overlap in clashes(itertools.combinations(es, 2)):
+            rep.fail("M5d", f"equal germs with different assigned germs ({i}->{ip})",
+                     overlap.interior_point())
 
     # (M5e): multiplicativity of the assignment on composable entries.  Several
     # pairs of entries can meet one fault; it is reported once.
@@ -598,17 +595,13 @@ def validate_morphism(m: Morphism, bound: int) -> Report:
             i, ip = e1.change.src, e2.change.dst
             m3 = e2.change.map.compose(e1.change.map)
             nu3 = e2.nu.map.compose(e1.nu.map)
-            thirds = [e3 for e3 in m.entries_at(i, ip) if e3.change.map == m3]
+            thirds = m.entries_with(i, ip, m3)
             w = u.covers_witness([e3.change.dom for e3 in thirds])
             if w is not None:
                 fail_m5e(f"composite germ not reproduced inside the good subset ({i}->{ip})", w)
                 continue
-            for e3 in thirds:
-                if e3.nu.map == nu3:
-                    continue
-                bad = e3.change.dom.intersect(u)
-                if not bad.is_empty():
-                    fail_m5e(f"assignment not multiplicative ({i}->{ip})", bad.interior_point())
+            for bad in clashes(((e3.change.dom, e3.nu.map), (u, nu3)) for e3 in thirds):
+                fail_m5e(f"assignment not multiplicative ({i}->{ip})", bad.interior_point())
 
     # (M5f): identity germs map to identity germs
     for e in m.entries:
@@ -626,15 +619,9 @@ def equal_morphisms(a: Morphism, b: Morphism) -> bool:
         return False
     if a.chart_map != b.chart_map or a.lifts != b.lifts:
         return False
-    for e1 in a.entries:
-        for e2 in b.entries:
-            if (e1.change.src, e1.change.dst) != (e2.change.src, e2.change.dst):
-                continue
-            if e1.change.map != e2.change.map or e1.nu.map == e2.nu.map:
-                continue
-            if not e1.change.dom.intersect(e2.change.dom).is_empty():
-                return False
-    return True
+    return not any(clashes(
+        ((e1.change.dom, e1.nu.map), (e2.change.dom, e2.nu.map)) for e1 in a.entries
+        for e2 in b.entries_with(e1.change.src, e1.change.dst, e1.change.map)))
 
 
 @memo
@@ -661,10 +648,9 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     entries = []
     for e in f.entries:
         j, jp = e.nu.src, e.nu.dst
-        matches = [eg for eg in g.entries_at(j, jp) if eg.change.map == e.nu.map]
         covered = []
         Li = f.lift(e.change.src)
-        for eg in matches:
+        for eg in g.entries_with(j, jp, e.nu.map):
             dom = e.change.dom.preimage_under(Li, eg.change.dom)
             if dom.is_empty():
                 continue
@@ -701,7 +687,7 @@ def induced_hom(m: Morphism, cid: str) -> dict:
     tgt_chart = m.target.chart(m.chart_image(cid))
     out = {}
     for g in src_chart.group:
-        nus = {e.nu.map for e in m.entries_at(cid, cid) if e.change.map == g}
+        nus = {e.nu.map for e in m.entries_with(cid, cid, g)}
         if len(nus) != 1:
             raise ValueError(f"assignment of {g} is not uniquely determined")
         nu = nus.pop()
@@ -904,13 +890,9 @@ def _normalize_patches(patches):
             if region.is_empty():
                 continue
             k = (ch.src, ch.dst, ch.map)
-            if k in merged:
-                r0, c0 = merged[k]
-                merged[k] = (r0.union(region),
-                             ChangeOfCharts(c0.src, c0.dst,
-                                            PartialAffineIso(c0.map, c0.dom.union(ch.dom))))
-            else:
-                merged[k] = (region, ch)
+            prev = merged.get(k)
+            merged[k] = (region, ch) if prev is None else (prev[0].union(region),
+                                                          prev[1].union(ch))
         out[cid] = tuple(merged.values())
     return out
 
@@ -991,10 +973,10 @@ def validate_2cell(c: TwoCell, bound: int) -> Report:
                 w = region.interior_point_off([L2.agreement(moved)])
                 rep.fail("2Mc", "patch change does not relate the two lifts", w)
         # (2Md) overlapping patches agree as germs
-        for (r1, c1), (r2, c2) in itertools.combinations(items, 2):
-            if c1.map != c2.map and not r1.intersect(r2).is_empty():
-                rep.fail("2Md", "overlapping patches carry different germs",
-                         r1.intersect(r2).interior_point())
+        germs = [(r, ch.map) for r, ch in items]
+        for overlap in clashes(itertools.combinations(germs, 2)):
+            rep.fail("2Md", "overlapping patches carry different germs",
+                     overlap.interior_point())
     # (2Me) compatibility with every source germ; the germ equations are
     # map-level by rigidity, so overlap regions are only computed when an
     # equation actually fails somewhere
@@ -1002,8 +984,7 @@ def validate_2cell(c: TwoCell, bound: int) -> Report:
     if not scl.complete:
         rep.note_undecided("source pseudogroup incomplete; (2Me) checked on the computed part")
     for i, ip, mm, reg in scl.items():
-        e1s = [e for e in f1.entries_at(i, ip) if e.change.map == mm]
-        e2s = [e for e in f2.entries_at(i, ip) if e.change.map == mm]
+        e1s, e2s = f1.entries_with(i, ip, mm), f2.entries_with(i, ip, mm)
         for ra, cha in c.patches_at(i):
             for rap, chap in c.patches_at(ip):
                 bad = [(e1, e2) for e1 in e1s for e2 in e2s
@@ -1029,12 +1010,10 @@ def equal_2cells(a: TwoCell, b: TwoCell) -> bool:
     if not (equal_morphisms(a.source_morphism, b.source_morphism)
             and equal_morphisms(a.target_morphism, b.target_morphism)):
         return False
-    for i in {cid for cid, _ in a.patches} | {cid for cid, _ in b.patches}:
-        for r1, c1 in a.patches_at(i):
-            for r2, c2 in b.patches_at(i):
-                if c1.map != c2.map and not r1.intersect(r2).is_empty():
-                    return False
-    return True
+    return not any(clashes(
+        ((r1, c1.map), (r2, c2.map))
+        for i in {cid for cid, _ in a.patches} | {cid for cid, _ in b.patches}
+        for r1, c1 in a.patches_at(i) for r2, c2 in b.patches_at(i)))
 
 
 def vertical_compose(sigma: TwoCell, delta: TwoCell) -> TwoCell:
@@ -1077,9 +1056,7 @@ def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
         G1 = g1.lift(j1)
         out = []
         for ra, cha in delta.patches_at(i):
-            for eg in g1.entries_at(j1, j2):
-                if eg.change.map != cha.map:
-                    continue
+            for eg in g1.entries_with(j1, j2, cha.map):
                 for sc, chc in xi.patches_at(j2):
                     gamma = compose_changes(chc, eg.nu)
                     if gamma is None:

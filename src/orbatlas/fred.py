@@ -61,10 +61,6 @@ def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     return PresentedGroupoid.make(pieces, families, annotation=atlas)
 
 
-def _family_lookup(g: PresentedGroupoid):
-    return {(f.src, f.dst, f.map): f for f in g.families}
-
-
 @memo
 def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     """Image of a morphism: lifts on objects, change assignment on arrows.
@@ -72,20 +68,19 @@ def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     when the lifts are open embeddings).  The bound defaults as for fred0."""
     gs, gt = fred0(m.source, bound), fred0(m.target, bound)
     object_map = {i: (m.chart_image(i), m.lift(i)) for i in m.source.chart_ids()}
-    tgt_by_map = _family_lookup(gt)
     family_map = {}
     for f in gs.families:
-        nus = {e.nu.map for e in m.entries_at(f.src, f.dst)
-               if e.change.map == f.map
-               and not e.change.dom.intersect(f.dom).is_empty()}
+        nus = {e.nu.map for e in m.entries_with(f.src, f.dst, f.map)
+               if not e.change.dom.intersect(f.dom).is_empty()}
         if len(nus) != 1:
             raise ValueError(
                 f"the assignment is not single-valued on the germ family "
                 f"{f.src}->{f.dst}; no family-wise image exists")
-        key = (m.chart_image(f.src), m.chart_image(f.dst), nus.pop())
-        if key not in tgt_by_map:
+        # a groupoid of germs has one family per germ family
+        t = gt.families_with(m.chart_image(f.src), m.chart_image(f.dst), nus.pop())
+        if not t:
             raise ValueError("assigned germ not present in the target groupoid")
-        family_map[f.fid] = tgt_by_map[key].fid
+        family_map[f.fid] = t[0].fid
     return GroupoidMorphism.make(gs, gt, object_map, family_map)
 
 
@@ -95,15 +90,14 @@ def fred2(cell: TwoCell, bound: int) -> NatTransf:
     f1, f2 = cell.source_morphism, cell.target_morphism
     p1, p2 = fred1(f1, bound), fred1(f2, bound)
     gt = p1.target
-    tgt_by_map = _family_lookup(gt)
     assigns = {}
     for i in f1.source.chart_ids():
         out = []
         for region, ch in cell.patches_at(i):
-            key = (ch.src, ch.dst, ch.map)
-            if key not in tgt_by_map:
+            t = gt.families_with(ch.src, ch.dst, ch.map)
+            if not t:
                 raise ValueError("patch germ not present in the target groupoid")
-            out.append((region, tgt_by_map[key].fid))
+            out.append((region, t[0].fid))
         assigns[i] = out
     return NatTransf.make(p1, p2, assigns)
 
@@ -188,11 +182,7 @@ def atlas_from_groupoid(g: PresentedGroupoid, bound: int):
         parent = {cid: pid for cid, pid, _ in meta}
         family_map = {}
         for f in sub.families:
-            match = None
-            for t in g.families_between(parent[f.src], parent[f.dst]):
-                if t.map == f.map and f.dom.covers([t.dom]):
-                    match = t
-                    break
+            match = g.find_family(parent[f.src], parent[f.dst], f.map, f.dom)
             if match is None:
                 raise UnsupportedGroupoidError(
                     "cover annotation does not generate the groupoid")

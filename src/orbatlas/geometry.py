@@ -1030,3 +1030,15 @@ def germ_of(iso: PartialAffineIso, x) -> Germ:
     if not iso.dom.contains_point(x):
         raise GeometryError(f"point {x} not in the domain")
     return Germ(x, iso.map)
+
+
+def clashes(pairs):
+    """The overlaps on which germ families disagree: for each pair
+    ((r1, v1), (r2, v2)) of regions carrying families with the affine maps
+    v1 and v2, r1.intersect(r2) when v1 != v2 and it is nonempty.  By
+    rigidity, families with equal maps agree wherever they overlap."""
+    for (r1, v1), (r2, v2) in pairs:
+        if v1 != v2:
+            overlap = r1.intersect(r2)
+            if not overlap.is_empty():
+                yield overlap

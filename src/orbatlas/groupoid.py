@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import AffineMap, Germ, PartialAffineIso, Region
+from .geometry import AffineMap, Germ, PartialAffineIso, Region, clashes
 from .memo import cached_hash
 from .reports import ComposabilityError, NoSuchCellError, Report
 
@@ -90,11 +90,14 @@ class PresentedGroupoid:
     def families_between(self, src, dst):
         return [f for f in self.families if f.src == src and f.dst == dst]
 
-    def find_family(self, src, dst, m: AffineMap, region: Region = None):
-        """A family with the given affine map whose domain covers `region`
-        (or any with that map if region is None)."""
-        for f in self.families_between(src, dst):
-            if f.map == m and (region is None or region.covers([f.dom])):
+    def families_with(self, src, dst, m: AffineMap):
+        """The families that carry the germ family (src, dst, m)."""
+        return [f for f in self.families if f.src == src and f.dst == dst and f.map == m]
+
+    def find_family(self, src, dst, m: AffineMap, region: Region):
+        """A family with the given affine map whose domain covers `region`."""
+        for f in self.families_with(src, dst, m):
+            if region.covers([f.dom]):
                 return f
         return None
 
@@ -133,7 +136,7 @@ def validate_groupoid(g: PresentedGroupoid) -> Report:
         if dom.is_empty():
             continue
         m = f2.map.compose(f1.map)
-        doms = [f3.dom for f3 in g.families_between(f1.src, f2.dst) if f3.map == m]
+        doms = [f3.dom for f3 in g.families_with(f1.src, f2.dst, m)]
         w = dom.covers_witness(doms)
         if w is not None:
             rep.fail("LG3", f"composite of {f1.fid} and {f2.fid} missing from the "
@@ -311,8 +314,8 @@ def validate_gpd_morphism(psi: GroupoidMorphism) -> Report:
             continue
         m12 = f2.map.compose(f1.map)
         t12 = h.family(fm[f2.fid]).map.compose(h.family(fm[f1.fid]).map)
-        bad = [f3 for f3 in g.families_between(f1.src, f2.dst)
-               if f3.map == m12 and h.family(fm[f3.fid]).map != t12]
+        bad = [f3 for f3 in g.families_with(f1.src, f2.dst, m12)
+               if h.family(fm[f3.fid]).map != t12]
         if not bad:
             continue
         dom = f1.dom.preimage_under(f1.map, f2.dom)
@@ -390,11 +393,8 @@ def validate_nat_transf(alpha: NatTransf) -> Report:
             if w is not None:
                 rep.fail("NT1", f"assigned family domain too small at {pid}", w)
         # germ consistency on overlaps
-        for (r1, f1), (r2, f2) in itertools.combinations(items, 2):
-            if not r1.intersect(r2).is_empty():
-                if h.family(f1).map != h.family(f2).map:
-                    rep.fail("NT1", "overlapping assignments disagree",
-                             r1.intersect(r2).interior_point())
+        for overlap in clashes(itertools.combinations(_germs(alpha, pid), 2)):
+            rep.fail("NT1", "overlapping assignments disagree", overlap.interior_point())
     # (NT2): the exchange equation over every source arrow family, exactly;
     # the overlap region is only needed to confirm a map-level failure
     for f in g.families:
@@ -413,21 +413,21 @@ def validate_nat_transf(alpha: NatTransf) -> Report:
     return rep
 
 
+def _germs(alpha: NatTransf, pid):
+    """The assignments at a piece as (region, map of the assigned family)."""
+    h = alpha.source_morphism.target
+    return [(r, h.family(fid).map) for r, fid in alpha.at(pid)]
+
+
 def equal_nat_transfs(a: NatTransf, b: NatTransf) -> bool:
     """Equal source and target morphisms, and equal arrow germs wherever
     the assignments overlap."""
     if not (equal_gpd_morphisms(a.source_morphism, b.source_morphism)
             and equal_gpd_morphisms(a.target_morphism, b.target_morphism)):
         return False
-    for pid in {p for p, _ in a.assignments} | {p for p, _ in b.assignments}:
-        for r1, f1 in a.at(pid):
-            for r2, f2 in b.at(pid):
-                if not r1.intersect(r2).is_empty():
-                    m1 = a.source_morphism.target.family(f1).map
-                    m2 = b.source_morphism.target.family(f2).map
-                    if m1 != m2:
-                        return False
-    return True
+    return not any(clashes(
+        pair for pid in {p for p, _ in a.assignments} | {p for p, _ in b.assignments}
+        for pair in itertools.product(_germs(a, pid), _germs(b, pid))))
 
 
 def vertical_compose_nt(beta: NatTransf, alpha: NatTransf) -> NatTransf:
@@ -454,8 +454,8 @@ def vertical_compose_nt(beta: NatTransf, alpha: NatTransf) -> NatTransf:
 def _family_along(h, src, dst, m, region, lift):
     """The first family src -> dst with map `m` into whose domain `lift`
     carries `region`; exact for every affine `lift`."""
-    for f in h.families_between(src, dst):
-        if f.map == m and region.escape_witness(lift, f.dom) is None:
+    for f in h.families_with(src, dst, m):
+        if region.escape_witness(lift, f.dom) is None:
             return f
     raise ComposabilityError("target families not closed under the needed composite")
 
@@ -546,7 +546,7 @@ def is_morita(psi: GroupoidMorphism):
                 r = r.preimage_under(n, g.piece(pp))
                 if r.is_empty():
                     continue
-                doms = [f.dom for f in g.families_between(p, pp) if f.map == n]
+                doms = [f.dom for f in g.families_with(p, pp, n)]
                 w = r.covers_witness(doms)
                 if w is not None:
                     rep.fail("ME2", f"target germ between image points not in the "
@@ -593,12 +593,11 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
         q2, m2 = psi2.on_piece(pid)
         target_map = m2.compose(m1.inverse())
         img = region.image(m1)
-        families = h.families_between(q1, q2)
-        cands = [f for f in families if f.map == target_map]
+        cands = h.families_with(q1, q2, target_map)
         pulled = [(region.preimage_under(m1, f.dom), f.fid) for f in cands]
         covered = img.covers_witness([f.dom for f in cands])
         if covered is not None:
-            x = separating_point(region, m1, m2, families)
+            x = separating_point(region, m1, m2, h.families_between(q1, q2))
             raise NoSuchCellError(f"no natural transformation: coarse mismatch on {pid}",
                                   (pid, m1.inverse()(covered) if x is None else x))
         assigns[pid] = tuple((r, fid) for r, fid in pulled if not r.is_empty())

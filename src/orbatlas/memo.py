@@ -5,11 +5,15 @@ the call's positional arguments, with keywords placed and defaults applied,
 so `f(a)`, `f(a, 4)` and `f(a, bound=4)` share one entry when the default
 is 4.  A method's key holds `self`, so equal instances share entries.  The
 function takes no `*args`, `**kwargs` or keyword-only parameters, each
-argument must be a value that is its own key, and only results that cannot
-be mutated may be stored.  Every stored result is a hit, `False` and `None`
+argument must be a value that is its own key, and only results that are
+never mutated may be stored: values, tuples, booleans, `None`, and the
+`Pseudogroup` of `atlas.closure`, whose dicts nothing changes once
+`closure` has returned.  Every stored result is a hit, `False` and `None`
 included; a call that raises stores nothing.  Each memoized function counts
-its `hits` and `misses`; `clear()` empties every memo and resets the
-counters.  There is no size bound: the memos live as long as the process.
+its `hits` and `misses`, and `cache_info()` gives `(hits, misses, None,
+size)`, in the order of the standard library's `CacheInfo`; `clear()`
+empties every memo and resets the counters.  There is no size bound: the
+memos live as long as the process.
 
 `@cached_hash` makes a frozen dataclass its own dict key: its hash is
 computed once, from all of its fields, and equality checks identity, then
@@ -47,6 +51,7 @@ def memo(fn):
         return out
 
     memoized.table, memoized.hits, memoized.misses = table, 0, 0
+    memoized.cache_info = lambda: (memoized.hits, memoized.misses, None, len(table))
     _MEMOS.append(memoized)
     return memoized
 

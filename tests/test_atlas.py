@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -594,6 +598,43 @@ def test_m5d_witness_lies_where_equal_germs_overlap():
     m = _mirror_with([(ID1, _WHOLE, ID1), (ID1, half, MIRROR_MAP)])
     (v,) = _violations(validate_morphism(m, WORD_BOUND), "M5d")
     assert half.contains_point(v.witness)
+
+
+# id_MIRROR_REF with a second entry on each identity germ over (C2->C2),
+# (C2->M) and (M->M), assigning the reflection on nu.dom ∩ r(nu.dom): three
+# M5d faults, two of them with the witness 5/8.
+_DOUBLED_IDENTITY_GERMS = """
+from orbatlas.atlas import ChangeOfCharts, Morphism, PEntry, WORD_BOUND, validate_morphism
+from orbatlas.fixtures import MIRROR_MAP, MORPHISMS
+from orbatlas.geometry import PartialAffineIso
+
+m = MORPHISMS["id_MIRROR_REF"]
+extra = [PEntry(e.change, ChangeOfCharts(e.nu.src, e.nu.dst, PartialAffineIso(
+             MIRROR_MAP, e.nu.dom.intersect(e.nu.dom.image(MIRROR_MAP)))))
+         for e in m.entries if e.change.map.is_identity()
+         and (e.change.src, e.change.dst) in {("C2", "C2"), ("C2", "M"), ("M", "M")}]
+bad = Morphism.make(m.source, m.target, m.chart_map, m.lifts, m.entries + tuple(extra),
+                    m.certificate)
+for v in validate_morphism(bad, WORD_BOUND).violations:
+    print(v.code, v.message, v.witness, sep=" | ")
+"""
+
+
+def test_m5d_report_does_not_depend_on_the_hash_seed():
+    """Strings hash by a per-process seed, so the report is made in two
+    fresh interpreters; the M5d faults follow the sorted entries."""
+    src = str(Path(cli.__file__).parents[1])
+    reports = [subprocess.run([sys.executable, "-c", _DOUBLED_IDENTITY_GERMS],
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True).stdout
+               for seed in ("0", "1")]
+    assert reports[0] == reports[1]
+    m5d = [line.split(" | ")[1:] for line in reports[0].splitlines()
+           if line.startswith("M5d |")]
+    assert m5d == [
+        ["equal germs with different assigned germs (C2->C2)", "(Fraction(5, 8),)"],
+        ["equal germs with different assigned germs (C2->M)", "(Fraction(5, 8),)"],
+        ["equal germs with different assigned germs (M->M)", "(Fraction(0, 1),)"]]
 
 
 @pytest.mark.parametrize("entries, message", [

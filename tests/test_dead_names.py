@@ -167,6 +167,43 @@ def test_guard_sees_a_random_import(tmp_path):
     assert _random_imports(p) == ["m.py:1", "m.py:2", "m.py:4"]
 
 
+def _foreign_caches(path):
+    """Uses of `functools.lru_cache` and `functools.cache`: `orbatlas.memo`
+    is the one caching mechanism, the one that `memo.clear()` empties and
+    whose counters every memo publishes."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            hit = any(a.name in ("lru_cache", "cache") for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "lru_cache" or (node.attr == "cache"
+                                               and _name(node.value) == "functools")
+        elif isinstance(node, ast.Name):
+            hit = node.id == "lru_cache"
+        else:
+            continue
+        if hit:
+            out.append(node.lineno)
+    return [f"{path.name}:{n}" for n in sorted(set(out))]
+
+
+def test_no_foreign_caches_in_src():
+    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in _foreign_caches(path)]
+    assert found == [], f"memoize through orbatlas.memo: {found}"
+
+
+def test_guard_sees_a_foreign_cache(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("from functools import lru_cache, wraps\n"
+                 "import functools\n"
+                 "@functools.cache\ndef f(): pass\n"
+                 "@lru_cache(maxsize=None)\ndef g(): pass\n"
+                 "@functools.lru_cache\ndef h(): pass\n"
+                 "from functools import cached_property, partial\n"
+                 "x = store.cache, functools.wraps\n")
+    assert _foreign_caches(p) == ["m.py:1", "m.py:3", "m.py:5", "m.py:7"]
+
+
 # The entry points whose word bound may default: the unchanged benchmark
 # calls them without one.  Everything else takes the bound it is given.
 BOUND_DEFAULTS = {"atlas_ops", "groupoid_ops", "fred0", "fred1"}

@@ -94,7 +94,7 @@ def _twist(atlas, s):
     piece by `s` and each family to the family of its s-conjugate."""
     g = frd.fred0(atlas)
     (pid, _), = g.pieces
-    conj = {f.fid: g.find_family(pid, pid, s.compose(f.map).compose(s.inverse())).fid
+    conj = {f.fid: g.families_with(pid, pid, s.compose(f.map).compose(s.inverse()))[0].fid
             for f in g.families}
     return gpd.GroupoidMorphism.make(g, g, {pid: (pid, s)}, conj)
 
