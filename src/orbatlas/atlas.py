@@ -19,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geometry import AffineMap, PartialAffineIso, Region, clashes
-from .memo import cached_hash, memo
+from .memo import interned, memo
 from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError, Violation
 
 # The default word bound.  Everything that reaches `closure` takes the bound
@@ -35,7 +36,7 @@ FAMILY_CAP = 256
 # Charts, changes of charts, atlases
 # ---------------------------------------------------------------------------
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class Chart:
     """Connected open region with a finite effective affine symmetry group.
@@ -63,7 +64,7 @@ class Chart:
         return (self.cid, self.domain.key(), tuple(g.key() for g in self.group))
 
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class ChangeOfCharts:
     """Partial affine isomorphism from one chart to another, compatible with
@@ -100,6 +101,10 @@ class ChangeOfCharts:
                               PartialAffineIso(self.map, self.dom.union(other.dom)))
 
     def key(self):
+        return self._key
+
+    @cached_property
+    def _key(self):
         return (self.src, self.dst, self.iso.key())
 
 
@@ -114,7 +119,7 @@ def compose_changes(later: ChangeOfCharts, earlier: ChangeOfCharts):
     return ChangeOfCharts(earlier.src, later.dst, iso)
 
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class Atlas:
     """Finite family of charts together with generating changes of charts."""
@@ -146,6 +151,10 @@ class Atlas:
         return tuple(c.cid for c in self.charts)
 
     def key(self):
+        return self._key
+
+    @cached_property
+    def _key(self):
         return (tuple(c.key() for c in self.charts), tuple(g.key() for g in self.generators))
 
 
@@ -275,10 +284,12 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
 
     `preimage_under` and `compose` are memoized in the geometry kernel, yet
     the `steps` row stays: it finds a step by the small integer `lid` in a
-    row looked up once per family, where the memo hashes and compares a
-    key of three values on every step.  Stepping through the memos alone
-    made `coherence` slower, 0.256 -> 0.375 s median `run_s` over 3
-    alternating pairs of `perfbench/run.py --seconds 10` on a 2-core VM."""
+    row looked up once per family, where the memo builds and hashes a key
+    of three values on every step (interned values compare by identity, so
+    the hashing is what is left).  Stepping through the memos alone is
+    slower: median `run_s` 0.198 -> 0.251 s on `coherence` and 0.115 ->
+    0.118 s on `bf-atlas`, 4 alternating pairs each (all 8 won by the row)
+    of `perfbench/run.py --seconds 10` on a 2-core VM."""
     seeds = _seed_families(atlas)
     # letters[chart]: the seeds leaving the chart as (dst, m2, d2, lid), where
     # lid numbers the distinct (d2, m2) values
@@ -440,7 +451,7 @@ def validate_atlas(atlas: Atlas, bound: int) -> Report:
 # Morphisms
 # ---------------------------------------------------------------------------
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class PEntry:
     """One element of the distinguished generating family of changes of
@@ -451,6 +462,10 @@ class PEntry:
     nu: ChangeOfCharts
 
     def key(self):
+        return self._key
+
+    @cached_property
+    def _key(self):
         return (self.change.key(), self.nu.key())
 
 
@@ -466,7 +481,7 @@ def _normalize_entries(entries):
     return tuple(sorted(merged.values(), key=lambda e: e.key()))
 
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class Morphism:
     """A morphism of atlases, held as a normalized representative of its
@@ -897,7 +912,7 @@ def _normalize_patches(patches):
     return out
 
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class TwoCell:
     """A 2-morphism between parallel morphisms, as a normalized family of

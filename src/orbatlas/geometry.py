@@ -8,7 +8,8 @@ piece iff it is *strictly* inside every bounding halfplane.
 
 The kernel computes on integers only.  Each value is held as integer
 numerators over one positive denominator, divided by the gcd of all its
-integers, so equal values have equal integer forms:
+integers, so equal values have equal integer forms (and equal maps and
+regions are one object, see `memo.interned`):
 
 - an :class:`AffineMap` ``x |-> (M x + o) / d`` as the flat matrix ``M``, the
   offset ``o`` and ``d``;
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .memo import cached_hash, memo
+from .memo import interned, memo
 
 
 class GeometryError(Exception):
@@ -101,17 +102,17 @@ def _affine(m, o, d) -> "AffineMap":
     return AffineMap(m, o, d)
 
 
+@interned
 class AffineMap:
     """x |-> matrix @ x + offset with exact rational entries, held as
     x |-> (M x + o) / d with integer M (flat, row-major), o and d > 0."""
 
-    __slots__ = ("dim", "_m", "_o", "_d", "_hash", "_view")
+    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_fields", "_hash", "__weakref__")
 
     def __init__(self, m: tuple, o: tuple, d: int):
         # m, o, d must already be normalized; use `make` from rationals
         self.dim = len(o)
         self._m, self._o, self._d = m, o, d
-        self._hash = hash((m, o, d))
         self._view = None
 
     @staticmethod
@@ -145,17 +146,6 @@ class AffineMap:
     @property
     def offset(self) -> tuple:
         return self._views()[1]
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return (self._hash == other._hash and self._d == other._d
-                and self._m == other._m and self._o == other._o)
-
-    def __hash__(self):
-        return self._hash
 
     def __call__(self, p: tuple) -> tuple:
         if len(p) != self.dim:
@@ -680,6 +670,7 @@ def _covers_piece(piece, parts):
 # Regions
 # ---------------------------------------------------------------------------
 
+@interned
 class Region:
     """Finite union of open convex pieces in Q^n, n in {1, 2}.
 
@@ -689,23 +680,27 @@ class Region:
     set equality is available via :meth:`same_set`.
     """
 
-    __slots__ = ("dim", "pieces", "_hash", "_view")
+    __slots__ = ("dim", "pieces", "_view", "_fields", "_hash", "__weakref__")
 
     def __init__(self, dim: int, pieces):
-        _check_supported(dim)
-        self.dim = dim
-        self.pieces = self._canonical(dim, list(pieces))
-        self._hash = hash((dim, tuple(p._k for p in self.pieces)))
-        self._view = None
+        """Nothing is left to do: `__new__` has put the pieces in canonical
+        form and returned the one region of that value.  Every `Region(...)`
+        call still passes through here, which is where profiles and
+        `perfbench/tracer.py` count region constructions."""
+
+    def _setup(self, dim, pieces):
+        self.dim, self.pieces, self._view = dim, pieces, None
 
     @staticmethod
     def _canonical(dim, pieces):
+        _check_supported(dim)
+        pieces = list(pieces)
         for p in pieces:
             if _piece_dim(p) != dim:
                 raise DimensionMismatchError("piece dimension mismatch")
         pieces = [p for p in pieces if p._meas > 0]
         if len(pieces) < 2:
-            return tuple(pieces)
+            return dim, tuple(pieces)
         merged = True
         while merged:
             merged = False
@@ -725,7 +720,7 @@ class Region:
                     merged = True
                     break
         uniq = list({p._k: p for p in pieces}.values())
-        return tuple(sorted(uniq, key=_sort_key(uniq)))
+        return dim, tuple(sorted(uniq, key=_sort_key(uniq)))
 
     # -- constructors ------------------------------------------------------
 
@@ -747,20 +742,6 @@ class Region:
 
     def is_empty(self) -> bool:
         return not self.pieces
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Region)
-            and self._hash == other._hash
-            and self.dim == other.dim
-            and len(self.pieces) == len(other.pieces)
-            and all(p._k == q._k for p, q in zip(self.pieces, other.pieces))
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Region(dim={self.dim}, pieces={list(self.key()[1])})"
@@ -970,7 +951,7 @@ class Region:
 # Partial affine isomorphisms and germs
 # ---------------------------------------------------------------------------
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class PartialAffineIso:
     """An invertible affine map restricted to an open region; the codomain is

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import AffineMap, Germ, PartialAffineIso, Region, clashes
-from .memo import cached_hash
+from .memo import interned
 from .reports import ComposabilityError, NoSuchCellError, Report
 
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class ArrowFamily:
     """The set of germs {(x, iso.map) : x in iso.dom} between two pieces."""
@@ -47,7 +47,7 @@ class ArrowFamily:
         return (self.src, self.dst, self.iso.key())
 
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class PresentedGroupoid:
     pieces: tuple          # sorted (piece id, Region) pairs
@@ -214,7 +214,7 @@ def orbit(g: PresentedGroupoid, p) -> set:
 # Morphisms and natural transformations
 # ---------------------------------------------------------------------------
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class GroupoidMorphism:
     source: PresentedGroupoid
@@ -332,7 +332,7 @@ def validate_gpd_morphism(psi: GroupoidMorphism) -> Report:
     return rep
 
 
-@cached_hash
+@interned
 @dataclass(frozen=True)
 class NatTransf:
     """Assignment of a target arrow to every source object: piecewise, a

@@ -1,4 +1,4 @@
-"""The one memo of orbatlas, and the cached hash of its values.
+"""The one memo of orbatlas, and the interning of its values.
 
 `@memo` memoizes a pure function on its arguments: the key is the tuple of
 the call's positional arguments, with keywords placed and defaults applied,
@@ -15,17 +15,21 @@ size)`, in the order of the standard library's `CacheInfo`; `clear()`
 empties every memo and resets the counters.  There is no size bound: the
 memos live as long as the process.
 
-`@cached_hash` makes a frozen dataclass its own dict key: its hash is
-computed once, from all of its fields, and equality checks identity, then
-that hash, then the fields.
+`@interned` makes equal values one object.  A constructor call first puts
+the value in canonical form, then looks up its canonical field tuple in the
+class's table and returns the live object it finds there; only a value not
+found is set up.  So equality is identity, and the hash is that of the
+field tuple, computed once.  Every field takes part, certificates and
+annotations included.  The table holds its objects weakly: a value that
+nothing else holds leaves it.  Nothing empties a table, `clear()` included,
+since an equal value built later must still be the object that lives on.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import fields
-from operator import attrgetter
+import weakref
 
 _MISSING = object()
 _MEMOS = []
@@ -62,24 +66,67 @@ def clear():
         m.hits = m.misses = 0
 
 
-def cached_hash(cls):
-    """Class decorator for a frozen dataclass: every field takes part in
-    the hash and the equality.  The hash is stored in the instance's
-    `__dict__` on first use."""
-    every = attrgetter(*(f.name for f in fields(cls)))
+class _Ref(weakref.ref):
+    """A weak reference to an interned value, holding its key in the table
+    (`weakref.KeyedRef` without its Python-level constructor)."""
+
+    __slots__ = ("key",)
+
+
+def interned(cls):
+    """Class decorator: equal values of `cls` are one object.
+
+    A class with a canonical form of its own defines `_canonical(*args)`,
+    which gives the canonical field tuple of a call, and `_setup(self,
+    *fields)`, which fills a new object from it.  For any other class the
+    fields are the call's arguments bound to the parameters of `__init__`
+    (for a dataclass, the generated one), defaults applied, and `__init__`
+    is the set-up; it leaves the class, so that finding a value sets
+    nothing up again.  Pickling and copying rebuild through the
+    constructor, so they give back the object itself."""
+    table = {}
+    if "_canonical" in vars(cls):
+        canonical, setup = cls._canonical, cls._setup
+    else:
+        setup = cls.__init__
+        del cls.__init__
+        signature = inspect.signature(setup)
+        signature = signature.replace(parameters=list(signature.parameters.values())[1:])
+        arity = len(signature.parameters)
+
+        def canonical(*args, **kwargs):
+            if kwargs or len(args) != arity:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                return bound.args
+            return args
+
+    def drop(ref):
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    def __new__(c, *args, **kwargs):
+        fields = canonical(*args, **kwargs)
+        ref = table.get(fields)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        obj = object.__new__(c)
+        setup(obj, *fields)
+        object.__setattr__(obj, "_fields", fields)
+        object.__setattr__(obj, "_hash", hash(fields))
+        ref = table[fields] = _Ref(obj, drop)
+        ref.key = fields
+        return obj
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(every(self))
-        return h
+        return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return hash(self) == hash(other) and every(self) == every(other)
+    def __reduce__(self):
+        return self.__class__, self._fields
 
-    cls.__hash__, cls.__eq__ = __hash__, __eq__
+    cls.__new__, cls.__hash__, cls.__reduce__ = __new__, __hash__, __reduce__
+    cls.__eq__ = object.__eq__
+    cls._interned = table
     return cls

@@ -1,11 +1,12 @@
 """The hash/equality contract of the hash-consed value classes.
 
-Each of the eleven frozen value classes of the atlas and groupoid layers
-hashes once and compares by all of its fields.  Over the fixture catalog,
-its structure-functor images, both depth-2 universes and the squares their
-BF3 check chooses, two values are equal exactly when their content is
-equal, equal values hash alike, and a value survives a trip through its
-canonical JSON with its hash.
+Each of the eleven frozen value classes of the atlas and groupoid layers,
+and `AffineMap` and `Region`, is interned over all of its fields: its hash
+is computed once, and equal values are one object.  Over the fixture
+catalog, its structure-functor images, both depth-2 universes and the
+squares their BF3 check chooses, two values are equal exactly when their
+content is equal, equal values hash alike and are one object, and a value
+survives a trip through its canonical JSON with its hash.
 
 `key()` omits what `pullback_square`'s chart names and the canonical sort
 orders never needed: the endpoints and the certificate of a morphism, the
@@ -13,9 +14,14 @@ ids of arrow families and the annotation of a groupoid.  The content key
 below adds them, so that it is exactly what equality compares.
 """
 
+import copy
 import dataclasses
+import gc
 import itertools
+import pickle
+import weakref
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +40,7 @@ from orbatlas.atlas import (
     classify_morphism,
 )
 from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED, catalog_2cells
-from orbatlas.geometry import PartialAffineIso
+from orbatlas.geometry import AffineMap, PartialAffineIso, Region, aff1
 from orbatlas.groupoid import ArrowFamily, GroupoidMorphism, NatTransf, PresentedGroupoid
 
 COMPLETE_KEY = (Chart, ChangeOfCharts, PartialAffineIso, Atlas, PEntry)
@@ -70,19 +76,21 @@ def content(x):
     raise TypeError(type(x).__name__)
 
 
-def _collect(values):
-    """Every value of the eleven classes reachable from `values` through
-    fields and tuples, by class, each object once."""
+def _collect(values, classes=CLASSES):
+    """Every value of `classes` (by default the eleven) reachable from
+    `values` through dataclass fields and tuples, by class, each object
+    once."""
     by_class, seen = defaultdict(list), set()
     stack = list(values)
     while stack:
         x = stack.pop()
         if isinstance(x, tuple):
             stack.extend(x)
-        elif isinstance(x, CLASSES) and id(x) not in seen:
+        elif isinstance(x, classes) and id(x) not in seen:
             seen.add(id(x))
             by_class[type(x)].append(x)
-            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+            if dataclasses.is_dataclass(x):
+                stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
     return by_class
 
 
@@ -182,3 +190,57 @@ def test_canonical_json_round_trip_keeps_value_and_hash(top_level):
     for x in top_level:
         again = cli.parse(cli.serialize(x))
         assert again == x and hash(again) == hash(x)
+
+
+# -- equal values are one object ----------------------------------------------
+
+INTERNED = CLASSES + (AffineMap, Region)
+
+
+def _content_or_key(x):
+    return x.key() if isinstance(x, (AffineMap, Region)) else content(x)
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+def test_equal_values_are_one_object(by_class, cls):
+    """Over the catalog, its structure-functor images, both depth-2
+    universes, the catalog 2-cells and the squares of one BF3 pass: objects
+    with equal content are one object, so `a == b` is `a is b`; pickling,
+    copying and an empty `replace` give back the object itself."""
+    values = _collect([x for xs in by_class.values() for x in xs], INTERNED)[cls]
+    assert values
+    by_content = defaultdict(list)
+    for x in values:
+        by_content[_content_or_key(x)].append(x)
+    assert all(len(xs) == 1 for xs in by_content.values())
+    for x in values:
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        if dataclasses.is_dataclass(x):
+            assert dataclasses.replace(x) is x
+
+
+def test_a_dropped_value_leaves_its_table():
+    """The tables hold their values weakly: once the last holder drops a
+    value, it leaves its class's table, and nothing dead stays behind."""
+    m = aff1(7919, Fraction(1, 7919))
+    r = Region.interval(Fraction(1, 7919), Fraction(2, 7919))
+    ch = ChangeOfCharts("leak0", "leak1", PartialAffineIso(m, r))
+    classes = (AffineMap, Region, PartialAffineIso, ChangeOfCharts)
+    alive = [weakref.ref(x) for x in (m, r, ch.iso, ch)]
+    gc.collect()
+    sizes = [len(cls._interned) for cls in classes]
+    del m, r, ch
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * 4
+    assert [len(cls._interned) for cls in classes] == [n - 1 for n in sizes]
+    assert all(ref() is not None for cls in classes for ref in cls._interned.values())
+
+
+def test_a_fraction_field_and_an_int_field_are_equal_keys():
+    """`Fraction(1) == 1` with equal hashes, so a map built from a
+    `Fraction` integer form finds the map built from ints."""
+    one = AffineMap((1,), (0,), 1)
+    assert one is AffineMap.identity(1)
+    assert AffineMap((Fraction(1),), (Fraction(0),), Fraction(1)) is one
+    assert one._m == (1,) and type(one._m[0]) is int
