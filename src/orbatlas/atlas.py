@@ -49,12 +49,12 @@ class Chart:
     group: tuple
 
     @staticmethod
-    def make(cid, domain, group) -> "Chart":
+    def _canonical(cid, domain, group):
         maps = sorted({g if isinstance(g, AffineMap) else AffineMap.make(*g) for g in group},
                       key=lambda m: m.key())
         if not any(m.is_identity() for m in maps):
             maps = sorted(maps + [AffineMap.identity(domain.dim)], key=lambda m: m.key())
-        return Chart(cid, domain, tuple(maps))
+        return cid, domain, tuple(maps)
 
     @property
     def dim(self):
@@ -128,12 +128,12 @@ class Atlas:
     generators: tuple
 
     @staticmethod
-    def make(charts, generators=()) -> "Atlas":
+    def _canonical(charts, generators=()):
         charts = tuple(sorted(charts, key=lambda c: c.cid))
         ids = [c.cid for c in charts]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate chart ids")
-        return Atlas(charts, tuple(sorted(generators, key=lambda g: g.key())))
+        return charts, tuple(sorted(generators, key=lambda g: g.key()))
 
     @property
     def dim(self):
@@ -186,7 +186,7 @@ def merge_atlases(a: Atlas, b: Atlas):
             return None
         charts[c.cid] = c
     gens = dict.fromkeys(a.generators + b.generators)
-    return Atlas.make(tuple(charts.values()), tuple(gens))
+    return Atlas(tuple(charts.values()), tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +497,9 @@ class Morphism:
     certificate: Atlas = None
 
     @staticmethod
-    def make(source, target, chart_map, lifts, entries, certificate=None) -> "Morphism":
-        return Morphism(source, target, tuple(sorted(dict(chart_map).items())),
-                        tuple(sorted(dict(lifts).items())), _normalize_entries(entries),
-                        certificate)
+    def _canonical(source, target, chart_map, lifts, entries, certificate=None):
+        return (source, target, tuple(sorted(dict(chart_map).items())),
+                tuple(sorted(dict(lifts).items())), _normalize_entries(entries), certificate)
 
     def chart_image(self, cid: str) -> str:
         return dict(self.chart_map)[cid]
@@ -680,7 +679,7 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     cert = None
     if f.certificate is not None and g.certificate is not None:
         cert = merge_atlases(f.certificate, g.certificate)
-    return Morphism.make(f.source, g.target, cm, lifts, entries, certificate=cert)
+    return Morphism(f.source, g.target, cm, lifts, entries, certificate=cert)
 
 
 def self_change_element(chart: Chart, ch: ChangeOfCharts) -> AffineMap:
@@ -748,8 +747,8 @@ def morphism_from_lifts(source: Atlas, target: Atlas, chart_map, lifts,
         entries.append(PEntry(
             ChangeOfCharts(i, ip, PartialAffineIso(mm, reg)),
             ChangeOfCharts(j, jp, PartialAffineIso(nu_map, fam))))
-    return Morphism.make(source, target, chart_map, lifts, entries,
-                         certificate=certificate)
+    return Morphism(source, target, chart_map, lifts, entries,
+                    certificate=certificate)
 
 
 def inclusion(sub: Atlas, amb: Atlas, bound: int) -> Morphism:
@@ -771,13 +770,13 @@ def pushforward(atlas: Atlas, h: AffineMap, bound: int):
         raise ValueError("pushforward needs an invertible affine map")
     hinv = h.inverse()
     ren = {c.cid: f"{c.cid}@push" for c in atlas.charts}
-    charts = [Chart.make(ren[c.cid], c.domain.image(h),
-                         [h.compose(g).compose(hinv) for g in c.group])
+    charts = [Chart(ren[c.cid], c.domain.image(h),
+                    [h.compose(g).compose(hinv) for g in c.group])
               for c in atlas.charts]
     gens = [ChangeOfCharts.make(ren[g.src], ren[g.dst],
                                 h.compose(g.map).compose(hinv), g.dom.image(h))
             for g in atlas.generators]
-    new_atlas = Atlas.make(charts, gens)
+    new_atlas = Atlas(charts, gens)
     mor = morphism_from_lifts(
         atlas, new_atlas, ren, {c.cid: h for c in atlas.charts}, bound)
     return new_atlas, mor
@@ -897,21 +896,6 @@ def classify_morphism(m: Morphism, bound: int) -> Classification:
 # 2-morphisms
 # ---------------------------------------------------------------------------
 
-def _normalize_patches(patches):
-    out = {}
-    for cid, items in dict(patches).items():
-        merged = {}
-        for region, ch in items:
-            if region.is_empty():
-                continue
-            k = (ch.src, ch.dst, ch.map)
-            prev = merged.get(k)
-            merged[k] = (region, ch) if prev is None else (prev[0].union(region),
-                                                          prev[1].union(ch))
-        out[cid] = tuple(merged.values())
-    return out
-
-
 @interned
 @dataclass(frozen=True)
 class TwoCell:
@@ -923,11 +907,20 @@ class TwoCell:
     patches: tuple        # sorted (chart id, ((Region, ChangeOfCharts), ...))
 
     @staticmethod
-    def make(src_m, dst_m, patches) -> "TwoCell":
-        ps = tuple(sorted(
-            (cid, tuple(sorted(items, key=lambda p: (p[0].key(), p[1].key()))))
-            for cid, items in _normalize_patches(patches).items()))
-        return TwoCell(src_m, dst_m, ps)
+    def _canonical(source_morphism, target_morphism, patches):
+        ps = []
+        for cid, items in dict(patches).items():
+            merged = {}
+            for region, ch in items:
+                if region.is_empty():
+                    continue
+                k = (ch.src, ch.dst, ch.map)
+                prev = merged.get(k)
+                merged[k] = (region, ch) if prev is None else (prev[0].union(region),
+                                                              prev[1].union(ch))
+            ps.append((cid, tuple(sorted(merged.values(),
+                                         key=lambda p: (p[0].key(), p[1].key())))))
+        return source_morphism, target_morphism, tuple(sorted(ps))
 
     def patches_at(self, cid):
         return dict(self.patches).get(cid, ())
@@ -939,13 +932,13 @@ def identity_2cell(f: Morphism) -> TwoCell:
         dom = f.target.chart(j).domain
         patches[i] = [(f.source.chart(i).domain,
                        ChangeOfCharts(j, j, PartialAffineIso(AffineMap.identity(f.source.dim), dom)))]
-    return TwoCell.make(f, f, patches)
+    return TwoCell(f, f, patches)
 
 
 def invert_2cell(c: TwoCell) -> TwoCell:
     patches = {cid: [(r, ch.inverse()) for r, ch in items]
                for cid, items in c.patches}
-    return TwoCell.make(c.target_morphism, c.source_morphism, patches)
+    return TwoCell(c.target_morphism, c.source_morphism, patches)
 
 
 def validate_2cell(c: TwoCell, bound: int) -> Report:
@@ -1048,7 +1041,7 @@ def vertical_compose(sigma: TwoCell, delta: TwoCell) -> TwoCell:
                     continue
                 out.append((r, comp))
         patches[i] = out
-    return TwoCell.make(delta.source_morphism, sigma.target_morphism, patches)
+    return TwoCell(delta.source_morphism, sigma.target_morphism, patches)
 
 
 @memo
@@ -1082,7 +1075,7 @@ def horizontal_compose(xi: TwoCell, delta: TwoCell) -> TwoCell:
                         continue
                     out.append((r, gamma))
         patches[i] = out
-    return TwoCell.make(left, right, patches)
+    return TwoCell(left, right, patches)
 
 
 # ---------------------------------------------------------------------------
@@ -1172,7 +1165,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
         for (cid, acid, mm, dom, lift_fp, comp) in kept:
             did = f"{cid}|{acid}|{tok}{len(charts)}"
             group = [g for g in c.group if comp.image(g).same_set(comp)]
-            charts.append(Chart.make(did, comp, group))
+            charts.append(Chart(did, comp, group))
             pieces.append((did, cid, acid, mm, dom, lift_fp, comp))
 
     gens = []
@@ -1185,9 +1178,9 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
                 if g.is_empty():
                     continue
                 gens.append(ChangeOfCharts(did1, did2, PartialAffineIso(mm, g)))
-    D = Atlas.make(charts, gens)
+    D = Atlas(charts, gens)
 
-    cert = Atlas.make(
+    cert = Atlas(
         tuple(C.charts) + tuple(charts),
         tuple(C.generators) + tuple(gens)
         + tuple(ChangeOfCharts(did, c1, PartialAffineIso(AffineMap.identity(C.dim), r1))
@@ -1206,8 +1199,8 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
     for did, c1, a1, mm, dom, _, r1 in pieces:
         patches[did] = [(r1, ChangeOfCharts(f.chart_image(c1), w.chart_image(a1),
                                             PartialAffineIso(mm, dom)))]
-    alpha = TwoCell.make(compose_morphisms(f, w_prime),
-                         compose_morphisms(w, f_prime), patches)
+    alpha = TwoCell(compose_morphisms(f, w_prime),
+                    compose_morphisms(w, f_prime), patches)
     return D, w_prime, f_prime, alpha
 
 
@@ -1230,7 +1223,7 @@ def cancel_refinement_cell(v: Morphism, x: Morphism, y: Morphism, cell: TwoCell,
                              f"no germ cancels the cell at chart {i}")
             out.append((r, ChangeOfCharts(j1, j2, PartialAffineIso(d_map, fam))))
         patches[i] = out
-    return TwoCell.make(x, y, patches)
+    return TwoCell(x, y, patches)
 
 
 @memo
@@ -1252,4 +1245,4 @@ def unique_2cell_open_embeddings(w1: Morphism, w2: Morphism,
         fam = tcl.forced(j1, j2, d_map, i, dom, w1.lift(i),
                          f"no germ connects the two lifts at chart {i}")
         patches[i] = [(dom, ChangeOfCharts(j1, j2, PartialAffineIso(d_map, fam)))]
-    return TwoCell.make(w1, w2, patches)
+    return TwoCell(w1, w2, patches)

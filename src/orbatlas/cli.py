@@ -66,11 +66,12 @@ def _known(name, known, path, what):
     return name
 
 
-def _made(path, make, *args, **kwargs):
-    """Call a `make` constructor on parsed parts; the ValueError or
+def _made(path, build, *args, **kwargs):
+    """Call a constructor (a value class, or `AffineMap.make` or
+    `PartialAffineIso.make`) on parsed parts; the ValueError or
     GeometryError by which it rejects them is a schema error at `path`."""
     try:
-        return make(*args, **kwargs)
+        return build(*args, **kwargs)
     except (ValueError, GeometryError) as e:
         raise SchemaError(path, str(e))
 
@@ -125,10 +126,12 @@ def parse_region(doc, path=""):
             pieces.append(Interval.make(lo, hi))
     else:
         for i, pts in enumerate(raw):
-            poly = Polygon.make([(parse_frac(x, path), parse_frac(y, path))
-                                 for x, y in _tuples(pts, 2, f"{path}/pieces/{i}")])
-            if poly is not None:
-                pieces.append(poly)
+            at = f"{path}/pieces/{i}"
+            pts = [(parse_frac(x, path), parse_frac(y, path)) for x, y in _tuples(pts, 2, at)]
+            poly = Polygon.make(pts)
+            if poly is None or sorted(pts) != sorted(poly.verts):
+                raise SchemaError(at, "not the vertices of a convex polygon of positive area")
+            pieces.append(poly)
     return Region(dim, pieces)
 
 
@@ -140,7 +143,7 @@ def chart_doc(c: atl.Chart):
 
 
 def parse_chart(doc, path=""):
-    return _made(path, atl.Chart.make,
+    return _made(path, atl.Chart,
                  _need(doc, "id", path, str),
                  parse_region(_need(doc, "domain", path), f"{path}/domain"),
                  [parse_affine(g, f"{path}/group") for g in _need(doc, "group", path, list)])
@@ -172,7 +175,7 @@ def parse_atlas(doc, path=""):
     charts = [parse_chart(c, f"{path}/charts") for c in _need(doc, "charts", path, list)]
     gens = [parse_change(g, f"{path}/generators")
             for g in _need(doc, "generators", path, list)]
-    return _made(path, atl.Atlas.make, charts, gens)
+    return _made(path, atl.Atlas, charts, gens)
 
 
 def morphism_doc(m: atl.Morphism):
@@ -199,7 +202,7 @@ def parse_morphism(doc, path=""):
     target = parse_atlas(_need(doc, "target", path), f"{path}/target")
     ids, tids = source.chart_ids(), target.chart_ids()
     return _made(
-        path, atl.Morphism.make, source, target,
+        path, atl.Morphism, source, target,
         {_known(i, ids, f"{path}/chart_map/{i}", "source chart"):
          _known(j, tids, f"{path}/chart_map/{i}", "target chart")
          for i, j in _str_map(doc, "chart_map", path).items()},
@@ -223,7 +226,7 @@ def parse_twocell(doc, path=""):
     source = parse_morphism(_need(doc, "source", path), f"{path}/source")
     ids = source.source.chart_ids()
     return _made(
-        path, atl.TwoCell.make, source,
+        path, atl.TwoCell, source,
         parse_morphism(_need(doc, "target", path), f"{path}/target"),
         {_known(cid, ids, f"{path}/patches/{cid}", "source chart"):
          [(parse_region(r, f"{path}/patches"), parse_change(ch, f"{path}/patches"))
@@ -264,7 +267,7 @@ def parse_groupoid(doc, path=""):
                             _iso(m, r, fp))
             for fid, src, dst, m, r in _tuples(_need(doc, "families", path), 5, fp)]
     return _made(
-        path, gpd.PresentedGroupoid.make,
+        path, gpd.PresentedGroupoid,
         {_typed(pid, str, f"{path}/pieces"): parse_region(r, f"{path}/pieces")
          for pid, r in _tuples(_need(doc, "pieces", path), 2, f"{path}/pieces")},
         fams, annotation=note)
@@ -292,7 +295,7 @@ def parse_gpd_morphism(doc, path=""):
     families = {_known(f, fids, f"{path}/family_map/{f}", "source family"):
                 _known(t, tfids, f"{path}/family_map/{f}", "target family")
                 for f, t in _str_map(doc, "family_map", path).items()}
-    return _made(path, gpd.GroupoidMorphism.make, source, target, objects, families)
+    return _made(path, gpd.GroupoidMorphism, source, target, objects, families)
 
 
 def nat_transf_doc(a: gpd.NatTransf):
@@ -307,7 +310,7 @@ def parse_nat_transf(doc, path=""):
     source = parse_gpd_morphism(_need(doc, "source", path), f"{path}/source")
     pids, fids = source.source.piece_ids(), source.target.family_ids()
     return _made(
-        path, gpd.NatTransf.make, source,
+        path, gpd.NatTransf, source,
         parse_gpd_morphism(_need(doc, "target", path), f"{path}/target"),
         {_known(p, pids, f"{path}/assignments/{p}", "source piece"):
          [(parse_region(r, f"{path}/assignments"),

@@ -40,14 +40,14 @@ ID2 = AffineMap.identity(2)
 MIRROR_MAP = aff1(-1)
 ROT3 = aff2([[0, -1], [1, -1]])
 
-TRIV = Atlas.make([Chart.make("T", Region.interval(0, 1), [ID1])])
+TRIV = Atlas([Chart("T", Region.interval(0, 1), [ID1])])
 
-MIRROR = Atlas.make([Chart.make("M", Region.interval(-1, 1), [ID1, MIRROR_MAP])])
+MIRROR = Atlas([Chart("M", Region.interval(-1, 1), [ID1, MIRROR_MAP])])
 
-MIRROR_REF = Atlas.make(
+MIRROR_REF = Atlas(
     [
-        Chart.make("M", Region.interval(-1, 1), [ID1, MIRROR_MAP]),
-        Chart.make("C2", Region.interval(F(1, 4), 1), [ID1]),
+        Chart("M", Region.interval(-1, 1), [ID1, MIRROR_MAP]),
+        Chart("C2", Region.interval(F(1, 4), 1), [ID1]),
     ],
     [ChangeOfCharts.make("C2", "M", ID1, Region.interval(F(1, 4), 1))],
 )
@@ -55,12 +55,12 @@ MIRROR_REF = Atlas.make(
 _TRI = Region.polygon([(1, 0), (0, 1), (-1, -1)])
 _SUBTRI = Region.polygon([(F(1, 8), F(1, 8)), (F(3, 4), F(1, 8)), (F(1, 8), F(3, 4))])
 
-CONE3 = Atlas.make([Chart.make("K", _TRI, [ID2, ROT3, ROT3.compose(ROT3)])])
+CONE3 = Atlas([Chart("K", _TRI, [ID2, ROT3, ROT3.compose(ROT3)])])
 
-CONE3_REF = Atlas.make(
+CONE3_REF = Atlas(
     [
-        Chart.make("K", _TRI, [ID2, ROT3, ROT3.compose(ROT3)]),
-        Chart.make("C3", _SUBTRI, [ID2]),
+        Chart("K", _TRI, [ID2, ROT3, ROT3.compose(ROT3)]),
+        Chart("C3", _SUBTRI, [ID2]),
     ],
     [ChangeOfCharts.make("C3", "K", ID2, _SUBTRI)],
 )
@@ -173,7 +173,7 @@ def groupoid_catalog(bound: int):
     annotated by an overlapping chart cover."""
     out = [(name, fred0(a, bound)) for name, a in ATLASES.items()]
     gm = fred0(MIRROR, bound)
-    split = PresentedGroupoid.make(
+    split = PresentedGroupoid(
         dict(gm.pieces), gm.families,
         annotation=(("M", Region.interval(-1, F(1, 2))),
                     ("M", Region.interval(F(-1, 2), 1))))
@@ -195,7 +195,7 @@ def acceptance_catalog(bound: int):
     # a structurally well-formed but axiom-violating patch family; its image
     # disagrees with the identity cell, so the A4 precondition fails
     whole = Region.interval(-1, 1)
-    bogus = TwoCell.make(m["id_MIRROR"], m["id_MIRROR"], {
+    bogus = TwoCell(m["id_MIRROR"], m["id_MIRROR"], {
         "M": [(whole, ChangeOfCharts("M", "M", PartialAffineIso(MIRROR_MAP, whole)))]})
 
     nt_flip_whisk = find_unique_nat_transf(

@@ -58,7 +58,7 @@ def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     families = []
     for k, (src, dst, m, reg) in enumerate(cl.items()):
         families.append(ArrowFamily(f"g{k}", src, dst, PartialAffineIso(m, reg)))
-    return PresentedGroupoid.make(pieces, families, annotation=atlas)
+    return PresentedGroupoid(pieces, families, annotation=atlas)
 
 
 @memo
@@ -81,7 +81,7 @@ def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
         if not t:
             raise ValueError("assigned germ not present in the target groupoid")
         family_map[f.fid] = t[0].fid
-    return GroupoidMorphism.make(gs, gt, object_map, family_map)
+    return GroupoidMorphism(gs, gt, object_map, family_map)
 
 
 def fred2(cell: TwoCell, bound: int) -> NatTransf:
@@ -99,7 +99,7 @@ def fred2(cell: TwoCell, bound: int) -> NatTransf:
                 raise ValueError("patch germ not present in the target groupoid")
             out.append((region, t[0].fid))
         assigns[i] = out
-    return NatTransf.make(p1, p2, assigns)
+    return NatTransf(p1, p2, assigns)
 
 
 def fred_inverse(level: int, data):
@@ -123,7 +123,7 @@ def fred_inverse(level: int, data):
             entries.append(PEntry(
                 ChangeOfCharts(f.src, f.dst, f.iso),
                 ChangeOfCharts(t.src, t.dst, t.iso)))
-        return Morphism.make(src, tgt, chart_map, lifts, entries)
+        return Morphism(src, tgt, chart_map, lifts, entries)
     if level == 2:
         alpha: NatTransf = data
         f1 = fred_inverse(1, alpha.source_morphism)
@@ -136,7 +136,7 @@ def fred_inverse(level: int, data):
                 fam = gt.family(fid)
                 out.append((region, ChangeOfCharts(fam.src, fam.dst, fam.iso)))
             patches[pid] = out
-        return TwoCell.make(f1, f2, patches)
+        return TwoCell(f1, f2, patches)
     raise ValueError("level must be 1 or 2")
 
 
@@ -165,7 +165,7 @@ def atlas_from_groupoid(g: PresentedGroupoid, bound: int):
                 if region.covers([f.dom]) and region.image(f.map).same_set(region):
                     group.append(f.map)
             cid = f"{pid}#c{k}"
-            charts.append(Chart.make(cid, region, group))
+            charts.append(Chart(cid, region, group))
             meta.append((cid, pid, region))
         gens = []
         for cid1, pid1, r1 in meta:
@@ -175,7 +175,7 @@ def atlas_from_groupoid(g: PresentedGroupoid, bound: int):
                     if dom.is_empty():
                         continue
                     gens.append(ChangeOfCharts(cid1, cid2, PartialAffineIso(f.map, dom)))
-        atlas = Atlas.make(charts, gens)
+        atlas = Atlas(charts, gens)
         sub = fred0(atlas, bound)
         ident = AffineMap.identity(g.dim)
         object_map = {cid: (pid, ident) for cid, pid, _ in meta}
@@ -187,7 +187,7 @@ def atlas_from_groupoid(g: PresentedGroupoid, bound: int):
                 raise UnsupportedGroupoidError(
                     "cover annotation does not generate the groupoid")
             family_map[f.fid] = match.fid
-        psi = GroupoidMorphism.make(sub, g, object_map, family_map)
+        psi = GroupoidMorphism(sub, g, object_map, family_map)
         return atlas, psi
     raise UnsupportedGroupoidError(
         "general groupoids without a chart-cover annotation are not supported")

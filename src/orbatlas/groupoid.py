@@ -57,12 +57,12 @@ class PresentedGroupoid:
     # description ((piece id, Region), ...); consumed by atlas reconstruction
 
     @staticmethod
-    def make(pieces, families, annotation=None) -> "PresentedGroupoid":
+    def _canonical(pieces, families, annotation=None):
         ps = tuple(sorted(dict(pieces).items()))
         fs = tuple(sorted(families, key=lambda f: f.fid))
         if len({f.fid for f in fs}) != len(fs):
             raise ValueError("duplicate family ids")
-        return PresentedGroupoid(ps, fs, annotation)
+        return ps, fs, annotation
 
     @property
     def dim(self):
@@ -223,10 +223,10 @@ class GroupoidMorphism:
     family_map: tuple      # sorted (family id, target family id)
 
     @staticmethod
-    def make(source, target, object_map, family_map) -> "GroupoidMorphism":
+    def _canonical(source, target, object_map, family_map):
         om = tuple(sorted((p, (q, m)) for p, (q, m) in dict(object_map).items()))
         fm = tuple(sorted(dict(family_map).items()))
-        return GroupoidMorphism(source, target, om, fm)
+        return source, target, om, fm
 
     @cached_property
     def _object_index(self):
@@ -251,7 +251,7 @@ class GroupoidMorphism:
 
 
 def identity_gpd_morphism(g: PresentedGroupoid) -> GroupoidMorphism:
-    return GroupoidMorphism.make(
+    return GroupoidMorphism(
         g, g,
         {p: (p, AffineMap.identity(g.dim)) for p, _ in g.pieces},
         {f.fid: f.fid for f in g.families})
@@ -265,7 +265,7 @@ def compose_gpd_morphisms(b: GroupoidMorphism, a: GroupoidMorphism) -> GroupoidM
         r, n = b.on_piece(q)
         om[p] = (r, n.compose(m))
     fm = {fid: b.on_family(t) for fid, t in a.family_map}
-    return GroupoidMorphism.make(a.source, b.target, om, fm)
+    return GroupoidMorphism(a.source, b.target, om, fm)
 
 
 def equal_gpd_morphisms(a: GroupoidMorphism, b: GroupoidMorphism) -> bool:
@@ -343,11 +343,11 @@ class NatTransf:
     assignments: tuple    # sorted (piece id, ((Region, family id), ...))
 
     @staticmethod
-    def make(src_m, dst_m, assignments) -> "NatTransf":
+    def _canonical(source_morphism, target_morphism, assignments):
         out = tuple(sorted(
             (p, tuple(sorted(items, key=lambda it: (it[0].key(), it[1]))))
             for p, items in dict(assignments).items()))
-        return NatTransf(src_m, dst_m, out)
+        return source_morphism, target_morphism, out
 
     @cached_property
     def _assignment_index(self):
@@ -363,7 +363,7 @@ def identity_nat_transf(psi: GroupoidMorphism) -> NatTransf:
     for p, (q, _) in psi.object_map:
         e = h.find_family(q, q, AffineMap.identity(h.dim), h.piece(q))
         assigns[p] = ((psi.source.piece(p), e.fid),)
-    return NatTransf.make(psi, psi, assigns)
+    return NatTransf(psi, psi, assigns)
 
 
 def validate_nat_transf(alpha: NatTransf) -> Report:
@@ -448,7 +448,7 @@ def vertical_compose_nt(beta: NatTransf, alpha: NatTransf) -> NatTransf:
                 q2, _ = beta.target_morphism.on_piece(pid)
                 out.append((r, _family_along(h, q1, q2, m, r, m1).fid))
         assigns[pid] = out
-    return NatTransf.make(alpha.source_morphism, beta.target_morphism, assigns)
+    return NatTransf(alpha.source_morphism, beta.target_morphism, assigns)
 
 
 def _family_along(h, src, dst, m, region, lift):
@@ -473,7 +473,7 @@ def invert_nat_transf(alpha: NatTransf) -> NatTransf:
                 raise ComposabilityError("no inverse family available")
             out.append((r, got.fid))
         assigns[pid] = out
-    return NatTransf.make(alpha.target_morphism, alpha.source_morphism, assigns)
+    return NatTransf(alpha.target_morphism, alpha.source_morphism, assigns)
 
 
 def horizontal_compose_nt(xi: NatTransf, delta: NatTransf) -> NatTransf:
@@ -504,7 +504,7 @@ def horizontal_compose_nt(xi: NatTransf, delta: NatTransf) -> NatTransf:
                 qa, _ = right.on_piece(pid)
                 out.append((r, _family_along(hz, pa, qa, m, r, pm).fid))
         assigns[pid] = out
-    return NatTransf.make(left, right, assigns)
+    return NatTransf(left, right, assigns)
 
 
 # ---------------------------------------------------------------------------
@@ -601,4 +601,4 @@ def find_unique_nat_transf(psi1: GroupoidMorphism, psi2: GroupoidMorphism):
             raise NoSuchCellError(f"no natural transformation: coarse mismatch on {pid}",
                                   (pid, m1.inverse()(covered) if x is None else x))
         assigns[pid] = tuple((r, fid) for r, fid in pulled if not r.is_empty())
-    return NatTransf.make(psi1, psi2, assigns)
+    return NatTransf(psi1, psi2, assigns)

@@ -15,14 +15,15 @@ size)`, in the order of the standard library's `CacheInfo`; `clear()`
 empties every memo and resets the counters.  There is no size bound: the
 memos live as long as the process.
 
-`@interned` makes equal values one object.  A constructor call first puts
-the value in canonical form, then looks up its canonical field tuple in the
-class's table and returns the live object it finds there; only a value not
-found is set up.  So equality is identity, and the hash is that of the
-field tuple, computed once.  Every field takes part, certificates and
-annotations included.  The table holds its objects weakly: a value that
-nothing else holds leaves it.  Nothing empties a table, `clear()` included,
-since an equal value built later must still be the object that lives on.
+`@interned` makes equal values one object.  The class call, the one
+constructor, first puts the value in canonical form, then looks up its
+canonical field tuple in the class's table and returns the live object it
+finds there; only a value not found is set up.  So equality is identity,
+and the hash is that of the field tuple, computed once.  Every field takes
+part, certificates and annotations included.  The table holds its objects
+weakly: a value that nothing else holds leaves it.  Nothing empties a
+table, `clear()` included, since an equal value built later must still be
+the object that lives on.
 """
 
 from __future__ import annotations
@@ -76,20 +77,23 @@ class _Ref(weakref.ref):
 def interned(cls):
     """Class decorator: equal values of `cls` are one object.
 
-    A class with a canonical form of its own defines `_canonical(*args)`,
-    which gives the canonical field tuple of a call, and `_setup(self,
-    *fields)`, which fills a new object from it.  For any other class the
-    fields are the call's arguments bound to the parameters of `__init__`
-    (for a dataclass, the generated one), defaults applied, and `__init__`
-    is the set-up; it leaves the class, so that finding a value sets
-    nothing up again.  Pickling and copying rebuild through the
+    Two independent hooks.  `_canonical`, static, with the field names as
+    parameters (`dataclasses.replace` passes keywords), gives the canonical
+    field tuple of a call; without it the fields are the call's arguments
+    bound to the set-up's parameters, defaults applied.  `_setup(self,
+    *fields)` fills a new object; without it `__init__` (for a dataclass,
+    the generated one) does, and leaves the class, so that finding a value
+    sets nothing up again.  Pickling and copying rebuild through the
     constructor, so they give back the object itself."""
     table = {}
-    if "_canonical" in vars(cls):
-        canonical, setup = cls._canonical, cls._setup
+    if "_setup" in vars(cls):
+        setup = cls._setup
     else:
         setup = cls.__init__
         del cls.__init__
+    if "_canonical" in vars(cls):
+        canonical = cls._canonical
+    else:
         signature = inspect.signature(setup)
         signature = signature.replace(parameters=list(signature.parameters.values())[1:])
         arity = len(signature.parameters)

@@ -246,7 +246,7 @@ def test_criterion_8_uniqueness_of_connecting_cells():
     from orbatlas.atlas import TwoCell
     from orbatlas.geometry import Region
     from fractions import Fraction as F
-    split = TwoCell.make(M["leg1_MR_M"], M["leg2_MR_M"], {
+    split = TwoCell(M["leg1_MR_M"], M["leg2_MR_M"], {
         "M": list(cell.patches_at("M")),
         "C2": [(Region.interval(F(1, 4), F(3, 4)), cell.patches_at("C2")[0][1]),
                (Region.interval(F(1, 2), 1), cell.patches_at("C2")[0][1])],

@@ -234,8 +234,8 @@ def test_undecided_exit_code(tmp_path, capsys):
 def test_overflowed_closure_is_undecided(tmp_path, capsys):
     # the shifts x + 1/p generate more than FAMILY_CAP families on (0, 1000)
     idn = AffineMap.identity(1)
-    a = atl.Atlas.make(
-        [atl.Chart.make("T", Region.interval(0, 1000), [idn])],
+    a = atl.Atlas(
+        [atl.Chart("T", Region.interval(0, 1000), [idn])],
         [atl.ChangeOfCharts.make("T", "T", aff1(1, F(1, p)), Region.interval(0, 1000 - F(1, p)))
          for p in (2, 3, 5, 7, 11, 13)])
     assert atl.closure(a, WORD_BOUND).overflowed
@@ -313,6 +313,27 @@ def test_empty_or_inverted_interval_is_a_schema_error(pieces):
         cli.parse_region({"kind": "region", "dim": 1, "pieces": pieces})
 
 
+_SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("pts", [
+    [["0", "0"], ["2", "0"], ["1", "1"], ["2", "2"], ["0", "2"]],   # not convex
+    [["0", "0"], ["1", "1"], ["2", "2"]],                           # no area
+    [["0", "0"], ["1", "0"], ["2", "0"], ["2", "2"], ["0", "2"]],   # a point inside an edge
+    _SQUARE + [["0", "0"]],                                         # a vertex twice
+], ids=["non-convex", "degenerate", "edge-point", "repeated"])
+def test_a_piece_that_is_not_a_convex_polygon_is_a_schema_error(pts):
+    with pytest.raises(cli.SchemaError) as e:
+        cli.parse_region({"kind": "region", "dim": 2, "pieces": [_SQUARE, pts]})
+    assert e.value.path == "/pieces/1"
+
+
+def test_a_convex_piece_parses_from_its_vertices_in_any_order():
+    square = cli.parse_region({"kind": "region", "dim": 2, "pieces": [_SQUARE]})
+    for pts in (_SQUARE[2:] + _SQUARE[:2], _SQUARE[::-1], [_SQUARE[i] for i in (0, 2, 1, 3)]):
+        assert cli.parse_region({"kind": "region", "dim": 2, "pieces": [pts]}) is square
+
+
 def test_validate_spans_and_fraction_cells(tmp_path, capsys):
     ops = frc.atlas_ops()
     good = frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])
@@ -351,7 +372,7 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "atlas", "charts": [dict(_CHART, id=5)], "generators": []}, "/charts/id"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": 1, "offset": []}])],
       "generators": []}, "/charts/group/matrix"),
-    # rejected by the make constructors: shape, dimension, duplicate ids
+    # rejected by the constructors: shape, dimension, duplicate ids
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1", "0"]], "offset": ["0"]}])],
       "generators": []}, "/charts/group"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [], "offset": []}])],

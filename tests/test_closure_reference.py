@@ -103,8 +103,8 @@ def _shift(t, lo):
 # (1,2) to (0,1) u (1,2), and only the new piece continues with x + 5 in
 # round 2: a closure that stepped inserted families but not enlarged ones
 # would miss x + 7.  No catalog atlas enlarges a family in a way that matters.
-STAIRS = Atlas.make([Chart.make("T", Region.interval(0, 10), [ID1])],
-                    [_shift(1, 0), _shift(1, 1), _shift(2, 1), _shift(5, 2)])
+STAIRS = Atlas([Chart("T", Region.interval(0, 10), [ID1])],
+               [_shift(1, 0), _shift(1, 1), _shift(2, 1), _shift(5, 2)])
 
 
 @pytest.fixture(scope="module")

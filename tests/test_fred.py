@@ -108,7 +108,7 @@ def test_atlas_from_groupoid_identity_cases():
 
 def test_atlas_from_groupoid_cover_annotation():
     gm = fred0(MIRROR)
-    g = PresentedGroupoid.make(
+    g = PresentedGroupoid(
         dict(gm.pieces), gm.families,
         annotation=(("M", Region.interval(-1, F(1, 2))),
                     ("M", Region.interval(F(-1, 2), 1))))
@@ -120,7 +120,7 @@ def test_atlas_from_groupoid_cover_annotation():
 
 def test_atlas_from_groupoid_unsupported():
     gm = fred0(MIRROR)
-    bare = PresentedGroupoid.make(dict(gm.pieces), gm.families)
+    bare = PresentedGroupoid(dict(gm.pieces), gm.families)
     with pytest.raises(UnsupportedGroupoidError):
         atlas_from_groupoid(bare, WORD_BOUND)
 

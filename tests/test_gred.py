@@ -96,7 +96,7 @@ def _twist(atlas, s):
     (pid, _), = g.pieces
     conj = {f.fid: g.families_with(pid, pid, s.compose(f.map).compose(s.inverse()))[0].fid
             for f in g.families}
-    return gpd.GroupoidMorphism.make(g, g, {pid: (pid, s)}, conj)
+    return gpd.GroupoidMorphism(g, g, {pid: (pid, s)}, conj)
 
 
 TWISTS = {
@@ -238,7 +238,7 @@ def test_a4_vacuous_case_reported(catalog):
 
 def test_a1_undecided_without_annotation():
     base = frd.fred0(MIRROR_REF)
-    bare = gpd.PresentedGroupoid.make(dict(base.pieces), base.families)
+    bare = gpd.PresentedGroupoid(dict(base.pieces), base.families)
     rep = grd.check_axiom_A(1, {"groupoids": [("bare", bare)]}, WORD_BOUND)
     assert rep.ok and not rep.decided
 

@@ -41,12 +41,12 @@ def test_groupoids_of_germs_validate():
 
 def test_missing_composite_family_detected():
     g = fred0(MIRROR)
-    broken = PresentedGroupoid.make(
+    broken = PresentedGroupoid(
         dict(g.pieces), [f for f in g.families if f.map.is_identity()])
     # only the unit family: fine (a groupoid with trivial arrows)
     assert validate_groupoid(broken).ok
     flip = [f for f in g.families if not f.map.is_identity()][0]
-    no_unit = PresentedGroupoid.make(dict(g.pieces), [flip])
+    no_unit = PresentedGroupoid(dict(g.pieces), [flip])
     rep = validate_groupoid(no_unit)
     assert not rep.ok and rep.first().code in ("LG1", "LG5")
 
@@ -68,7 +68,7 @@ def test_effectiveness_counterexample():
     dup = list(g.families)
     f0 = dup[0]
     dup.append(ArrowFamily("dup", f0.src, f0.dst, f0.iso))
-    gg = PresentedGroupoid.make(dict(g.pieces), dup)
+    gg = PresentedGroupoid(dict(g.pieces), dup)
     ok, wit = is_effective(gg)
     assert not ok and wit is not None
 
@@ -162,7 +162,7 @@ def test_nat_transf_gap_of_measure_zero_is_witnessed_in_the_gap():
     seam 1/2, where no point off the families exists: the witness is the
     seam itself."""
     ident = AffineMap.identity(1)
-    g = PresentedGroupoid.make(
+    g = PresentedGroupoid(
         {"P": Region.interval(0, 1)},
         [ArrowFamily("a", "P", "P", PartialAffineIso(ident, Region.interval(0, F(1, 2)))),
          ArrowFamily("b", "P", "P", PartialAffineIso(ident, Region.interval(F(1, 2), 1)))])
@@ -207,8 +207,8 @@ def test_gm3_witness_lies_in_the_family_sent_off_its_product():
     itself is sent to r r = id, not to r."""
     psi = fred1(M["id_MIRROR"])
     unit, flip = _mirror_families(psi)
-    bad = GroupoidMorphism.make(psi.source, psi.target, dict(psi.object_map),
-                                {unit: flip, flip: flip})
+    bad = GroupoidMorphism(psi.source, psi.target, dict(psi.object_map),
+                           {unit: flip, flip: flip})
     vs = [v for v in validate_gpd_morphism(bad).violations if v.code == "GM3"]
     assert vs
     for v in vs:
@@ -221,9 +221,9 @@ def test_nt2_witness_lies_on_the_arrow_family_that_breaks_the_exchange():
     right, but the reflection arrows do not commute with them."""
     psi = fred1(M["id_MIRROR"])
     unit, flip = _mirror_families(psi)
-    other = GroupoidMorphism.make(psi.source, psi.target, dict(psi.object_map),
-                                  {unit: unit, flip: unit})
-    alpha = NatTransf.make(psi, other, dict(identity_nat_transf(psi).assignments))
+    other = GroupoidMorphism(psi.source, psi.target, dict(psi.object_map),
+                             {unit: unit, flip: unit})
+    alpha = NatTransf(psi, other, dict(identity_nat_transf(psi).assignments))
     rep = validate_nat_transf(alpha)
     assert {v.code for v in rep.violations} == {"NT2"}
     for v in rep.violations:

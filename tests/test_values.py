@@ -201,12 +201,33 @@ def _content_or_key(x):
     return x.key() if isinstance(x, (AffineMap, Region)) else content(x)
 
 
+# A constructor call of each class that sorts or merges its parts, with
+# those parts reversed or passed as a dict: the constructor is the one
+# path to a value, so it finds the value itself.
+PERMUTED = {
+    Chart: lambda c: Chart(c.cid, c.domain, c.group[::-1]),
+    Atlas: lambda a: Atlas(a.charts[::-1], a.generators[::-1]),
+    Morphism: lambda m: Morphism(m.source, m.target, reversed(m.chart_map), dict(m.lifts[::-1]),
+                                 m.entries[::-1], m.certificate),
+    TwoCell: lambda c: TwoCell(c.source_morphism, c.target_morphism,
+                               {cid: items[::-1] for cid, items in c.patches[::-1]}),
+    PresentedGroupoid: lambda g: PresentedGroupoid(dict(g.pieces[::-1]), g.families[::-1],
+                                                   g.annotation),
+    GroupoidMorphism: lambda psi: GroupoidMorphism(psi.source, psi.target,
+                                                   dict(psi.object_map[::-1]),
+                                                   dict(psi.family_map[::-1])),
+    NatTransf: lambda a: NatTransf(a.source_morphism, a.target_morphism,
+                                   {p: items[::-1] for p, items in a.assignments[::-1]}),
+}
+
+
 @pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
 def test_equal_values_are_one_object(by_class, cls):
     """Over the catalog, its structure-functor images, both depth-2
     universes, the catalog 2-cells and the squares of one BF3 pass: objects
     with equal content are one object, so `a == b` is `a is b`; pickling,
-    copying and an empty `replace` give back the object itself."""
+    copying, an empty `replace` and a constructor call with the parts in
+    another order (PERMUTED) give back the object itself."""
     values = _collect([x for xs in by_class.values() for x in xs], INTERNED)[cls]
     assert values
     by_content = defaultdict(list)
@@ -218,6 +239,8 @@ def test_equal_values_are_one_object(by_class, cls):
         assert copy.copy(x) is x and copy.deepcopy(x) is x
         if dataclasses.is_dataclass(x):
             assert dataclasses.replace(x) is x
+        if cls in PERMUTED:
+            assert PERMUTED[cls](x) is x
 
 
 def test_a_dropped_value_leaves_its_table():
