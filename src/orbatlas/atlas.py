@@ -50,8 +50,7 @@ class Chart:
 
     @staticmethod
     def _canonical(cid, domain, group):
-        maps = sorted({g if isinstance(g, AffineMap) else AffineMap.make(*g) for g in group},
-                      key=lambda m: m.key())
+        maps = sorted(set(group), key=lambda m: m.key())
         if not any(m.is_identity() for m in maps):
             maps = sorted(maps + [AffineMap.identity(domain.dim)], key=lambda m: m.key())
         return cid, domain, tuple(maps)
@@ -284,12 +283,12 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
 
     `preimage_under` and `compose` are memoized in the geometry kernel, yet
     the `steps` row stays: it finds a step by the small integer `lid` in a
-    row looked up once per family, where the memo builds and hashes a key
-    of three values on every step (interned values compare by identity, so
-    the hashing is what is left).  Stepping through the memos alone is
-    slower: median `run_s` 0.198 -> 0.251 s on `coherence` and 0.115 ->
-    0.118 s on `bf-atlas`, 4 alternating pairs each (all 8 won by the row)
-    of `perfbench/run.py --seconds 10` on a 2-core VM."""
+    row looked up once per family.  Values hash by identity in C, so the
+    memo path does not pay for hashing but for two Python calls per step
+    through the memo wrapper, each building its key tuple.  Stepping
+    through the memos alone is slower: median `run_s` 0.157 -> 0.185 s on
+    `coherence` and 0.096 -> 0.103 s on `bf-atlas`, 4 alternating pairs
+    each (all 8 won by the row) of `perfbench/run.py --seconds 10`."""
     seeds = _seed_families(atlas)
     # letters[chart]: the seeds leaving the chart as (dst, m2, d2, lid), where
     # lid numbers the distinct (d2, m2) values

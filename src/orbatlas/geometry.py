@@ -107,7 +107,7 @@ class AffineMap:
     """x |-> matrix @ x + offset with exact rational entries, held as
     x |-> (M x + o) / d with integer M (flat, row-major), o and d > 0."""
 
-    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_fields", "_hash", "__weakref__")
+    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_fields", "__weakref__")
 
     def __init__(self, m: tuple, o: tuple, d: int):
         # m, o, d must already be normalized; use `make` from rationals
@@ -680,7 +680,7 @@ class Region:
     set equality is available via :meth:`same_set`.
     """
 
-    __slots__ = ("dim", "pieces", "_view", "_fields", "_hash", "__weakref__")
+    __slots__ = ("dim", "pieces", "_view", "_fields", "__weakref__")
 
     def __init__(self, dim: int, pieces):
         """Nothing is left to do: `__new__` has put the pieces in canonical

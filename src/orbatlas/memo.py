@@ -19,7 +19,9 @@ memos live as long as the process.
 constructor, first puts the value in canonical form, then looks up its
 canonical field tuple in the class's table and returns the live object it
 finds there; only a value not found is set up.  So equality is identity,
-and the hash is that of the field tuple, computed once.  Every field takes
+and so is the hash (`object.__hash__`, computed in C): two equal values are
+one object, and a value that is a key of a dict, a set or a memo is held
+alive by it, so its id is not reused while it is a key.  Every field takes
 part, certificates and annotations included.  The table holds its objects
 weakly: a value that nothing else holds leaves it.  Nothing empties a
 table, `clear()` included, since an equal value built later must still be
@@ -83,8 +85,9 @@ def interned(cls):
     bound to the set-up's parameters, defaults applied.  `_setup(self,
     *fields)` fills a new object; without it `__init__` (for a dataclass,
     the generated one) does, and leaves the class, so that finding a value
-    sets nothing up again.  Pickling and copying rebuild through the
-    constructor, so they give back the object itself."""
+    sets nothing up again.  `__eq__` and `__hash__` are `object`'s, the
+    dataclass-generated ones replaced.  Pickling and copying rebuild
+    through the constructor, so they give back the object itself."""
     table = {}
     if "_setup" in vars(cls):
         setup = cls._setup
@@ -119,18 +122,14 @@ def interned(cls):
         obj = object.__new__(c)
         setup(obj, *fields)
         object.__setattr__(obj, "_fields", fields)
-        object.__setattr__(obj, "_hash", hash(fields))
         ref = table[fields] = _Ref(obj, drop)
         ref.key = fields
         return obj
 
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
         return self.__class__, self._fields
 
-    cls.__new__, cls.__hash__, cls.__reduce__ = __new__, __hash__, __reduce__
-    cls.__eq__ = object.__eq__
+    cls.__new__, cls.__reduce__ = __new__, __reduce__
+    cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
     cls._interned = table
     return cls

@@ -1,11 +1,15 @@
 import ast
 import dataclasses
+import functools
+import importlib
 import itertools
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import orbatlas
 from orbatlas import atlas as atl
 from orbatlas import cli
 from orbatlas import fixtures as fx
@@ -411,6 +415,69 @@ def test_geometry_memo_is_exact(name):
             with pytest.raises(error):
                 call(*args)
         assert len(fn.table) == size, (name, args)
+
+
+# -- the structure-functor and Morita memos are exact -------------------------
+#
+# The inputs are the catalog atlases and morphisms and the `fred1` images of
+# the morphisms.  A changed part of the key is a new entry: the bound of
+# `fred0`, the certificate of `fred1`'s morphism, and the annotation of the
+# source groupoid of `_gpd_is_w`'s morphism.
+
+def _other_cases():
+    b = WORD_BOUND
+    ms = [m for _, m in sorted(MORPHISMS.items())]
+    return {
+        "fred.fred0": [(a, b) for _, a in sorted(ATLASES.items())] + [(TRIV_SHIFTED, b)],
+        "fred.fred1": [(m, b) for m in ms],
+        "fractions._gpd_is_w": [(frd.fred1(m, b),) for m in ms],
+    }
+
+
+def _changed(name, args):
+    if name == "fred.fred0":
+        return args[0], args[1] + 1
+    if name == "fred.fred1":
+        return _recertified(args, lambda: True)
+    psi, = args
+    other = None if psi.source.annotation is not None else psi.target.annotation
+    return dataclasses.replace(psi, source=dataclasses.replace(psi.source, annotation=other)),
+
+
+OTHER_MEMOS = sorted(_other_cases())
+
+
+def _memo_named(name):
+    module, attr = name.split(".", 1)
+    return functools.reduce(getattr, attr.split("."), importlib.import_module(f"orbatlas.{module}"))
+
+
+@pytest.mark.parametrize("name", OTHER_MEMOS)
+def test_other_memo_is_exact(name):
+    fn = _memo_named(name)
+    cases = _other_cases()[name]
+    # after the cases: `fred1` fills the structure-functor memos
+    memo_mod.clear()
+    for args in cases:
+        misses = fn.misses
+        got = _exact(fn, args)
+        assert fn.misses == misses + 1, (name, args)
+        assert fn(*pickle.loads(pickle.dumps(args))) is got, (name, args)
+        other = _changed(name, args)
+        assert other != args
+        _exact(fn, other)
+        assert fn.misses == misses + 2, (name, args)
+
+
+def test_every_memo_is_covered():
+    """Every memo of the package, in every module, has exactness cases."""
+    for module in pkgutil.iter_modules(orbatlas.__path__):
+        importlib.import_module(f"orbatlas.{module.name}")
+    memoized = sorted(f"{fn.__module__.removeprefix('orbatlas.')}.{fn.__qualname__}"
+                      for fn in memo_mod._MEMOS if fn.__module__.startswith("orbatlas."))
+    covered = ([f"atlas.{name}" for name in ATLAS_MEMOS]
+               + [f"geometry.{name}" for name in GEOMETRY_MEMOS] + OTHER_MEMOS)
+    assert memoized == sorted(covered)
 
 
 def test_covers_witness_reads_a_generator_once():

@@ -1,12 +1,13 @@
 """The hash/equality contract of the hash-consed value classes.
 
 Each of the eleven frozen value classes of the atlas and groupoid layers,
-and `AffineMap` and `Region`, is interned over all of its fields: its hash
-is computed once, and equal values are one object.  Over the fixture
-catalog, its structure-functor images, both depth-2 universes and the
-squares their BF3 check chooses, two values are equal exactly when their
-content is equal, equal values hash alike and are one object, and a value
-survives a trip through its canonical JSON with its hash.
+and `AffineMap` and `Region`, is interned over all of its fields: equal
+values are one object, so equality and the hash are those of identity.
+Over the fixture catalog, its structure-functor images, both depth-2
+universes and the squares their BF3 check chooses, two values are equal
+exactly when their content is equal, equal values hash alike and are one
+object, and a value survives a trip through its canonical JSON with its
+hash.
 
 `key()` omits what `pullback_square`'s chart names and the canonical sort
 orders never needed: the endpoints and the certificate of a morphism, the
@@ -241,6 +242,18 @@ def test_equal_values_are_one_object(by_class, cls):
             assert dataclasses.replace(x) is x
         if cls in PERMUTED:
             assert PERMUTED[cls](x) is x
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+def test_values_hash_by_identity(by_class, cls):
+    """Equal values are one object, so the hash is the identity hash,
+    computed in C, and no value stores a hash of its own."""
+    assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+    values = _collect([x for xs in by_class.values() for x in xs], INTERNED)[cls]
+    assert values
+    for x in values:
+        assert hash(x) == object.__hash__(x)
+        assert not hasattr(x, "_hash")
 
 
 def test_a_dropped_value_leaves_its_table():
