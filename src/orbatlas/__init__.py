@@ -68,6 +68,7 @@ from .fred import (
     fred1,
     fred2,
     fred_inverse,
+    fred_inverse2,
 )
 from .fractions import (
     ChoiceTable,
@@ -82,8 +83,9 @@ from .fractions import (
     saturate,
     two_out_of_three,
     universal_embed,
+    universal_embed2,
 )
 from . import gred
-from .gred import check_axiom_A, equivalence_report
+from .gred import equivalence_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

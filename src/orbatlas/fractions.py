@@ -95,17 +95,17 @@ def _gpd_is_w(m):
 
 
 def _gpd_square(f, w, bound):
-    fa = frd.fred_inverse(1, f)
-    wa = frd.fred_inverse(1, w)
+    fa = frd.fred_inverse(f)
+    wa = frd.fred_inverse(w)
     d, wp, fp, alpha = atl.pullback_square(fa, wa, bound)
     return frd.fred0(d, bound), frd.fred1(wp, bound), frd.fred1(fp, bound), frd.fred2(alpha, bound)
 
 
 def _gpd_cancel(v, x, y, cell, bound):
-    xa = frd.fred_inverse(1, x)
-    ya = frd.fred_inverse(1, y)
-    va = frd.fred_inverse(1, v)
-    ca = frd.fred_inverse(2, cell)
+    xa = frd.fred_inverse(x)
+    ya = frd.fred_inverse(y)
+    va = frd.fred_inverse(v)
+    ca = frd.fred_inverse2(cell)
     return frd.fred2(atl.cancel_refinement_cell(va, xa, ya, ca, bound), bound)
 
 
@@ -254,13 +254,15 @@ def compose_spans(ops, table, s2: Span, s1: Span) -> Span:
     return Span(d, ops.compose1(s1.left, vp), ops.compose1(s2.right, fp))
 
 
-def universal_embed(ops, cell, level: int = 1):
-    """The universal pseudofunctor into the localized bicategory: a 1-cell
-    goes to the span with identity W-leg, a 2-cell to the fraction cell with
+def universal_embed(ops, f) -> Span:
+    """The universal pseudofunctor into the localized bicategory on a
+    1-cell: the span with identity W-leg."""
+    return Span(f.source, ops.id1(f.source), f)
+
+
+def universal_embed2(ops, cell) -> FractionCell:
+    """The universal pseudofunctor on a 2-cell: the fraction cell with
     identity legs."""
-    if level == 1:
-        x = cell.source
-        return Span(x, ops.id1(x), cell)
     f1, f2 = cell.source_morphism, cell.target_morphism
     s1, s2 = universal_embed(ops, f1), universal_embed(ops, f2)
     x = f1.source

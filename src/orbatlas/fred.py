@@ -102,42 +102,39 @@ def fred2(cell: TwoCell, bound: int) -> NatTransf:
     return NatTransf(p1, p2, assigns)
 
 
-def fred_inverse(level: int, data):
-    """Reconstruct the unique atlas-level cell with a given image.
+def fred_inverse(psi: GroupoidMorphism) -> Morphism:
+    """Reconstruct the unique atlas morphism whose image is `psi`, a
+    GroupoidMorphism between groupoids of germs (their annotations must be
+    the presenting atlases).  It reads the image and computes no closure,
+    so it takes no word bound."""
+    src, tgt = psi.source.annotation, psi.target.annotation
+    if not isinstance(src, Atlas) or not isinstance(tgt, Atlas):
+        raise UnsupportedGroupoidError("groupoids do not carry presenting atlases")
+    chart_map = {p: q for p, (q, _) in psi.object_map}
+    lifts = {p: mm for p, (_, mm) in psi.object_map}
+    entries = []
+    for f in psi.source.families:
+        t = psi.target.family(psi.on_family(f.fid))
+        entries.append(PEntry(
+            ChangeOfCharts(f.src, f.dst, f.iso),
+            ChangeOfCharts(t.src, t.dst, t.iso)))
+    return Morphism(src, tgt, chart_map, lifts, entries)
 
-    level 1 takes a GroupoidMorphism between groupoids of germs (their
-    annotations must be the presenting atlases); level 2 takes a NatTransf
-    between images of morphisms.  It reads the images and computes no
-    closure, so it takes no word bound."""
-    if level == 1:
-        psi: GroupoidMorphism = data
-        src, tgt = psi.source.annotation, psi.target.annotation
-        if not isinstance(src, Atlas) or not isinstance(tgt, Atlas):
-            raise UnsupportedGroupoidError(
-                "groupoids do not carry presenting atlases")
-        chart_map = {p: q for p, (q, _) in psi.object_map}
-        lifts = {p: mm for p, (_, mm) in psi.object_map}
-        entries = []
-        for f in psi.source.families:
-            t = psi.target.family(psi.on_family(f.fid))
-            entries.append(PEntry(
-                ChangeOfCharts(f.src, f.dst, f.iso),
-                ChangeOfCharts(t.src, t.dst, t.iso)))
-        return Morphism(src, tgt, chart_map, lifts, entries)
-    if level == 2:
-        alpha: NatTransf = data
-        f1 = fred_inverse(1, alpha.source_morphism)
-        f2 = fred_inverse(1, alpha.target_morphism)
-        gt = alpha.source_morphism.target
-        patches = {}
-        for pid, items in alpha.assignments:
-            out = []
-            for region, fid in items:
-                fam = gt.family(fid)
-                out.append((region, ChangeOfCharts(fam.src, fam.dst, fam.iso)))
-            patches[pid] = out
-        return TwoCell(f1, f2, patches)
-    raise ValueError("level must be 1 or 2")
+
+def fred_inverse2(alpha: NatTransf) -> TwoCell:
+    """Reconstruct the unique atlas 2-cell whose image is `alpha`, a
+    NatTransf between images of morphisms; it takes no word bound either."""
+    f1 = fred_inverse(alpha.source_morphism)
+    f2 = fred_inverse(alpha.target_morphism)
+    gt = alpha.source_morphism.target
+    patches = {}
+    for pid, items in alpha.assignments:
+        out = []
+        for region, fid in items:
+            fam = gt.family(fid)
+            out.append((region, ChangeOfCharts(fam.src, fam.dst, fam.iso)))
+        patches[pid] = out
+    return TwoCell(f1, f2, patches)
 
 
 def atlas_from_groupoid(g: PresentedGroupoid, bound: int):

@@ -185,7 +185,7 @@ def is_effective(g: PresentedGroupoid):
     return True, None
 
 
-def coarse_equal(g: PresentedGroupoid, p, q, assume_closed=None):
+def coarse_equal(g: PresentedGroupoid, p, q):
     """Orbit equality of two (piece, point) pairs.  For a presentation whose
     family list is closed under composition, one application of each family
     already reaches the whole orbit; otherwise verdicts may be undecided."""
@@ -195,8 +195,7 @@ def coarse_equal(g: PresentedGroupoid, p, q, assume_closed=None):
     for f in g.families_between(pi, qi):
         if f.dom.contains_point(x) and f.map(x) == y:
             return "equal"
-    closed = assume_closed if assume_closed is not None else validate_groupoid(g).ok
-    return "distinct" if closed else "undecided"
+    return "distinct" if validate_groupoid(g).ok else "undecided"
 
 
 def orbit(g: PresentedGroupoid, p) -> set:

@@ -47,7 +47,7 @@ def test_span_and_cell_round_trip():
     ops = frc.atlas_ops()
     s = frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])
     assert cli.dumps(cli.loads(cli.dumps(s))) == cli.dumps(s)
-    fc = frc.universal_embed(ops, catalog_2cells()["id_to_flip"], level=2)
+    fc = frc.universal_embed2(ops, catalog_2cells()["id_to_flip"])
     assert cli.dumps(cli.loads(cli.dumps(fc))) == cli.dumps(fc)
 
 
@@ -203,13 +203,13 @@ def test_localize_compose_persists_choices(tmp_path, capsys):
 def test_cell_equal_command(tmp_path, capsys):
     ops = frc.atlas_ops()
     cells = catalog_2cells()
-    fc = frc.universal_embed(ops, cells["id_to_flip"], level=2)
+    fc = frc.universal_embed2(ops, cells["id_to_flip"])
     p1 = write(tmp_path, "c1.json", fc)
     assert cli.run(["cell-equal", p1, p1]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["equal"] is True and out["ok"] is True
-    p2 = write(tmp_path, "c2.json", frc.universal_embed(ops, cells["i_id_MIRROR"], level=2))
-    p3 = write(tmp_path, "c3.json", frc.universal_embed(ops, cells["i_flip_M"], level=2))
+    p2 = write(tmp_path, "c2.json", frc.universal_embed2(ops, cells["i_id_MIRROR"]))
+    p3 = write(tmp_path, "c3.json", frc.universal_embed2(ops, cells["i_flip_M"]))
     assert cli.run(["cell-equal", p2, p3]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["equal"] is False and out["ok"] is False
@@ -343,7 +343,7 @@ def test_validate_spans_and_fraction_cells(tmp_path, capsys):
     bad = frc.Span(M["emb_T_M"].source, M["emb_T_M"], M["emb_T_M"])
     assert cli.run(["validate", write(tmp_path, "b.json", bad)]) == 1
     assert json.loads(capsys.readouterr().out)["violations"][0]["code"] == "SP2"
-    fc = frc.universal_embed(ops, catalog_2cells()["id_to_flip"], level=2)
+    fc = frc.universal_embed2(ops, catalog_2cells()["id_to_flip"])
     assert cli.run(["validate", write(tmp_path, "fc.json", fc)]) == 0
     capsys.readouterr()
 
@@ -591,7 +591,7 @@ def test_every_closure_runs_at_the_given_bound(tmp_path, capsys, monkeypatch, ar
     docs = {
         "2cell": catalog_2cells()["legs"],
         "span": frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]),
-        "fraction_cell": frc.universal_embed(ops, catalog_2cells()["id_to_flip"], level=2),
+        "fraction_cell": frc.universal_embed2(ops, catalog_2cells()["id_to_flip"]),
         "emb": frc.universal_embed(ops, M["emb_T_M"]),
     }
     paths = {k: write(tmp_path, f"{k}.json", v) for k, v in docs.items()}
@@ -623,7 +623,7 @@ def test_equiv_report_exits_2_on_an_undecided_note(capsys, monkeypatch):
     """A report with no violation but an undecided note exits 2.  Every
     classification of the catalog is decided, so A2's verdict on the second
     leg of the `legs` span is stubbed, as in `tests/test_gred.py`."""
-    classify, check_a2 = atl.classify_morphism, grd._check_a2
+    classify, check_a2 = atl.classify_morphism, grd.check_a2
     calls = []
 
     def stub(m, bound):
@@ -634,7 +634,7 @@ def test_equiv_report_exits_2_on_an_undecided_note(capsys, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(atl, "classify_morphism", stub)
             return check_a2(catalog, bound)
-    monkeypatch.setattr(grd, "_check_a2", a2)
+    monkeypatch.setattr(grd, "check_a2", a2)
     assert cli.run(["equiv-report"]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
@@ -678,8 +678,8 @@ def _contract_docs(tmp_path):
         "bad_span": frc.Span(M["emb_T_M"].source, M["emb_T_M"], M["emb_T_M"]),
         "unshift": frc.Span(TRIV_SHIFTED, ops.id1(TRIV_SHIFTED), M["unshift_T"]),
         "half": frc.Span(TRIV, M["half_T"], ops.id1(TRIV)),
-        "i_id": frc.universal_embed(ops, cells["i_id_MIRROR"], level=2),
-        "i_flip": frc.universal_embed(ops, cells["i_flip_M"], level=2),
+        "i_id": frc.universal_embed2(ops, cells["i_id_MIRROR"]),
+        "i_flip": frc.universal_embed2(ops, cells["i_flip_M"]),
     }
     paths = {k: write(tmp_path, f"{k}.json", v) for k, v in docs.items()}
     broken = tmp_path / "broken.json"

@@ -104,6 +104,36 @@ def test_guard_sees_an_unreferenced_method(tmp_path):
     assert _unreferenced(pkg, files) == ["m.py:Shape.dead", "m.py:Shape.recursive"]
 
 
+def _level_parameters(path):
+    """Functions and lambdas with a parameter named `level`: each level of a
+    functor is its own function (`fred0`/`fred1`/`fred2`), so an integer
+    level would only be a dispatcher."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if any(p is not None and p.arg == "level" for p in params):
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_level_parameters_in_src():
+    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in _level_parameters(path)]
+    assert found == [], f"give each level its own function: {found}"
+
+
+def test_guard_sees_a_level_parameter(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("def f(level, data):\n    pass\n"
+                 "def g(ops, cell, level=1):\n    pass\n"
+                 "def h(x, *, level):\n    pass\n"
+                 "k = lambda level: level\n"
+                 "def fred1(m, bound):\n    return m.level\n"
+                 "x = run(level=2), f.level\n")
+    assert _level_parameters(p) == ["m.py:1", "m.py:3", "m.py:5", "m.py:7"]
+
+
 def _key_comparisons(path):
     """`==`/`!=` comparisons with a `.key()` call as an operand: values are
     their own keys, so such a test should compare the values."""

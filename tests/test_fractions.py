@@ -77,7 +77,7 @@ def test_choice_table_keys_name_the_endpoints(ops):
 
 def test_fraction_cell_identity_and_inverse(ops):
     cells = catalog_2cells()
-    fc = frc.universal_embed(ops, cells["id_to_flip"], level=2)
+    fc = frc.universal_embed2(ops, cells["id_to_flip"])
     assert frc.validate_fraction_cell(ops, fc).ok
     inv = frc.invert_fraction_cell(ops, fc)
     comp = frc.vertical_compose_cells(ops, inv, fc)
@@ -87,7 +87,7 @@ def test_fraction_cell_identity_and_inverse(ops):
 
 def test_cell_equal_distinguishes(ops):
     cells = catalog_2cells()
-    fc = frc.universal_embed(ops, cells["id_to_flip"], level=2)
+    fc = frc.universal_embed2(ops, cells["id_to_flip"])
     assert frc.cell_equal(ops, fc, fc)
     ident = frc.identity_fraction_cell(ops, fc.src_span)
     assert not frc.cell_equal(ops, fc, ident)  # not even parallel
@@ -96,7 +96,7 @@ def test_cell_equal_distinguishes(ops):
 def test_cell_equal_across_presentations(ops, table):
     # the same localized cell presented over two different middles
     cells = catalog_2cells()
-    fc = frc.universal_embed(ops, cells["id_to_flip"], level=2)
+    fc = frc.universal_embed2(ops, cells["id_to_flip"])
     # re-present by precomposing both legs with a refinement
     w = M["leg1_MR_M"]
     leg = ops.compose1(fc.left_leg, w)
@@ -110,14 +110,14 @@ def test_cell_equal_across_presentations(ops, table):
 
 def test_universal_embed_cells(ops):
     cells = catalog_2cells()
-    fc = frc.universal_embed(ops, cells["legs"], level=2)
+    fc = frc.universal_embed2(ops, cells["legs"])
     assert frc.validate_fraction_cell(ops, fc).ok
 
 
 def test_horizontal_composite_of_fraction_cells(ops, table):
     cells = catalog_2cells()
-    alpha = frc.universal_embed(ops, cells["id_to_flip"], level=2)   # X -> M
-    legs_cell = frc.universal_embed(ops, cells["legs"], level=2)     # MREF -> M... no:
+    alpha = frc.universal_embed2(ops, cells["id_to_flip"])   # X -> M
+    legs_cell = frc.universal_embed2(ops, cells["legs"])     # MREF -> M... no:
     # legs runs between leg1, leg2: MIRROR_REF -> MIRROR
     h = frc.horizontal_compose_cells(ops, table, alpha, legs_cell)
     assert frc.validate_fraction_cell(ops, h).ok
@@ -134,7 +134,7 @@ def test_horizontal_composite_of_fraction_cells(ops, table):
 
 def test_cell_equal_is_symmetric(ops):
     cells = catalog_2cells()
-    fc = frc.universal_embed(ops, cells["id_to_flip"], level=2)
+    fc = frc.universal_embed2(ops, cells["id_to_flip"])
     w = M["leg1_MR_M"]
     other = frc.FractionCell(fc.src_span, fc.dst_span, w.source,
                              ops.compose1(fc.left_leg, w),

@@ -24,6 +24,7 @@ from orbatlas.fred import (
     fred1,
     fred2,
     fred_inverse,
+    fred_inverse2,
 )
 from orbatlas.geometry import Region
 from orbatlas.groupoid import (
@@ -83,17 +84,17 @@ def test_fred2_functorial():
 
 def test_round_trips_all_catalog():
     for name, m in M.items():
-        rt = fred_inverse(1, fred1(m))
+        rt = fred_inverse(fred1(m))
         assert equal_morphisms(rt, m), name
     for name, c in catalog_2cells().items():
-        rt = fred_inverse(2, fred2(c, WORD_BOUND))
+        rt = fred_inverse2(fred2(c, WORD_BOUND))
         assert equal_2cells(rt, c), name
 
 
 def test_fred_inverse_matches_unique_cell():
     from orbatlas.groupoid import find_unique_nat_transf
     alpha = find_unique_nat_transf(fred1(M["leg1_MR_M"]), fred1(M["leg2_MR_M"]))
-    lifted = fred_inverse(2, alpha)
+    lifted = fred_inverse2(alpha)
     assert equal_2cells(lifted,
                         unique_2cell_open_embeddings(M["leg1_MR_M"], M["leg2_MR_M"], WORD_BOUND))
 
