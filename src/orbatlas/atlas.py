@@ -1023,6 +1023,7 @@ def equal_2cells(a: TwoCell, b: TwoCell) -> bool:
         for r1, c1 in a.patches_at(i) for r2, c2 in b.patches_at(i)))
 
 
+@memo
 def vertical_compose(sigma: TwoCell, delta: TwoCell) -> TwoCell:
     """sigma after delta (both between morphisms with the same endpoints)."""
     if not equal_morphisms(delta.target_morphism, sigma.source_morphism):

@@ -102,11 +102,13 @@ def fred2(cell: TwoCell, bound: int) -> NatTransf:
     return NatTransf(p1, p2, assigns)
 
 
+@memo
 def fred_inverse(psi: GroupoidMorphism) -> Morphism:
     """Reconstruct the unique atlas morphism whose image is `psi`, a
     GroupoidMorphism between groupoids of germs (their annotations must be
     the presenting atlases).  It reads the image and computes no closure,
-    so it takes no word bound."""
+    so it takes no word bound.  Memoized on the morphism value, which holds
+    both groupoids with their annotations, everything it reads."""
     src, tgt = psi.source.annotation, psi.target.annotation
     if not isinstance(src, Atlas) or not isinstance(tgt, Atlas):
         raise UnsupportedGroupoidError("groupoids do not carry presenting atlases")

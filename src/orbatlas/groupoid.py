@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import AffineMap, Germ, PartialAffineIso, Region, clashes
-from .memo import interned
+from .memo import interned, memo
 from .reports import ComposabilityError, NoSuchCellError, Report
 
 
@@ -356,6 +356,7 @@ class NatTransf:
         return self._assignment_index.get(pid, ())
 
 
+@memo
 def identity_nat_transf(psi: GroupoidMorphism) -> NatTransf:
     h = psi.target
     assigns = {}
@@ -475,6 +476,7 @@ def invert_nat_transf(alpha: NatTransf) -> NatTransf:
     return NatTransf(alpha.target_morphism, alpha.source_morphism, assigns)
 
 
+@memo
 def horizontal_compose_nt(xi: NatTransf, delta: NatTransf) -> NatTransf:
     """Composite alongside: for psi-squares xi between (g1, g2) and delta
     between (f1, f2), the transformation g1 f1 => g2 f2."""

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas.atlas import WORD_BOUND, classify_morphism
@@ -255,6 +256,19 @@ def test_bf_undecided_connection_is_noted(ops, half_universe):
                        frc.ChoiceTable())
     assert rep.ok and not rep.decided
     assert "connect2 raised" in rep.undecided[0]
+
+
+@pytest.mark.parametrize("instance, entries", [("atlas", 164), ("groupoid", 170)])
+def test_bf_over_the_whole_universe(instance, entries):
+    """BF1-BF5 over the whole depth-2 universe of each instance, with a fresh
+    choice table: every axiom holds and is decided, and the table ends with
+    the same number of chosen squares each time."""
+    ops, uni = cli._builtin_universe(instance, WORD_BOUND)
+    table = frc.ChoiceTable()
+    for axiom in range(1, 6):
+        rep = frc.check_bf(ops, axiom, uni, table)
+        assert rep.ok and rep.decided, (axiom, rep.summary())
+    assert len(table.entries) == entries
 
 
 def test_groupoid_instance_smoke():

@@ -27,7 +27,7 @@ from orbatlas.fixtures import (
     TRIV_SHIFTED,
     catalog_2cells,
 )
-from orbatlas.geometry import AffineMap, Region, aff1, aff2
+from orbatlas.geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
 from orbatlas.memo import memo
 from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
 
@@ -176,6 +176,11 @@ def _atlas_cases():
         "horizontal_compose": [
             (xi, delta) for xi in cells for delta in cells
             if delta.source_morphism.target == xi.source_morphism.source],
+        # parallel cells: about half do not compose, raise and store nothing
+        "vertical_compose": [
+            (sigma, delta) for sigma in cells for delta in cells
+            if sigma.source_morphism.source == delta.source_morphism.source
+            and sigma.source_morphism.target == delta.source_morphism.target],
     }
 
 
@@ -417,21 +422,55 @@ def test_geometry_memo_is_exact(name):
         assert len(fn.table) == size, (name, args)
 
 
-# -- the structure-functor and Morita memos are exact -------------------------
+# -- the structure-functor, Morita and groupoid memos are exact ---------------
 #
-# The inputs are the catalog atlases and morphisms and the `fred1` images of
-# the morphisms.  A changed part of the key is a new entry: the bound of
-# `fred0`, the certificate of `fred1`'s morphism, and the annotation of the
-# source groupoid of `_gpd_is_w`'s morphism.
+# The inputs are the catalog atlases and morphisms, the `fred1` images of the
+# morphisms, their identity transformations and the `fred2` images of the
+# catalog 2-cells.  A changed part of the key is a new entry: the bound of
+# `fred0`, the certificate of `fred1`'s morphism, and the annotation of a
+# source groupoid for the rest.
 
 def _other_cases():
     b = WORD_BOUND
     ms = [m for _, m in sorted(MORPHISMS.items())]
+    images = [frd.fred1(m, b) for m in ms]
+    nts = list(dict.fromkeys([gpd.identity_nat_transf(psi) for psi in images]
+                             + [frd.fred2(c, b) for c in catalog_2cells().values()]))
     return {
         "fred.fred0": [(a, b) for _, a in sorted(ATLASES.items())] + [(TRIV_SHIFTED, b)],
         "fred.fred1": [(m, b) for m in ms],
-        "fractions._gpd_is_w": [(frd.fred1(m, b),) for m in ms],
+        "fred.fred_inverse": [(psi,) for psi in images],
+        "fractions._gpd_is_w": [(psi,) for psi in images],
+        "groupoid.identity_nat_transf": [(psi,) for psi in images],
+        "groupoid.horizontal_compose_nt": [
+            (xi, delta) for xi in nts for delta in nts
+            if delta.source_morphism.target == xi.source_morphism.source],
     }
+
+
+def _regrouped(x, g, h):
+    """`x` with the groupoid `g` replaced by `h` wherever it occurs: as an end
+    of a groupoid morphism, in the morphisms of a transformation and in the
+    items of a tuple."""
+    if x is g:
+        return h
+    if isinstance(x, gpd.GroupoidMorphism):
+        return dataclasses.replace(x, source=_regrouped(x.source, g, h),
+                                   target=_regrouped(x.target, g, h))
+    if isinstance(x, gpd.NatTransf):
+        return dataclasses.replace(x, source_morphism=_regrouped(x.source_morphism, g, h),
+                                   target_morphism=_regrouped(x.target_morphism, g, h))
+    if isinstance(x, tuple):
+        return tuple(_regrouped(item, g, h) for item in x)
+    return x
+
+
+def _another_atlas(atlas):
+    """An atlas with the same charts and pseudogroup and another value: the
+    identity of its first chart is one more generator."""
+    c = atlas.charts[0]
+    ident = atl.ChangeOfCharts(c.cid, c.cid, PartialAffineIso(AffineMap.identity(c.dim), c.domain))
+    return atl.Atlas(atlas.charts, atlas.generators + (ident,))
 
 
 def _changed(name, args):
@@ -439,9 +478,10 @@ def _changed(name, args):
         return args[0], args[1] + 1
     if name == "fred.fred1":
         return _recertified(args, lambda: True)
-    psi, = args
-    other = None if psi.source.annotation is not None else psi.target.annotation
-    return dataclasses.replace(psi, source=dataclasses.replace(psi.source, annotation=other)),
+    # the source groupoid of the last argument, annotated with another atlas
+    last = args[-1]
+    g = last.source_morphism.source if isinstance(last, gpd.NatTransf) else last.source
+    return _regrouped(args, g, dataclasses.replace(g, annotation=_another_atlas(g.annotation)))
 
 
 OTHER_MEMOS = sorted(_other_cases())
@@ -467,6 +507,22 @@ def test_other_memo_is_exact(name):
         assert other != args
         _exact(fn, other)
         assert fn.misses == misses + 2, (name, args)
+
+
+def test_fred_inverse_needs_presenting_atlases():
+    """A groupoid annotated with no atlas, or with a chart cover, presents no
+    atlas: `fred_inverse` raises and stores nothing."""
+    memo_mod.clear()
+    psi = frd.fred1(MORPHISMS["flip_M"], WORD_BOUND)
+    g = psi.source
+    for note in (None, tuple(g.pieces)):
+        other = _regrouped(psi, g, dataclasses.replace(g, annotation=note))
+        for _ in range(2):
+            with pytest.raises(frd.UnsupportedGroupoidError):
+                frd.fred_inverse(other)
+    assert not frd.fred_inverse.table
+    assert frd.fred_inverse(psi) is MORPHISMS["flip_M"]
+    assert list(frd.fred_inverse.table) == [(psi,)]
 
 
 def test_every_memo_is_covered():
@@ -527,19 +583,25 @@ def _mutable_inside(x, seen):
 
 
 def test_no_memo_stores_a_mutable_container():
-    """Over the catalog, its `fred1` images and the BF3 checks of one slice
-    of the depth-2 universe, as a `bf-atlas` benchmark job cuts it."""
+    """Over the catalog, its `fred1` images, the BF3 checks of one slice of
+    the depth-2 atlas universe, as a `bf-atlas` benchmark job cuts it, and
+    the BF3 and BF4 checks of the same slice of the groupoid universe (its
+    BF4 composes transformations horizontally)."""
     memo_mod.clear()
     morphisms, _ = fx._build_morphisms()
     catalog_2cells()
     for _, m in sorted(morphisms.items()):
         frd.fred1(m, WORD_BOUND)
-    ops, uni = cli._builtin_universe("atlas", WORD_BOUND)
-    assert frc.check_bf(ops, 3, frc.Universe(uni.objects, uni.cells[::8]),
-                        frc.ChoiceTable()).ok
+    for instance, axioms in (("atlas", (3,)), ("groupoid", (3, 4))):
+        ops, uni = cli._builtin_universe(instance, WORD_BOUND)
+        table = frc.ChoiceTable()
+        for axiom in axioms:
+            assert frc.check_bf(ops, axiom, frc.Universe(uni.objects, uni.cells[::8]),
+                                table).ok
     stored = [fn for fn in memo_mod._MEMOS if fn.table]
     names = {fn.__qualname__ for fn in stored}
-    assert {"Region.preimage_under", "fred1", "pullback_square"} <= names
+    assert {"Region.preimage_under", "fred1", "pullback_square",
+            "fred_inverse", "horizontal_compose_nt"} <= names
     for fn in stored:
         seen = {}
         for entry in fn.table.items():
