@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import AffineMap, PartialAffineIso, Region, clashes
@@ -37,7 +36,6 @@ FAMILY_CAP = 256
 # ---------------------------------------------------------------------------
 
 @interned
-@dataclass(frozen=True)
 class Chart:
     """Connected open region with a finite effective affine symmetry group.
 
@@ -64,7 +62,6 @@ class Chart:
 
 
 @interned
-@dataclass(frozen=True)
 class ChangeOfCharts:
     """Partial affine isomorphism from one chart to another, compatible with
     the implicit projections.  The domain may have several components; each
@@ -119,7 +116,6 @@ def compose_changes(later: ChangeOfCharts, earlier: ChangeOfCharts):
 
 
 @interned
-@dataclass(frozen=True)
 class Atlas:
     """Finite family of charts together with generating changes of charts."""
 
@@ -156,6 +152,10 @@ class Atlas:
     def _key(self):
         return (tuple(c.key() for c in self.charts), tuple(g.key() for g in self.generators))
 
+    @cached_property
+    def _parts(self):
+        return frozenset(self.charts + self.generators)
+
 
 def merge_many(*atlases):
     """Merge any number of atlases (ignoring Nones); None when inconsistent."""
@@ -172,13 +172,18 @@ def merge_many(*atlases):
 def merge_atlases(a: Atlas, b: Atlas):
     """Union of two atlases identifying charts with equal ids.  Returns None
     when a shared id carries different chart data (no canonical merge).
-    An atlas with no charts merges to the other one."""
+    An atlas with no charts merges to the other one, and so does an atlas
+    whose charts and generators the other one holds."""
     if not a.charts:
         return b
     if not b.charts:
         return a
     if a.dim != b.dim:
         return None
+    if b._parts <= a._parts:
+        return a
+    if a._parts <= b._parts:
+        return b
     charts = {c.cid: c for c in a.charts}
     for c in b.charts:
         if c.cid in charts and charts[c.cid] != c:
@@ -451,7 +456,6 @@ def validate_atlas(atlas: Atlas, bound: int) -> Report:
 # ---------------------------------------------------------------------------
 
 @interned
-@dataclass(frozen=True)
 class PEntry:
     """One element of the distinguished generating family of changes of
     charts carried by a morphism representative, with its assigned change of
@@ -481,7 +485,6 @@ def _normalize_entries(entries):
 
 
 @interned
-@dataclass(frozen=True)
 class Morphism:
     """A morphism of atlases, held as a normalized representative of its
     germ-agreement class.  `certificate`, when present, is an atlas whose
@@ -785,7 +788,7 @@ def pushforward(atlas: Atlas, h: AffineMap, bound: int):
 # Classification: refinements, weak equivalences, open embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@interned
 class Classification:
     label: str           # refinement | weak_equivalence | open_embedding |
                          # general | undecided
@@ -896,7 +899,6 @@ def classify_morphism(m: Morphism, bound: int) -> Classification:
 # ---------------------------------------------------------------------------
 
 @interned
-@dataclass(frozen=True)
 class TwoCell:
     """A 2-morphism between parallel morphisms, as a normalized family of
     patches (region of the source chart, change of the target atlas)."""

@@ -545,7 +545,9 @@ def cmd_morita(args):
 def cmd_classify(args):
     cls = atl.classify_morphism(_load(args.file, "morphism"), args.bound)
     notes = list(cls.notes)
-    rep = Report("classification", undecided=notes if cls.label == "undecided" else [])
+    rep = Report("classification")
+    if cls.label == "undecided":
+        rep.undecided = notes
     return _report(rep, notes=notes, witness=_wjson(cls.witness), **{"class": cls.label})
 
 

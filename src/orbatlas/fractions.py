@@ -15,7 +15,6 @@ units.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import atlas as atl
 from . import fred as frd
@@ -24,26 +23,22 @@ from .memo import memo
 from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError
 
 
-@dataclass
 class TwoCatOps:
     """Operation bundle of a 2-category with a distinguished class W.  The
     engine reads endpoints off the cells: a 1-cell's `source` and `target`,
-    a 2-cell's `source_morphism` and `target_morphism`."""
+    a 2-cell's `source_morphism` and `target_morphism`.
 
-    name: str
-    compose1: callable
-    id1: callable
-    eq1: callable
-    id2: callable
-    comp2v: callable
-    comp2h: callable
-    inv2: callable
-    eq2: callable
-    validate2: callable
-    is_w: callable          # bool, or None when undecided
-    square: callable        # (f, w in W) -> (D, w', f', invertible 2-cell)
-    connect2: callable      # unique 2-cell between parallel W-composites
-    cancel: callable        # (v in W, x, y, cell: v x => v y) -> (x => y)
+    `is_w` gives a bool, or None when undecided; `square(f, w in W)` gives
+    (D, w', f', invertible 2-cell); `connect2` the unique 2-cell between
+    parallel W-composites; `cancel(v in W, x, y, cell: v x => v y)` the
+    2-cell x => y."""
+
+    def __init__(self, name, compose1, id1, eq1, id2, comp2v, comp2h, inv2, eq2,
+                 validate2, is_w, square, connect2, cancel):
+        self.name, self.compose1, self.id1, self.eq1 = name, compose1, id1, eq1
+        self.id2, self.comp2v, self.comp2h, self.inv2 = id2, comp2v, comp2h, inv2
+        self.eq2, self.validate2, self.is_w = eq2, validate2, is_w
+        self.square, self.connect2, self.cancel = square, connect2, cancel
 
     def cell_key(self, cell):
         """A 1-cell as a dict key: the value itself, which holds its
@@ -134,14 +129,14 @@ def groupoid_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
 # Spans and fraction cells
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Span:
     """A 1-cell of the localized bicategory: (middle, W-leg to the source,
     arrow leg to the target)."""
 
-    middle: object
-    left: object    # in W, middle -> source object
-    right: object   # middle -> target object
+    def __init__(self, middle, left, right):
+        self.middle = middle
+        self.left = left    # in W, middle -> source object
+        self.right = right  # middle -> target object
 
 
 def span_equal(ops, s, t) -> bool:
@@ -163,7 +158,6 @@ def validate_span(ops, s: Span) -> Report:
     return rep
 
 
-@dataclass
 class FractionCell:
     """A 2-cell of the localized bicategory, in the simplified shape: a
     middle object with two W-legs into the middles of the parallel spans and
@@ -171,12 +165,11 @@ class FractionCell:
     exists uniquely and is not stored: the pastings that need it build it
     with `ops.connect2`."""
 
-    src_span: Span
-    dst_span: Span
-    middle: object
-    left_leg: object    # in W, middle -> src_span.middle
-    right_leg: object   # in W, middle -> dst_span.middle
-    base: object        # 2-cell: src.right o left_leg => dst.right o right_leg
+    def __init__(self, src_span, dst_span, middle, left_leg, right_leg, base):
+        self.src_span, self.dst_span, self.middle = src_span, dst_span, middle
+        self.left_leg = left_leg    # in W, middle -> src_span.middle
+        self.right_leg = right_leg  # in W, middle -> dst_span.middle
+        self.base = base            # 2-cell: src.right o left_leg => dst.right o right_leg
 
 
 def identity_fraction_cell(ops, s: Span) -> FractionCell:
@@ -421,13 +414,13 @@ def associator(ops, table, s3: Span, s2: Span, s1: Span) -> FractionCell:
 # BF axioms, saturation, 2-out-of-3
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Universe:
     """A finite enumeration of objects and 1-cells to check axioms over."""
 
-    objects: list          # (name, object)
-    cells: list            # (name, 1-cell)
-    undecided: list = field(default_factory=list)  # identities left out
+    def __init__(self, objects, cells, undecided=()):
+        self.objects = objects              # (name, object)
+        self.cells = cells                  # (name, 1-cell)
+        self.undecided = list(undecided)    # identities left out
 
     def composable_pairs(self):
         for (n1, f), (n2, g) in itertools.product(self.cells, repeat=2):

@@ -32,7 +32,6 @@ comparisons reduce to exact equality of rational matrices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -952,7 +951,6 @@ class Region:
 # ---------------------------------------------------------------------------
 
 @interned
-@dataclass(frozen=True)
 class PartialAffineIso:
     """An invertible affine map restricted to an open region; the codomain is
     always the exact image of the domain."""
@@ -987,7 +985,7 @@ class PartialAffineIso:
         return (self.map.key(), self.dom.key())
 
 
-@dataclass(frozen=True)
+@interned
 class Germ:
     """Germ of a partial affine isomorphism at a point.  Affine rigidity
     makes two germs equal exactly when base points and maps are equal."""

@@ -10,8 +10,6 @@ claim more than the checked universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import atlas as atl
 from . import fractions as frc
 from . import fred as frd
@@ -234,11 +232,11 @@ def check_a5(catalog, bound) -> Report:
     return rep
 
 
-@dataclass
 class EquivalenceReport:
-    axioms: dict = field(default_factory=dict)
-    round_trips: dict = field(default_factory=dict)
-    commutation: dict = field(default_factory=dict)
+    def __init__(self, axioms=None, round_trips=None, commutation=None):
+        self.axioms = {} if axioms is None else axioms
+        self.round_trips = {} if round_trips is None else round_trips
+        self.commutation = {} if commutation is None else commutation
 
     def verdict(self) -> Report:
         """The parts as one report: each axiom's violations and undecided

@@ -13,7 +13,6 @@ point are separated by their affine maps, a finite check by rigidity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import AffineMap, Germ, PartialAffineIso, Region, clashes
@@ -22,7 +21,6 @@ from .reports import ComposabilityError, NoSuchCellError, Report
 
 
 @interned
-@dataclass(frozen=True)
 class ArrowFamily:
     """The set of germs {(x, iso.map) : x in iso.dom} between two pieces."""
 
@@ -48,7 +46,6 @@ class ArrowFamily:
 
 
 @interned
-@dataclass(frozen=True)
 class PresentedGroupoid:
     pieces: tuple          # sorted (piece id, Region) pairs
     families: tuple        # ArrowFamily, sorted by fid
@@ -214,7 +211,6 @@ def orbit(g: PresentedGroupoid, p) -> set:
 # ---------------------------------------------------------------------------
 
 @interned
-@dataclass(frozen=True)
 class GroupoidMorphism:
     source: PresentedGroupoid
     target: PresentedGroupoid
@@ -332,7 +328,6 @@ def validate_gpd_morphism(psi: GroupoidMorphism) -> Report:
 
 
 @interned
-@dataclass(frozen=True)
 class NatTransf:
     """Assignment of a target arrow to every source object: piecewise, a
     region and the arrow family whose germs are taken over it."""

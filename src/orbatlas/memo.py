@@ -26,29 +26,73 @@ part, certificates and annotations included.  The table holds its objects
 weakly: a value that nothing else holds leaves it.  Nothing empties a
 table, `clear()` included, since an equal value built later must still be
 the object that lives on.
+
+Neither decorator generates code: parameters are read from a function's
+code object and fields from a class's annotations, so importing orbatlas
+execs nothing and loads neither `inspect` nor `dataclasses`.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import weakref
 
 _MISSING = object()
 _MEMOS = []
+_CO_VARARGS, _CO_VARKEYWORDS = 0x04, 0x08
+
+
+def _parameters(fn):
+    """The parameter names of a plain function and the defaults of the last
+    of them, read from its code object.  Only parameters that may be passed
+    either way are allowed: `*args`, `**kwargs`, keyword-only and
+    positional-only parameters are refused."""
+    code = fn.__code__
+    if (code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS)
+            or code.co_kwonlyargcount or code.co_posonlyargcount):
+        raise TypeError(f"{fn.__qualname__}: only parameters that may be passed "
+                        "by position or keyword are supported")
+    return code.co_varnames[:code.co_argcount], fn.__defaults__ or ()
+
+
+def _binder(name, params, defaults):
+    """`bind(*args, **kwargs)`: the tuple of all parameters of a call,
+    keywords placed and defaults applied; a call that the function itself
+    would refuse raises `TypeError`."""
+    arity = len(params)
+    required = arity - len(defaults)
+
+    def bind(*args, **kwargs):
+        if not kwargs and len(args) == arity:
+            return args
+        if len(args) > arity:
+            raise TypeError(f"{name}() takes {arity} arguments but {len(args)} were given")
+        out = list(args)
+        for i in range(len(args), arity):
+            value = kwargs.pop(params[i], _MISSING)
+            if value is _MISSING:
+                if i < required:
+                    raise TypeError(f"{name}() missing required argument {params[i]!r}")
+                value = defaults[i - required]
+            out.append(value)
+        for key in kwargs:
+            what = "multiple values for" if key in params else "an unexpected keyword"
+            raise TypeError(f"{name}() got {what} argument {key!r}")
+        return tuple(out)
+
+    return bind
 
 
 def memo(fn):
     table = {}
-    signature = inspect.signature(fn)
-    arity = len(signature.parameters)
+    params, defaults = _parameters(fn)
+    arity = len(params)
+    bind = _binder(fn.__qualname__, params, defaults)
 
     @functools.wraps(fn)
     def memoized(*args, **kwargs):
         if kwargs or len(args) != arity:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+            args = bind(*args, **kwargs)
         out = table.get(args, _MISSING)
         if out is _MISSING:
             memoized.misses += 1
@@ -79,34 +123,61 @@ class _Ref(weakref.ref):
 def interned(cls):
     """Class decorator: equal values of `cls` are one object.
 
-    Two independent hooks.  `_canonical`, static, with the field names as
-    parameters (`dataclasses.replace` passes keywords), gives the canonical
-    field tuple of a call; without it the fields are the call's arguments
-    bound to the set-up's parameters, defaults applied.  `_setup(self,
-    *fields)` fills a new object; without it `__init__` (for a dataclass,
-    the generated one) does, and leaves the class, so that finding a value
-    sets nothing up again.  `__eq__` and `__hash__` are `object`'s, the
-    dataclass-generated ones replaced.  Pickling and copying rebuild
-    through the constructor, so they give back the object itself."""
+    The fields of a class with annotations are the annotated names, in
+    order; a field's default is the class attribute of its name.  From them
+    come the set-up, which assigns each field with `object.__setattr__` (it
+    never writes to `__dict__` as a whole, which on CPython 3.11 would make
+    every later attribute read slower), `__repr__` in the form
+    `Class(field=value, ...)`, a frozen `__setattr__` and `__delattr__`, and
+    `__replace__(**changes)`, the protocol of `copy.replace`.  A class
+    without annotations (`AffineMap`, `Region`) keeps its own.
+
+    Two hooks replace parts of that.  `_canonical`, static, with the field
+    names as parameters (`__replace__` passes keywords), gives the
+    canonical field tuple of a call; without it the fields are the call's
+    arguments bound to the fields, or to the set-up's parameters, defaults
+    applied.  `_setup(self, *fields)` fills a new object; without it the
+    field set-up does, or else `__init__`, which then leaves the class, so
+    that finding a value sets nothing up again.  `__eq__` and `__hash__`
+    are `object`'s.  Pickling and copying rebuild through the constructor,
+    so they give back the object itself."""
     table = {}
+    names = tuple(vars(cls).get("__annotations__", ()))
+    defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
+    if names:
+        def field_setup(obj, *fields, _set=object.__setattr__):
+            for name, value in zip(names, fields):
+                _set(obj, name, value)
+
+        def __repr__(self):
+            body = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields))
+            return f"{type(self).__qualname__}({body})"
+
+        def __setattr__(self, name, value):
+            raise AttributeError(f"cannot assign to field {name!r}")
+
+        def __delattr__(self, name):
+            raise AttributeError(f"cannot delete field {name!r}")
+
+        def __replace__(self, **changes):
+            return type(self)(*[changes.pop(n, v) for n, v in zip(names, self._fields)],
+                              **changes)
+
+        cls.__repr__, cls.__replace__ = __repr__, __replace__
+        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     if "_setup" in vars(cls):
         setup = cls._setup
+    elif names:
+        setup = field_setup
     else:
         setup = cls.__init__
         del cls.__init__
+        names, defaults = _parameters(setup)
+        names = names[1:]
     if "_canonical" in vars(cls):
         canonical = cls._canonical
     else:
-        signature = inspect.signature(setup)
-        signature = signature.replace(parameters=list(signature.parameters.values())[1:])
-        arity = len(signature.parameters)
-
-        def canonical(*args, **kwargs):
-            if kwargs or len(args) != arity:
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                return bound.args
-            return args
+        canonical = _binder(cls.__qualname__, names, defaults)
 
     def drop(ref):
         if table.get(ref.key) is ref:

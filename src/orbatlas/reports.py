@@ -8,28 +8,37 @@ bound was too small to settle.  Undecided is never conflated with failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import AffineMap
 
 
-@dataclass(frozen=True)
 class Violation:
-    code: str
-    message: str
-    witness: object = None
+    """One broken axiom: its tag, a message and a rational witness or None.
+    Equal violations are equal, so a report can skip one it already holds."""
+
+    def __init__(self, code: str, message: str, witness=None):
+        self.code, self.message, self.witness = code, message, witness
+
+    def __eq__(self, other):
+        if not isinstance(other, Violation):
+            return NotImplemented
+        return (self.code, self.message, self.witness) == (other.code, other.message, other.witness)
+
+    def __hash__(self):
+        return hash((self.code, self.message, self.witness))
+
+    def __repr__(self):
+        return f"Violation(code={self.code!r}, message={self.message!r}, witness={self.witness!r})"
 
     def __str__(self):
         w = f" at witness {self.witness}" if self.witness is not None else ""
         return f"[{self.code}] {self.message}{w}"
 
 
-@dataclass
 class Report:
-    subject: str
-    violations: list = field(default_factory=list)
-    undecided: list = field(default_factory=list)
+    def __init__(self, subject: str):
+        self.subject, self.violations, self.undecided = subject, [], []
 
     @property
     def ok(self) -> bool:

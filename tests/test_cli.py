@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import sys
@@ -441,7 +440,7 @@ def test_saved_choice_table_reloads_byte_for_byte(tmp_path):
 
 def test_saved_choice_table_orders_pairs_that_differ_only_in_a_certificate(tmp_path):
     ops, f, w = frc.atlas_ops(), M["flip_M"], M["leg1_MR_M"]
-    bare = dataclasses.replace(w, certificate=None)
+    bare = w.__replace__(certificate=None)
     assert bare.key() == w.key() and bare != w
     saved = []
     for order in ((w, bare), (bare, w)):

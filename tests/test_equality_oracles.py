@@ -7,13 +7,17 @@ pair of parallel cells of the catalog, of its `fred` images and of both
 depth-2 universes.  On those cells the germs never clash where the ends
 are equal, so each list also holds transplants: a cell with the ends of
 one cell and the entries, patches or assignments of a parallel one, on
-which the loops decide."""
+which the loops decide.
 
-import dataclasses
+`merge_atlases` returns an input when the other adds nothing; its body
+before that shortcut is the reference on every pair of the atlases and
+certificates of the catalog and of a BF3 run."""
+
 import itertools
 
 from orbatlas import atlas as atl
 from orbatlas import cli
+from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas import groupoid as gpd
 from orbatlas.atlas import WORD_BOUND
@@ -77,7 +81,7 @@ def _with_transplants(cells, field):
     """The cells, and each cell with `field` taken from a parallel one."""
     cells = list(dict.fromkeys(cells))
     return list(dict.fromkeys(
-        cells + [dataclasses.replace(a, **{field: getattr(b, field)})
+        cells + [a.__replace__(**{field: getattr(b, field)})
                  for a, b in _parallel(cells)]))
 
 
@@ -119,3 +123,46 @@ def test_equal_nat_transfs_agrees_with_the_reference():
     nts = [frd.fred2(c, WORD_BOUND) for c in cells] + [gpd.identity_nat_transf(m) for m in ones]
     assert _agree(gpd.equal_nat_transfs, _reference_equal_nat_transfs,
                   _with_transplants(nts, "assignments"))
+
+
+# -- merge_atlases against its body before the shortcut -----------------------
+
+def _reference_merge_atlases(a, b):
+    if not a.charts:
+        return b
+    if not b.charts:
+        return a
+    if a.dim != b.dim:
+        return None
+    charts = {c.cid: c for c in a.charts}
+    for c in b.charts:
+        if c.cid in charts and charts[c.cid] != c:
+            return None
+        charts[c.cid] = c
+    gens = dict.fromkeys(a.generators + b.generators)
+    return atl.Atlas(tuple(charts.values()), tuple(gens))
+
+
+def _bf3_atlases():
+    """The atlases and certificates of the catalog, of the depth-2 atlas
+    universe and of the squares that BF3 chooses on one slice of it."""
+    ops, uni = cli._builtin_universe("atlas", WORD_BOUND)
+    table = frc.ChoiceTable()
+    assert frc.check_bf(ops, 3, frc.Universe(uni.objects, uni.cells[::8]), table).ok
+    ones = list(MORPHISMS.values()) + [m for _, m in uni.cells]
+    for (f, w), (_, wp, fp, _) in table.entries.items():
+        ones += [f, w, wp, fp]
+    atlases = [a for _, a in uni.objects]
+    for m in ones:
+        atlases += [m.source, m.target, m.certificate]
+    return list(dict.fromkeys(a for a in atlases if a is not None))
+
+
+def test_merge_atlases_is_the_reference_merge():
+    atlases = _bf3_atlases()
+    kinds = set()
+    for a, b in itertools.product(atlases, repeat=2):
+        got = atl.merge_atlases(a, b)
+        assert got is _reference_merge_atlases(a, b), (a, b)
+        kinds.add("none" if got is None else "input" if got in (a, b) else "new")
+    assert kinds == {"none", "input", "new"}

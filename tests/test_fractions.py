@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -198,7 +198,9 @@ def _raising(ops, field, exc):
         if exc is NoSuchCellError:
             raise exc(f"{field} raised", _WITNESS)
         raise exc(f"{field} raised")
-    return dataclasses.replace(ops, **{field: stub})
+    out = copy.copy(ops)
+    setattr(out, field, stub)
+    return out
 
 
 @pytest.fixture(scope="module")

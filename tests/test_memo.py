@@ -1,10 +1,12 @@
 import ast
-import dataclasses
 import functools
 import importlib
 import itertools
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,8 @@ from orbatlas.fixtures import (
 )
 from orbatlas.geometry import AffineMap, PartialAffineIso, Region, aff1, aff2
 from orbatlas.memo import memo
-from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
+from orbatlas.gred import EquivalenceReport
+from orbatlas.reports import ComposabilityError, NoSuchCellError, Report, UndecidedError, Violation
 
 SRC = Path(memo_mod.__file__).parent
 
@@ -71,6 +74,97 @@ def test_key_is_the_arguments_with_defaults_applied():
     assert g(2, k=3) == g(2, 3) == 6
     assert calls == [(2, 1), (2, 3)]
     assert list(g.table) == [(2, 1), (2, 3)]
+
+
+BAD_CALLS = [((1, 2, 3, 4), {}), ((1,), {}), ((1, 2), {"z": 3}), ((1, 2), {"x": 3}),
+             ((), {"y": 2, "k": 3})]
+
+
+@pytest.mark.parametrize("args, kwargs", BAD_CALLS)
+def test_a_bad_call_raises_as_a_direct_call(args, kwargs):
+    """Too many arguments, a missing one, an unknown keyword and a keyword
+    that clashes with a positional argument raise `TypeError`, as in a
+    direct call, and store nothing."""
+    def g(x, y, k=1):
+        return x + y + k
+
+    memoized = memo(g)
+    with pytest.raises(TypeError):
+        g(*args, **kwargs)
+    with pytest.raises(TypeError):
+        memoized(*args, **kwargs)
+    assert not memoized.table
+
+
+def test_a_bad_value_call_raises():
+    """The same four faults in a call of a value class without
+    `_canonical`, whose fields are bound like a function's parameters, and
+    an unknown field given to `__replace__`."""
+    iso = PartialAffineIso(aff1(1), Region.interval(0, 1))
+    ch = atl.ChangeOfCharts("M", "M", iso)
+    assert atl.ChangeOfCharts("M", dst="M", iso=iso) is ch
+    for args, kwargs in ((("M", "M", iso, iso), {}), (("M",), {}),
+                         (("M", "M"), {"z": iso}), (("M", "M"), {"src": "M"})):
+        with pytest.raises(TypeError):
+            atl.ChangeOfCharts(*args, **kwargs)
+    with pytest.raises(TypeError):
+        ch.__replace__(z=3)
+
+
+def test_only_plain_parameters_are_accepted():
+    def star(*args):
+        return args
+
+    def stars(x, **kwargs):
+        return x
+
+    def keyword_only(x, *, k=1):
+        return x
+
+    def positional_only(x, /):
+        return x
+
+    for fn in (star, stars, keyword_only, positional_only):
+        with pytest.raises(TypeError):
+            memo(fn)
+
+
+def _generating_imports(path):
+    """The imports of `dataclasses` and `inspect` in a module, which load
+    code generation (`ast`, `dis`, `tokenize`) into every process."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n.split(".")[0] in ("dataclasses", "inspect") for n in names):
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_src_imports_neither_dataclasses_nor_inspect():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _generating_imports(path)]
+    assert found == []
+
+
+def test_import_guard_sees_both(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("import os, inspect\nfrom dataclasses import dataclass\n"
+                 "def f():\n    import inspect.x\n")
+    assert _generating_imports(p) == ["m.py:1", "m.py:2", "m.py:4"]
+
+
+def test_importing_the_cli_loads_no_code_generation():
+    """A fresh interpreter (without `site`, so that nothing else loads them)
+    that imports the command line has none of these modules."""
+    code = ("import sys, orbatlas.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_fred0_and_fred1_share_an_entry_whatever_the_bound_spelling():
@@ -212,10 +306,10 @@ def _recertified(x, pick):
         if not pick():
             return x
         alt = None if x.certificate is not None else atl.merge_atlases(x.source, x.target)
-        return dataclasses.replace(x, certificate=alt)
+        return x.__replace__(certificate=alt)
     if isinstance(x, atl.TwoCell):
-        return dataclasses.replace(x, source_morphism=_recertified(x.source_morphism, pick),
-                                   target_morphism=_recertified(x.target_morphism, pick))
+        return x.__replace__(source_morphism=_recertified(x.source_morphism, pick),
+                             target_morphism=_recertified(x.target_morphism, pick))
     if isinstance(x, tuple):
         return tuple(_recertified(item, pick) for item in x)
     return x
@@ -455,11 +549,11 @@ def _regrouped(x, g, h):
     if x is g:
         return h
     if isinstance(x, gpd.GroupoidMorphism):
-        return dataclasses.replace(x, source=_regrouped(x.source, g, h),
-                                   target=_regrouped(x.target, g, h))
+        return x.__replace__(source=_regrouped(x.source, g, h),
+                             target=_regrouped(x.target, g, h))
     if isinstance(x, gpd.NatTransf):
-        return dataclasses.replace(x, source_morphism=_regrouped(x.source_morphism, g, h),
-                                   target_morphism=_regrouped(x.target_morphism, g, h))
+        return x.__replace__(source_morphism=_regrouped(x.source_morphism, g, h),
+                             target_morphism=_regrouped(x.target_morphism, g, h))
     if isinstance(x, tuple):
         return tuple(_regrouped(item, g, h) for item in x)
     return x
@@ -481,7 +575,7 @@ def _changed(name, args):
     # the source groupoid of the last argument, annotated with another atlas
     last = args[-1]
     g = last.source_morphism.source if isinstance(last, gpd.NatTransf) else last.source
-    return _regrouped(args, g, dataclasses.replace(g, annotation=_another_atlas(g.annotation)))
+    return _regrouped(args, g, g.__replace__(annotation=_another_atlas(g.annotation)))
 
 
 OTHER_MEMOS = sorted(_other_cases())
@@ -516,7 +610,7 @@ def test_fred_inverse_needs_presenting_atlases():
     psi = frd.fred1(MORPHISMS["flip_M"], WORD_BOUND)
     g = psi.source
     for note in (None, tuple(g.pieces)):
-        other = _regrouped(psi, g, dataclasses.replace(g, annotation=note))
+        other = _regrouped(psi, g, g.__replace__(annotation=note))
         for _ in range(2):
             with pytest.raises(frd.UnsupportedGroupoidError):
                 frd.fred_inverse(other)
@@ -555,12 +649,14 @@ def test_covers_witness_reads_a_generator_once():
 # -- no memo stores a mutable container ---------------------------------------
 
 MUTABLE = (list, dict, set)
+RECORDS = (Violation, Report, frc.Span, frc.FractionCell, frc.Universe, EquivalenceReport,
+           frc.TwoCatOps)
 
 
 def _mutable_inside(x, seen):
     """The first list, dict or set found inside a value: the value itself, the
-    items of its tuples and frozensets, the fields of its dataclasses and
-    the pieces of its regions.  `seen` maps the id of each value walked to
+    items of its tuples and frozensets, the fields of its interned values
+    (the pieces of a region included) and the attributes of its records.  `seen` maps the id of each value walked to
     the value, which keeps it alive, so that no later value takes its id."""
     if id(x) in seen:
         return None
@@ -569,10 +665,10 @@ def _mutable_inside(x, seen):
         return x
     if isinstance(x, (tuple, frozenset)):
         items = x
-    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-        items = [getattr(x, f.name) for f in dataclasses.fields(x)]
-    elif isinstance(x, Region):
-        items = x.pieces
+    elif "_interned" in vars(type(x)):
+        items = x._fields
+    elif isinstance(x, RECORDS):
+        items = vars(x).values()
     else:
         return None
     for item in items:
@@ -610,11 +706,8 @@ def test_no_memo_stores_a_mutable_container():
 
 
 def test_mutable_guard_sees_a_list():
-    @dataclasses.dataclass(frozen=True)
-    class Box:
-        items: object
-
-    assert _mutable_inside((1, Box((2, [3]))), {}) == [3]
-    assert _mutable_inside(Box({"a": 1}), {}) == {"a": 1}
+    assert _mutable_inside((1, frc.Span(None, (2, [3]), None)), {}) == [3]
+    assert _mutable_inside(frc.Span({"a": 1}, None, None), {}) == {"a": 1}
+    assert _mutable_inside(Violation("X", "x", (1, [2])), {}) == [2]
     assert _mutable_inside(((), set()), {}) == set()
     assert _mutable_inside((Region.interval(0, 1), frozenset({2})), {}) is None

@@ -16,16 +16,18 @@ below adds them, so that it is exactly what equality compares.
 """
 
 import copy
-import dataclasses
 import gc
+import importlib
 import itertools
 import pickle
+import pkgutil
 import weakref
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
+import orbatlas
 from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
@@ -35,13 +37,14 @@ from orbatlas.atlas import (
     Atlas,
     ChangeOfCharts,
     Chart,
+    Classification,
     Morphism,
     PEntry,
     TwoCell,
     classify_morphism,
 )
 from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED, catalog_2cells
-from orbatlas.geometry import AffineMap, PartialAffineIso, Region, aff1
+from orbatlas.geometry import AffineMap, Germ, PartialAffineIso, Region, aff1
 from orbatlas.groupoid import ArrowFamily, GroupoidMorphism, NatTransf, PresentedGroupoid
 
 COMPLETE_KEY = (Chart, ChangeOfCharts, PartialAffineIso, Atlas, PEntry)
@@ -79,8 +82,8 @@ def content(x):
 
 def _collect(values, classes=CLASSES):
     """Every value of `classes` (by default the eleven) reachable from
-    `values` through dataclass fields and tuples, by class, each object
-    once."""
+    `values` through the fields of interned values and tuples, by class,
+    each object once."""
     by_class, seen = defaultdict(list), set()
     stack = list(values)
     while stack:
@@ -90,8 +93,7 @@ def _collect(values, classes=CLASSES):
         elif isinstance(x, classes) and id(x) not in seen:
             seen.add(id(x))
             by_class[type(x)].append(x)
-            if dataclasses.is_dataclass(x):
-                stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+            stack.extend(x._fields)
     return by_class
 
 
@@ -162,11 +164,10 @@ def test_morphism_keys_collide_but_values_do_not(by_class):
 
 def test_recertified_and_reannotated_values_are_other_values(by_class):
     for m in by_class[Morphism]:
-        other = dataclasses.replace(m, certificate=m.target if m.certificate is None else None)
+        other = m.__replace__(certificate=m.target if m.certificate is None else None)
         assert other != m and not other == m
     for g in by_class[PresentedGroupoid]:
-        other = dataclasses.replace(g, annotation=ATLASES["TRIV"] if g.annotation is None
-                                    else None)
+        other = g.__replace__(annotation=ATLASES["TRIV"] if g.annotation is None else None)
         assert other != g and not other == g
 
 
@@ -175,7 +176,7 @@ def test_a_recertified_morphism_has_its_own_entries():
     the merge of its ends; it is another key of the classification memo and
     of a choice table, and its square is another square."""
     w = MORPHISMS["leg1_MR_M"]
-    bare = dataclasses.replace(w, certificate=None)
+    bare = w.__replace__(certificate=None)
     assert bare != w
     memo.clear()
     assert classify_morphism(w, WORD_BOUND) == classify_morphism(bare, WORD_BOUND)
@@ -200,6 +201,26 @@ INTERNED = CLASSES + (AffineMap, Region)
 
 def _content_or_key(x):
     return x.key() if isinstance(x, (AffineMap, Region)) else content(x)
+
+
+def test_every_interned_class_is_covered():
+    """The interned classes of the package are the thirteen above, and the
+    germs and classifications checked below."""
+    found = set()
+    for module in pkgutil.iter_modules(orbatlas.__path__):
+        mod = importlib.import_module(f"orbatlas.{module.name}")
+        found |= {c for c in vars(mod).values() if isinstance(c, type) and "_interned" in vars(c)}
+    assert found == set(INTERNED) | {Germ, Classification}
+
+
+def test_germs_and_classifications_are_interned():
+    g = Germ((Fraction(1, 2),), aff1(-1))
+    assert Germ((Fraction(1, 2),), map=aff1(-1)) is g
+    assert pickle.loads(pickle.dumps(g)) is g and g.__replace__() is g
+    for m in MORPHISMS.values():
+        c = classify_morphism(m, WORD_BOUND)
+        assert Classification(c.label, c.notes, c.witness) is c
+        assert pickle.loads(pickle.dumps(c)) is c and c.__replace__() is c
 
 
 # A constructor call of each class that sorts or merges its parts, with
@@ -238,8 +259,8 @@ def test_equal_values_are_one_object(by_class, cls):
     for x in values:
         assert pickle.loads(pickle.dumps(x)) is x
         assert copy.copy(x) is x and copy.deepcopy(x) is x
-        if dataclasses.is_dataclass(x):
-            assert dataclasses.replace(x) is x
+        if cls not in (AffineMap, Region):
+            assert x.__replace__() is x
         if cls in PERMUTED:
             assert PERMUTED[cls](x) is x
 
