@@ -57,9 +57,6 @@ class Chart:
     def dim(self):
         return self.domain.dim
 
-    def key(self):
-        return (self.cid, self.domain.key(), tuple(g.key() for g in self.group))
-
 
 @interned
 class ChangeOfCharts:
@@ -95,13 +92,6 @@ class ChangeOfCharts:
         domains; `other` carries that family too."""
         return ChangeOfCharts(self.src, self.dst,
                               PartialAffineIso(self.map, self.dom.union(other.dom)))
-
-    def key(self):
-        return self._key
-
-    @cached_property
-    def _key(self):
-        return (self.src, self.dst, self.iso.key())
 
 
 def compose_changes(later: ChangeOfCharts, earlier: ChangeOfCharts):
@@ -144,13 +134,6 @@ class Atlas:
 
     def chart_ids(self):
         return tuple(c.cid for c in self.charts)
-
-    def key(self):
-        return self._key
-
-    @cached_property
-    def _key(self):
-        return (tuple(c.key() for c in self.charts), tuple(g.key() for g in self.generators))
 
     @cached_property
     def _parts(self):
@@ -463,13 +446,6 @@ class PEntry:
 
     change: ChangeOfCharts
     nu: ChangeOfCharts
-
-    def key(self):
-        return self._key
-
-    @cached_property
-    def _key(self):
-        return (self.change.key(), self.nu.key())
 
 
 def _normalize_entries(entries):

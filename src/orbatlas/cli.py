@@ -83,9 +83,10 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s, path=""):
+    """A rational, which documents write as a string."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        return Fraction(_typed(s, str, path))
+    except (ValueError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational: {s!r}")
 
 
@@ -253,15 +254,15 @@ def groupoid_doc(g: gpd.PresentedGroupoid):
 
 
 def parse_groupoid(doc, path=""):
-    ann = _typed(doc, dict, path).get("annotation")
-    note = None
-    if isinstance(ann, dict) and ann.get("type") == "atlas":
-        note = parse_atlas(_need(ann, "atlas", f"{path}/annotation"),
-                           f"{path}/annotation")
-    elif isinstance(ann, dict) and ann.get("type") == "cover":
-        cover = _tuples(_need(ann, "cover", f"{path}/annotation"), 2, f"{path}/annotation/cover")
-        note = tuple((pid, parse_region(r, f"{path}/annotation"))
-                     for pid, r in cover)
+    note = ann = _typed(doc, dict, path).get("annotation")
+    at, kind = f"{path}/annotation", ann.get("type") if isinstance(ann, dict) else None
+    if kind == "atlas":
+        note = parse_atlas(_need(ann, "atlas", at), at)
+    elif kind == "cover":
+        cover = _tuples(_need(ann, "cover", at), 2, f"{at}/cover")
+        note = tuple((pid, parse_region(r, at)) for pid, r in cover)
+    elif ann is not None:
+        raise SchemaError(at, "expected null or an atlas or cover annotation")
     fp = f"{path}/families"
     fams = [gpd.ArrowFamily(_typed(fid, str, fp), _typed(src, str, fp), _typed(dst, str, fp),
                             _iso(m, r, fp))
@@ -355,14 +356,19 @@ def parse_fraction_cell(doc, path=""):
         parse_twocell(_need(doc, "base", path), f"{path}/base"))
 
 
+def _validate_change(ch, bound):
+    rep = Report("change")
+    rep.note_undecided("a change of charts is validated against its atlas; "
+                       "wrap it in an atlas document")
+    return rep
+
+
 # Each kind: its class, serializer, parser and validator `(value, bound) ->
 # Report`; a region has no validator.
 KINDS = {
     "region": (Region, region_doc, parse_region, None),
     "chart": (atl.Chart, chart_doc, parse_chart, lambda c, bound: atl.validate_chart(c)),
-    "change": (atl.ChangeOfCharts, change_doc, parse_change, lambda ch, bound: Report(
-        "change", undecided=["a change of charts is validated against its atlas; "
-                             "wrap it in an atlas document"])),
+    "change": (atl.ChangeOfCharts, change_doc, parse_change, _validate_change),
     "atlas": (atl.Atlas, atlas_doc, parse_atlas, atl.validate_atlas),
     "morphism": (atl.Morphism, morphism_doc, parse_morphism, atl.validate_morphism),
     "2cell": (atl.TwoCell, twocell_doc, parse_twocell, atl.validate_2cell),

@@ -8,8 +8,10 @@ piece iff it is *strictly* inside every bounding halfplane.
 
 The kernel computes on integers only.  Each value is held as integer
 numerators over one positive denominator, divided by the gcd of all its
-integers, so equal values have equal integer forms (and equal maps and
-regions are one object, see `memo.interned`):
+integers, so equal values have equal integer forms.  Those integer forms
+are the fields of the values: maps, intervals, polygons and regions are
+interned on them (see `memo.interned`), so equal values are one object and
+compare and hash by identity:
 
 - an :class:`AffineMap` ``x |-> (M x + o) / d`` as the flat matrix ``M``, the
   offset ``o`` and ``d``;
@@ -108,7 +110,7 @@ class AffineMap:
 
     __slots__ = ("dim", "_m", "_o", "_d", "_view", "_fields", "__weakref__")
 
-    def __init__(self, m: tuple, o: tuple, d: int):
+    def _setup(self, m: tuple, o: tuple, d: int):
         # m, o, d must already be normalized; use `make` from rationals
         self.dim = len(o)
         self._m, self._o, self._d = m, o, d
@@ -249,17 +251,17 @@ def _interval(ln, ld, hn, hd):
     return Interval(lo // g, hi // g, d // g)
 
 
+@interned
 class Interval:
     """Open interval (lo, hi) with rational endpoints, lo < hi, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_lo", "_hi", "_d", "_meas", "_k", "_view")
+    __slots__ = ("_lo", "_hi", "_d", "_meas", "_view", "_fields", "__weakref__")
 
-    def __init__(self, lo: int, hi: int, d: int):
+    def _setup(self, lo: int, hi: int, d: int):
         # normalized integers; use `make` from rationals
         self._lo, self._hi, self._d = lo, hi, d
         self._meas = hi - lo      # the length is _meas / d
-        self._k = (lo, hi, d)
         self._view = None
 
     @staticmethod
@@ -280,12 +282,6 @@ class Interval:
     def hi(self) -> Fraction:
         return self.key()[1]
 
-    def __eq__(self, other):
-        return isinstance(other, Interval) and self._k == other._k
-
-    def __hash__(self):
-        return hash(self._k)
-
     def __repr__(self):
         return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
@@ -300,7 +296,7 @@ class Interval:
         return (Fraction(self._lo + self._hi, 2 * self._d),)
 
     def intersect(self, other: "Interval"):
-        if self._k == other._k:
+        if self is other:
             return self
         a, b = self, other
         lo = a if a._lo * b._d >= b._lo * a._d else b
@@ -374,14 +370,15 @@ def _polygon(pts, d) -> "Polygon | None":
     return poly if poly._meas > 0 else None
 
 
+@interned
 class Polygon:
     """Open interior of a convex polygon; vertices CCW starting at the
     lexicographically least one, no three consecutive collinear, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_v", "_d", "_meas", "_k", "_hp", "_view")
+    __slots__ = ("_v", "_d", "_meas", "_hp", "_view", "_fields", "__weakref__")
 
-    def __init__(self, v: tuple, d: int):
+    def _setup(self, v: tuple, d: int):
         # normalized vertex numerators; use `make` from rationals
         self._v, self._d = v, d
         s = 0
@@ -389,7 +386,6 @@ class Polygon:
             (x1, y1), (x2, y2) = v[i - 1], v[i]
             s += x1 * y2 - x2 * y1
         self._meas = s            # twice the area is _meas / d**2
-        self._k = (d, v)
         self._hp = self._view = None
 
     @staticmethod
@@ -407,12 +403,6 @@ class Polygon:
 
     def key(self):
         return self.verts
-
-    def __eq__(self, other):
-        return isinstance(other, Polygon) and self._k == other._k
-
-    def __hash__(self):
-        return hash(self._k)
 
     def __repr__(self):
         return f"Polygon(verts={self.verts!r})"
@@ -483,7 +473,7 @@ class Polygon:
         return _polygon([(x * (m // k), y * (m // k)) for x, y, k in out], d * m)
 
     def intersect(self, other: "Polygon"):
-        if self._k == other._k or _piece_inside(self, other):
+        if self is other or _piece_inside(self, other):
             return self
         if _piece_inside(other, self):
             return other
@@ -674,7 +664,8 @@ class Region:
     """Finite union of open convex pieces in Q^n, n in {1, 2}.
 
     Canonical form: pieces in normal form, overlapping pairs merged greedily
-    whenever their union is convex, sorted by vertex key.  Set-equal regions
+    whenever their union is convex, sorted by vertex key; canonical pieces
+    are a fixed point, so `Region(r.dim, r.pieces)` is `r`.  Set-equal regions
     built through the same canonicalization serialize identically; semantic
     set equality is available via :meth:`same_set`.
     """
@@ -718,7 +709,7 @@ class Region:
                     pieces.append(h)
                     merged = True
                     break
-        uniq = list({p._k: p for p in pieces}.values())
+        uniq = list(dict.fromkeys(pieces))
         return dim, tuple(sorted(uniq, key=_sort_key(uniq)))
 
     # -- constructors ------------------------------------------------------
@@ -760,15 +751,6 @@ class Region:
 
     # -- algebra -----------------------------------------------------------
 
-    def _of(self, pieces, *others) -> "Region":
-        """The region of `pieces`; when they are the pieces of self or of one
-        of `others`, that region (canonical forms are fixed points)."""
-        pieces = tuple(pieces)
-        for r in (self,) + others:
-            if pieces == r.pieces:
-                return r
-        return Region(self.dim, pieces)
-
     @memo
     def intersect(self, other: "Region") -> "Region":
         self._check_dim(other)
@@ -778,7 +760,7 @@ class Region:
                 r = p.intersect(q)
                 if r is not None and r._meas > 0:
                     out.append(r)
-        return self._of(out, other)
+        return Region(self.dim, out)
 
     def union(self, other: "Region") -> "Region":
         self._check_dim(other)
@@ -861,7 +843,7 @@ class Region:
                         break
                 if cur is not None and cur._meas > 0:
                     out.append(cur)
-        return self._of(out)
+        return Region(self.dim, out)
 
     def escape_witness(self, m: AffineMap, target: "Region"):
         """None when `m` carries self into `target`, else a rational point of
@@ -980,9 +962,6 @@ class PartialAffineIso:
 
     def __call__(self, p: tuple) -> tuple:
         return self.map(p)
-
-    def key(self):
-        return (self.map.key(), self.dom.key())
 
 
 @interned

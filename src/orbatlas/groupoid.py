@@ -41,9 +41,6 @@ class ArrowFamily:
     def cod(self) -> Region:
         return self.iso.cod
 
-    def key(self):
-        return (self.src, self.dst, self.iso.key())
-
 
 @interned
 class PresentedGroupoid:
@@ -97,10 +94,6 @@ class PresentedGroupoid:
             if region.covers([f.dom]):
                 return f
         return None
-
-    def key(self):
-        return (tuple((p, r.key()) for p, r in self.pieces),
-                tuple(f.key() for f in self.families))
 
 
 def validate_groupoid(g: PresentedGroupoid) -> Report:

@@ -27,6 +27,10 @@ weakly: a value that nothing else holds leaves it.  Nothing empties a
 table, `clear()` included, since an equal value built later must still be
 the object that lives on.
 
+A value's fields are its class's annotations, or else the parameters of
+its `_setup`, the one set-up hook; its order key `key()` is, unless the
+class writes its own, the key of its fields.
+
 Neither decorator generates code: parameters are read from a function's
 code object and fields from a class's annotations, so importing orbatlas
 execs nothing and loads neither `inspect` nor `dataclasses`.
@@ -120,30 +124,38 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
+def _field_key(value):
+    """The order key of a field: a value's `key()`, a tuple's items' keys,
+    and anything else as it is."""
+    if isinstance(value, tuple):
+        return tuple(map(_field_key, value))
+    key = getattr(value, "key", None)
+    return value if key is None else key()
+
+
 def interned(cls):
     """Class decorator: equal values of `cls` are one object.
 
-    The fields of a class with annotations are the annotated names, in
-    order; a field's default is the class attribute of its name.  From them
-    come the set-up, which assigns each field with `object.__setattr__` (it
-    never writes to `__dict__` as a whole, which on CPython 3.11 would make
-    every later attribute read slower), `__repr__` in the form
-    `Class(field=value, ...)`, a frozen `__setattr__` and `__delattr__`, and
-    `__replace__(**changes)`, the protocol of `copy.replace`.  A class
-    without annotations (`AffineMap`, `Region`) keeps its own.
+    The fields are the class's annotated names, in order, a field's default
+    being the class attribute of its name; without annotations they are the
+    parameters of `_setup(self, ...)`, and a class with neither is refused.
+    An annotated class gets a set-up that assigns each field with
+    `object.__setattr__` (never `__dict__` as a whole, which on CPython 3.11
+    slows every later attribute read), `__repr__` in the form
+    `Class(field=value, ...)`, a frozen `__setattr__` and `__delattr__`,
+    `__replace__(**changes)` (the protocol of `copy.replace`) and, unless it
+    writes its own, `key()`: `_field_key` of its fields, built once.
 
-    Two hooks replace parts of that.  `_canonical`, static, with the field
-    names as parameters (`__replace__` passes keywords), gives the
-    canonical field tuple of a call; without it the fields are the call's
-    arguments bound to the fields, or to the set-up's parameters, defaults
-    applied.  `_setup(self, *fields)` fills a new object; without it the
-    field set-up does, or else `__init__`, which then leaves the class, so
-    that finding a value sets nothing up again.  `__eq__` and `__hash__`
-    are `object`'s.  Pickling and copying rebuild through the constructor,
-    so they give back the object itself."""
+    `_canonical`, static, with the field names as parameters (`__replace__`
+    passes keywords), gives the canonical field tuple of a call; without it
+    the call's arguments are bound to the fields, defaults applied.
+    `_setup(self, *fields)` fills a new object in place of the field
+    set-up.  `__eq__` and `__hash__` are `object`'s.  Pickling and copying
+    rebuild through the constructor, so they give back the object itself."""
     table = {}
-    names = tuple(vars(cls).get("__annotations__", ()))
-    defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
+    own = vars(cls)
+    names = tuple(own.get("__annotations__", ()))
+    defaults = tuple(own[n] for n in names if n in own)
     if names:
         def field_setup(obj, *fields, _set=object.__setattr__):
             for name, value in zip(names, fields):
@@ -163,21 +175,22 @@ def interned(cls):
             return type(self)(*[changes.pop(n, v) for n, v in zip(names, self._fields)],
                               **changes)
 
+        def key(self):
+            if self._key is None:
+                object.__setattr__(self, "_key", _field_key(self._fields))
+            return self._key
+
         cls.__repr__, cls.__replace__ = __repr__, __replace__
         cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-    if "_setup" in vars(cls):
-        setup = cls._setup
-    elif names:
-        setup = field_setup
+        if "key" not in own:
+            cls.key, cls._key = key, None
+    elif "_setup" in own:
+        (_, *names), defaults = _parameters(cls._setup)
     else:
-        setup = cls.__init__
-        del cls.__init__
-        names, defaults = _parameters(setup)
-        names = names[1:]
-    if "_canonical" in vars(cls):
-        canonical = cls._canonical
-    else:
-        canonical = _binder(cls.__qualname__, names, defaults)
+        raise TypeError(f"{cls.__qualname__}: neither annotated fields nor a _setup")
+    setup = cls._setup if "_setup" in own else field_setup
+    canonical = (cls._canonical if "_canonical" in own
+                 else _binder(cls.__qualname__, names, defaults))
 
     def drop(ref):
         if table.get(ref.key) is ref:

@@ -64,9 +64,30 @@ def test_schema_errors_have_pointers():
 
 
 def test_validate_command(tmp_path, capsys):
-    assert cli.run(["validate", write(tmp_path, "m.json", MIRROR)]) == 0
-    assert cli.run(["validate", write(tmp_path, "leg.json", M["leg1_MR_M"])]) == 0
-    capsys.readouterr()
+    """One valid catalog document of each kind: a region has no validator
+    (a schema error), a change of charts is undecided outside its atlas,
+    and every other kind passes; no call raises."""
+    ops, legs = frc.atlas_ops(), catalog_2cells()["legs"]
+    values = {
+        "region": MIRROR.charts[0].domain,
+        "chart": MIRROR.charts[0],
+        "change": MIRROR_REF.generators[0],
+        "atlas": MIRROR,
+        "morphism": M["leg1_MR_M"],
+        "2cell": legs,
+        "groupoid": frd.fred0(MIRROR_REF),
+        "gpd_morphism": frd.fred1(M["leg1_MR_M"]),
+        "nat_transf": frd.fred2(legs, WORD_BOUND),
+        "span": frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]),
+        "fraction_cell": frc.universal_embed2(ops, catalog_2cells()["id_to_flip"]),
+    }
+    assert set(values) == set(cli.KINDS)
+    for kind, value in values.items():
+        code = cli.run(["validate", write(tmp_path, f"{kind}.json", value)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == {"region": 3, "change": 2}.get(kind, 0), kind
+        if kind == "change":
+            assert out["ok"] is True and len(out["undecided"]) == 1
 
 
 def test_classify_command(tmp_path, capsys):
@@ -387,6 +408,20 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "groupoid", "pieces": [["P", _IV]],
       "families": [["f", "P", "P", _MAP, _IV], ["f", "P", "P", _MAP, _IV]]}, ""),
     ({"kind": "groupoid", "pieces": {"P": _IV}, "families": []}, "/pieces"),
+    # the only annotations are null, an atlas and a cover
+    ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [], "annotation": "atlas"},
+     "/annotation"),
+    ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [], "annotation": 1},
+     "/annotation"),
+    ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [], "annotation": [_ATLAS]},
+     "/annotation"),
+    ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [],
+      "annotation": {"type": "nope"}}, "/annotation"),
+    # rationals are strings: no booleans, no JSON numbers
+    ({"kind": "region", "dim": 1, "pieces": [[True, "1"]]}, ""),
+    ({"kind": "region", "dim": 1, "pieces": [[0.1, "1"]]}, ""),
+    ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1"]], "offset": [3]}])],
+      "generators": []}, "/charts/group/offset"),
 ])
 def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
     p = tmp_path / "bad.json"

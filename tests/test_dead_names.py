@@ -166,6 +166,49 @@ def test_guard_sees_a_key_comparison(tmp_path):
     assert _key_comparisons(p) == ["m.py:1", "m.py:2"]
 
 
+# A witness may hold a list (a violation's witness is any data), so
+# violations compare their fields; every other value is interned.
+OWN_EQUALITY = {"reports.py:Violation"}
+
+
+def _own_equality(path):
+    """Classes that define `__eq__` or `__hash__`, by a method or a class
+    attribute: a value is interned, so equality and the hash are
+    identity's."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = set()
+        for part in node.body:
+            if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(part.name)
+            elif isinstance(part, (ast.Assign, ast.AnnAssign)):
+                targets = part.targets if isinstance(part, ast.Assign) else [part.target]
+                for t in targets:
+                    elts = t.elts if isinstance(t, ast.Tuple) else [t]
+                    names |= {e.id for e in elts if isinstance(e, ast.Name)}
+        if names & {"__eq__", "__hash__"}:
+            out.append((node.lineno, f"{path.name}:{node.name}"))
+    return [hit for _, hit in sorted(out)]
+
+
+def test_no_own_equality_in_src():
+    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in _own_equality(path)]
+    assert set(found) == OWN_EQUALITY, f"intern the value instead: {found}"
+
+
+def test_guard_sees_own_equality(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("class A:\n    def __eq__(self, other):\n        return True\n"
+                 "class B:\n    __hash__ = None\n"
+                 "class C:\n    def key(self):\n        return 1\n"
+                 "    class D:\n        def __hash__(self):\n            return 0\n"
+                 "class E:\n    __eq__, x = object.__eq__, 1\n"
+                 "def f(cls):\n    cls.__eq__ = object.__eq__\n")
+    assert _own_equality(p) == ["m.py:A", "m.py:B", "m.py:D", "m.py:E"]
+
+
 def _random_imports(path):
     """Imports of the standard `random` module: every verdict is decided
     exactly, so nothing in the package may sample."""

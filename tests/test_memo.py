@@ -111,6 +111,30 @@ def test_a_bad_value_call_raises():
         ch.__replace__(z=3)
 
 
+def test_fields_are_the_annotations_or_the_setup_parameters():
+    """A class without annotations has the parameters of its `_setup` as
+    fields, bound like a function's; a class with neither annotations nor
+    `_setup` is refused when decorated, and so is a `_setup` that takes
+    `*args`."""
+    iv = geo.Interval(1, 3, 2)
+    assert geo.Interval(1, d=2, hi=3) is iv and iv._fields == (1, 3, 2)
+    assert geo.Polygon(((0, 0), (1, 0), (0, 1)), 1)._fields == (((0, 0), (1, 0), (0, 1)), 1)
+    with pytest.raises(TypeError):
+        geo.Interval(1, 3)
+
+    class Plain:
+        def __init__(self, x):
+            self.x = x
+
+    class Starred:
+        def _setup(self, *parts):
+            pass
+
+    for cls in (Plain, Starred):
+        with pytest.raises(TypeError):
+            memo_mod.interned(cls)
+
+
 def test_only_plain_parameters_are_accepted():
     def star(*args):
         return args
