@@ -126,11 +126,15 @@ class Atlas:
             raise ValueError("atlas has no charts")
         return self.charts[0].dim
 
+    @cached_property
+    def _chart_index(self):
+        return {c.cid: c for c in self.charts}
+
     def chart(self, cid: str) -> Chart:
-        for c in self.charts:
-            if c.cid == cid:
-                return c
-        raise KeyError(f"no chart {cid!r}")
+        c = self._chart_index.get(cid)
+        if c is None:
+            raise KeyError(f"no chart {cid!r}")
+        return c
 
     def chart_ids(self):
         return tuple(c.cid for c in self.charts)
@@ -228,9 +232,15 @@ class Pseudogroup:
         return fam
 
     def items(self):
-        for (src, dst), by_map in sorted(self.families.items()):
-            for m in sorted(by_map, key=lambda m: m.key()):
-                yield src, dst, m, by_map[m]
+        """The families as (src, dst, map, region), sorted by chart pair and
+        then by map key."""
+        return self._items
+
+    @cached_property
+    def _items(self):
+        return tuple((src, dst, m, by_map[m])
+                     for (src, dst), by_map in sorted(self.families.items())
+                     for m in sorted(by_map, key=lambda m: m.key()))
 
     def count(self):
         return sum(len(v) for v in self.families.values())
@@ -267,7 +277,8 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
     unions are pure functions of their arguments, and a region whose pieces
     are all pieces of the family already is absorbed without a union (the
     pieces of a canonical region are pairwise unmergeable, so that union
-    would only drop the duplicates).
+    would only drop the duplicates).  Most steps give back the family's own
+    current region, which `absorb` returns on at once.
 
     `preimage_under` and `compose` are memoized in the geometry kernel, yet
     the `steps` row stays: it finds a step by the small integer `lid` in a
@@ -293,6 +304,8 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
     def absorb(src, dst, m, region):
         by_map = fams.setdefault((src, dst), {})
         cur = by_map.get(m)
+        if cur is region:
+            return
         if cur is None:
             if not region.is_empty():
                 by_map[m] = region
@@ -447,6 +460,11 @@ class PEntry:
     change: ChangeOfCharts
     nu: ChangeOfCharts
 
+    @memo
+    def key_text(self) -> str:
+        """`repr(self.key())`, built once per entry (see `_key_text`)."""
+        return repr(self.key())
+
 
 def _normalize_entries(entries):
     merged = {}
@@ -479,23 +497,43 @@ class Morphism:
         return (source, target, tuple(sorted(dict(chart_map).items())),
                 tuple(sorted(dict(lifts).items())), _normalize_entries(entries), certificate)
 
+    _key = None
+
+    @cached_property
+    def _chart_index(self):
+        return dict(self.chart_map)
+
+    @cached_property
+    def _lift_index(self):
+        return dict(self.lifts)
+
+    @cached_property
+    def _entry_index(self):
+        index = {}
+        for e in self.entries:
+            index.setdefault((e.change.src, e.change.dst, e.change.map), []).append(e)
+        return {k: tuple(es) for k, es in index.items()}
+
     def chart_image(self, cid: str) -> str:
-        return dict(self.chart_map)[cid]
+        return self._chart_index[cid]
 
     def lift(self, cid: str) -> AffineMap:
-        return dict(self.lifts)[cid]
+        return self._lift_index[cid]
 
     def entries_with(self, src: str, dst: str, m: AffineMap):
-        """The entries whose change carries the germ family (src, dst, m)."""
-        return [e for e in self.entries
-                if e.change.src == src and e.change.dst == dst and e.change.map == m]
+        """The entries whose change carries the germ family (src, dst, m),
+        in entry order."""
+        return self._entry_index.get((src, dst, m), ())
 
     def is_etale(self) -> bool:
         return all(m.is_invertible() for _, m in self.lifts)
 
     def key(self):
-        return (self.chart_map, tuple((c, m.key()) for c, m in self.lifts),
-                tuple(e.key() for e in self.entries))
+        if self._key is None:
+            object.__setattr__(self, "_key", (
+                self.chart_map, tuple((c, m.key()) for c, m in self.lifts),
+                tuple(e.key() for e in self.entries)))
+        return self._key
 
 
 def validate_morphism(m: Morphism, bound: int) -> Report:
@@ -1071,6 +1109,19 @@ def _search_atlas(atlas: Atlas, *certificates) -> Atlas:
     return atlas
 
 
+def _tuple_text(items) -> str:
+    """The repr of a tuple whose items have the reprs `items`."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _key_text(m: Morphism):
+    """The text of `repr(m.key())` in parts, built from the key text of
+    each lift and entry, which each value builds once."""
+    return (f"({m.chart_map!r}, ",
+            _tuple_text([f"({c!r}, {L.key_text()})" for c, L in m.lifts]), ", ",
+            _tuple_text([e.key_text() for e in m.entries]), ")")
+
+
 @memo
 def pullback_square(f: Morphism, w: Morphism, bound: int):
     """Fill the cospan f: C -> B <- A : w (with w a refinement and f with
@@ -1092,8 +1143,12 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
     search = _search_atlas(B, w.certificate, f.certificate)
     bcl = closure(search, bound)
     # chart ids of the pullback are content-addressed so that middles of
-    # different squares never collide when certificates are merged
-    tok = hashlib.md5(repr((f.key(), w.key(), bound)).encode()).hexdigest()[:6]
+    # different squares never collide when certificates are merged: the md5
+    # of `repr((f.key(), w.key(), bound))`
+    h = hashlib.md5(b"(")
+    for part in (*_key_text(f), ", ", *_key_text(w), f", {bound!r})"):
+        h.update(part.encode())
+    tok = h.hexdigest()[:6]
 
     # gather candidates per parent chart, then keep a deterministic covering
     # subset: any choice of square is valid, and small middles keep the

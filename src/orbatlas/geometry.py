@@ -217,6 +217,12 @@ class AffineMap:
     def key(self):
         return self._views()
 
+    @memo
+    def key_text(self) -> str:
+        """`repr(self.key())`, built once per map: `atlas.pullback_square`
+        names its charts from the key text of the morphisms it fills."""
+        return repr(self._views())
+
     def __repr__(self):
         return f"AffineMap({self.matrix}, {self.offset})"
 

@@ -75,18 +75,38 @@ class PresentedGroupoid:
     def family_ids(self):
         return tuple(f.fid for f in self.families)
 
-    def family(self, fid: str) -> ArrowFamily:
+    @cached_property
+    def _family_index(self):
+        return {f.fid: f for f in self.families}
+
+    @cached_property
+    def _between_index(self):
+        index = {}
         for f in self.families:
-            if f.fid == fid:
-                return f
-        raise KeyError(f"no family {fid!r}")
+            index.setdefault((f.src, f.dst), []).append(f)
+        return {k: tuple(fs) for k, fs in index.items()}
+
+    @cached_property
+    def _with_index(self):
+        index = {}
+        for f in self.families:
+            index.setdefault((f.src, f.dst, f.map), []).append(f)
+        return {k: tuple(fs) for k, fs in index.items()}
+
+    def family(self, fid: str) -> ArrowFamily:
+        f = self._family_index.get(fid)
+        if f is None:
+            raise KeyError(f"no family {fid!r}")
+        return f
 
     def families_between(self, src, dst):
-        return [f for f in self.families if f.src == src and f.dst == dst]
+        """The families from piece src to piece dst, in family order."""
+        return self._between_index.get((src, dst), ())
 
     def families_with(self, src, dst, m: AffineMap):
-        """The families that carry the germ family (src, dst, m)."""
-        return [f for f in self.families if f.src == src and f.dst == dst and f.map == m]
+        """The families that carry the germ family (src, dst, m), in family
+        order."""
+        return self._with_index.get((src, dst, m), ())
 
     def find_family(self, src, dst, m: AffineMap, region: Region):
         """A family with the given affine map whose domain covers `region`."""
@@ -216,6 +236,8 @@ class GroupoidMorphism:
         fm = tuple(sorted(dict(family_map).items()))
         return source, target, om, fm
 
+    _key = None
+
     @cached_property
     def _object_index(self):
         return dict(self.object_map)
@@ -234,8 +256,10 @@ class GroupoidMorphism:
         return all(m.is_invertible() for _, (_, m) in self.object_map)
 
     def key(self):
-        return (tuple((p, (q, m.key())) for p, (q, m) in self.object_map),
-                self.family_map)
+        if self._key is None:
+            object.__setattr__(self, "_key", (
+                tuple((p, (q, m.key())) for p, (q, m) in self.object_map), self.family_map))
+        return self._key
 
 
 def identity_gpd_morphism(g: PresentedGroupoid) -> GroupoidMorphism:

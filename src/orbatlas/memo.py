@@ -6,8 +6,8 @@ so `f(a)`, `f(a, 4)` and `f(a, bound=4)` share one entry when the default
 is 4.  A method's key holds `self`, so equal instances share entries.  The
 function takes no `*args`, `**kwargs` or keyword-only parameters, each
 argument must be a value that is its own key, and only results that are
-never mutated may be stored: values, tuples, booleans, `None`, and the
-`Pseudogroup` of `atlas.closure`, whose dicts nothing changes once
+never mutated may be stored: values, tuples, booleans, `None`, strings,
+and the `Pseudogroup` of `atlas.closure`, whose dicts nothing changes once
 `closure` has returned.  Every stored result is a hit, `False` and `None`
 included; a call that raises stores nothing.  Each memoized function counts
 its `hits` and `misses`, and `cache_info()` gives `(hits, misses, None,

@@ -1,0 +1,144 @@
+"""The derived forms that each value builds once.
+
+- The chart names of `pullback_square` hash the key text of the two
+  morphisms, built from the key text of each lift and entry; it is
+  `repr(m.key())` exactly, so no chart id moves.
+- The lookups of atlases, morphisms, groupoids and closures read indexes
+  built once per value; each gives what a scan of the value gives, an
+  unknown id raises as before, and a lookup that may find several items
+  returns a tuple, which no caller can change.
+"""
+
+import itertools
+
+import pytest
+
+from orbatlas import atlas as atl
+from orbatlas import fractions as frc
+from orbatlas import fred as frd
+from orbatlas.atlas import WORD_BOUND, Morphism
+from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED
+from orbatlas.geometry import AffineMap, Region
+
+OBJECTS = sorted(ATLASES.items()) + [("TRIV_SHIFTED", TRIV_SHIFTED)]
+
+
+@pytest.fixture(scope="module")
+def atlas_cells():
+    """The catalog morphisms, the cells of the depth-2 atlas universe and
+    the cells of that construction applied to the depth-2 universe."""
+    ops = frc.atlas_ops(WORD_BOUND)
+    depth2 = frc.depth2_universe(ops, OBJECTS, sorted(MORPHISMS.items()))
+    again = frc.depth2_universe(ops, OBJECTS, depth2.cells)
+    assert len(again.cells) == 68
+    cells = [m for _, m in sorted(MORPHISMS.items())]
+    cells += [m for _, m in depth2.cells] + [m for _, m in again.cells]
+    return list(dict.fromkeys(cells))
+
+
+@pytest.fixture(scope="module")
+def groupoid_universe():
+    ops = frc.groupoid_ops(WORD_BOUND)
+    objects = [(n, frd.fred0(a, WORD_BOUND)) for n, a in OBJECTS]
+    cells = [(n, frd.fred1(m, WORD_BOUND)) for n, m in sorted(MORPHISMS.items())]
+    uni = frc.depth2_universe(ops, objects, cells)
+    groupoids = [g for _, g in uni.objects]
+    groupoids += [g for _, psi in uni.cells for g in (psi.source, psi.target)]
+    return list(dict.fromkeys(groupoids)), [psi for _, psi in uni.cells]
+
+
+def _atlases(cells):
+    out = [a for _, a in OBJECTS]
+    out += [a for m in cells for a in (m.source, m.target, m.certificate) if a is not None]
+    return list(dict.fromkeys(out))
+
+
+# -- the key text of a morphism ------------------------------------------------
+
+def test_key_text_is_the_repr_of_the_key(atlas_cells):
+    for m in atlas_cells:
+        assert "".join(atl._key_text(m)) == repr(m.key())
+        for _, lift in m.lifts:
+            assert lift.key_text() == repr(lift.key())
+        for e in m.entries:
+            assert e.key_text() == repr(e.key())
+
+
+def test_key_text_of_short_tuples():
+    """A morphism with one lift and one entry, whose tuples print a
+    trailing comma, and one with none."""
+    iv = Region.interval(0, 1)
+    a = atl.Atlas([atl.Chart("U", iv, [])])
+    ident = atl.ChangeOfCharts.make("U", "U", AffineMap.identity(1), iv)
+    one = Morphism(a, a, {"U": "U"}, {"U": AffineMap.identity(1)}, [atl.PEntry(ident, ident)])
+    empty = atl.Atlas([])
+    none = Morphism(empty, empty, {}, {}, [])
+    for m in (one, none):
+        assert "".join(atl._key_text(m)) == repr(m.key())
+
+
+def test_morphism_keys_are_built_once(atlas_cells, groupoid_universe):
+    for m in atlas_cells[:10] + groupoid_universe[1][:10]:
+        assert m.key() is m.key()
+
+
+# -- the lookup indexes --------------------------------------------------------
+
+def test_chart_lookup_is_the_scan(atlas_cells):
+    for a in _atlases(atlas_cells):
+        for cid in a.chart_ids():
+            assert a.chart(cid) is [c for c in a.charts if c.cid == cid][0]
+        with pytest.raises(KeyError) as err:
+            a.chart("no such chart")
+        assert err.value.args == ("no chart 'no such chart'",)
+
+
+def test_morphism_lookups_are_the_scans(atlas_cells):
+    for m in atlas_cells:
+        for cid, j in m.chart_map:
+            assert m.chart_image(cid) == j
+        for cid, lift in m.lifts:
+            assert m.lift(cid) is lift
+        for what in (m.chart_image, m.lift):
+            with pytest.raises(KeyError) as err:
+                what("no such chart")
+            assert err.value.args == ("no such chart",)
+        families = {(e.change.src, e.change.dst, e.change.map) for e in m.entries}
+        families.add(("no such chart", "no such chart", AffineMap.identity(m.source.dim)))
+        for src, dst, g in families:
+            got = m.entries_with(src, dst, g)
+            assert isinstance(got, tuple)
+            assert got == tuple(e for e in m.entries if e.change.src == src
+                                and e.change.dst == dst and e.change.map == g)
+
+
+def test_groupoid_lookups_are_the_scans(groupoid_universe):
+    groupoids, _ = groupoid_universe
+    for g in groupoids:
+        for f in g.families:
+            assert g.family(f.fid) is f
+        with pytest.raises(KeyError) as err:
+            g.family("no such family")
+        assert err.value.args == ("no family 'no such family'",)
+        pids = g.piece_ids() + ("no such piece",)
+        for src, dst in itertools.product(pids, repeat=2):
+            got = g.families_between(src, dst)
+            assert isinstance(got, tuple)
+            assert got == tuple(f for f in g.families if f.src == src and f.dst == dst)
+        keys = {(f.src, f.dst, f.map) for f in g.families}
+        keys.add(("no such piece", pids[0], AffineMap.identity(g.dim)))
+        for src, dst, m in keys:
+            got = g.families_with(src, dst, m)
+            assert isinstance(got, tuple)
+            assert got == tuple(f for f in g.families
+                                if f.src == src and f.dst == dst and f.map == m)
+
+
+def test_closure_items_are_sorted_once(atlas_cells):
+    for a in _atlases(atlas_cells):
+        cl = atl.closure(a, WORD_BOUND)
+        scan = tuple((src, dst, m, by_map[m])
+                     for (src, dst), by_map in sorted(cl.families.items())
+                     for m in sorted(by_map, key=lambda m: m.key()))
+        assert cl.items() == scan
+        assert cl.items() is cl.items()

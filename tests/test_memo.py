@@ -461,6 +461,7 @@ def _geometry_cases():
     line, square = Region.interval(0, 1), Region.polygon([(0, 0), (1, 0), (0, 1)])
     mismatch = geo.DimensionMismatchError
     return {
+        "AffineMap.key_text": ([(m,) for m in maps], []),
         "AffineMap.compose": (
             [(g, f) for g in maps for f in maps if g.dim == f.dim],
             [((aff1(2), aff2([[1, 0], [0, 1]])), mismatch)]),
@@ -540,12 +541,13 @@ def test_geometry_memo_is_exact(name):
         assert len(fn.table) == size, (name, args)
 
 
-# -- the structure-functor, Morita and groupoid memos are exact ---------------
+# -- the key text, structure-functor, Morita and groupoid memos are exact -----
 #
-# The inputs are the catalog atlases and morphisms, the `fred1` images of the
-# morphisms, their identity transformations and the `fred2` images of the
-# catalog 2-cells.  A changed part of the key is a new entry: the bound of
-# `fred0`, the certificate of `fred1`'s morphism, and the annotation of a
+# The inputs are the catalog atlases and morphisms, the entries of the
+# morphisms, the `fred1` images of the morphisms, their identity
+# transformations and the `fred2` images of the catalog 2-cells.  A changed
+# part of the key is a new entry: the assigned change of an entry, the bound
+# of `fred0`, the certificate of `fred1`'s morphism, and the annotation of a
 # source groupoid for the rest.
 
 def _other_cases():
@@ -554,7 +556,9 @@ def _other_cases():
     images = [frd.fred1(m, b) for m in ms]
     nts = list(dict.fromkeys([gpd.identity_nat_transf(psi) for psi in images]
                              + [frd.fred2(c, b) for c in catalog_2cells().values()]))
+    entries = dict.fromkeys(e for m in ms for e in m.entries)
     return {
+        "atlas.PEntry.key_text": [(e,) for e in entries],
         "fred.fred0": [(a, b) for _, a in sorted(ATLASES.items())] + [(TRIV_SHIFTED, b)],
         "fred.fred1": [(m, b) for m in ms],
         "fred.fred_inverse": [(psi,) for psi in images],
@@ -592,6 +596,10 @@ def _another_atlas(atlas):
 
 
 def _changed(name, args):
+    if name == "atlas.PEntry.key_text":
+        # the assigned change, from a renamed chart
+        e = args[0]
+        return (e.__replace__(nu=e.nu.__replace__(src=e.nu.src + "'")),)
     if name == "fred.fred0":
         return args[0], args[1] + 1
     if name == "fred.fred1":
