@@ -282,12 +282,12 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
 
     `preimage_under` and `compose` are memoized in the geometry kernel, yet
     the `steps` row stays: it finds a step by the small integer `lid` in a
-    row looked up once per family.  Values hash by identity in C, so the
-    memo path does not pay for hashing but for two Python calls per step
-    through the memo wrapper, each building its key tuple.  Stepping
-    through the memos alone is slower: median `run_s` 0.157 -> 0.185 s on
-    `coherence` and 0.096 -> 0.103 s on `bf-atlas`, 4 alternating pairs
-    each (all 8 won by the row) of `perfbench/run.py --seconds 10`."""
+    row looked up once per family.  Values hash by identity in C and a memo
+    hit runs in C, so the memo path pays for two calls per step, each
+    building and hashing its key tuple.  Stepping through the memos alone
+    is still slower: median `run_s` 0.120 -> 0.126 s on `coherence`, 6
+    alternating pairs of `perfbench/run.py --seconds 25`, all won by the
+    row (0.0634 -> 0.0648 s on `bf-atlas`, 3 of 4)."""
     seeds = _seed_families(atlas)
     # letters[chart]: the seeds leaving the chart as (dst, m2, d2, lid), where
     # lid numbers the distinct (d2, m2) values
@@ -937,8 +937,12 @@ class TwoCell:
                                          key=lambda p: (p[0].key(), p[1].key())))))
         return source_morphism, target_morphism, tuple(sorted(ps))
 
+    @cached_property
+    def _patch_index(self):
+        return dict(self.patches)
+
     def patches_at(self, cid):
-        return dict(self.patches).get(cid, ())
+        return self._patch_index.get(cid, ())
 
 
 def identity_2cell(f: Morphism) -> TwoCell:

@@ -99,9 +99,10 @@ def parse_affine(doc, path=""):
     rows = _need(doc, "matrix", path, list)
     off = _need(doc, "offset", path, list)
     return _made(path, AffineMap.make,
-                 [[parse_frac(e, f"{path}/matrix") for e in _typed(row, list, f"{path}/matrix")]
-                  for row in rows],
-                 [parse_frac(e, f"{path}/offset") for e in off])
+                 [[parse_frac(e, f"{path}/matrix/{i}/{j}")
+                   for j, e in enumerate(_typed(row, list, f"{path}/matrix/{i}"))]
+                  for i, row in enumerate(rows)],
+                 [parse_frac(e, f"{path}/offset/{i}") for i, e in enumerate(off)])
 
 
 def region_doc(r: Region):
@@ -120,15 +121,17 @@ def parse_region(doc, path=""):
         raise SchemaError(f"{path}/dim", "dimension must be 1 or 2")
     pieces = []
     if dim == 1:
-        for a, b in _tuples(raw, 2, f"{path}/pieces"):
-            lo, hi = parse_frac(a, path), parse_frac(b, path)
+        for i, (a, b) in enumerate(_tuples(raw, 2, f"{path}/pieces")):
+            at = f"{path}/pieces/{i}"
+            lo, hi = parse_frac(a, f"{at}/0"), parse_frac(b, f"{at}/1")
             if lo >= hi:
-                raise SchemaError(f"{path}/pieces", f"interval [{a}, {b}] is empty")
+                raise SchemaError(at, f"interval [{a}, {b}] is empty")
             pieces.append(Interval.make(lo, hi))
     else:
         for i, pts in enumerate(raw):
             at = f"{path}/pieces/{i}"
-            pts = [(parse_frac(x, path), parse_frac(y, path)) for x, y in _tuples(pts, 2, at)]
+            pts = [(parse_frac(x, f"{at}/{k}/0"), parse_frac(y, f"{at}/{k}/1"))
+                   for k, (x, y) in enumerate(_tuples(pts, 2, at))]
             poly = Polygon.make(pts)
             if poly is None or sorted(pts) != sorted(poly.verts):
                 raise SchemaError(at, "not the vertices of a convex polygon of positive area")

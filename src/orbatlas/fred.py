@@ -39,12 +39,17 @@ class UnsupportedGroupoidError(Exception):
     atlas could be reconstructed."""
 
 
-@memo
 def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     """Germ groupoid of an atlas: one object piece per chart, one arrow
     family per affine map in the pseudogroup closure, undecided when the
     closure is incomplete.  The bound defaults for callers outside the
-    package; the package always passes it."""
+    package; the package always passes it.  Memoized in `_fred0`, on the
+    atlas and the bound however the bound is spelled."""
+    return _fred0(atlas, bound)
+
+
+@memo
+def _fred0(atlas, bound):
     cl = closure(atlas, bound)
     if cl.overflowed:
         raise UndecidedError(
@@ -61,11 +66,16 @@ def fred0(atlas: Atlas, bound: int = WORD_BOUND) -> PresentedGroupoid:
     return PresentedGroupoid(pieces, families, annotation=atlas)
 
 
-@memo
 def fred1(m: Morphism, bound: int = WORD_BOUND) -> GroupoidMorphism:
     """Image of a morphism: lifts on objects, change assignment on arrows.
     The assignment must be single-valued on every germ family (it always is
-    when the lifts are open embeddings).  The bound defaults as for fred0."""
+    when the lifts are open embeddings).  The bound defaults as for fred0;
+    memoized in `_fred1` as `fred0` is in `_fred0`."""
+    return _fred1(m, bound)
+
+
+@memo
+def _fred1(m, bound):
     gs, gt = fred0(m.source, bound), fred0(m.target, bound)
     object_map = {i: (m.chart_image(i), m.lift(i)) for i in m.source.chart_ids()}
     family_map = {}

@@ -1,19 +1,21 @@
 """The one memo of orbatlas, and the interning of its values.
 
-`@memo` memoizes a pure function on its arguments: the key is the tuple of
-the call's positional arguments, with keywords placed and defaults applied,
-so `f(a)`, `f(a, 4)` and `f(a, bound=4)` share one entry when the default
-is 4.  A method's key holds `self`, so equal instances share entries.  The
-function takes no `*args`, `**kwargs` or keyword-only parameters, each
-argument must be a value that is its own key, and only results that are
-never mutated may be stored: values, tuples, booleans, `None`, strings,
-and the `Pseudogroup` of `atlas.closure`, whose dicts nothing changes once
-`closure` has returned.  Every stored result is a hit, `False` and `None`
-included; a call that raises stores nothing.  Each memoized function counts
-its `hits` and `misses`, and `cache_info()` gives `(hits, misses, None,
-size)`, in the order of the standard library's `CacheInfo`; `clear()`
-empties every memo and resets the counters.  There is no size bound: the
-memos live as long as the process.
+`@memo` memoizes a pure function on its arguments: it is
+`functools.lru_cache(maxsize=None)`, the standard library's cache written
+in C, registered so that `clear()` reaches it.  The key is the call's
+arguments as given, so `f(a, b)` and `f(a, b=b)` would be two entries.  So
+that one value of the arguments is one key, the package calls every
+memoized function by position, and a function with a default is refused
+when decorated, as is one with `*args`, `**kwargs`, keyword-only or
+positional-only parameters.  A method's key holds `self`, so equal
+instances share entries.  Each argument must be a value that is its own
+key, and only results that are never mutated may be stored: values,
+tuples, booleans, `None`, strings, and the `Pseudogroup` of
+`atlas.closure`, whose dicts nothing changes once `closure` has returned.
+Every stored result is a hit, `False` and `None` included; a call that
+raises stores nothing.  `cache_info()` gives `(hits, misses, None, size)`;
+`clear()` empties every memo and resets the counters.  There is no size
+bound: the memos live as long as the process.
 
 `@interned` makes equal values one object.  The class call, the one
 constructor, first puts the value in canonical form, then looks up its
@@ -47,16 +49,16 @@ _CO_VARARGS, _CO_VARKEYWORDS = 0x04, 0x08
 
 
 def _parameters(fn):
-    """The parameter names of a plain function and the defaults of the last
-    of them, read from its code object.  Only parameters that may be passed
-    either way are allowed: `*args`, `**kwargs`, keyword-only and
-    positional-only parameters are refused."""
+    """The parameter names of a plain function, read from its code object.
+    Only parameters that may be passed either way and have no default are
+    allowed: `*args`, `**kwargs`, keyword-only and positional-only
+    parameters and defaults are refused."""
     code = fn.__code__
-    if (code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS)
-            or code.co_kwonlyargcount or code.co_posonlyargcount):
-        raise TypeError(f"{fn.__qualname__}: only parameters that may be passed "
-                        "by position or keyword are supported")
-    return code.co_varnames[:code.co_argcount], fn.__defaults__ or ()
+    if (code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS) or code.co_kwonlyargcount
+            or code.co_posonlyargcount or fn.__defaults__):
+        raise TypeError(f"{fn.__qualname__}: only parameters without a default that may "
+                        "be passed by position or keyword are supported")
+    return code.co_varnames[:code.co_argcount]
 
 
 def _binder(name, params, defaults):
@@ -67,8 +69,6 @@ def _binder(name, params, defaults):
     required = arity - len(defaults)
 
     def bind(*args, **kwargs):
-        if not kwargs and len(args) == arity:
-            return args
         if len(args) > arity:
             raise TypeError(f"{name}() takes {arity} arguments but {len(args)} were given")
         out = list(args)
@@ -88,33 +88,15 @@ def _binder(name, params, defaults):
 
 
 def memo(fn):
-    table = {}
-    params, defaults = _parameters(fn)
-    arity = len(params)
-    bind = _binder(fn.__qualname__, params, defaults)
-
-    @functools.wraps(fn)
-    def memoized(*args, **kwargs):
-        if kwargs or len(args) != arity:
-            args = bind(*args, **kwargs)
-        out = table.get(args, _MISSING)
-        if out is _MISSING:
-            memoized.misses += 1
-            out = table[args] = fn(*args)
-        else:
-            memoized.hits += 1
-        return out
-
-    memoized.table, memoized.hits, memoized.misses = table, 0, 0
-    memoized.cache_info = lambda: (memoized.hits, memoized.misses, None, len(table))
+    _parameters(fn)
+    memoized = functools.lru_cache(maxsize=None)(fn)
     _MEMOS.append(memoized)
     return memoized
 
 
 def clear():
     for m in _MEMOS:
-        m.table.clear()
-        m.hits = m.misses = 0
+        m.cache_clear()
 
 
 class _Ref(weakref.ref):
@@ -138,7 +120,8 @@ def interned(cls):
 
     The fields are the class's annotated names, in order, a field's default
     being the class attribute of its name; without annotations they are the
-    parameters of `_setup(self, ...)`, and a class with neither is refused.
+    parameters of `_setup(self, ...)`, which take no defaults, and a class
+    with neither is refused.
     An annotated class gets a set-up that assigns each field with
     `object.__setattr__` (never `__dict__` as a whole, which on CPython 3.11
     slows every later attribute read), `__repr__` in the form
@@ -147,8 +130,9 @@ def interned(cls):
     writes its own, `key()`: `_field_key` of its fields, built once.
 
     `_canonical`, static, with the field names as parameters (`__replace__`
-    passes keywords), gives the canonical field tuple of a call; without it
-    the call's arguments are bound to the fields, defaults applied.
+    passes keywords), gives the canonical field tuple of a call.  Without
+    it, a call with one argument per field and no keywords is its own field
+    tuple, and any other call is bound to the fields, defaults applied.
     `_setup(self, *fields)` fills a new object in place of the field
     set-up.  `__eq__` and `__hash__` are `object`'s.  Pickling and copying
     rebuild through the constructor, so they give back the object itself."""
@@ -185,19 +169,22 @@ def interned(cls):
         if "key" not in own:
             cls.key, cls._key = key, None
     elif "_setup" in own:
-        (_, *names), defaults = _parameters(cls._setup)
+        (_, *names), defaults = _parameters(cls._setup), ()
     else:
         raise TypeError(f"{cls.__qualname__}: neither annotated fields nor a _setup")
     setup = cls._setup if "_setup" in own else field_setup
-    canonical = (cls._canonical if "_canonical" in own
-                 else _binder(cls.__qualname__, names, defaults))
+    if "_canonical" in own:
+        canonical, arity = cls._canonical, -1
+    else:
+        canonical, arity = _binder(cls.__qualname__, names, defaults), len(names)
 
     def drop(ref):
         if table.get(ref.key) is ref:
             del table[ref.key]
 
     def __new__(c, *args, **kwargs):
-        fields = canonical(*args, **kwargs)
+        # one argument per field and no keywords: the call is bound already
+        fields = args if len(args) == arity and not kwargs else canonical(*args, **kwargs)
         ref = table.get(fields)
         if ref is not None:
             obj = ref()

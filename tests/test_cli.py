@@ -329,8 +329,9 @@ def test_malformed_choice_table_is_a_schema_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("pieces", [[["1", "0"]], [["0", "1"], ["1/2", "1/2"]]])
 def test_empty_or_inverted_interval_is_a_schema_error(pieces):
-    with pytest.raises(cli.SchemaError):
+    with pytest.raises(cli.SchemaError) as e:
         cli.parse_region({"kind": "region", "dim": 1, "pieces": pieces})
+    assert e.value.path == f"/pieces/{len(pieces) - 1}"
 
 
 _SQUARE = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
@@ -386,7 +387,7 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "region", "dim": 1, "pieces": [["0"]]}, "/pieces/0"),
     ({"kind": "region", "dim": 2, "pieces": [[["0", "0"], "1"]]}, "/pieces/0/1"),
     ({"kind": "region", "dim": "1", "pieces": []}, "/dim"),
-    ({"kind": "region", "dim": 1, "pieces": [["0", float("inf")]]}, ""),
+    ({"kind": "region", "dim": 1, "pieces": [["0", float("inf")]]}, "/pieces/0/1"),
     ({"kind": ["atlas"]}, "/kind"),
     ({"kind": "atlas", "charts": 5, "generators": []}, "/charts"),
     ({"kind": "atlas", "charts": [dict(_CHART, id=5)], "generators": []}, "/charts/id"),
@@ -418,10 +419,10 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [],
       "annotation": {"type": "nope"}}, "/annotation"),
     # rationals are strings: no booleans, no JSON numbers
-    ({"kind": "region", "dim": 1, "pieces": [[True, "1"]]}, ""),
-    ({"kind": "region", "dim": 1, "pieces": [[0.1, "1"]]}, ""),
+    ({"kind": "region", "dim": 1, "pieces": [[True, "1"]]}, "/pieces/0/0"),
+    ({"kind": "region", "dim": 1, "pieces": [[0.1, "1"]]}, "/pieces/0/0"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1"]], "offset": [3]}])],
-      "generators": []}, "/charts/group/offset"),
+      "generators": []}, "/charts/group/offset/0"),
 ])
 def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
     p = tmp_path / "bad.json"
@@ -429,6 +430,29 @@ def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
     assert cli.run(["validate", str(p)]) == 3
     err = json.loads(capsys.readouterr().out)["schema_error"]
     assert err.startswith(f"schema error at {pointer or '/'}:")
+
+
+def _group(*maps):
+    return {"kind": "atlas", "charts": [dict(_CHART, group=list(maps))], "generators": []}
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    # a bad rational of the second interval
+    ({"kind": "region", "dim": 1, "pieces": [["0", "1"], ["2", "x"]]}, "/pieces/1/1"),
+    # a bad coordinate of a vertex of a 2-D piece
+    ({"kind": "region", "dim": 2, "pieces": [_SQUARE, [["0", "0"], ["1", "0"], ["0", "y"]]]},
+     "/pieces/1/2/1"),
+    # a bad entry, a row that is not a list and a bad offset of a second group element;
+    # the chart and the group element are not indexed yet
+    (_group(_MAP, {"matrix": [["w"]], "offset": ["0"]}), "/charts/group/matrix/0/0"),
+    (_group(_MAP, {"matrix": ["1"], "offset": ["0"]}), "/charts/group/matrix/0"),
+    (_group(_MAP, {"matrix": [["1"]], "offset": ["1/0"]}), "/charts/group/offset/0"),
+])
+def test_a_bad_rational_is_a_schema_error_at_its_entry(doc, pointer):
+    with pytest.raises(cli.SchemaError) as e:
+        cli.parse(doc)
+    assert e.value.path == pointer
+    assert str(e.value).startswith(f"schema error at {pointer}:")
 
 
 def test_choice_table_that_is_not_a_table_is_a_schema_error(tmp_path, capsys):

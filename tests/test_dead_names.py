@@ -260,9 +260,22 @@ def _foreign_caches(path):
     return [f"{path.name}:{n}" for n in sorted(set(out))]
 
 
+CACHE_MODULE = SRC / "memo.py"   # the one module that builds caches
+
+
 def test_no_foreign_caches_in_src():
-    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in _foreign_caches(path)]
+    found = [hit for path in sorted(SRC.rglob("*.py")) if path != CACHE_MODULE
+             for hit in _foreign_caches(path)]
     assert found == [], f"memoize through orbatlas.memo: {found}"
+
+
+def test_memo_is_the_only_exemption():
+    """`memo.py` builds the caches, and the guard sees it do so; every other
+    module of the package, and a module named `memo.py` anywhere else, is
+    checked."""
+    with_caches = [path for path in sorted(SRC.rglob("*.py")) if _foreign_caches(path)]
+    assert with_caches == [CACHE_MODULE]
+    assert [p for p in SRC.rglob("*.py") if p.name == "memo.py"] == [CACHE_MODULE]
 
 
 def test_guard_sees_a_foreign_cache(tmp_path):

@@ -3,7 +3,7 @@
 - The chart names of `pullback_square` hash the key text of the two
   morphisms, built from the key text of each lift and entry; it is
   `repr(m.key())` exactly, so no chart id moves.
-- The lookups of atlases, morphisms, groupoids and closures read indexes
+- The lookups of atlases, morphisms, 2-cells, groupoids and closures read indexes
   built once per value; each gives what a scan of the value gives, an
   unknown id raises as before, and a lookup that may find several items
   returns a tuple, which no caller can change.
@@ -17,7 +17,7 @@ from orbatlas import atlas as atl
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas.atlas import WORD_BOUND, Morphism
-from orbatlas.fixtures import ATLASES, MORPHISMS, TRIV_SHIFTED
+from orbatlas.fixtures import ATLASES, EXPECTED_CLASS, MORPHISMS, TRIV_SHIFTED, catalog_2cells
 from orbatlas.geometry import AffineMap, Region
 
 OBJECTS = sorted(ATLASES.items()) + [("TRIV_SHIFTED", TRIV_SHIFTED)]
@@ -110,6 +110,29 @@ def test_morphism_lookups_are_the_scans(atlas_cells):
             assert isinstance(got, tuple)
             assert got == tuple(e for e in m.entries if e.change.src == src
                                 and e.change.dst == dst and e.change.map == g)
+
+
+def _two_cells(atlas_cells, groupoid_universe):
+    """The catalog 2-cells, the identity 2-cells of the cells of both depth-2
+    universes (the groupoid ones through `fred_inverse`) and the 2-cells of
+    the pullback squares of the catalog morphisms along its refinements."""
+    ms = [m for _, m in sorted(MORPHISMS.items())]
+    refinements = [m for n, m in sorted(MORPHISMS.items()) if EXPECTED_CLASS[n] == "refinement"]
+    morphisms = atlas_cells + [frd.fred_inverse(psi) for psi in groupoid_universe[1]]
+    cells = list(catalog_2cells().values()) + [atl.identity_2cell(m) for m in morphisms]
+    cells += [atl.pullback_square(f, w, WORD_BOUND)[3] for f in ms for w in refinements
+              if f.target == w.target and f.is_etale()]
+    return list(dict.fromkeys(cells))
+
+
+def test_patch_lookup_is_the_scan(atlas_cells, groupoid_universe):
+    cells = _two_cells(atlas_cells, groupoid_universe)
+    assert len(cells) > 100
+    for cell in cells:
+        for cid in cell.source_morphism.source.chart_ids() + ("no such chart",):
+            got = cell.patches_at(cid)
+            assert got is dict(cell.patches).get(cid, ())
+            assert got is cell.patches_at(cid)
 
 
 def test_groupoid_lookups_are_the_scans(groupoid_universe):

@@ -1,5 +1,6 @@
 import ast
 import functools
+import gc
 import importlib
 import itertools
 import os
@@ -37,6 +38,26 @@ from orbatlas.reports import ComposabilityError, NoSuchCellError, Report, Undeci
 SRC = Path(memo_mod.__file__).parent
 
 
+def memo_cache(fn):
+    """The cache dict of a memoized function: the one dict among the objects
+    it refers to that is not its `__dict__`."""
+    found = [x for x in gc.get_referents(fn) if type(x) is dict and x is not fn.__dict__]
+    assert len(found) == 1, fn
+    return found[0]
+
+
+def _size(fn):
+    return fn.cache_info().currsize
+
+
+def _misses(fn):
+    return fn.cache_info().misses
+
+
+def _is_memo(x):
+    return any(x is fn for fn in memo_mod._MEMOS)
+
+
 def _counting(results):
     """A memoized function returning results[x], and the list of the
     arguments it was really called with."""
@@ -60,20 +81,56 @@ def test_counters_count():
     f, seen = _counting({0: "a", 1: "b"})
     for x in (0, 1, 0, 0, 1):
         f(x)
-    assert (f.hits, f.misses) == (3, 2)
+    assert f.cache_info() == (3, 2, None, 2)
+    assert sorted(memo_cache(f).values()) == ["a", "b"]
 
 
-def test_key_is_the_arguments_with_defaults_applied():
-    calls = []
-
-    @memo
+def test_a_default_is_refused():
+    """One value of the arguments is one key only when every call passes
+    every argument: a parameter with a default is refused when decorated."""
     def g(x, k=1):
-        calls.append((x, k))
         return x * k
-    assert g(2) == g(2, 1) == g(2, k=1) == g(x=2) == 2
-    assert g(2, k=3) == g(2, 3) == 6
-    assert calls == [(2, 1), (2, 3)]
-    assert list(g.table) == [(2, 1), (2, 3)]
+
+    def h(x, k=None):
+        return x
+
+    for fn in (g, h):
+        with pytest.raises(TypeError):
+            memo(fn)
+
+
+def _keyword_calls(path, names):
+    """The calls in a module of a function named in `names` that pass a
+    keyword argument."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and node.keywords:
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def _memo_names():
+    for module in pkgutil.iter_modules(orbatlas.__path__):
+        importlib.import_module(f"orbatlas.{module.name}")
+    return {fn.__name__ for fn in memo_mod._MEMOS if fn.__module__.startswith("orbatlas.")}
+
+
+def test_memoized_functions_are_called_by_position():
+    """A keyword argument would be a second entry for the same arguments."""
+    names = _memo_names()
+    assert {"closure", "compose", "_fred0", "preimage_under"} <= names
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _keyword_calls(path, names)]
+    assert found == []
+
+
+def test_keyword_call_guard_sees_both_forms(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("closure(a, bound=4)\nx = m.compose(other=g)\nclosure(a, 4)\n"
+                 "m.compose(g)\nfred0(a, bound=4)\n")
+    assert _keyword_calls(p, {"closure", "compose"}) == ["m.py:1", "m.py:2"]
 
 
 BAD_CALLS = [((1, 2, 3, 4), {}), ((1,), {}), ((1, 2), {"z": 3}), ((1, 2), {"x": 3}),
@@ -85,7 +142,7 @@ def test_a_bad_call_raises_as_a_direct_call(args, kwargs):
     """Too many arguments, a missing one, an unknown keyword and a keyword
     that clashes with a positional argument raise `TypeError`, as in a
     direct call, and store nothing."""
-    def g(x, y, k=1):
+    def g(x, y, k):
         return x + y + k
 
     memoized = memo(g)
@@ -93,7 +150,7 @@ def test_a_bad_call_raises_as_a_direct_call(args, kwargs):
         g(*args, **kwargs)
     with pytest.raises(TypeError):
         memoized(*args, **kwargs)
-    assert not memoized.table
+    assert _size(memoized) == 0 and not memo_cache(memoized)
 
 
 def test_a_bad_value_call_raises():
@@ -192,9 +249,16 @@ def test_importing_the_cli_loads_no_code_generation():
 
 
 def test_fred0_and_fred1_share_an_entry_whatever_the_bound_spelling():
+    """The bound of `fred0` and `fred1` defaults; each is a plain function
+    that passes it on, by position, to its memo."""
     a, m = ATLASES["MIRROR"], MORPHISMS["flip_M"]
+    memo_mod.clear()
     assert frd.fred0(a) is frd.fred0(a, WORD_BOUND) is frd.fred0(a, bound=WORD_BOUND)
+    assert list(memo_cache(frd._fred0)) == [(a, WORD_BOUND)]
+    memo_mod.clear()
     assert frd.fred1(m) is frd.fred1(m, WORD_BOUND) is frd.fred1(m, bound=WORD_BOUND)
+    assert list(memo_cache(frd._fred1)) == [(m, WORD_BOUND)]
+    assert not _is_memo(frd.fred0) and not _is_memo(frd.fred1)
 
 
 def test_exceptions_are_not_stored():
@@ -215,10 +279,10 @@ def test_clear_empties_every_memo():
     f(0)
     f(0)
     classify_morphism(MORPHISMS["flip_M"], WORD_BOUND)
-    assert f.table and classify_morphism.table
+    assert _size(f) and _size(classify_morphism)
     memo_mod.clear()
-    assert not f.table and not classify_morphism.table
-    assert (f.hits, f.misses) == (0, 0) == (classify_morphism.hits, classify_morphism.misses)
+    assert not memo_cache(f) and not memo_cache(classify_morphism)
+    assert f.cache_info() == (0, 0, None, 0) == classify_morphism.cache_info()
     f(0)
     assert seen == [0, 0]
 
@@ -357,11 +421,11 @@ def _exact(fn, args):
     """The memoized call gives what the bare function gives, certificates
     included, or raises as it does and stores nothing."""
     want, want_error = _outcome(fn.__wrapped__, args)
-    size = len(fn.table)
+    size = _size(fn)
     got, error = _outcome(fn, args)
     assert error is want_error, (fn.__name__, args)
     if error is not None:
-        assert len(fn.table) == size
+        assert _size(fn) == size
         return None
     assert _value(got) == _value(want), (fn.__name__, args)
     assert _certificates(got) == _certificates(want), (fn.__name__, args)
@@ -370,7 +434,7 @@ def _exact(fn, args):
 
 def test_every_atlas_memo_is_covered():
     memoized = sorted(name for name, v in vars(atl).items()
-                      if callable(v) and hasattr(v, "table") and v.__module__ == atl.__name__)
+                      if _is_memo(v) and v.__module__ == atl.__name__)
     assert memoized == ATLAS_MEMOS
 
 
@@ -392,9 +456,9 @@ def test_atlas_memo_is_exact(name):
             count = itertools.count()
             other = _recertified(args, lambda: next(count) == k)
             assert _certificates(other) != _certificates(args)
-            misses = fn.misses
+            misses = _misses(fn)
             again = _exact(fn, other)
-            assert fn.misses == misses + 1, (name, args, k)
+            assert _misses(fn) == misses + 1, (name, args, k)
             assert again is None or fn(*other) is again
 
 
@@ -409,7 +473,7 @@ def test_undecided_identity_is_never_stored():
     for _ in range(2):
         with pytest.raises(UndecidedError):
             atl.identity_morphism(MIRROR_REF, 1)
-    assert list(atl.identity_morphism.table) == [(MIRROR_REF, WORD_BOUND)]
+    assert list(memo_cache(atl.identity_morphism)) == [(MIRROR_REF, WORD_BOUND)]
 
 
 def test_clear_empties_the_atlas_memos():
@@ -417,10 +481,10 @@ def test_clear_empties_the_atlas_memos():
     fns = [getattr(atl, name) for name in ATLAS_MEMOS]
     for fn, name in zip(fns, ATLAS_MEMOS):
         fn(*cases[name][0])
-    assert all(fn.table for fn in fns)
+    assert all(_size(fn) for fn in fns)
     memo_mod.clear()
-    assert not any(fn.table for fn in fns)
-    assert all((fn.hits, fn.misses) == (0, 0) for fn in fns)
+    assert not any(memo_cache(fn) for fn in fns)
+    assert all(fn.cache_info() == (0, 0, None, 0) for fn in fns)
 
 
 def test_clear_empties_the_closure():
@@ -509,9 +573,8 @@ def _geometry_objects(x):
 def test_every_geometry_memo_is_covered():
     memoized = sorted(f"{cname}.{name}" for cname, cls in vars(geo).items()
                       if isinstance(cls, type) and cls.__module__ == geo.__name__
-                      for name, v in vars(cls).items() if hasattr(v, "table"))
-    memoized += sorted(name for name, v in vars(geo).items()
-                       if callable(v) and hasattr(v, "table"))
+                      for name, v in vars(cls).items() if _is_memo(v))
+    memoized += sorted(name for name, v in vars(geo).items() if _is_memo(v))
     assert memoized == GEOMETRY_MEMOS
 
 
@@ -523,9 +586,9 @@ def test_geometry_memo_is_exact(name):
     # after the cases: building them runs closures, which fill these memos
     memo_mod.clear()
     for args in cases:
-        misses = fn.misses
+        misses = _misses(fn)
         got = fn(*args)
-        assert fn.misses == misses + 1, (name, args)
+        assert _misses(fn) == misses + 1, (name, args)
         assert got == fn.__wrapped__(*args), (name, args)
         # equal values are one object: a pickled copy is the original, maps,
         # regions and their pieces alike, and it finds the stored object
@@ -534,11 +597,11 @@ def test_geometry_memo_is_exact(name):
         assert ids[0] == ids[1]
         assert fn(*copy) is got, (name, args)
     for args, error in raising:
-        size = len(fn.table)
+        size = _size(fn)
         for call in (fn.__wrapped__, fn, fn):
             with pytest.raises(error):
                 call(*args)
-        assert len(fn.table) == size, (name, args)
+        assert _size(fn) == size, (name, args)
 
 
 # -- the key text, structure-functor, Morita and groupoid memos are exact -----
@@ -559,8 +622,8 @@ def _other_cases():
     entries = dict.fromkeys(e for m in ms for e in m.entries)
     return {
         "atlas.PEntry.key_text": [(e,) for e in entries],
-        "fred.fred0": [(a, b) for _, a in sorted(ATLASES.items())] + [(TRIV_SHIFTED, b)],
-        "fred.fred1": [(m, b) for m in ms],
+        "fred._fred0": [(a, b) for _, a in sorted(ATLASES.items())] + [(TRIV_SHIFTED, b)],
+        "fred._fred1": [(m, b) for m in ms],
         "fred.fred_inverse": [(psi,) for psi in images],
         "fractions._gpd_is_w": [(psi,) for psi in images],
         "groupoid.identity_nat_transf": [(psi,) for psi in images],
@@ -600,9 +663,9 @@ def _changed(name, args):
         # the assigned change, from a renamed chart
         e = args[0]
         return (e.__replace__(nu=e.nu.__replace__(src=e.nu.src + "'")),)
-    if name == "fred.fred0":
+    if name == "fred._fred0":
         return args[0], args[1] + 1
-    if name == "fred.fred1":
+    if name == "fred._fred1":
         return _recertified(args, lambda: True)
     # the source groupoid of the last argument, annotated with another atlas
     last = args[-1]
@@ -625,14 +688,14 @@ def test_other_memo_is_exact(name):
     # after the cases: `fred1` fills the structure-functor memos
     memo_mod.clear()
     for args in cases:
-        misses = fn.misses
+        misses = _misses(fn)
         got = _exact(fn, args)
-        assert fn.misses == misses + 1, (name, args)
+        assert _misses(fn) == misses + 1, (name, args)
         assert fn(*pickle.loads(pickle.dumps(args))) is got, (name, args)
         other = _changed(name, args)
         assert other != args
         _exact(fn, other)
-        assert fn.misses == misses + 2, (name, args)
+        assert _misses(fn) == misses + 2, (name, args)
 
 
 def test_fred_inverse_needs_presenting_atlases():
@@ -646,9 +709,9 @@ def test_fred_inverse_needs_presenting_atlases():
         for _ in range(2):
             with pytest.raises(frd.UnsupportedGroupoidError):
                 frd.fred_inverse(other)
-    assert not frd.fred_inverse.table
+    assert _size(frd.fred_inverse) == 0 and not memo_cache(frd.fred_inverse)
     assert frd.fred_inverse(psi) is MORPHISMS["flip_M"]
-    assert list(frd.fred_inverse.table) == [(psi,)]
+    assert list(memo_cache(frd.fred_inverse)) == [(psi,)]
 
 
 def test_every_memo_is_covered():
@@ -726,13 +789,13 @@ def test_no_memo_stores_a_mutable_container():
         for axiom in axioms:
             assert frc.check_bf(ops, axiom, frc.Universe(uni.objects, uni.cells[::8]),
                                 table).ok
-    stored = [fn for fn in memo_mod._MEMOS if fn.table]
+    stored = [fn for fn in memo_mod._MEMOS if memo_cache(fn)]
     names = {fn.__qualname__ for fn in stored}
-    assert {"Region.preimage_under", "fred1", "pullback_square",
+    assert {"Region.preimage_under", "_fred1", "pullback_square",
             "fred_inverse", "horizontal_compose_nt"} <= names
     for fn in stored:
         seen = {}
-        for entry in fn.table.items():
+        for entry in memo_cache(fn).items():
             found = _mutable_inside(entry, seen)
             assert found is None, (fn.__qualname__, type(found).__name__)
 

@@ -58,6 +58,7 @@ from orbatlas.geometry import (
     aff1,
 )
 from orbatlas.groupoid import ArrowFamily, GroupoidMorphism, NatTransf, PresentedGroupoid
+from test_memo import memo_cache
 
 COMPLETE_KEY = (Chart, ChangeOfCharts, PartialAffineIso, Atlas, PEntry, ArrowFamily,
                 PresentedGroupoid)
@@ -211,7 +212,7 @@ def test_a_recertified_morphism_has_its_own_entries():
     assert bare != w
     memo.clear()
     assert classify_morphism(w, WORD_BOUND) == classify_morphism(bare, WORD_BOUND)
-    assert set(classify_morphism.table) == {(w, WORD_BOUND), (bare, WORD_BOUND)}
+    assert set(memo_cache(classify_morphism)) == {(w, WORD_BOUND), (bare, WORD_BOUND)}
     ops, table, f = frc.atlas_ops(WORD_BOUND), frc.ChoiceTable(), MORPHISMS["flip_M"]
     square = frc.chosen_square(ops, table, f, w)
     bare_square = frc.chosen_square(ops, table, f, bare)
@@ -281,13 +282,16 @@ def test_equal_values_are_one_object(by_class, cls):
     universes, the catalog 2-cells and the squares of one BF3 pass: objects
     with equal content are one object, so `a == b` is `a is b`; pickling,
     copying, an empty `replace` and a constructor call with the parts in
-    another order (PERMUTED) give back the object itself."""
+    another order (PERMUTED) give back the object itself.  So does a call
+    of a class without `_canonical` with its fields, by position (taken as
+    they are) or by keyword (bound)."""
     values = _collect([x for xs in by_class.values() for x in xs], INTERNED)[cls]
     assert values
     by_content = defaultdict(list)
     for x in values:
         by_content[_content_or_key(x)].append(x)
     assert all(len(xs) == 1 for xs in by_content.values())
+    names = _field_names(cls)
     for x in values:
         assert pickle.loads(pickle.dumps(x)) is x
         assert copy.copy(x) is x and copy.deepcopy(x) is x
@@ -295,6 +299,18 @@ def test_equal_values_are_one_object(by_class, cls):
             assert x.__replace__() is x
         if cls in PERMUTED:
             assert PERMUTED[cls](x) is x
+        if "_canonical" not in vars(cls):
+            assert cls(*x._fields) is x
+            assert cls(**dict(zip(names, x._fields))) is x
+
+
+def _field_names(cls):
+    """The fields of an interned class: its annotations, or else the
+    parameters of its `_setup` after `self`."""
+    if "__annotations__" in vars(cls):
+        return tuple(cls.__annotations__)
+    code = cls._setup.__code__
+    return code.co_varnames[1:code.co_argcount]
 
 
 @pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
