@@ -266,46 +266,72 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
 
     The rounds are semi-naive: `absorb` records the key (src, dst, map) of
     every family it inserts or enlarges, and the next round steps only the
-    families recorded by the one before, in family order.  This is exact.
-    A family that did not grow re-emits the steps that an earlier round
-    already absorbed, and absorbing a region that a family already holds
-    changes nothing, so the families, their order, `complete`, `overflowed`
-    and the round of the cap check are those of stepping every family in
-    every round.  A round that records nothing proves stability.
+    families recorded by the one before, in family order.  A family that
+    did not grow re-emits the steps that an earlier round already absorbed.
+    Where absorbing a region that a family already holds changes nothing,
+    the families, their order, `complete`, `overflowed` and the round of
+    the cap check are those of stepping every family in every round.  That
+    holds on a line; in the plane a union with a region already held can
+    give other pieces of the same set (next paragraph).  A round that
+    records nothing proves stability.
+
+    On a line, an identity map from a chart to itself is a seed but not a
+    letter.  Its step sends the family (src, dst, m) with region `d1` to a
+    part of `d1` under the same key, whose region holds `d1` already.  A
+    canonical region of dimension 1 is its maximal open intervals, so the
+    union of a region and a subset of it is that region: the step never
+    changes a family, whether or not the chart is valid.  In the plane a
+    canonical region may hold overlapping pieces, and a union with a subset
+    can give other pieces of the same set (the invalid `CLIPPED` atlas of
+    `tests/test_closure_reference.py`), so there the letters stay.  On
+    `coherence` identity letters were 37% of all steps and those on a line
+    28% (on `bf-atlas` 27% and 9%).
 
     Within one call each step is computed once: preimages, composites and
     unions are pure functions of their arguments, and a region whose pieces
     are all pieces of the family already is absorbed without a union (the
     pieces of a canonical region are pairwise unmergeable, so that union
     would only drop the duplicates).  Most steps give back the family's own
-    current region, which `absorb` returns on at once.
+    current region, which the loop tests inline before calling `absorb`.
 
     `preimage_under` and `compose` are memoized in the geometry kernel, yet
-    the `steps` row stays: it finds a step by the small integer `lid` in a
-    row looked up once per family.  Values hash by identity in C and a memo
-    hit runs in C, so the memo path pays for two calls per step, each
-    building and hashing its key tuple.  Stepping through the memos alone
-    is still slower: median `run_s` 0.120 -> 0.126 s on `coherence`, 6
-    alternating pairs of `perfbench/run.py --seconds 25`, all won by the
-    row (0.0634 -> 0.0648 s on `bf-atlas`, 3 of 4)."""
+    the `steps` row stays: one row per stepped family (d1, m1, mid) holds
+    its non-empty steps, grouped by target chart, so a family takes all
+    its steps by one lookup and each group its family dict by one
+    `setdefault`.  Grouping keeps each target chart's first appearance and
+    the letter order within it, so the dicts are filled in the order of
+    stepping the letters one by one.  Median `run_s` of 3 alternating
+    pairs of `perfbench/run.py --seconds 8`: building every row again
+    through the memos gave 0.114 -> 0.133 s on `coherence` (3 of 3 won by
+    the row; `bf-atlas` 0.056 s either way).  Sharing the steps of equal
+    letters between charts, as the chart copies of a square's middle have,
+    gave 0.115 -> 0.111 s on `coherence` but 0.057 -> 0.060 s on
+    `bf-atlas` (3 of 3 lost), so rows are not shared."""
     seeds = _seed_families(atlas)
-    # letters[chart]: the seeds leaving the chart as (dst, m2, d2, lid), where
-    # lid numbers the distinct (d2, m2) values
-    lids = {}
+    # letters[chart]: the seeds leaving the chart as (dst, m2, d2); on a line,
+    # identity maps of a chart to itself are left out
+    line = all(m.dim == 1 and dom.dim == 1 for _, _, m, dom in seeds)
     letters = {}
     for src, dst, m, dom in seeds:
-        lid = lids.setdefault((dom, m), len(lids))
-        letters.setdefault(src, []).append((dst, m, dom, lid))
-    steps = {}   # (d1, m1) -> {lid: (d1.preimage_under(m1, d2), m2.compose(m1))}
+        if not (line and src == dst and m.is_identity()):
+            letters.setdefault(src, []).append((dst, m, dom))
+    # (d1, m1, mid) -> ((dst, ((m2.compose(m1), d1.preimage_under(m1, d2)), ...)), ...)
+    steps = {}
     unions = {}  # (cur, region) -> their union, or False when it is cur
     fams = {}
     grown = set()  # keys (src, dst, m) inserted or enlarged since the last round
 
-    def absorb(src, dst, m, region):
-        by_map = fams.setdefault((src, dst), {})
-        cur = by_map.get(m)
-        if cur is region:
-            return
+    def row_of(d1, m1, mid):
+        by_dst = {}
+        for dst, m2, d2 in letters.get(mid, ()):
+            dom = d1.preimage_under(m1, d2)
+            if not dom.is_empty():
+                by_dst.setdefault(dst, []).append((m2.compose(m1), dom))
+        return tuple((dst, tuple(group)) for dst, group in by_dst.items())
+
+    def absorb(by_map, src, dst, m, cur, region):
+        """Put `region` into the family (src, dst, m), whose dict is `by_map`
+        and whose current region `cur` (or None) is not `region`."""
         if cur is None:
             if not region.is_empty():
                 by_map[m] = region
@@ -325,8 +351,11 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
             by_map[m] = new
             grown.add((src, dst, m))
 
-    for s in seeds:
-        absorb(*s)
+    for src, dst, m, dom in seeds:
+        by_map = fams.setdefault((src, dst), {})
+        cur = by_map.get(m)
+        if cur is not dom:
+            absorb(by_map, src, dst, m, cur, dom)
     complete = False
     overflowed = False
     for _ in range(bound):
@@ -336,15 +365,16 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
                     if (src, dst, m) in grown]
         grown.clear()
         for (src, mid, m1, d1) in snapshot:
-            row = steps.setdefault((d1, m1), {})
-            for (dst, m2, d2, lid) in letters.get(mid, ()):
-                step = row.get(lid)
-                if step is None:
-                    step = row[lid] = (d1.preimage_under(m1, d2), m2.compose(m1))
-                dom, m21 = step
-                if dom.is_empty():
-                    continue
-                absorb(src, dst, m21, dom)
+            key = (d1, m1, mid)
+            row = steps.get(key)
+            if row is None:
+                row = steps[key] = row_of(d1, m1, mid)
+            for dst, group in row:
+                by_map = fams.setdefault((src, dst), {})
+                for m21, dom in group:
+                    cur = by_map.get(m21)
+                    if cur is not dom:
+                        absorb(by_map, src, dst, m21, cur, dom)
         total = sum(len(v) for v in fams.values())
         if total > FAMILY_CAP:
             overflowed = True
@@ -642,6 +672,7 @@ def validate_morphism(m: Morphism, bound: int) -> Report:
     return rep
 
 
+@memo
 def equal_morphisms(a: Morphism, b: Morphism) -> bool:
     """Germ-agreement equality: same chart map and lifts, and wherever two
     entries carry the same germ the assigned germs coincide."""
@@ -866,6 +897,17 @@ def _fully_faithful(m: Morphism, yfams: Pseudogroup, xfams: Pseudogroup):
     return True, None
 
 
+def _lifts_certified(m: Morphism, ccl: Pseudogroup):
+    """Three-valued: does the certificate closure `ccl` hold every lift's
+    germ over its whole source chart?  None when a lift is not covered and
+    the closure is incomplete."""
+    for i, L in m.lifts:
+        got = ccl.covered(i, m.chart_image(i), L, m.source.chart(i).domain)
+        if got is not True:
+            return got
+    return True
+
+
 @memo
 def classify_morphism(m: Morphism, bound: int) -> Classification:
     """Strongest applicable class of a morphism.
@@ -877,27 +919,32 @@ def classify_morphism(m: Morphism, bound: int) -> Classification:
     equivalence when the induced coarse map is a certified bijection; an
     open embedding when it is a certified injection.  The certificate
     decides only the identity base: the target orbits are those of the
-    target's own closure."""
+    target's own closure.
+
+    The identity base is first tried on the seed families, `closure(cert,
+    0)`: the chart groups, the generators and their inverses.  A lift
+    covered there is covered at `bound` too, since a family's region only
+    grows from one round to the next, so when every lift is covered the
+    base is certified without closing the certificate.  A square's `w'`
+    is settled this way, by its generators `did -> c1`.  Otherwise the
+    certificate is closed at `bound`.  The source's closure is read only
+    by `_fully_faithful`, which a refinement never reaches."""
     notes = []
     if not m.is_etale():
         return Classification("general", ("a lift is not an open embedding",))
     cert = m.certificate or merge_atlases(m.source, m.target)
     ident = False
     if cert is not None:
-        ccl = closure(cert, bound)
-        ident = True
-        for i, L in m.lifts:
-            got = ccl.covered(i, m.chart_image(i), L, m.source.chart(i).domain)
-            if got is not True:
-                ident = got  # False, or None when the bound ran out
-                break
+        ident = _lifts_certified(m, closure(cert, 0))
+        if ident is not True:
+            ident = _lifts_certified(m, closure(cert, bound))
         if ident is None:
             notes.append("identity-base certification undecided at this bound")
-    scl, tcl = closure(m.source, bound), closure(m.target, bound)
+    tcl = closure(m.target, bound)
     surj, wit_s = _essentially_surjective(m, tcl)
     if ident is True and surj is True:
         return Classification("refinement")
-    full, wit_f = _fully_faithful(m, tcl, scl)
+    full, wit_f = _fully_faithful(m, tcl, closure(m.source, bound))
     if full is True and surj is True:
         return Classification("weak_equivalence", tuple(notes))
     if full is True and surj is False:
@@ -1031,6 +1078,7 @@ def validate_2cell(c: TwoCell, bound: int) -> Report:
     return rep
 
 
+@memo
 def equal_2cells(a: TwoCell, b: TwoCell) -> bool:
     """Equal source and target morphisms, and germ agreement on overlaps of
     patch regions."""

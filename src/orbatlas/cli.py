@@ -150,7 +150,8 @@ def parse_chart(doc, path=""):
     return _made(path, atl.Chart,
                  _need(doc, "id", path, str),
                  parse_region(_need(doc, "domain", path), f"{path}/domain"),
-                 [parse_affine(g, f"{path}/group") for g in _need(doc, "group", path, list)])
+                 [parse_affine(g, f"{path}/group/{k}")
+                  for k, g in enumerate(_need(doc, "group", path, list))])
 
 
 def change_doc(ch: atl.ChangeOfCharts):
@@ -176,9 +177,10 @@ def atlas_doc(a: atl.Atlas):
 
 
 def parse_atlas(doc, path=""):
-    charts = [parse_chart(c, f"{path}/charts") for c in _need(doc, "charts", path, list)]
-    gens = [parse_change(g, f"{path}/generators")
-            for g in _need(doc, "generators", path, list)]
+    charts = [parse_chart(c, f"{path}/charts/{i}")
+              for i, c in enumerate(_need(doc, "charts", path, list))]
+    gens = [parse_change(g, f"{path}/generators/{i}")
+            for i, g in enumerate(_need(doc, "generators", path, list))]
     return _made(path, atl.Atlas, charts, gens)
 
 
@@ -200,6 +202,11 @@ def _str_map(doc, key, path):
     return out
 
 
+def _parse_entry(doc, path):
+    return atl.PEntry(parse_change(_need(doc, "change", path), f"{path}/change"),
+                      parse_change(_need(doc, "nu", path), f"{path}/nu"))
+
+
 def parse_morphism(doc, path=""):
     cert = _typed(doc, dict, path).get("certificate")
     source = parse_atlas(_need(doc, "source", path), f"{path}/source")
@@ -210,11 +217,11 @@ def parse_morphism(doc, path=""):
         {_known(i, ids, f"{path}/chart_map/{i}", "source chart"):
          _known(j, tids, f"{path}/chart_map/{i}", "target chart")
          for i, j in _str_map(doc, "chart_map", path).items()},
-        {_known(i, ids, f"{path}/lifts/{i}", "source chart"): parse_affine(L, f"{path}/lifts")
+        {_known(i, ids, f"{path}/lifts/{i}", "source chart"):
+         parse_affine(L, f"{path}/lifts/{i}")
          for i, L in _need(doc, "lifts", path, dict).items()},
-        [atl.PEntry(parse_change(_need(e, "change", f"{path}/entries"), f"{path}/entries"),
-                    parse_change(_need(e, "nu", f"{path}/entries"), f"{path}/entries"))
-         for e in _need(doc, "entries", path, list)],
+        [_parse_entry(e, f"{path}/entries/{k}")
+         for k, e in enumerate(_need(doc, "entries", path, list))],
         certificate=None if cert is None else parse_atlas(cert, f"{path}/certificate"))
 
 

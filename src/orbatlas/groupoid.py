@@ -280,6 +280,7 @@ def compose_gpd_morphisms(b: GroupoidMorphism, a: GroupoidMorphism) -> GroupoidM
     return GroupoidMorphism(a.source, b.target, om, fm)
 
 
+@memo
 def equal_gpd_morphisms(a: GroupoidMorphism, b: GroupoidMorphism) -> bool:
     """Equality as set maps on objects and arrows: equal object maps, and
     matched families carry equal affine maps on the target side."""
@@ -431,6 +432,7 @@ def _germs(alpha: NatTransf, pid):
     return [(r, h.family(fid).map) for r, fid in alpha.at(pid)]
 
 
+@memo
 def equal_nat_transfs(a: NatTransf, b: NatTransf) -> bool:
     """Equal source and target morphisms, and equal arrow germs wherever
     the assignments overlap."""

@@ -390,14 +390,14 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "region", "dim": 1, "pieces": [["0", float("inf")]]}, "/pieces/0/1"),
     ({"kind": ["atlas"]}, "/kind"),
     ({"kind": "atlas", "charts": 5, "generators": []}, "/charts"),
-    ({"kind": "atlas", "charts": [dict(_CHART, id=5)], "generators": []}, "/charts/id"),
+    ({"kind": "atlas", "charts": [dict(_CHART, id=5)], "generators": []}, "/charts/0/id"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": 1, "offset": []}])],
-      "generators": []}, "/charts/group/matrix"),
+      "generators": []}, "/charts/0/group/0/matrix"),
     # rejected by the constructors: shape, dimension, duplicate ids
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1", "0"]], "offset": ["0"]}])],
-      "generators": []}, "/charts/group"),
+      "generators": []}, "/charts/0/group/0"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [], "offset": []}])],
-      "generators": []}, "/charts/group"),
+      "generators": []}, "/charts/0/group/0"),
     ({"kind": "atlas", "charts": [_CHART, _CHART], "generators": []}, ""),
     ({"kind": "change", "src": "T", "dst": "T", "map": {"matrix": [["0"]], "offset": ["0"]},
       "dom": _IV}, ""),
@@ -422,7 +422,7 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "region", "dim": 1, "pieces": [[True, "1"]]}, "/pieces/0/0"),
     ({"kind": "region", "dim": 1, "pieces": [[0.1, "1"]]}, "/pieces/0/0"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1"]], "offset": [3]}])],
-      "generators": []}, "/charts/group/offset/0"),
+      "generators": []}, "/charts/0/group/0/offset/0"),
 ])
 def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
     p = tmp_path / "bad.json"
@@ -436,17 +436,37 @@ def _group(*maps):
     return {"kind": "atlas", "charts": [dict(_CHART, group=list(maps))], "generators": []}
 
 
+_BAD = {"matrix": [["v"]], "offset": ["0"]}
+
+
+def _change(m):
+    return {"kind": "change", "src": "T", "dst": "T", "map": m, "dom": _IV}
+
+
+def _morphism(lifts=None, entries=()):
+    return {"kind": "morphism", "source": _ATLAS, "target": _ATLAS, "chart_map": {"T": "T"},
+            "lifts": lifts or {"T": _MAP}, "entries": list(entries)}
+
+
 @pytest.mark.parametrize("doc, pointer", [
     # a bad rational of the second interval
     ({"kind": "region", "dim": 1, "pieces": [["0", "1"], ["2", "x"]]}, "/pieces/1/1"),
     # a bad coordinate of a vertex of a 2-D piece
     ({"kind": "region", "dim": 2, "pieces": [_SQUARE, [["0", "0"], ["1", "0"], ["0", "y"]]]},
      "/pieces/1/2/1"),
-    # a bad entry, a row that is not a list and a bad offset of a second group element;
-    # the chart and the group element are not indexed yet
-    (_group(_MAP, {"matrix": [["w"]], "offset": ["0"]}), "/charts/group/matrix/0/0"),
-    (_group(_MAP, {"matrix": ["1"], "offset": ["0"]}), "/charts/group/matrix/0"),
-    (_group(_MAP, {"matrix": [["1"]], "offset": ["1/0"]}), "/charts/group/offset/0"),
+    # a bad entry, a row that is not a list and a bad offset of a second group element
+    (_group(_MAP, {"matrix": [["w"]], "offset": ["0"]}), "/charts/0/group/1/matrix/0/0"),
+    (_group(_MAP, {"matrix": ["1"], "offset": ["0"]}), "/charts/0/group/1/matrix/0"),
+    (_group(_MAP, {"matrix": [["1"]], "offset": ["1/0"]}), "/charts/0/group/1/offset/0"),
+    # the second chart, a generator, a lift and the halves of an entry
+    (dict(_ATLAS, charts=[_CHART, dict(_CHART, id="U", domain=dict(_IV, pieces=[["0", "z"]]))]),
+     "/charts/1/domain/pieces/0/1"),
+    (dict(_ATLAS, generators=[_change(_BAD)]), "/generators/0/map/matrix/0/0"),
+    (_morphism(lifts={"T": _BAD}), "/lifts/T/matrix/0/0"),
+    (_morphism(entries=[{"change": _change(_MAP), "nu": _change(_BAD)}]),
+     "/entries/0/nu/map/matrix/0/0"),
+    (_morphism(entries=[{"change": _change(_MAP), "nu": _change(_MAP)}, {"nu": _change(_MAP)}]),
+     "/entries/1/change"),
 ])
 def test_a_bad_rational_is_a_schema_error_at_its_entry(doc, pointer):
     with pytest.raises(cli.SchemaError) as e:

@@ -8,10 +8,13 @@ with the same region pieces, `complete` and `overflowed`, for every bound
 and family cap.
 
 The inputs are the catalog atlases, the shifted trivial atlas, a chart of
-shifts whose closure enlarges a family, the source/target merge of every
-catalog morphism, and every atlas that `pullback_square` closes on the
-parallel pools of the acceptance suite, plus the pushforwards of catalog
-atlases along random rational affine maps.
+shifts whose closure enlarges a family, an invalid plane atlas whose
+identity letters change the pieces of a family, the source/target merge of
+every catalog morphism, every atlas that `pullback_square` closes on the
+parallel pools of the acceptance suite, and the search atlases that the
+connecting and cancelling 2-cells close during one pentagon of the
+localized coherence, plus the pushforwards of catalog atlases along random
+rational affine maps.
 """
 
 from fractions import Fraction
@@ -21,6 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbatlas import atlas as atl
+from orbatlas import fractions as frc
 from orbatlas.atlas import (
     WORD_BOUND,
     Atlas,
@@ -28,8 +32,8 @@ from orbatlas.atlas import (
     Chart,
     merge_atlases,
 )
-from orbatlas.fixtures import ATLASES, EXPECTED_CLASS, ID1, MORPHISMS, TRIV_SHIFTED
-from orbatlas.geometry import AffineMap, Region, aff1
+from orbatlas.fixtures import ATLASES, EXPECTED_CLASS, ID1, MIRROR_REF, MORPHISMS, TRIV_SHIFTED
+from orbatlas.geometry import AffineMap, PartialAffineIso, Polygon, Region, aff1, aff2
 from test_acceptance import _parallel_pools
 
 M = MORPHISMS
@@ -107,11 +111,85 @@ STAIRS = Atlas([Chart("T", Region.interval(0, 10), [ID1])],
                [_shift(1, 0), _shift(1, 1), _shift(2, 1), _shift(5, 2)])
 
 
+def _box(x0, y0, x1, y1):
+    return Polygon.make([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+# An invalid plane atlas: the generator A -> B carries the overlapping boxes
+# p' = (0,2)x(0,1) and p = (1,3)x(0,2), whose union is not convex, past the
+# top of B.  The identity of B clips p to q = (1,3)x(0,1), and the union of
+# the family with q merges p' and q into (0,3)x(0,1): the same set in other
+# pieces.  A closure that left out the identity letters of a plane atlas
+# would keep p' and p.
+_ID2 = aff2([[1, 0], [0, 1]])
+CLIPPED = Atlas(
+    [Chart("A", Region(2, [_box(0, 0, 3, 2)]), [_ID2]),
+     Chart("B", Region(2, [_box(10, 0, 13, 1)]), [_ID2])],
+    [ChangeOfCharts("A", "B", PartialAffineIso(aff2([[1, 0], [0, 1]], (10, 0)),
+                                                Region(2, [_box(0, 0, 2, 1),
+                                                           _box(1, 0, 3, 2)])))])
+
+
+def _pentagon_search_atlases():
+    """The search atlases that `unique_2cell_open_embeddings` and
+    `cancel_refinement_cell` close while one pentagon of the localized
+    coherence is checked: the chart copies of the chosen squares make them
+    the largest closures of that check, several are incomplete at the word
+    bound and one overflows the family cap."""
+    ops, table = frc.atlas_ops(), frc.ChoiceTable()
+    legs = frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"])
+    s4, s3, s2, s1 = (legs, *(frc.universal_embed(ops, M[n])
+                              for n in ("leg1_MR_M", "incl_M_MR", "flip_M")))
+    closed, inside = {}, []
+    closure = atl.closure
+
+    def spy(a, bound):
+        if inside:
+            closed.setdefault(a, None)
+        return closure(a, bound)
+
+    def within(fn):
+        def run(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(atl, "closure", spy)
+        # the memo of the connecting 2-cells would hide their closures
+        mp.setattr(atl, "unique_2cell_open_embeddings",
+                   within(atl.unique_2cell_open_embeddings.__wrapped__))
+        mp.setattr(atl, "cancel_refinement_cell", within(atl.cancel_refinement_cell))
+        a434 = frc.associator(ops, table, s4, s3, s2)
+        a321 = frc.associator(ops, table, s3, s2, s1)
+        s21 = frc.compose_spans(ops, table, s2, s1)
+        s32 = frc.compose_spans(ops, table, s3, s2)
+        lhs = frc.vertical_compose_cells(
+            ops,
+            frc.horizontal_compose_cells(ops, table, frc.identity_fraction_cell(ops, s4), a321),
+            frc.vertical_compose_cells(
+                ops, frc.associator(ops, table, s4, s32, s1),
+                frc.horizontal_compose_cells(ops, table, a434,
+                                             frc.identity_fraction_cell(ops, s1))))
+        rhs = frc.vertical_compose_cells(
+            ops, frc.associator(ops, table, s4, s3, s21),
+            frc.associator(ops, table, frc.compose_spans(ops, table, s4, s3), s2, s1))
+        assert frc.cell_equal(ops, lhs, rhs) is True
+    outcomes = [(cl.complete, cl.overflowed)
+                for cl in (closure(a, WORD_BOUND) for a in closed)]
+    assert (False, False) in outcomes and (False, True) in outcomes
+    return list(closed)
+
+
 @pytest.fixture(scope="module")
 def atlases():
     out = dict(ATLASES)
     out["TRIV_SHIFTED"] = TRIV_SHIFTED
     out["STAIRS"] = STAIRS
+    out["CLIPPED"] = CLIPPED
     for name, m in sorted(M.items()):
         out[f"merge:{name}"] = merge_atlases(m.source, m.target)
     closed = {}
@@ -132,6 +210,8 @@ def atlases():
     assert closed
     for k, a in enumerate(closed):
         out[f"square:{k}"] = a
+    for k, a in enumerate(_pentagon_search_atlases()):
+        out[f"pentagon:{k}"] = a
     return out
 
 

@@ -350,6 +350,15 @@ def _atlas_cases():
         "identity_morphism": [(a, b) for a in ends],
         "compose_morphisms": [(g, f) for g in ms for f in ms if f.target == g.source],
         "classify_morphism": [(m, b) for m in ms],
+        # parallel pairs, each morphism with itself among them, and a pair
+        # that is not parallel
+        "equal_morphisms": [(f, g) for f in ms for g in ms
+                            if (f.source, f.target) == (g.source, g.target)]
+        + [(ms[0], ms[1])],
+        "equal_2cells": [
+            (sigma, delta) for sigma in cells for delta in cells
+            if sigma.source_morphism.source == delta.source_morphism.source
+            and sigma.source_morphism.target == delta.source_morphism.target],
         "pullback_square": [(f, w, b) for f in ms for w in refinements
                             if f.target == w.target],
         "unique_2cell_open_embeddings": [
@@ -625,6 +634,13 @@ def _other_cases():
         "fred._fred0": [(a, b) for _, a in sorted(ATLASES.items())] + [(TRIV_SHIFTED, b)],
         "fred._fred1": [(m, b) for m in ms],
         "fred.fred_inverse": [(psi,) for psi in images],
+        "groupoid.equal_gpd_morphisms": [
+            (phi, psi) for phi in images for psi in images
+            if (phi.source, phi.target) == (psi.source, psi.target)],
+        "groupoid.equal_nat_transfs": [
+            (beta, alpha) for beta in nts for alpha in nts
+            if beta.source_morphism.source == alpha.source_morphism.source
+            and beta.source_morphism.target == alpha.source_morphism.target],
         "fractions._gpd_is_w": [(psi,) for psi in images],
         "groupoid.identity_nat_transf": [(psi,) for psi in images],
         "groupoid.horizontal_compose_nt": [
