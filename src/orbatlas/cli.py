@@ -7,8 +7,9 @@ so parse(serialize(x)) == x bit-exactly.  Exit codes: 0 pass, 1 semantic
 failure (witness in the report), 2 undecided at the word bound, 3 schema
 error.  A printed report's `ok` is false exactly on exit 1 and 3.  A proof
 that a cell does not exist and non-composable input are semantic failures;
-a document of the wrong kind is a schema error.  `run` is the one place
-that maps an error to its exit code.
+a document of the wrong kind is a schema error.  A schema error names the
+offending node by an RFC 6901 pointer, such as `/patches/C2/0/0/pieces/0/0`.
+`run` is the one place that maps an error to its exit code.
 """
 
 from __future__ import annotations
@@ -35,35 +36,82 @@ class SchemaError(Exception):
         self.path = path
 
 
+# -- readers ------------------------------------------------------------------
+# A reader `read(value, path)` parses the JSON `value` at the RFC 6901
+# pointer `path` of a document; a SchemaError names the node that is wrong.
+
+def _at(path, key):
+    """The pointer to the child `key` (a key or an index) of the node `path`."""
+    return f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}"
+
+
 def _typed(value, kind, path):
     if not isinstance(value, kind):
         raise SchemaError(path, f"expected {kind.__name__}, got {json.dumps(value)[:40]}")
     return value
 
 
-def _need(doc, key, path, kind=None):
-    if not isinstance(doc, dict) or key not in doc:
-        raise SchemaError(f"{path}/{key}", "missing")
-    return doc[key] if kind is None else _typed(doc[key], kind, f"{path}/{key}")
+def _str(value, path):
+    return _typed(value, str, path)
 
 
-def _tuple(value, size, path):
-    if not isinstance(value, list) or len(value) != size:
-        raise SchemaError(path, f"expected a list of {size} items")
-    return tuple(value)
+def _need(doc, path, **reads):
+    """The fields of the object `doc` that `reads` names, each read by its reader."""
+    _typed(doc, dict, path)
+    out = []
+    for key, read in reads.items():
+        if key not in doc:
+            raise SchemaError(_at(path, key), "missing")
+        out.append(read(doc[key], _at(path, key)))
+    return out
 
 
-def _tuples(value, size, path):
-    """A list of lists of length `size`, as a list of tuples."""
-    return [_tuple(item, size, f"{path}/{i}") for i, item in enumerate(_typed(value, list, path))]
+def _optional(doc, path, key, read):
+    """`read` of the field `key` of `doc`, or None where it is absent or null."""
+    value = doc.get(key)
+    return None if value is None else read(value, _at(path, key))
 
 
-def _known(name, known, path, what):
-    """A name by which a document refers to a part of another; a name that
-    refers to nothing is a schema error at `path`."""
-    if name not in known:
-        raise SchemaError(path, f"no {what} {name!r}")
-    return name
+def _list(read):
+    """A reader of a list of items `read` reads, or of one item per reader of a tuple `read`."""
+    if not isinstance(read, tuple):
+        return lambda value, path: [read(item, _at(path, i))
+                                    for i, item in enumerate(_typed(value, list, path))]
+
+    def fixed(value, path):
+        if not isinstance(value, list) or len(value) != len(read):
+            raise SchemaError(path, f"expected a list of {len(read)} items")
+        return tuple(r(item, _at(path, i)) for i, (r, item) in enumerate(zip(read, value)))
+    return fixed
+
+
+def _one_of(known, what):
+    """A reader of a name that refers to one of the ids `known`."""
+    def read(value, path):
+        if _str(value, path) not in known:
+            raise SchemaError(path, f"no {what} {value!r}")
+        return value
+    return read
+
+
+def _object(read, known, what):
+    """A reader of an object from ids `known` to values that `read` reads."""
+    name = _one_of(known, what)
+    return lambda value, path: {name(key, at := _at(path, key)): read(item, at)
+                                for key, item in _typed(value, dict, path).items()}
+
+
+def _document(**fixed):
+    """Make a parser a reader of objects whose fields `fixed`, where present, have their values."""
+    def wrap(parse):
+        def read(doc, path=""):
+            _typed(doc, dict, path)
+            for key, value in fixed.items():
+                if doc.get(key, value) != value:
+                    raise SchemaError(_at(path, key), f"expected {key} {value!r}")
+            return parse(doc, path)
+        return read
+    return wrap
 
 
 def _made(path, build, *args, **kwargs):
@@ -85,7 +133,7 @@ def frac_str(x: Fraction) -> str:
 def parse_frac(s, path=""):
     """A rational, which documents write as a string."""
     try:
-        return Fraction(_typed(s, str, path))
+        return Fraction(_str(s, path))
     except (ValueError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational: {s!r}")
 
@@ -96,13 +144,7 @@ def affine_doc(m: AffineMap):
 
 
 def parse_affine(doc, path=""):
-    rows = _need(doc, "matrix", path, list)
-    off = _need(doc, "offset", path, list)
-    return _made(path, AffineMap.make,
-                 [[parse_frac(e, f"{path}/matrix/{i}/{j}")
-                   for j, e in enumerate(_typed(row, list, f"{path}/matrix/{i}"))]
-                  for i, row in enumerate(rows)],
-                 [parse_frac(e, f"{path}/offset/{i}") for i, e in enumerate(off)])
+    return _made(path, AffineMap.make, *_need(doc, path, matrix=_MATRIX, offset=_VECTOR))
 
 
 def region_doc(r: Region):
@@ -114,29 +156,27 @@ def region_doc(r: Region):
     return {"kind": "region", "dim": r.dim, "pieces": pieces}
 
 
-def parse_region(doc, path=""):
-    dim = _need(doc, "dim", path)
-    raw = _need(doc, "pieces", path, list)
-    if type(dim) is not int or dim not in (1, 2):
-        raise SchemaError(f"{path}/dim", "dimension must be 1 or 2")
-    pieces = []
-    if dim == 1:
-        for i, (a, b) in enumerate(_tuples(raw, 2, f"{path}/pieces")):
-            at = f"{path}/pieces/{i}"
-            lo, hi = parse_frac(a, f"{at}/0"), parse_frac(b, f"{at}/1")
-            if lo >= hi:
-                raise SchemaError(at, f"interval [{a}, {b}] is empty")
-            pieces.append(Interval.make(lo, hi))
-    else:
-        for i, pts in enumerate(raw):
-            at = f"{path}/pieces/{i}"
-            pts = [(parse_frac(x, f"{at}/{k}/0"), parse_frac(y, f"{at}/{k}/1"))
-                   for k, (x, y) in enumerate(_tuples(pts, 2, at))]
-            poly = Polygon.make(pts)
-            if poly is None or sorted(pts) != sorted(poly.verts):
-                raise SchemaError(at, "not the vertices of a convex polygon of positive area")
-            pieces.append(poly)
-    return Region(dim, pieces)
+def _interval_piece(pair, path):
+    lo, hi = _POINT(pair, path)
+    if lo >= hi:
+        raise SchemaError(path, f"interval [{pair[0]}, {pair[1]}] is empty")
+    return Interval.make(lo, hi)
+
+
+def _polygon_piece(pts, path):
+    pts = _VERTICES(pts, path)
+    poly = Polygon.make(pts)
+    if poly is None or sorted(pts) != sorted(poly.verts):
+        raise SchemaError(path, "not the vertices of a convex polygon of positive area")
+    return poly
+
+
+@_document(kind="region")
+def parse_region(doc, path):
+    dim = doc.get("dim")
+    if type(dim) is not int or dim not in _PIECES:
+        raise SchemaError(_at(path, "dim"), "dimension must be 1 or 2")
+    return Region(dim, *_need(doc, path, pieces=_PIECES[dim]))
 
 
 # -- atlas side ---------------------------------------------------------------
@@ -146,12 +186,9 @@ def chart_doc(c: atl.Chart):
             "group": [affine_doc(g) for g in c.group]}
 
 
-def parse_chart(doc, path=""):
-    return _made(path, atl.Chart,
-                 _need(doc, "id", path, str),
-                 parse_region(_need(doc, "domain", path), f"{path}/domain"),
-                 [parse_affine(g, f"{path}/group/{k}")
-                  for k, g in enumerate(_need(doc, "group", path, list))])
+@_document(kind="chart")
+def parse_chart(doc, path):
+    return _made(path, atl.Chart, *_need(doc, path, id=_str, domain=parse_region, group=_MAPS))
 
 
 def change_doc(ch: atl.ChangeOfCharts):
@@ -159,15 +196,10 @@ def change_doc(ch: atl.ChangeOfCharts):
             "map": affine_doc(ch.map), "dom": region_doc(ch.dom)}
 
 
-def _iso(mdoc, rdoc, path):
-    return _made(path, PartialAffineIso.make, parse_affine(mdoc, f"{path}/map"),
-                 parse_region(rdoc, f"{path}/dom"))
-
-
-def parse_change(doc, path=""):
-    return atl.ChangeOfCharts(
-        _need(doc, "src", path, str), _need(doc, "dst", path, str),
-        _iso(_need(doc, "map", path), _need(doc, "dom", path), path))
+@_document(kind="change")
+def parse_change(doc, path):
+    src, dst, m, dom = _need(doc, path, src=_str, dst=_str, map=parse_affine, dom=parse_region)
+    return atl.ChangeOfCharts(src, dst, _made(path, PartialAffineIso.make, m, dom))
 
 
 def atlas_doc(a: atl.Atlas):
@@ -176,12 +208,9 @@ def atlas_doc(a: atl.Atlas):
             "generators": [change_doc(g) for g in a.generators]}
 
 
-def parse_atlas(doc, path=""):
-    charts = [parse_chart(c, f"{path}/charts/{i}")
-              for i, c in enumerate(_need(doc, "charts", path, list))]
-    gens = [parse_change(g, f"{path}/generators/{i}")
-            for i, g in enumerate(_need(doc, "generators", path, list))]
-    return _made(path, atl.Atlas, charts, gens)
+@_document(kind="atlas")
+def parse_atlas(doc, path):
+    return _made(path, atl.Atlas, *_need(doc, path, charts=_CHARTS, generators=_CHANGES))
 
 
 def morphism_doc(m: atl.Morphism):
@@ -194,35 +223,14 @@ def morphism_doc(m: atl.Morphism):
             "certificate": None if m.certificate is None else atlas_doc(m.certificate)}
 
 
-def _str_map(doc, key, path):
-    """A JSON object of strings."""
-    out = _need(doc, key, path, dict)
-    for k, v in out.items():
-        _typed(v, str, f"{path}/{key}/{k}")
-    return out
-
-
-def _parse_entry(doc, path):
-    return atl.PEntry(parse_change(_need(doc, "change", path), f"{path}/change"),
-                      parse_change(_need(doc, "nu", path), f"{path}/nu"))
-
-
-def parse_morphism(doc, path=""):
-    cert = _typed(doc, dict, path).get("certificate")
-    source = parse_atlas(_need(doc, "source", path), f"{path}/source")
-    target = parse_atlas(_need(doc, "target", path), f"{path}/target")
-    ids, tids = source.chart_ids(), target.chart_ids()
-    return _made(
-        path, atl.Morphism, source, target,
-        {_known(i, ids, f"{path}/chart_map/{i}", "source chart"):
-         _known(j, tids, f"{path}/chart_map/{i}", "target chart")
-         for i, j in _str_map(doc, "chart_map", path).items()},
-        {_known(i, ids, f"{path}/lifts/{i}", "source chart"):
-         parse_affine(L, f"{path}/lifts/{i}")
-         for i, L in _need(doc, "lifts", path, dict).items()},
-        [_parse_entry(e, f"{path}/entries/{k}")
-         for k, e in enumerate(_need(doc, "entries", path, list))],
-        certificate=None if cert is None else parse_atlas(cert, f"{path}/certificate"))
+@_document(kind="morphism")
+def parse_morphism(doc, path):
+    source, target = _need(doc, path, source=parse_atlas, target=parse_atlas)
+    ids = source.chart_ids()
+    chart_map = _object(_one_of(target.chart_ids(), "target chart"), ids, "source chart")
+    return _made(path, atl.Morphism, source, target, *_need(
+        doc, path, chart_map=chart_map, lifts=_object(parse_affine, ids, "source chart"),
+        entries=_ENTRIES), certificate=_optional(doc, path, "certificate", parse_atlas))
 
 
 def twocell_doc(c: atl.TwoCell):
@@ -233,16 +241,11 @@ def twocell_doc(c: atl.TwoCell):
                         for cid, items in c.patches}}
 
 
-def parse_twocell(doc, path=""):
-    source = parse_morphism(_need(doc, "source", path), f"{path}/source")
-    ids = source.source.chart_ids()
-    return _made(
-        path, atl.TwoCell, source,
-        parse_morphism(_need(doc, "target", path), f"{path}/target"),
-        {_known(cid, ids, f"{path}/patches/{cid}", "source chart"):
-         [(parse_region(r, f"{path}/patches"), parse_change(ch, f"{path}/patches"))
-          for r, ch in _tuples(items, 2, f"{path}/patches/{cid}")]
-         for cid, items in _need(doc, "patches", path, dict).items()})
+@_document(kind="2cell")
+def parse_twocell(doc, path):
+    source, target = _need(doc, path, source=parse_morphism, target=parse_morphism)
+    return _made(path, atl.TwoCell, source, target, *_need(
+        doc, path, patches=_object(_PATCHES, source.source.chart_ids(), "source chart")))
 
 
 # -- groupoid side ------------------------------------------------------------
@@ -263,25 +266,21 @@ def groupoid_doc(g: gpd.PresentedGroupoid):
             "annotation": ann}
 
 
-def parse_groupoid(doc, path=""):
-    note = ann = _typed(doc, dict, path).get("annotation")
-    at, kind = f"{path}/annotation", ann.get("type") if isinstance(ann, dict) else None
-    if kind == "atlas":
-        note = parse_atlas(_need(ann, "atlas", at), at)
-    elif kind == "cover":
-        cover = _tuples(_need(ann, "cover", at), 2, f"{at}/cover")
-        note = tuple((pid, parse_region(r, at)) for pid, r in cover)
-    elif ann is not None:
-        raise SchemaError(at, "expected null or an atlas or cover annotation")
-    fp = f"{path}/families"
-    fams = [gpd.ArrowFamily(_typed(fid, str, fp), _typed(src, str, fp), _typed(dst, str, fp),
-                            _iso(m, r, fp))
-            for fid, src, dst, m, r in _tuples(_need(doc, "families", path), 5, fp)]
-    return _made(
-        path, gpd.PresentedGroupoid,
-        {_typed(pid, str, f"{path}/pieces"): parse_region(r, f"{path}/pieces")
-         for pid, r in _tuples(_need(doc, "pieces", path), 2, f"{path}/pieces")},
-        fams, annotation=note)
+def _family(item, path):
+    fid, src, dst, m, dom = _FAMILY(item, path)
+    return gpd.ArrowFamily(fid, src, dst, _made(path, PartialAffineIso.make, m, dom))
+
+
+def _annotation(doc, path):
+    [kind] = _need(doc, path, type=_ANNOTATION_TYPE)
+    return _need(doc, path, **{kind: _ANNOTATIONS[kind]})[0]
+
+
+@_document(kind="groupoid")
+def parse_groupoid(doc, path):
+    return _made(path, gpd.PresentedGroupoid,
+                 *_need(doc, path, pieces=_REGIONS, families=_FAMILIES),
+                 annotation=_optional(doc, path, "annotation", _annotation))
 
 
 def gpd_morphism_doc(psi: gpd.GroupoidMorphism):
@@ -291,22 +290,15 @@ def gpd_morphism_doc(psi: gpd.GroupoidMorphism):
             "family_map": dict(psi.family_map)}
 
 
-def parse_gpd_morphism(doc, path=""):
-    source = parse_groupoid(_need(doc, "source", path), f"{path}/source")
-    target = parse_groupoid(_need(doc, "target", path), f"{path}/target")
-    pids, tpids = source.piece_ids(), target.piece_ids()
-    objects = {}
-    for p, pair in _need(doc, "object_map", path, dict).items():
-        at = f"{path}/object_map/{p}"
-        q, m = _tuple(pair, 2, at)
-        objects[_known(p, pids, at, "source piece")] = (
-            _known(_typed(q, str, at), tpids, at, "target piece"),
-            parse_affine(m, f"{path}/object_map"))
-    fids, tfids = source.family_ids(), target.family_ids()
-    families = {_known(f, fids, f"{path}/family_map/{f}", "source family"):
-                _known(t, tfids, f"{path}/family_map/{f}", "target family")
-                for f, t in _str_map(doc, "family_map", path).items()}
-    return _made(path, gpd.GroupoidMorphism, source, target, objects, families)
+@_document(kind="gpd_morphism")
+def parse_gpd_morphism(doc, path):
+    source, target = _need(doc, path, source=parse_groupoid, target=parse_groupoid)
+    objects = _object(_list((_one_of(target.piece_ids(), "target piece"), parse_affine)),
+                      source.piece_ids(), "source piece")
+    families = _object(_one_of(target.family_ids(), "target family"),
+                       source.family_ids(), "source family")
+    return _made(path, gpd.GroupoidMorphism, source, target,
+                 *_need(doc, path, object_map=objects, family_map=families))
 
 
 def nat_transf_doc(a: gpd.NatTransf):
@@ -317,18 +309,12 @@ def nat_transf_doc(a: gpd.NatTransf):
                             for p, items in a.assignments}}
 
 
-def parse_nat_transf(doc, path=""):
-    source = parse_gpd_morphism(_need(doc, "source", path), f"{path}/source")
-    pids, fids = source.source.piece_ids(), source.target.family_ids()
-    return _made(
-        path, gpd.NatTransf, source,
-        parse_gpd_morphism(_need(doc, "target", path), f"{path}/target"),
-        {_known(p, pids, f"{path}/assignments/{p}", "source piece"):
-         [(parse_region(r, f"{path}/assignments"),
-           _known(_typed(fid, str, f"{path}/assignments/{p}"), fids,
-                  f"{path}/assignments/{p}", "target family"))
-          for r, fid in _tuples(items, 2, f"{path}/assignments/{p}")]
-         for p, items in _need(doc, "assignments", path, dict).items()})
+@_document(kind="nat_transf")
+def parse_nat_transf(doc, path):
+    source, target = _need(doc, path, source=parse_gpd_morphism, target=parse_gpd_morphism)
+    items = _list(_list((parse_region, _one_of(source.target.family_ids(), "target family"))))
+    return _made(path, gpd.NatTransf, source, target, *_need(
+        doc, path, assignments=_object(items, source.source.piece_ids(), "source piece")))
 
 
 # -- localized cells ----------------------------------------------------------
@@ -339,12 +325,10 @@ def span_doc(s: frc.Span):
             "left": morphism_doc(s.left), "right": morphism_doc(s.right)}
 
 
-def parse_span(doc, path=""):
-    if _typed(doc, dict, path).get("instance", "atlas") != "atlas":
-        raise SchemaError(f"{path}/instance", "only atlas spans are serialized")
-    return frc.Span(parse_atlas(_need(doc, "middle", path), f"{path}/middle"),
-                    parse_morphism(_need(doc, "left", path), f"{path}/left"),
-                    parse_morphism(_need(doc, "right", path), f"{path}/right"))
+@_document(kind="span", instance="atlas")
+def parse_span(doc, path):
+    return frc.Span(*_need(doc, path, middle=parse_atlas, left=parse_morphism,
+                           right=parse_morphism))
 
 
 def fraction_cell_doc(c: frc.FractionCell):
@@ -356,14 +340,11 @@ def fraction_cell_doc(c: frc.FractionCell):
             "base": twocell_doc(c.base)}
 
 
-def parse_fraction_cell(doc, path=""):
-    return frc.FractionCell(
-        parse_span(_need(doc, "src_span", path), f"{path}/src_span"),
-        parse_span(_need(doc, "dst_span", path), f"{path}/dst_span"),
-        parse_atlas(_need(doc, "middle", path), f"{path}/middle"),
-        parse_morphism(_need(doc, "left_leg", path), f"{path}/left_leg"),
-        parse_morphism(_need(doc, "right_leg", path), f"{path}/right_leg"),
-        parse_twocell(_need(doc, "base", path), f"{path}/base"))
+@_document(kind="fraction_cell", instance="atlas")
+def parse_fraction_cell(doc, path):
+    return frc.FractionCell(*_need(
+        doc, path, src_span=parse_span, dst_span=parse_span, middle=parse_atlas,
+        left_leg=parse_morphism, right_leg=parse_morphism, base=parse_twocell))
 
 
 def _validate_change(ch, bound):
@@ -407,10 +388,7 @@ def serialize(value) -> dict:
 
 
 def parse(doc):
-    kind = _need(doc, "kind", "")
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise SchemaError("/kind", f"unknown kind {kind!r}")
-    return KINDS[kind][2](doc, "")
+    return KINDS[_need(doc, "", kind=_KIND)[0]][2](doc, "")
 
 
 def dumps(value) -> str:
@@ -489,25 +467,45 @@ def save_choice_table(table: frc.ChoiceTable, path: str):
         raise SchemaError("", f"cannot write {path}: {e}")
 
 
+def _choice(item, path):
+    """An entry `[sha256 of (f, w), square]` of a saved table, as a `(pair, square)` item."""
+    digest, entry = _CHOICE(item, path)
+    f, w, *square = _need(entry, _at(path, 1), f=parse_morphism, w=parse_morphism,
+                          middle=parse_atlas, wleg=parse_morphism, fleg=parse_morphism,
+                          cell=parse_twocell)
+    if digest != _pair_hash(entry["f"], entry["w"]):
+        raise SchemaError(_at(path, 0), "sha256 does not match the entry's key pair (f, w) "
+                                        "(it does not cover the cached square)")
+    return (f, w), tuple(square)
+
+
 def load_choice_table(path: str) -> frc.ChoiceTable:
     table = frc.ChoiceTable()
-    if not os.path.exists(path):
-        return table
-    doc = _json(_read(path))
-    for i, (digest, e) in enumerate(_tuples(_need(doc, "entries", "", list), 2, "/entries")):
-        at = f"/entries/{i}/1"
-        fdoc, wdoc = _need(e, "f", at), _need(e, "w", at)
-        if digest != _pair_hash(fdoc, wdoc):
-            raise SchemaError(f"/entries/{i}/0", "sha256 does not match the entry's key pair (f, w) "
-                                                 "(it does not cover the cached square)")
-        f = parse_morphism(fdoc, f"{at}/f")
-        w = parse_morphism(wdoc, f"{at}/w")
-        square = (parse_atlas(_need(e, "middle", at), f"{at}/middle"),
-                  parse_morphism(_need(e, "wleg", at), f"{at}/wleg"),
-                  parse_morphism(_need(e, "fleg", at), f"{at}/fleg"),
-                  parse_twocell(_need(e, "cell", at), f"{at}/cell"))
-        table.entries[(f, w)] = square
+    if os.path.exists(path):
+        table.entries.update(*_need(_json(_read(path)), "", entries=_CHOICES))
     return table
+
+
+# -- the readers that no document's ids enter --------------------------------
+
+_VECTOR = _list(parse_frac)
+_MATRIX = _list(_VECTOR)
+_POINT = _list((parse_frac, parse_frac))
+_VERTICES = _list(_POINT)
+_PIECES = {1: _list(_interval_piece), 2: _list(_polygon_piece)}
+_MAPS = _list(parse_affine)
+_CHARTS, _CHANGES = _list(parse_chart), _list(parse_change)
+_ENTRIES = _list(lambda d, p: atl.PEntry(*_need(d, p, change=parse_change, nu=parse_change)))
+_PATCHES = _list(_list((parse_region, parse_change)))
+_REGIONS = _list(_list((_str, parse_region)))
+_FAMILY = _list((_str, _str, _str, parse_affine, parse_region))
+_FAMILIES = _list(_family)
+# what a groupoid presents: an atlas, or a cover by its pieces
+_ANNOTATIONS = {"atlas": parse_atlas, "cover": lambda value, path: tuple(_REGIONS(value, path))}
+_ANNOTATION_TYPE = _one_of(_ANNOTATIONS, "annotation type")
+_KIND = _one_of(KINDS, "kind")
+_CHOICE = _list((_str, lambda value, path: value))
+_CHOICES = _list(_choice)
 
 
 # -- command-line front end ---------------------------------------------------

@@ -784,21 +784,14 @@ class Region:
                 if p.intersect(q) is None:
                     nxt.append(p)
                     continue
-                if self.dim == 1:
-                    # the parts of p left and right of q
-                    for part in (_interval(p._lo, p._d, q._lo, q._d),
-                                 _interval(q._hi, q._d, p._hi, p._d)):
-                        if part is not None:
-                            nxt.append(part.intersect(p))
-                else:
-                    rest = p
-                    for a, b, c in q.halfplanes():
-                        outside = rest.clip((-a, -b, -c))
-                        if outside is not None:
-                            nxt.append(outside)
-                        rest = rest.clip((a, b, c))
-                        if rest is None:
-                            break
+                rest = p
+                for h in q.halfplanes():
+                    outside = rest.clip(tuple(-e for e in h))
+                    if outside is not None:
+                        nxt.append(outside)
+                    rest = rest.clip(h)
+                    if rest is None:
+                        break
             pieces = [p for p in nxt if p._meas > 0]
         return Region(self.dim, pieces)
 

@@ -14,7 +14,8 @@ from orbatlas import fred as frd
 from orbatlas import gred as grd
 from orbatlas import memo
 from orbatlas.atlas import WORD_BOUND
-from orbatlas.fixtures import MIRROR, MIRROR_REF, MORPHISMS, TRIV, TRIV_SHIFTED, catalog_2cells
+from orbatlas.fixtures import (CONE3_REF, MIRROR, MIRROR_REF, MORPHISMS, TRIV, TRIV_SHIFTED,
+                               catalog_2cells)
 from orbatlas.geometry import AffineMap, Region, aff1
 from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
 
@@ -417,12 +418,17 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [], "annotation": [_ATLAS]},
      "/annotation"),
     ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [],
-      "annotation": {"type": "nope"}}, "/annotation"),
+      "annotation": {"type": "nope"}}, "/annotation/type"),
     # rationals are strings: no booleans, no JSON numbers
     ({"kind": "region", "dim": 1, "pieces": [[True, "1"]]}, "/pieces/0/0"),
     ({"kind": "region", "dim": 1, "pieces": [[0.1, "1"]]}, "/pieces/0/0"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1"]], "offset": [3]}])],
       "generators": []}, "/charts/0/group/0/offset/0"),
+    # a node that should be a document, and a nested document of another kind
+    ({"kind": "morphism", "source": _ATLAS, "target": _ATLAS, "chart_map": {"T": "T"},
+      "lifts": {}, "entries": [], "certificate": 5}, "/certificate"),
+    ({"kind": "morphism", "source": dict(_ATLAS, kind="zzz"), "target": _ATLAS,
+      "chart_map": {"T": "T"}, "lifts": {}, "entries": []}, "/source/kind"),
 ])
 def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
     p = tmp_path / "bad.json"
@@ -448,6 +454,32 @@ def _morphism(lifts=None, entries=()):
             "lifts": lifts or {"T": _MAP}, "entries": list(entries)}
 
 
+def _pointer_keys(doc, pointer):
+    """The keys by which the RFC 6901 `pointer` descends into `doc`; a
+    pointer that does not resolve raises."""
+    keys = []
+    for token in pointer.split("/")[1:]:
+        token = token.replace("~1", "/").replace("~0", "~")
+        keys.append(int(token) if isinstance(doc, list) else token)
+        doc = doc[keys[-1]]
+    return tuple(keys)
+
+
+def _damaged(value, pointer, leaf):
+    """The canonical document of `value` with `leaf` at `pointer`, and the
+    pointer."""
+    doc = json.loads(cli.dumps(value))
+    *keys, last = _pointer_keys(doc, pointer)
+    parent = doc
+    for k in keys:
+        parent = parent[k]
+    parent[last] = leaf
+    return doc, pointer
+
+
+_ODD = "a/b~c"   # a chart id that its pointer escapes
+
+
 @pytest.mark.parametrize("doc, pointer", [
     # a bad rational of the second interval
     ({"kind": "region", "dim": 1, "pieces": [["0", "1"], ["2", "x"]]}, "/pieces/1/1"),
@@ -467,6 +499,17 @@ def _morphism(lifts=None, entries=()):
      "/entries/0/nu/map/matrix/0/0"),
     (_morphism(entries=[{"change": _change(_MAP), "nu": _change(_MAP)}, {"nu": _change(_MAP)}]),
      "/entries/1/change"),
+    # the patches of a 2-cell, and the families, pieces and object maps of the groupoid side
+    _damaged(catalog_2cells()["legs"], "/patches/C2/0/0/pieces/0/0", "x"),
+    _damaged(catalog_2cells()["legs"], "/patches/C2/0/1/src", 5),
+    _damaged(frd.fred0(MIRROR_REF), "/families/1/0", 5),
+    _damaged(frd.fred0(MIRROR_REF), "/families/1/3/matrix/0/0", "x"),
+    _damaged(frd.fred0(MIRROR_REF), "/pieces/1/1/pieces/0/1", "x"),
+    _damaged(frd.fred1(M["leg1_MR_M"]), "/object_map/C2/1/offset/0", "x"),
+    _damaged(frd.fred1(M["leg1_MR_M"]), "/object_map/C2/0", 5),
+    # "/" and "~" in a key are escaped
+    (dict(_morphism(lifts={_ODD: _BAD}), chart_map={_ODD: "T"},
+          source=dict(_ATLAS, charts=[dict(_CHART, id=_ODD)])), "/lifts/a~1b~0c/matrix/0/0"),
 ])
 def test_a_bad_rational_is_a_schema_error_at_its_entry(doc, pointer):
     with pytest.raises(cli.SchemaError) as e:
@@ -570,6 +613,52 @@ def test_damaged_document_parses_or_is_a_schema_error(documents, data):
         cli.parse(doc)
     except cli.SchemaError:
         pass
+
+
+@pytest.fixture(scope="module")
+def leaves():
+    """One catalog document of each kind, 2-D where the catalog has one,
+    with the keys of its scalar leaves."""
+    legs = catalog_2cells()["legs"]
+    values = [CONE3_REF.charts[0].domain, CONE3_REF.charts[0], CONE3_REF.generators[0],
+              MIRROR_REF, M["leg1_KR_K"], legs, frd.fred0(MIRROR_REF), frd.fred1(M["leg1_MR_M"]),
+              frd.fred2(legs, WORD_BOUND), frc.Span(MIRROR_REF, M["leg1_MR_M"], M["leg2_MR_M"]),
+              frc.universal_embed2(frc.atlas_ops(), catalog_2cells()["id_to_flip"])]
+    docs = [json.loads(cli.dumps(v)) for v in values]
+    assert sorted(d["kind"] for d in docs) == sorted(cli.KINDS)
+    return [(doc, [at for at in _subtrees(doc) if not isinstance(_node(doc, at), (dict, list))])
+            for doc in docs]
+
+
+def _node(doc, at):
+    for k in at:
+        doc = doc[k]
+    return doc
+
+
+# a JSON value of each type but an object: an object in place of a null
+# certificate or annotation is read as one, and fails further in
+_WRONG = [5, 1.5, True, None, "1", [], ["x"]]
+_NO_RATIONAL = ["x", "1/0", "", "1/2/3", "one"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_damaged_leaf_is_the_node_of_its_schema_error(leaves, data):
+    """A scalar of a catalog document given the wrong type, or a rational
+    (always written "p/q") given a string that is no rational, is named by
+    the error's pointer."""
+    doc, paths = data.draw(st.sampled_from(leaves))
+    doc = json.loads(json.dumps(doc))
+    at = data.draw(st.sampled_from(paths))
+    old = _node(doc, at)
+    bad = [v for v in _WRONG if type(v) is not type(old)]
+    if isinstance(old, str) and "/" in old:
+        bad += _NO_RATIONAL
+    _node(doc, at[:-1])[at[-1]] = data.draw(st.sampled_from(bad))
+    with pytest.raises(cli.SchemaError) as e:
+        cli.parse(doc)
+    assert _pointer_keys(doc, e.value.path) == at
 
 
 def _edited(tmp_path, value, edit):

@@ -445,3 +445,47 @@ def test_guard_sees_a_refutation_outside_the_closure(tmp_path):
     assert _no_such_cell_raised_outside(p, "Pseudogroup") == ["atlas.py:5", "atlas.py:7",
                                                               "atlas.py:12"]
 
+
+
+def _pointer_joins(path):
+    """Strings that join a name to a child pointer, `f"{path}/{key}"` or
+    `path + "/" + key`, outside the function `_at`: the pointer format, with
+    its RFC 6901 escapes, lives in one function."""
+    tree = ast.parse(path.read_text())
+    inside = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_at" for n in ast.walk(f)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            pairs = [(v.value, w) for v, w in zip(node.values, node.values[1:])
+                     if isinstance(v, ast.FormattedValue)]
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            pairs = [(node.left, node.right)]
+        else:
+            continue
+        if any(isinstance(a, ast.Name) and isinstance(b, ast.Constant)
+               and isinstance(b.value, str) and b.value.startswith("/") for a, b in pairs):
+            out.append(node.lineno)
+    return [f"{path.name}:{n}" for n in sorted(set(out))]
+
+
+def test_only_at_joins_a_pointer_in_cli():
+    cli = SRC / "cli.py"
+    assert "_at" in {n.name for n in ast.parse(cli.read_text()).body
+                     if isinstance(n, ast.FunctionDef)}
+    found = _pointer_joins(cli)
+    assert found == [], f"extend a schema pointer through cli._at: {found}"
+
+
+def test_guard_sees_a_pointer_joined_outside_at(tmp_path):
+    p = tmp_path / "cli.py"
+    p.write_text('def _at(path, key):\n    return f"{path}/{key}"\n'
+                 'def parse(doc, path):\n    return f"{path}/kind"\n'
+                 'x = f"{at}/{i}/0"\n'
+                 'y = path + "/" + key\n'
+                 'z = f"{x.numerator}/{x.denominator}"\n'
+                 "w = f\"schema error at {path or '/'}: {m}\"\n"
+                 'v = "/kind", f"cannot read {path}: {e}"\n')
+    assert _pointer_joins(p) == ["cli.py:4", "cli.py:5", "cli.py:6"]
