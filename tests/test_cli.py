@@ -465,15 +465,18 @@ def _pointer_keys(doc, pointer):
     return tuple(keys)
 
 
+def _node(doc, at):
+    for k in at:
+        doc = doc[k]
+    return doc
+
+
 def _damaged(value, pointer, leaf):
     """The canonical document of `value` with `leaf` at `pointer`, and the
     pointer."""
     doc = json.loads(cli.dumps(value))
     *keys, last = _pointer_keys(doc, pointer)
-    parent = doc
-    for k in keys:
-        parent = parent[k]
-    parent[last] = leaf
+    _node(doc, keys)[last] = leaf
     return doc, pointer
 
 
@@ -628,12 +631,6 @@ def leaves():
     assert sorted(d["kind"] for d in docs) == sorted(cli.KINDS)
     return [(doc, [at for at in _subtrees(doc) if not isinstance(_node(doc, at), (dict, list))])
             for doc in docs]
-
-
-def _node(doc, at):
-    for k in at:
-        doc = doc[k]
-    return doc
 
 
 # a JSON value of each type but an object: an object in place of a null
