@@ -16,9 +16,14 @@ negative answers are sound, otherwise verdicts degrade to "undecided".
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from functools import cached_property
+
+try:
+    # the built-in md5 spares each process loading OpenSSL through hashlib
+    from _md5 import md5
+except ImportError:
+    from hashlib import md5
 
 from .geometry import AffineMap, PartialAffineIso, Region, clashes
 from .memo import interned, memo
@@ -1197,7 +1202,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
     # chart ids of the pullback are content-addressed so that middles of
     # different squares never collide when certificates are merged: the md5
     # of `repr((f.key(), w.key(), bound))`
-    h = hashlib.md5(b"(")
+    h = md5(b"(")
     for part in (*_key_text(f), ", ", *_key_text(w), f", {bound!r})"):
         h.update(part.encode())
     tok = h.hexdigest()[:6]

@@ -14,12 +14,11 @@ offending node by an RFC 6901 pointer, such as `/patches/C2/0/0/pieces/0/0`.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import atlas as atl
 from . import fractions as frc
@@ -92,6 +91,18 @@ def _one_of(known, what):
             raise SchemaError(path, f"no {what} {value!r}")
         return value
     return read
+
+
+def _distinct(read, key, what):
+    """A reader of a list that `read` reads, whose items' ids at `key` are distinct."""
+    def distinct(value, path):
+        items, seen = read(value, path), set()
+        for i, item in enumerate(value):
+            if item[key] in seen:
+                raise SchemaError(_at(_at(path, i), key), f"duplicate {what} id {item[key]!r}")
+            seen.add(item[key])
+        return items
+    return distinct
 
 
 def _object(read, known, what):
@@ -279,7 +290,7 @@ def _annotation(doc, path):
 @_document(kind="groupoid")
 def parse_groupoid(doc, path):
     return _made(path, gpd.PresentedGroupoid,
-                 *_need(doc, path, pieces=_REGIONS, families=_FAMILIES),
+                 *_need(doc, path, pieces=_GROUPOID_PIECES, families=_FAMILIES),
                  annotation=_optional(doc, path, "annotation", _annotation))
 
 
@@ -428,6 +439,7 @@ def _load(path, *kinds):
 # -- choice table persistence -------------------------------------------------
 
 def _pair_hash(fdoc, wdoc) -> str:
+    import hashlib  # here, so that no other call loads OpenSSL
     blob = json.dumps([fdoc, wdoc], sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -494,12 +506,13 @@ _POINT = _list((parse_frac, parse_frac))
 _VERTICES = _list(_POINT)
 _PIECES = {1: _list(_interval_piece), 2: _list(_polygon_piece)}
 _MAPS = _list(parse_affine)
-_CHARTS, _CHANGES = _list(parse_chart), _list(parse_change)
+_CHARTS, _CHANGES = _distinct(_list(parse_chart), "id", "chart"), _list(parse_change)
 _ENTRIES = _list(lambda d, p: atl.PEntry(*_need(d, p, change=parse_change, nu=parse_change)))
 _PATCHES = _list(_list((parse_region, parse_change)))
 _REGIONS = _list(_list((_str, parse_region)))
+_GROUPOID_PIECES = _distinct(_REGIONS, 0, "piece")
 _FAMILY = _list((_str, _str, _str, parse_affine, parse_region))
-_FAMILIES = _list(_family)
+_FAMILIES = _distinct(_list(_family), 0, "family")
 # what a groupoid presents: an atlas, or a cover by its pieces
 _ANNOTATIONS = {"atlas": parse_atlas, "cover": lambda value, path: tuple(_REGIONS(value, path))}
 _ANNOTATION_TYPE = _one_of(_ANNOTATIONS, "annotation type")
@@ -615,75 +628,134 @@ def cmd_equiv_report(args):
     return _report(grd.equivalence_report(fx.acceptance_catalog(args.bound), args.bound))
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are schema errors, exit 3: argparse's own exit code 2
-    means undecided here."""
+# Each command: its help, its positionals `(name, type, choices)` and its
+# options `(flag, type, choices, default)`; an option whose default is
+# _REQUIRED must be given.  `run` calls the command's `cmd_<name>`.
+_REQUIRED = object()
+_FILE = ("file", str, None)
+_PAIR = (("first", str, None), ("second", str, None))
+COMMANDS = {
+    "validate": ("validate a document", (_FILE,), ()),
+    "compose": ("compose two cells (g after f)", _PAIR,
+                (("--mode", str, ("morphism", "vertical", "horizontal"), "morphism"),)),
+    "fred": ("apply the structure functor", (("level", int, (0, 1, 2)), _FILE), ()),
+    "morita": ("Morita-equivalence check", (_FILE,), ()),
+    "classify": ("classify a morphism", (_FILE,), ()),
+    "bf-check": ("check a fraction axiom", (("instance", str, ("atlas", "groupoid")),),
+                 (("--axiom", int, (1, 2, 3, 4, 5), _REQUIRED),)),
+    "localize-compose": ("compose two spans; --choices names a choice table file, "
+                         "created on demand", _PAIR, (("--choices", str, None, None),)),
+    "cell-equal": ("equality of fraction 2-cells", _PAIR, ()),
+    "equiv-report": ("equivalence criteria over the catalog", (), ()),
+}
+# the command line up to its command, in the same form
+_TOP = ("exact orbifold-atlas 2-category toolkit; --bound is the word bound "
+        "for pseudogroup closures", (("command", str, tuple(COMMANDS)),),
+        (("--bound", int, None, atl.WORD_BOUND),))
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SchemaError("", f"usage: {message}")
+
+def _usage(name):
+    """The usage line of the command `name`, or of the whole line for ''."""
+    _, positionals, options = COMMANDS[name] if name else _TOP
+
+    def metavar(label, choices):
+        return label if choices is None else "{" + ",".join(map(str, choices)) + "}"
+    words = ["usage: orbatlas", name, "[-h]"]
+    for flag, _, choices, default in options:
+        word = f"{flag} {metavar(flag[2:].upper(), choices)}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    words += [metavar(label, choices) for label, _, choices in positionals]
+    return " ".join(filter(None, words)) + ("" if name else " ...")
 
 
-def build_parser():
-    p = _Parser(
-        prog="orbatlas",
-        description="exact orbifold-atlas 2-category toolkit")
-    p.add_argument("--bound", type=int, default=atl.WORD_BOUND,
-                   help="word bound for pseudogroup closures")
-    sub = p.add_subparsers(dest="command", required=True)
+def _help(name):
+    about = (COMMANDS[name] if name else _TOP)[0]
+    lines = [_usage(name), "", about]
+    if not name:
+        lines += ["", "commands:"] + [f"  {c:<17} {h}" for c, (h, _, _) in COMMANDS.items()]
+    print("\n".join(lines))
 
-    s = sub.add_parser("validate", help="validate a document")
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_validate)
 
-    s = sub.add_parser("compose", help="compose two cells (g after f)")
-    s.add_argument("first")
-    s.add_argument("second")
-    s.add_argument("--mode", default="morphism",
-                   choices=["morphism", "vertical", "horizontal"])
-    s.set_defaults(fn=cmd_compose)
+def _misuse(name, message):
+    """Print the usage of `name` to stderr.  Misuse is a schema error, exit
+    3: exit 2 means undecided here."""
+    print(_usage(name), file=sys.stderr)
+    raise SchemaError("", f"usage: {message}")
 
-    s = sub.add_parser("fred", help="apply the structure functor")
-    s.add_argument("level", type=int, choices=[0, 1, 2])
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_fred)
 
-    s = sub.add_parser("morita", help="Morita-equivalence check")
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_morita)
+def _flag(token):
+    """Whether `token` is written as an option: a leading '-' that does not
+    begin a negative number, so that `--bound -1` reads -1 as its value."""
+    return len(token) > 1 and token[0] == "-" and not token[1:].isdecimal() and " " not in token
 
-    s = sub.add_parser("classify", help="classify a morphism")
-    s.add_argument("file")
-    s.set_defaults(fn=cmd_classify)
 
-    s = sub.add_parser("bf-check", help="check a fraction axiom")
-    s.add_argument("instance", choices=["atlas", "groupoid"])
-    s.add_argument("--axiom", type=int, required=True, choices=[1, 2, 3, 4, 5])
-    s.set_defaults(fn=cmd_bf_check)
+def _value(name, spec, token):
+    label, kind, choices = spec[:3]
+    try:
+        value = kind(token)
+    except ValueError:
+        _misuse(name, f"argument {label}: invalid {kind.__name__} value: {token!r}")
+    if choices is not None and value not in choices:
+        _misuse(name, f"argument {label}: invalid choice: {value!r} "
+                      f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
-    s = sub.add_parser("localize-compose", help="compose two spans")
-    s.add_argument("first")
-    s.add_argument("second")
-    s.add_argument("--choices", help="choice table file (created on demand)")
-    s.set_defaults(fn=cmd_localize_compose)
 
-    s = sub.add_parser("cell-equal", help="equality of fraction 2-cells")
-    s.add_argument("first")
-    s.add_argument("second")
-    s.set_defaults(fn=cmd_cell_equal)
+def read_argv(argv):
+    """The fields of the command line `argv`: `--bound` before the command,
+    then the command's positionals and options in any order, an option's
+    value as `--flag value` or `--flag=value`.  Flags are not abbreviated.
+    Returns None once -h has printed its help.  Misuse prints a usage line
+    to stderr and is a schema error: a bad or missing value as it is read,
+    an unknown flag or an extra positional once the line is read."""
+    def enter(spec):
+        """The positionals still wanted and the options of `spec`, whose defaults it sets."""
+        _, positionals, options = spec
+        fields.update((flag[2:], default) for flag, _, _, default in options)
+        return list(positionals), options
 
-    s = sub.add_parser("equiv-report", help="equivalence criteria over the catalog")
-    s.set_defaults(fn=cmd_equiv_report)
-    return p
+    fields, unread, tokens = {}, [], iter(argv)
+    name, (wanted, options) = "", enter(_TOP)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(name)
+            return None
+        if not _flag(token):
+            if not wanted:
+                unread.append(token)
+                continue
+            spec = wanted.pop(0)
+            fields[spec[0]] = _value(name, spec, token)
+            if not name:  # the command: the tokens that follow are its own
+                name, (wanted, options) = token, enter(COMMANDS[token])
+            continue
+        flag, eq, value = token.partition("=")
+        spec = next((o for o in options if o[0] == flag), None)
+        if spec is None:
+            unread.append(token)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _flag(value):
+                _misuse(name, f"argument {flag}: expected one argument")
+        fields[flag[2:]] = _value(name, spec, value)
+    missing = [label for label, *_ in wanted]
+    missing += [flag for flag, *_ in options if fields[flag[2:]] is _REQUIRED]
+    if missing:
+        _misuse(name, f"the following arguments are required: {', '.join(missing)}")
+    if unread:
+        _misuse("", f"unrecognized arguments: {' '.join(unread)}")
+    if fields["bound"] < 0:
+        _misuse("", f"argument --bound: the word bound must be >= 0, not {fields['bound']}")
+    return SimpleNamespace(**fields)
 
 
 def run(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.bound < 0:
-            parser.error(f"argument --bound: the word bound must be >= 0, not {args.bound}")
-        return args.fn(args)
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except SchemaError as e:
         return _emit({"kind": "report", "ok": False, "schema_error": str(e)}, 3)
     except UndecidedError as e:

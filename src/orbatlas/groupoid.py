@@ -52,7 +52,10 @@ class PresentedGroupoid:
 
     @staticmethod
     def _canonical(pieces, families, annotation=None):
-        ps = tuple(sorted(dict(pieces).items()))
+        ps = dict(pieces)
+        if len(ps) != len(pieces):
+            raise ValueError("duplicate piece ids")
+        ps = tuple(sorted(ps.items()))
         fs = tuple(sorted(families, key=lambda f: f.fid))
         if len({f.fid for f in fs}) != len(fs):
             raise ValueError("duplicate family ids")

@@ -12,6 +12,7 @@ from orbatlas import cli
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas import gred as grd
+from orbatlas import groupoid as gpd
 from orbatlas import memo
 from orbatlas.atlas import WORD_BOUND
 from orbatlas.fixtures import (CONE3_REF, MIRROR, MIRROR_REF, MORPHISMS, TRIV, TRIV_SHIFTED,
@@ -394,12 +395,12 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
     ({"kind": "atlas", "charts": [dict(_CHART, id=5)], "generators": []}, "/charts/0/id"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": 1, "offset": []}])],
       "generators": []}, "/charts/0/group/0/matrix"),
-    # rejected by the constructors: shape, dimension, duplicate ids
+    # rejected by the constructors (shape, dimension), and a repeated id at its repeat
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [["1", "0"]], "offset": ["0"]}])],
       "generators": []}, "/charts/0/group/0"),
     ({"kind": "atlas", "charts": [dict(_CHART, group=[{"matrix": [], "offset": []}])],
       "generators": []}, "/charts/0/group/0"),
-    ({"kind": "atlas", "charts": [_CHART, _CHART], "generators": []}, ""),
+    ({"kind": "atlas", "charts": [_CHART, _CHART], "generators": []}, "/charts/1/id"),
     ({"kind": "change", "src": "T", "dst": "T", "map": {"matrix": [["0"]], "offset": ["0"]},
       "dom": _IV}, ""),
     ({"kind": "morphism", "source": _ATLAS, "target": _ATLAS, "chart_map": {"T": "T"},
@@ -408,7 +409,7 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
       "lifts": {}, "entries": []}, "/chart_map/T"),
     ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [["f", "P"]]}, "/families/0"),
     ({"kind": "groupoid", "pieces": [["P", _IV]],
-      "families": [["f", "P", "P", _MAP, _IV], ["f", "P", "P", _MAP, _IV]]}, ""),
+      "families": [["f", "P", "P", _MAP, _IV], ["f", "P", "P", _MAP, _IV]]}, "/families/1/0"),
     ({"kind": "groupoid", "pieces": {"P": _IV}, "families": []}, "/pieces"),
     # the only annotations are null, an atlas and a cover
     ({"kind": "groupoid", "pieces": [["P", _IV]], "families": [], "annotation": "atlas"},
@@ -429,6 +430,11 @@ _ATLAS = {"kind": "atlas", "charts": [_CHART], "generators": []}
       "lifts": {}, "entries": [], "certificate": 5}, "/certificate"),
     ({"kind": "morphism", "source": dict(_ATLAS, kind="zzz"), "target": _ATLAS,
       "chart_map": {"T": "T"}, "lifts": {}, "entries": []}, "/source/kind"),
+    # a repeated id, at its repeat; groupoid pieces of one id once merged silently
+    ({"kind": "groupoid", "pieces": [["P", _IV], ["Q", _IV], ["P", _IV]], "families": []},
+     "/pieces/2/0"),
+    ({"kind": "morphism", "source": dict(_ATLAS, charts=[_CHART, _CHART]), "target": _ATLAS,
+      "chart_map": {"T": "T"}, "lifts": {}, "entries": []}, "/source/charts/1/id"),
 ])
 def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
     p = tmp_path / "bad.json"
@@ -436,6 +442,17 @@ def test_wrong_typed_input_is_a_schema_error(tmp_path, capsys, doc, pointer):
     assert cli.run(["validate", str(p)]) == 3
     err = json.loads(capsys.readouterr().out)["schema_error"]
     assert err.startswith(f"schema error at {pointer or '/'}:")
+
+
+def test_groupoid_pieces_of_one_id_are_refused():
+    with pytest.raises(ValueError, match="duplicate piece ids"):
+        gpd.PresentedGroupoid([("P", Region.interval(0, 1)), ("P", Region.interval(2, 3))], [])
+    # a cover annotation may name a piece twice: it covers the piece by two regions
+    cover = [["P", _IV], ["P", dict(_IV, pieces=[["2", "3"]])]]
+    doc = {"kind": "groupoid", "pieces": [["P", _IV]], "families": [],
+           "annotation": {"type": "cover", "cover": cover}}
+    assert cli.parse(doc).annotation == (("P", Region.interval(0, 1)),
+                                         ("P", Region.interval(2, 3)))
 
 
 def _group(*maps):

@@ -2,13 +2,15 @@
 
 - The chart names of `pullback_square` hash the key text of the two
   morphisms, built from the key text of each lift and entry; it is
-  `repr(m.key())` exactly, so no chart id moves.
+  `repr(m.key())` exactly, so no chart id moves, and the built-in md5
+  gives hashlib's digest.
 - The lookups of atlases, morphisms, 2-cells, groupoids and closures read indexes
   built once per value; each gives what a scan of the value gives, an
   unknown id raises as before, and a lookup that may find several items
   returns a tuple, which no caller can change.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -75,6 +77,21 @@ def test_key_text_of_short_tuples():
     none = Morphism(empty, empty, {}, {}, [])
     for m in (one, none):
         assert "".join(atl._key_text(m)) == repr(m.key())
+
+
+def test_pullback_chart_token_is_the_md5_of_the_key_repr():
+    """Each chart id of the middle of a BF square of the depth-2 atlas
+    universe ends in the first 6 hex digits of the md5 of
+    `repr((f.key(), w.key(), bound))`, then its index in the middle."""
+    ops = frc.atlas_ops(WORD_BOUND)
+    table = frc.ChoiceTable()
+    universe = frc.depth2_universe(ops, OBJECTS, sorted(MORPHISMS.items()))
+    assert frc.check_bf(ops, 3, universe, table).ok
+    assert len(table.entries) == 164
+    for (f, w), (d, *_) in table.entries.items():
+        tok = hashlib.md5(repr((f.key(), w.key(), WORD_BOUND)).encode()).hexdigest()[:6]
+        ends = sorted(c.cid.rsplit("|", 1)[1] for c in d.charts)
+        assert ends == sorted(f"{tok}{i}" for i in range(len(d.charts)))
 
 
 def test_morphism_keys_are_built_once(atlas_cells, groupoid_universe):
