@@ -25,7 +25,7 @@ try:
 except ImportError:
     from hashlib import md5
 
-from .geometry import AffineMap, PartialAffineIso, Region, clashes
+from .geometry import AffineMap, PartialAffineIso, Region, clashes, descending_measure
 from .memo import interned, memo
 from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError, Violation
 
@@ -53,9 +53,9 @@ class Chart:
 
     @staticmethod
     def _canonical(cid, domain, group):
-        maps = sorted(set(group), key=lambda m: m.key())
+        maps = sorted(set(group), key=AffineMap.order)
         if not any(m.is_identity() for m in maps):
-            maps = sorted(maps + [AffineMap.identity(domain.dim)], key=lambda m: m.key())
+            maps = sorted(maps + [AffineMap.identity(domain.dim)], key=AffineMap.order)
         return cid, domain, tuple(maps)
 
     @property
@@ -123,7 +123,7 @@ class Atlas:
         ids = [c.cid for c in charts]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate chart ids")
-        return charts, tuple(sorted(generators, key=lambda g: g.key()))
+        return charts, tuple(sorted(generators, key=ChangeOfCharts.order))
 
     @property
     def dim(self):
@@ -245,7 +245,7 @@ class Pseudogroup:
     def _items(self):
         return tuple((src, dst, m, by_map[m])
                      for (src, dst), by_map in sorted(self.families.items())
-                     for m in sorted(by_map, key=lambda m: m.key()))
+                     for m in sorted(by_map, key=AffineMap.order))
 
     def count(self):
         return sum(len(v) for v in self.families.values())
@@ -510,7 +510,7 @@ def _normalize_entries(entries):
         prev = merged.get(k)
         merged[k] = e if prev is None else PEntry(prev.change.union(e.change),
                                                   prev.nu.union(e.nu))
-    return tuple(sorted(merged.values(), key=lambda e: e.key()))
+    return tuple(sorted(merged.values(), key=PEntry.order))
 
 
 @interned
@@ -527,12 +527,14 @@ class Morphism:
     entries: tuple
     certificate: Atlas = None
 
+    # the key omits the ends and the certificate: `pullback_square` names its
+    # charts from it, and a saved choice table is ordered by it
+    _key_fields = ("chart_map", "lifts", "entries")
+
     @staticmethod
     def _canonical(source, target, chart_map, lifts, entries, certificate=None):
         return (source, target, tuple(sorted(dict(chart_map).items())),
                 tuple(sorted(dict(lifts).items())), _normalize_entries(entries), certificate)
-
-    _key = None
 
     @cached_property
     def _chart_index(self):
@@ -562,13 +564,6 @@ class Morphism:
 
     def is_etale(self) -> bool:
         return all(m.is_invertible() for _, m in self.lifts)
-
-    def key(self):
-        if self._key is None:
-            object.__setattr__(self, "_key", (
-                self.chart_map, tuple((c, m.key()) for c, m in self.lifts),
-                tuple(e.key() for e in self.entries)))
-        return self._key
 
 
 def validate_morphism(m: Morphism, bound: int) -> Report:
@@ -986,7 +981,7 @@ class TwoCell:
                 merged[k] = (region, ch) if prev is None else (prev[0].union(region),
                                                               prev[1].union(ch))
             ps.append((cid, tuple(sorted(merged.values(),
-                                         key=lambda p: (p[0].key(), p[1].key())))))
+                                         key=lambda p: (p[0].order(), p[1].order())))))
         return source_morphism, target_morphism, tuple(sorted(ps))
 
     @cached_property
@@ -997,6 +992,7 @@ class TwoCell:
         return self._patch_index.get(cid, ())
 
 
+@memo
 def identity_2cell(f: Morphism) -> TwoCell:
     patches = {}
     for i, j in f.chart_map:
@@ -1219,7 +1215,7 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
         for a in A.charts:
             ja = w.chart_image(a.cid)
             img_a = a.domain.image(w.lift(a.cid))
-            for mm, dom in sorted(bcl.maps(jc, ja).items(), key=lambda kv: kv[0].key()):
+            for mm, dom in sorted(bcl.maps(jc, ja).items(), key=lambda kv: kv[0].order()):
                 r = c.domain.preimage_under(Lc, dom)
                 r = r.preimage_under(mm.compose(Lc), img_a)
                 lift_fp = w.lift(a.cid).inverse().compose(mm).compose(Lc)
@@ -1237,8 +1233,8 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
         # squares as close to inclusions as the cospan allows
         cands = sorted(per_parent[c.cid],
                        key=lambda t: (0 if t[2].is_identity() else 1,
-                                      -t[5].pieces[0].measure(), t[5].key(),
-                                      t[4].key(), t[1]))
+                                      descending_measure(t[5].pieces[0]), t[5].order(),
+                                      t[4].order(), t[1]))
         kept, covered = [], []
         for cand in cands:
             if covered and c.domain.covers(covered):

@@ -19,7 +19,7 @@ import itertools
 from . import atlas as atl
 from . import fred as frd
 from . import groupoid as gpd
-from .memo import memo
+from .memo import interned, memo
 from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError
 
 
@@ -129,14 +129,14 @@ def groupoid_ops(bound: int = atl.WORD_BOUND) -> TwoCatOps:
 # Spans and fraction cells
 # ---------------------------------------------------------------------------
 
+@interned
 class Span:
     """A 1-cell of the localized bicategory: (middle, W-leg to the source,
     arrow leg to the target)."""
 
-    def __init__(self, middle, left, right):
-        self.middle = middle
-        self.left = left    # in W, middle -> source object
-        self.right = right  # middle -> target object
+    middle: object
+    left: object     # in W, middle -> source object
+    right: object    # middle -> target object
 
 
 def span_equal(ops, s, t) -> bool:
@@ -158,6 +158,7 @@ def validate_span(ops, s: Span) -> Report:
     return rep
 
 
+@interned
 class FractionCell:
     """A 2-cell of the localized bicategory, in the simplified shape: a
     middle object with two W-legs into the middles of the parallel spans and
@@ -165,11 +166,12 @@ class FractionCell:
     exists uniquely and is not stored: the pastings that need it build it
     with `ops.connect2`."""
 
-    def __init__(self, src_span, dst_span, middle, left_leg, right_leg, base):
-        self.src_span, self.dst_span, self.middle = src_span, dst_span, middle
-        self.left_leg = left_leg    # in W, middle -> src_span.middle
-        self.right_leg = right_leg  # in W, middle -> dst_span.middle
-        self.base = base            # 2-cell: src.right o left_leg => dst.right o right_leg
+    src_span: Span
+    dst_span: Span
+    middle: object
+    left_leg: object     # in W, middle -> src_span.middle
+    right_leg: object    # in W, middle -> dst_span.middle
+    base: object         # 2-cell: src.right o left_leg => dst.right o right_leg
 
 
 def identity_fraction_cell(ops, s: Span) -> FractionCell:

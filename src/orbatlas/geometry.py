@@ -23,7 +23,10 @@ compare and hash by identity:
 points passed to ``AffineMap.__call__`` and ``contains_point`` or returned as
 points and witnesses, and the ``matrix``, ``offset``, ``lo``, ``hi``,
 ``verts``, ``key()`` and ``repr`` views, which are built on first use and
-cached.
+cached.  ``order()`` has the shape of ``key()`` with a leaf (`_leaf`) in
+place of each ``Fraction``, and orders the values exactly as ``key()``
+does; the views take their ``Fraction`` from the leaf, so no rational is
+built twice.
 
 The crucial consequence of staying affine is rigidity: two affine maps that
 agree on a nonempty open set are equal.  Germs of partial affine isomorphisms
@@ -83,6 +86,24 @@ def _homogeneous(p):
     return (x.numerator * yd, y.numerator * xd), xd * yd
 
 
+@memo
+def _leaf(n: int, d: int) -> tuple:
+    """The order leaf of the rational n/d, d > 0: ``(floor(n/d * 2**64),
+    Fraction(n, d))``, one tuple per rational.  The integer is monotone in
+    n/d, so two distinct leaves nearly always differ there and compare in C;
+    rationals closer than 2**-64 tie on it and the exact ``Fraction``
+    decides.  Equal leaves are one object, so they compare by identity."""
+    g = gcd(n, d)
+    if g != 1:
+        return _leaf(n // g, d // g)
+    return (n << 64) // d, Fraction(n, d)
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n/d as the ``Fraction`` of its leaf."""
+    return _leaf(n, d)[1]
+
+
 def _check_supported(n):
     if n not in (1, 2):
         raise DimensionMismatchError("only dimensions 1 and 2 are supported")
@@ -108,13 +129,13 @@ class AffineMap:
     """x |-> matrix @ x + offset with exact rational entries, held as
     x |-> (M x + o) / d with integer M (flat, row-major), o and d > 0."""
 
-    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_fields", "__weakref__")
+    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_order", "_fields", "__weakref__")
 
     def _setup(self, m: tuple, o: tuple, d: int):
         # m, o, d must already be normalized; use `make` from rationals
         self.dim = len(o)
         self._m, self._o, self._d = m, o, d
-        self._view = None
+        self._view = self._order = None
 
     @staticmethod
     def make(matrix, offset) -> "AffineMap":
@@ -132,12 +153,16 @@ class AffineMap:
         _check_supported(dim)
         return AffineMap((1,), (0,), 1) if dim == 1 else AffineMap((1, 0, 0, 1), (0, 0), 1)
 
+    def _rows(self, entry):
+        """The matrix rows and the offset, each entry e/d as entry(e, d)."""
+        d, n = self._d, self.dim
+        es = [entry(e, d) for e in self._m]
+        return (tuple(tuple(es[i * n:(i + 1) * n]) for i in range(n)),
+                tuple(entry(e, d) for e in self._o))
+
     def _views(self):
         if self._view is None:
-            d, n = self._d, self.dim
-            es = [Fraction(e, d) for e in self._m]
-            self._view = (tuple(tuple(es[i * n:(i + 1) * n]) for i in range(n)),
-                          tuple(Fraction(e, d) for e in self._o))
+            self._view = self._rows(_fraction)
         return self._view
 
     @property
@@ -217,6 +242,11 @@ class AffineMap:
     def key(self):
         return self._views()
 
+    def order(self):
+        if self._order is None:
+            self._order = self._rows(_leaf)
+        return self._order
+
     @memo
     def key_text(self) -> str:
         """`repr(self.key())`, built once per map: `atlas.pullback_square`
@@ -262,13 +292,13 @@ class Interval:
     """Open interval (lo, hi) with rational endpoints, lo < hi, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_lo", "_hi", "_d", "_meas", "_view", "_fields", "__weakref__")
+    __slots__ = ("_lo", "_hi", "_d", "_meas", "_view", "_order", "_fields", "__weakref__")
 
     def _setup(self, lo: int, hi: int, d: int):
         # normalized integers; use `make` from rationals
         self._lo, self._hi, self._d = lo, hi, d
         self._meas = hi - lo      # the length is _meas / d
-        self._view = None
+        self._view = self._order = None
 
     @staticmethod
     def make(lo, hi) -> "Interval":
@@ -277,8 +307,13 @@ class Interval:
 
     def key(self):
         if self._view is None:
-            self._view = (Fraction(self._lo, self._d), Fraction(self._hi, self._d))
+            self._view = (_fraction(self._lo, self._d), _fraction(self._hi, self._d))
         return self._view
+
+    def order(self):
+        if self._order is None:
+            self._order = (_leaf(self._lo, self._d), _leaf(self._hi, self._d))
+        return self._order
 
     @property
     def lo(self) -> Fraction:
@@ -382,7 +417,7 @@ class Polygon:
     lexicographically least one, no three consecutive collinear, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_v", "_d", "_meas", "_hp", "_view", "_fields", "__weakref__")
+    __slots__ = ("_v", "_d", "_meas", "_hp", "_view", "_order", "_fields", "__weakref__")
 
     def _setup(self, v: tuple, d: int):
         # normalized vertex numerators; use `make` from rationals
@@ -392,7 +427,7 @@ class Polygon:
             (x1, y1), (x2, y2) = v[i - 1], v[i]
             s += x1 * y2 - x2 * y1
         self._meas = s            # twice the area is _meas / d**2
-        self._hp = self._view = None
+        self._hp = self._view = self._order = None
 
     @staticmethod
     def make(points) -> "Polygon | None":
@@ -404,11 +439,17 @@ class Polygon:
     def verts(self) -> tuple:
         if self._view is None:
             d = self._d
-            self._view = tuple((Fraction(x, d), Fraction(y, d)) for x, y in self._v)
+            self._view = tuple((_fraction(x, d), _fraction(y, d)) for x, y in self._v)
         return self._view
 
     def key(self):
         return self.verts
+
+    def order(self):
+        if self._order is None:
+            d = self._d
+            self._order = tuple((_leaf(x, d), _leaf(y, d)) for x, y in self._v)
+        return self._order
 
     def __repr__(self):
         return f"Polygon(verts={self.verts!r})"
@@ -519,6 +560,13 @@ def _piece_dim(piece) -> int:
 def _measure_pair(p):
     """The measure of a piece as (numerator, positive denominator)."""
     return p._meas, (p._d if isinstance(p, Interval) else p._d * p._d)
+
+
+def descending_measure(piece) -> tuple:
+    """An order key that sorts pieces by decreasing measure: the leaf of
+    minus the measure."""
+    n, d = _measure_pair(piece)
+    return _leaf(-n, d)
 
 
 def _sort_key(pieces):
@@ -676,7 +724,7 @@ class Region:
     set equality is available via :meth:`same_set`.
     """
 
-    __slots__ = ("dim", "pieces", "_view", "_fields", "__weakref__")
+    __slots__ = ("dim", "pieces", "_view", "_order", "_fields", "__weakref__")
 
     def __init__(self, dim: int, pieces):
         """Nothing is left to do: `__new__` has put the pieces in canonical
@@ -685,7 +733,7 @@ class Region:
         `perfbench/tracer.py` count region constructions."""
 
     def _setup(self, dim, pieces):
-        self.dim, self.pieces, self._view = dim, pieces, None
+        self.dim, self.pieces, self._view, self._order = dim, pieces, None, None
 
     @staticmethod
     def _canonical(dim, pieces):
@@ -746,6 +794,11 @@ class Region:
         if self._view is None:
             self._view = (self.dim, tuple(p.key() for p in self.pieces))
         return self._view
+
+    def order(self):
+        if self._order is None:
+            self._order = (self.dim, tuple(p.order() for p in self.pieces))
+        return self._order
 
     def _check_dim(self, other: "Region"):
         if self.dim != other.dim:

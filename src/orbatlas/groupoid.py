@@ -233,13 +233,14 @@ class GroupoidMorphism:
     object_map: tuple      # sorted (piece id, (target piece id, AffineMap))
     family_map: tuple      # sorted (family id, target family id)
 
+    # the key omits the ends, as a morphism's does
+    _key_fields = ("object_map", "family_map")
+
     @staticmethod
     def _canonical(source, target, object_map, family_map):
         om = tuple(sorted((p, (q, m)) for p, (q, m) in dict(object_map).items()))
         fm = tuple(sorted(dict(family_map).items()))
         return source, target, om, fm
-
-    _key = None
 
     @cached_property
     def _object_index(self):
@@ -257,12 +258,6 @@ class GroupoidMorphism:
 
     def is_etale(self):
         return all(m.is_invertible() for _, (_, m) in self.object_map)
-
-    def key(self):
-        if self._key is None:
-            object.__setattr__(self, "_key", (
-                tuple((p, (q, m.key())) for p, (q, m) in self.object_map), self.family_map))
-        return self._key
 
 
 def identity_gpd_morphism(g: PresentedGroupoid) -> GroupoidMorphism:
@@ -360,7 +355,7 @@ class NatTransf:
     @staticmethod
     def _canonical(source_morphism, target_morphism, assignments):
         out = tuple(sorted(
-            (p, tuple(sorted(items, key=lambda it: (it[0].key(), it[1]))))
+            (p, tuple(sorted(items, key=lambda it: (it[0].order(), it[1]))))
             for p, items in dict(assignments).items()))
         return source_morphism, target_morphism, out
 

@@ -30,8 +30,14 @@ table, `clear()` included, since an equal value built later must still be
 the object that lives on.
 
 A value's fields are its class's annotations, or else the parameters of
-its `_setup`, the one set-up hook; its order key `key()` is, unless the
-class writes its own, the key of its fields.
+its `_setup`, the one set-up hook.  An annotated value's key `key()` is
+the key of its fields, or of those its `_key_fields` names; a `_setup`
+class, a geometry value, writes its own.  Key texts, chart names and the
+saved choice-table order read `key()`.  The canonical sorts read the order
+key `order()` instead: the shape of `key()` with an order leaf in place of
+each rational of a geometry value (`geometry._leaf`), so it orders values
+exactly as `key()` does, while nearly every comparison is decided between
+integers, in C.  Both are built once per value, on first use.
 
 Neither decorator generates code: parameters are read from a function's
 code object and fields from a class's annotations, so importing orbatlas
@@ -106,13 +112,13 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-def _field_key(value):
-    """The order key of a field: a value's `key()`, a tuple's items' keys,
-    and anything else as it is."""
+def _field_key(value, name):
+    """The key of a field by the method `name`, "key" or "order": a value's
+    `key()` or `order()`, a tuple's items' keys, and anything else as it is."""
     if isinstance(value, tuple):
-        return tuple(map(_field_key, value))
-    key = getattr(value, "key", None)
-    return value if key is None else key()
+        return tuple([_field_key(v, name) for v in value])
+    method = getattr(value, name, None)
+    return value if method is None else method()
 
 
 def interned(cls):
@@ -126,8 +132,9 @@ def interned(cls):
     `object.__setattr__` (never `__dict__` as a whole, which on CPython 3.11
     slows every later attribute read), `__repr__` in the form
     `Class(field=value, ...)`, a frozen `__setattr__` and `__delattr__`,
-    `__replace__(**changes)` (the protocol of `copy.replace`) and, unless it
-    writes its own, `key()`: `_field_key` of its fields, built once.
+    `__replace__(**changes)` (the protocol of `copy.replace`), `key()` and
+    `order()`: `_field_key` of its fields, or of the fields named by its
+    `_key_fields`, each built once.
 
     `_canonical`, static, with the field names as parameters (`__replace__`
     passes keywords), gives the canonical field tuple of a call.  Without
@@ -159,15 +166,25 @@ def interned(cls):
             return type(self)(*[changes.pop(n, v) for n, v in zip(names, self._fields)],
                               **changes)
 
+        keyed = [names.index(n) for n in own.get("_key_fields", names)]
+
+        def key_fields(self):
+            fields = self._fields
+            return tuple(fields[i] for i in keyed)
+
         def key(self):
             if self._key is None:
-                object.__setattr__(self, "_key", _field_key(self._fields))
+                object.__setattr__(self, "_key", _field_key(key_fields(self), "key"))
             return self._key
+
+        def order(self):
+            if self._order is None:
+                object.__setattr__(self, "_order", _field_key(key_fields(self), "order"))
+            return self._order
 
         cls.__repr__, cls.__replace__ = __repr__, __replace__
         cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-        if "key" not in own:
-            cls.key, cls._key = key, None
+        cls.key, cls.order, cls._key, cls._order = key, order, None, None
     elif "_setup" in own:
         (_, *names), defaults = _parameters(cls._setup), ()
     else:

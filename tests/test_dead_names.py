@@ -170,6 +170,41 @@ def test_guard_sees_a_key_comparison(tmp_path):
     assert _key_comparisons(p) == ["m.py:1", "m.py:2"]
 
 
+def _key_sorts(path):
+    """Sorts (`sorted(..., key=...)`, `.sort(key=...)`) whose key reads
+    `.key`: a canonical sort compares `order()`, which orders as `key()`
+    does with its rationals compared in C."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if not (isinstance(f, ast.Name) and f.id == "sorted"
+                or isinstance(f, ast.Attribute) and f.attr == "sort"):
+            continue
+        for kw in node.keywords:
+            if kw.arg == "key" and any(isinstance(n, ast.Attribute) and n.attr == "key"
+                                       for n in ast.walk(kw.value)):
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_sort_by_key_in_src():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _key_sorts(path)]
+    assert found == [], f"sort by order(), not by key(): {found}"
+
+
+def test_guard_sees_a_sort_by_key(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("a = sorted(xs, key=lambda v: v.key())\n"
+                 "xs.sort(key=lambda v: (v[0].key(), 1))\n"
+                 "b = sorted(xs, key=V.key)\n"
+                 "c = sorted(xs, key=V.order)\n"
+                 "d = sorted(x.key() for x in xs)\n"
+                 "e = sorted(xs, key=lambda v: repr(content_key(v)))\n")
+    assert _key_sorts(p) == ["m.py:1", "m.py:2", "m.py:3"]
+
+
 # A witness may hold a list (a violation's witness is any data), so
 # violations compare their fields; every other value is interned.
 OWN_EQUALITY = {"reports.py:Violation"}

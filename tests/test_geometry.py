@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbatlas import memo
 from orbatlas.fixtures import ATLASES
 from orbatlas.geometry import (
     AffineMap,
+    _leaf,
     EmptyRegionError,
     NonInvertibleMapError,
     PartialAffineIso,
@@ -296,3 +298,56 @@ def test_escape_witness_agrees_with_the_image_for_invertible_maps(case):
     assert (w is None) == src.image(m).covers([tgt])
     if w is not None:
         assert src.contains_point(w) and not tgt.contains_point(m(w))
+
+
+# -- order leaves ---------------------------------------------------------------
+
+def leaf(x):
+    return _leaf(x.numerator, x.denominator)
+
+
+_HUGE = 2 ** 1100
+_rationals = st.one_of(
+    st.fractions(),
+    st.builds(F, st.integers(), st.integers(min_value=1, max_value=10 ** 30)),
+    st.builds(lambda n, d: F(n * _HUGE, d), st.integers().filter(bool),
+              st.integers(min_value=1, max_value=1000)),
+    st.builds(lambda n: F(1, n * _HUGE), st.integers(min_value=1, max_value=1000)))
+# closer than 2**-64, and zero
+_NUDGES = [F(0), F(1, 2 ** 70), F(-1, 2 ** 70), F(1, 3 * 2 ** 65), F(1, _HUGE)]
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leaves_compare_as_their_rationals(data):
+    """The sign of a leaf comparison is the sign of the comparison of the
+    rationals, for independent rationals, rationals closer than 2**-64 and
+    rationals beyond 2**1100 in size; equal rationals are one leaf, reduced
+    or not."""
+    x = data.draw(_rationals)
+    y = data.draw(st.one_of(_rationals, st.sampled_from(_NUDGES).map(lambda t: x + t)))
+    lx, ly = leaf(x), leaf(y)
+    assert _sign(lx, ly) == _sign(x, y)
+    assert (lx == ly) == (x == y) and (lx is ly) == (x == y)
+    assert lx[1] == x and _leaf(3 * x.numerator, 3 * x.denominator) is lx
+
+
+def test_close_rationals_tie_on_the_integer_and_the_fraction_decides():
+    for k in (1, 2, -5, 10 ** 9, 3 * _HUGE + 1):
+        lo, hi = leaf(F(k, 3)), leaf(F(k, 3) + F(1, 2 ** 70))
+        assert lo[0] == hi[0] and lo < hi and not hi < lo
+
+
+def test_cleared_leaves_still_compare_exactly():
+    """A leaf built after `memo.clear()` is another object, and it still
+    compares equal to the leaf of the same rational built before."""
+    before = leaf(F(1, 3))
+    memo.clear()
+    after = leaf(F(1, 3))
+    assert after is not before and after == before and not after < before
+    assert sorted([leaf(F(2, 3)), after, leaf(F(-1, 3))]) == [
+        leaf(F(-1, 3)), before, leaf(F(2, 3))]

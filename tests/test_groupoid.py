@@ -51,6 +51,21 @@ def test_missing_composite_family_detected():
     assert not rep.ok and rep.first().code in ("LG1", "LG5")
 
 
+def test_missing_composite_fails_lg3_at_its_point():
+    """Translations by 1 and -1 on the piece (0, 4), with the unit: their
+    composites with the unit and with each other are families, but the
+    translations by 2 and -2 are not.  LG3 names each missing composite at
+    the midpoint of its domain, (0, 2) and (2, 4)."""
+    piece = Region.interval(0, 4)
+    fams = [ArrowFamily(fid, "P", "P", PartialAffineIso(AffineMap.make([[1]], [b]), dom))
+            for fid, b, dom in (("e", 0, piece), ("t", 1, Region.interval(0, 3)),
+                                ("u", -1, Region.interval(1, 4)))]
+    rep = validate_groupoid(PresentedGroupoid({"P": piece}, fams))
+    assert [(v.code, v.message, v.witness) for v in rep.violations] == [
+        ("LG3", "composite of t and t missing from the family list", (F(1),)),
+        ("LG3", "composite of u and u missing from the family list", (F(3),))]
+
+
 def test_effectiveness_and_isotropy():
     gm = fred0(MIRROR)
     assert is_effective(gm)[0]

@@ -9,14 +9,15 @@ two values are equal exactly when their content is equal, equal values
 hash alike and are one object, and a value survives a trip through its
 canonical JSON with its hash.
 
-The `key()` of an annotated value is the order key of all of its fields
-(`memo._field_key`).  Two classes write their own, which omit on purpose
-what `pullback_square`'s chart names, the saved choice-table order and the
-benchmark's count of Morita tests never needed: the endpoints and the
-certificate of a morphism, and the endpoints of a groupoid morphism.  So
-the keys of 2-cells and natural transformations, which hold those, omit
-them too.  The content key below adds them, so that it is exactly what
-equality compares.
+The `key()` of an annotated value is the key of its fields
+(`memo._field_key`).  Two classes narrow theirs with `_key_fields`, which
+omit on purpose what `pullback_square`'s chart names, the saved
+choice-table order and the benchmark's count of Morita tests never needed:
+the endpoints and the certificate of a morphism, and the endpoints of a
+groupoid morphism.  So the keys of 2-cells and natural transformations,
+which hold those, omit them too.  The content key below adds them, so that
+it is exactly what equality compares.  The order key `order()`, which the
+canonical sorts read, orders every value as its `key()` does.
 """
 
 import copy
@@ -58,6 +59,7 @@ from orbatlas.geometry import (
     aff1,
 )
 from orbatlas.groupoid import ArrowFamily, GroupoidMorphism, NatTransf, PresentedGroupoid
+from test_catalog_golden import _values as catalog_values
 from test_memo import memo_cache
 
 COMPLETE_KEY = (Chart, ChangeOfCharts, PartialAffineIso, Atlas, PEntry, ArrowFamily,
@@ -238,12 +240,31 @@ def _content_or_key(x):
 
 def test_every_interned_class_is_covered():
     """The interned classes of the package are the fifteen above, and the
-    germs and classifications checked below."""
+    germs, classifications, spans and fraction cells checked below."""
     found = set()
     for module in pkgutil.iter_modules(orbatlas.__path__):
         mod = importlib.import_module(f"orbatlas.{module.name}")
         found |= {c for c in vars(mod).values() if isinstance(c, type) and "_interned" in vars(c)}
-    assert found == set(INTERNED) | {Germ, Classification}
+    assert found == set(INTERNED) | {Germ, Classification, frc.Span, frc.FractionCell}
+
+
+def test_catalog_values_come_back_as_themselves():
+    """Every value of the catalog snapshot, spans and fraction cells
+    included, is the object that its canonical JSON parses to."""
+    values = catalog_values()
+    assert {frc.Span, frc.FractionCell} <= {type(v) for v in values.values()}
+    assert [name for name, v in values.items() if cli.loads(cli.dumps(v)) is not v] == []
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+def test_order_keys_sort_as_keys(by_class, cls):
+    """Over the values of each class, a sort by `order()` is the sort by
+    `key()`, ties included, and `order()` is built once per value."""
+    values = _collect([x for xs in by_class.values() for x in xs], INTERNED)[cls]
+    assert len(values) > 1
+    by_key, by_order = sorted(values, key=cls.key), sorted(values, key=cls.order)
+    assert [id(x) for x in by_order] == [id(x) for x in by_key]
+    assert all(x.order() is x.order() for x in values)
 
 
 def test_germs_and_classifications_are_interned():
