@@ -26,7 +26,7 @@ except ImportError:
     from hashlib import md5
 
 from .geometry import AffineMap, PartialAffineIso, Region, clashes, descending_measure
-from .memo import interned, memo
+from .memo import field_text, interned, memo
 from .reports import ComposabilityError, NoSuchCellError, Report, UndecidedError, Violation
 
 # The default word bound.  Everything that reaches `closure` takes the bound
@@ -89,6 +89,7 @@ class ChangeOfCharts:
     def cod(self) -> Region:
         return self.iso.cod
 
+    @memo
     def inverse(self) -> "ChangeOfCharts":
         return ChangeOfCharts(self.dst, self.src, self.iso.inverse())
 
@@ -292,12 +293,13 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
     `coherence` identity letters were 37% of all steps and those on a line
     28% (on `bf-atlas` 27% and 9%).
 
-    Within one call each step is computed once: preimages, composites and
-    unions are pure functions of their arguments, and a region whose pieces
-    are all pieces of the family already is absorbed without a union (the
+    Each step is computed once per process: preimages, composites and
+    unions are memoized in the geometry kernel.  A region whose pieces are
+    all pieces of the family already is absorbed without a union (the
     pieces of a canonical region are pairwise unmergeable, so that union
-    would only drop the duplicates).  Most steps give back the family's own
-    current region, which the loop tests inline before calling `absorb`.
+    would only drop the duplicates), which keeps these trivial unions out
+    of the memo.  Most steps give back the family's own current region,
+    which the loop tests inline before calling `absorb`.
 
     `preimage_under` and `compose` are memoized in the geometry kernel, yet
     the `steps` row stays: one row per stepped family (d1, m1, mid) holds
@@ -322,7 +324,6 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
             letters.setdefault(src, []).append((dst, m, dom))
     # (d1, m1, mid) -> ((dst, ((m2.compose(m1), d1.preimage_under(m1, d2)), ...)), ...)
     steps = {}
-    unions = {}  # (cur, region) -> their union, or False when it is cur
     fams = {}
     grown = set()  # keys (src, dst, m) inserted or enlarged since the last round
 
@@ -342,17 +343,10 @@ def closure(atlas: Atlas, bound: int) -> Pseudogroup:
                 by_map[m] = region
                 grown.add((src, dst, m))
             return
-        key = (cur, region)
-        new = unions.get(key)
-        if new is None:
-            if set(region.pieces) <= set(cur.pieces):
-                new = False
-            else:
-                new = cur.union(region)
-                if new == cur:
-                    new = False
-            unions[key] = new
-        if new is not False:
+        if set(region.pieces) <= set(cur.pieces):
+            return
+        new = cur.union(region)
+        if new is not cur:
             by_map[m] = new
             grown.add((src, dst, m))
 
@@ -494,11 +488,6 @@ class PEntry:
 
     change: ChangeOfCharts
     nu: ChangeOfCharts
-
-    @memo
-    def key_text(self) -> str:
-        """`repr(self.key())`, built once per entry (see `_key_text`)."""
-        return repr(self.key())
 
 
 def _normalize_entries(entries):
@@ -1162,19 +1151,6 @@ def _search_atlas(atlas: Atlas, *certificates) -> Atlas:
     return atlas
 
 
-def _tuple_text(items) -> str:
-    """The repr of a tuple whose items have the reprs `items`."""
-    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
-
-
-def _key_text(m: Morphism):
-    """The text of `repr(m.key())` in parts, built from the key text of
-    each lift and entry, which each value builds once."""
-    return (f"({m.chart_map!r}, ",
-            _tuple_text([f"({c!r}, {L.key_text()})" for c, L in m.lifts]), ", ",
-            _tuple_text([e.key_text() for e in m.entries]), ")")
-
-
 @memo
 def pullback_square(f: Morphism, w: Morphism, bound: int):
     """Fill the cospan f: C -> B <- A : w (with w a refinement and f with
@@ -1197,10 +1173,13 @@ def pullback_square(f: Morphism, w: Morphism, bound: int):
     bcl = closure(search, bound)
     # chart ids of the pullback are content-addressed so that middles of
     # different squares never collide when certificates are merged: the md5
-    # of `repr((f.key(), w.key(), bound))`
+    # of `repr((f.key(), w.key(), bound))`, fed the key text of each field of
+    # the two keys, so that no text of a whole morphism is built or kept
     h = md5(b"(")
-    for part in (*_key_text(f), ", ", *_key_text(w), f", {bound!r})"):
-        h.update(part.encode())
+    for m, end in ((f, ", "), (w, f", {bound!r})")):
+        for part in ("(", field_text(m.chart_map), ", ", field_text(m.lifts), ", ",
+                     field_text(m.entries), ")", end):
+            h.update(part.encode())
     tok = h.hexdigest()[:6]
 
     # gather candidates per parent chart, then keep a deterministic covering

@@ -26,7 +26,8 @@ points and witnesses, and the ``matrix``, ``offset``, ``lo``, ``hi``,
 cached.  ``order()`` has the shape of ``key()`` with a leaf (`_leaf`) in
 place of each ``Fraction``, and orders the values exactly as ``key()``
 does; the views take their ``Fraction`` from the leaf, so no rational is
-built twice.
+built twice.  ``key_text()`` is ``repr(key())``, also built once: a region
+joins the key texts of its pieces.
 
 The crucial consequence of staying affine is rigidity: two affine maps that
 agree on a nonempty open set are equal.  Germs of partial affine isomorphisms
@@ -40,7 +41,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .memo import interned, memo
+from .memo import field_text, interned, memo
 
 
 class GeometryError(Exception):
@@ -129,13 +130,14 @@ class AffineMap:
     """x |-> matrix @ x + offset with exact rational entries, held as
     x |-> (M x + o) / d with integer M (flat, row-major), o and d > 0."""
 
-    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_order", "_fields", "__weakref__")
+    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_order", "_text", "_fields",
+                 "__weakref__")
 
     def _setup(self, m: tuple, o: tuple, d: int):
         # m, o, d must already be normalized; use `make` from rationals
         self.dim = len(o)
         self._m, self._o, self._d = m, o, d
-        self._view = self._order = None
+        self._view = self._order = self._text = None
 
     @staticmethod
     def make(matrix, offset) -> "AffineMap":
@@ -247,11 +249,10 @@ class AffineMap:
             self._order = self._rows(_leaf)
         return self._order
 
-    @memo
     def key_text(self) -> str:
-        """`repr(self.key())`, built once per map: `atlas.pullback_square`
-        names its charts from the key text of the morphisms it fills."""
-        return repr(self._views())
+        if self._text is None:
+            self._text = repr(self._views())
+        return self._text
 
     def __repr__(self):
         return f"AffineMap({self.matrix}, {self.offset})"
@@ -292,13 +293,14 @@ class Interval:
     """Open interval (lo, hi) with rational endpoints, lo < hi, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_lo", "_hi", "_d", "_meas", "_view", "_order", "_fields", "__weakref__")
+    __slots__ = ("_lo", "_hi", "_d", "_meas", "_view", "_order", "_text", "_fields",
+                 "__weakref__")
 
     def _setup(self, lo: int, hi: int, d: int):
         # normalized integers; use `make` from rationals
         self._lo, self._hi, self._d = lo, hi, d
         self._meas = hi - lo      # the length is _meas / d
-        self._view = self._order = None
+        self._view = self._order = self._text = None
 
     @staticmethod
     def make(lo, hi) -> "Interval":
@@ -314,6 +316,11 @@ class Interval:
         if self._order is None:
             self._order = (_leaf(self._lo, self._d), _leaf(self._hi, self._d))
         return self._order
+
+    def key_text(self) -> str:
+        if self._text is None:
+            self._text = repr(self.key())
+        return self._text
 
     @property
     def lo(self) -> Fraction:
@@ -417,7 +424,8 @@ class Polygon:
     lexicographically least one, no three consecutive collinear, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_v", "_d", "_meas", "_hp", "_view", "_order", "_fields", "__weakref__")
+    __slots__ = ("_v", "_d", "_meas", "_hp", "_view", "_order", "_text", "_fields",
+                 "__weakref__")
 
     def _setup(self, v: tuple, d: int):
         # normalized vertex numerators; use `make` from rationals
@@ -427,7 +435,7 @@ class Polygon:
             (x1, y1), (x2, y2) = v[i - 1], v[i]
             s += x1 * y2 - x2 * y1
         self._meas = s            # twice the area is _meas / d**2
-        self._hp = self._view = self._order = None
+        self._hp = self._view = self._order = self._text = None
 
     @staticmethod
     def make(points) -> "Polygon | None":
@@ -450,6 +458,11 @@ class Polygon:
             d = self._d
             self._order = tuple((_leaf(x, d), _leaf(y, d)) for x, y in self._v)
         return self._order
+
+    def key_text(self) -> str:
+        if self._text is None:
+            self._text = repr(self.key())
+        return self._text
 
     def __repr__(self):
         return f"Polygon(verts={self.verts!r})"
@@ -724,7 +737,7 @@ class Region:
     set equality is available via :meth:`same_set`.
     """
 
-    __slots__ = ("dim", "pieces", "_view", "_order", "_fields", "__weakref__")
+    __slots__ = ("dim", "pieces", "_view", "_order", "_text", "_fields", "__weakref__")
 
     def __init__(self, dim: int, pieces):
         """Nothing is left to do: `__new__` has put the pieces in canonical
@@ -733,7 +746,7 @@ class Region:
         `perfbench/tracer.py` count region constructions."""
 
     def _setup(self, dim, pieces):
-        self.dim, self.pieces, self._view, self._order = dim, pieces, None, None
+        self.dim, self.pieces, self._view, self._order, self._text = dim, pieces, None, None, None
 
     @staticmethod
     def _canonical(dim, pieces):
@@ -800,6 +813,11 @@ class Region:
             self._order = (self.dim, tuple(p.order() for p in self.pieces))
         return self._order
 
+    def key_text(self) -> str:
+        if self._text is None:
+            self._text = field_text((self.dim, self.pieces))
+        return self._text
+
     def _check_dim(self, other: "Region"):
         if self.dim != other.dim:
             raise DimensionMismatchError("regions of different dimension")
@@ -821,6 +839,7 @@ class Region:
                     out.append(r)
         return Region(self.dim, out)
 
+    @memo
     def union(self, other: "Region") -> "Region":
         self._check_dim(other)
         return Region(self.dim, list(self.pieces) + list(other.pieces))
@@ -1004,6 +1023,7 @@ class PartialAffineIso:
     def cod(self) -> Region:
         return self.dom.image(self.map)
 
+    @memo
     def inverse(self) -> "PartialAffineIso":
         return PartialAffineIso(self.map.inverse(), self.cod)
 

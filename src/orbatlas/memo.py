@@ -32,12 +32,16 @@ the object that lives on.
 A value's fields are its class's annotations, or else the parameters of
 its `_setup`, the one set-up hook.  An annotated value's key `key()` is
 the key of its fields, or of those its `_key_fields` names; a `_setup`
-class, a geometry value, writes its own.  Key texts, chart names and the
-saved choice-table order read `key()`.  The canonical sorts read the order
-key `order()` instead: the shape of `key()` with an order leaf in place of
-each rational of a geometry value (`geometry._leaf`), so it orders values
-exactly as `key()` does, while nearly every comparison is decided between
-integers, in C.  Both are built once per value, on first use.
+class, a geometry value, writes its own.  The saved choice-table order
+reads `key()`.  The canonical sorts read the order key `order()` instead:
+the shape of `key()` with an order leaf in place of each rational of a
+geometry value (`geometry._leaf`), so it orders values exactly as `key()`
+does, while nearly every comparison is decided between integers, in C.
+The chart names of `atlas.pullback_square` read the third derived form,
+the key text `key_text()`: `repr(key())`, joined from the key texts of
+the same fields (`field_text`), so that a text once built, of a map, a
+region or an entry, is never walked again.  All three are built once per
+value, on first use.
 
 Neither decorator generates code: parameters are read from a function's
 code object and fields from a class's annotations, so importing orbatlas
@@ -121,6 +125,17 @@ def _field_key(value, name):
     return value if method is None else method()
 
 
+def field_text(value):
+    """The key text of a field, `repr(_field_key(value, "key"))`: a value's
+    `key_text()`, a tuple's items' texts joined as `repr` joins a tuple's,
+    and the `repr` of anything else."""
+    if isinstance(value, tuple):
+        texts = [field_text(v) for v in value]
+        return f"({', '.join(texts)}{',' if len(texts) == 1 else ''})"
+    method = getattr(value, "key_text", None)
+    return repr(value) if method is None else method()
+
+
 def interned(cls):
     """Class decorator: equal values of `cls` are one object.
 
@@ -132,9 +147,9 @@ def interned(cls):
     `object.__setattr__` (never `__dict__` as a whole, which on CPython 3.11
     slows every later attribute read), `__repr__` in the form
     `Class(field=value, ...)`, a frozen `__setattr__` and `__delattr__`,
-    `__replace__(**changes)` (the protocol of `copy.replace`), `key()` and
-    `order()`: `_field_key` of its fields, or of the fields named by its
-    `_key_fields`, each built once.
+    `__replace__(**changes)` (the protocol of `copy.replace`), `key()`,
+    `order()` and `key_text()`: `_field_key` and `field_text` of its fields,
+    or of the fields named by its `_key_fields`, each built once.
 
     `_canonical`, static, with the field names as parameters (`__replace__`
     passes keywords), gives the canonical field tuple of a call.  Without
@@ -182,9 +197,15 @@ def interned(cls):
                 object.__setattr__(self, "_order", _field_key(key_fields(self), "order"))
             return self._order
 
+        def key_text(self):
+            if self._text is None:
+                object.__setattr__(self, "_text", field_text(key_fields(self)))
+            return self._text
+
         cls.__repr__, cls.__replace__ = __repr__, __replace__
         cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-        cls.key, cls.order, cls._key, cls._order = key, order, None, None
+        cls.key, cls.order, cls.key_text = key, order, key_text
+        cls._key = cls._order = cls._text = None
     elif "_setup" in own:
         (_, *names), defaults = _parameters(cls._setup), ()
     else:

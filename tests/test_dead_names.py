@@ -205,6 +205,57 @@ def test_guard_sees_a_sort_by_key(tmp_path):
     assert _key_sorts(p) == ["m.py:1", "m.py:2", "m.py:3"]
 
 
+# The key texts that geometry builds from `key()` itself: a piece's.
+KEY_TEXT_OWNERS = {"geometry.py:Interval.key_text", "geometry.py:Polygon.key_text"}
+
+
+def _is_key_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "key" and not node.args)
+
+
+def _key_reprs(path):
+    """`repr(<expr>.key())` and `f"{<expr>.key()!r}"` outside the methods
+    named in `KEY_TEXT_OWNERS`: a value builds its key text once, as
+    `key_text()`, from the key texts of its fields."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, where + (child.name,))
+                continue
+            text = (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "repr" and child.args and _is_key_call(child.args[0])
+                    or isinstance(child, ast.FormattedValue) and child.conversion == ord("r")
+                    and _is_key_call(child.value))
+            if text and f"{path.name}:{'.'.join(where)}" not in KEY_TEXT_OWNERS:
+                out.append(f"{path.name}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), ())
+    return out
+
+
+def test_no_key_repr_in_src():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _key_reprs(path)]
+    assert found == [], f"read key_text(), not repr(key()): {found}"
+
+
+def test_guard_sees_a_key_repr(tmp_path):
+    body = ("a = repr(v.key())\n"
+            "b = f'({m.key()!r}, {n})'\n"
+            "c = repr(v.key_text()), repr(key(v)), f'{v.key()}'\n"
+            "class Interval:\n    def key_text(self):\n        return repr(self.key())\n"
+            "class Region:\n    def key_text(self):\n        return repr(self.key())\n")
+    p = tmp_path / "m.py"
+    p.write_text(body)
+    assert _key_reprs(p) == ["m.py:1", "m.py:2", "m.py:6", "m.py:9"]
+    p = tmp_path / "geometry.py"
+    p.write_text(body)
+    assert _key_reprs(p) == ["geometry.py:1", "geometry.py:2", "geometry.py:9"]
+
+
 # A witness may hold a list (a violation's witness is any data), so
 # violations compare their fields; every other value is interned.
 OWN_EQUALITY = {"reports.py:Violation"}

@@ -1,9 +1,10 @@
 """The derived forms that each value builds once.
 
-- The chart names of `pullback_square` hash the key text of the two
-  morphisms, built from the key text of each lift and entry; it is
-  `repr(m.key())` exactly, so no chart id moves, and the built-in md5
-  gives hashlib's digest.
+- The key text `key_text()` of a value is built once from the key texts
+  of its fields, and is `repr(key())` exactly.  The chart names of
+  `pullback_square` hash the key texts of the fields of the two
+  morphisms, so no chart id moves, and the built-in md5 gives hashlib's
+  digest.
 - The lookups of atlases, morphisms, 2-cells, groupoids and closures read indexes
   built once per value; each gives what a scan of the value gives, an
   unknown id raises as before, and a lookup that may find several items
@@ -57,13 +58,20 @@ def _atlases(cells):
 
 # -- the key text of a morphism ------------------------------------------------
 
+def _check_key_text(x):
+    assert x.key_text() == repr(x.key())
+    assert x.key_text() is x.key_text()
+
+
 def test_key_text_is_the_repr_of_the_key(atlas_cells):
     for m in atlas_cells:
-        assert "".join(atl._key_text(m)) == repr(m.key())
+        _check_key_text(m)
         for _, lift in m.lifts:
-            assert lift.key_text() == repr(lift.key())
+            _check_key_text(lift)
         for e in m.entries:
-            assert e.key_text() == repr(e.key())
+            _check_key_text(e)
+            for piece in e.change.dom.pieces + e.nu.dom.pieces:
+                _check_key_text(piece)
 
 
 def test_key_text_of_short_tuples():
@@ -76,19 +84,32 @@ def test_key_text_of_short_tuples():
     empty = atl.Atlas([])
     none = Morphism(empty, empty, {}, {}, [])
     for m in (one, none):
-        assert "".join(atl._key_text(m)) == repr(m.key())
+        _check_key_text(m)
 
 
-def test_pullback_chart_token_is_the_md5_of_the_key_repr():
-    """Each chart id of the middle of a BF square of the depth-2 atlas
-    universe ends in the first 6 hex digits of the md5 of
-    `repr((f.key(), w.key(), bound))`, then its index in the middle."""
+@pytest.fixture(scope="module")
+def bf3_squares():
+    """The squares that BF3 chooses over the depth-2 atlas universe, by
+    their pair (f, w)."""
     ops = frc.atlas_ops(WORD_BOUND)
     table = frc.ChoiceTable()
     universe = frc.depth2_universe(ops, OBJECTS, sorted(MORPHISMS.items()))
     assert frc.check_bf(ops, 3, universe, table).ok
     assert len(table.entries) == 164
-    for (f, w), (d, *_) in table.entries.items():
+    return table.entries
+
+
+def test_key_text_of_every_bf3_pair(bf3_squares):
+    for f, w in bf3_squares:
+        _check_key_text(f)
+        _check_key_text(w)
+
+
+def test_pullback_chart_token_is_the_md5_of_the_key_repr(bf3_squares):
+    """Each chart id of the middle of a BF square of the depth-2 atlas
+    universe ends in the first 6 hex digits of the md5 of
+    `repr((f.key(), w.key(), bound))`, then its index in the middle."""
+    for (f, w), (d, *_) in bf3_squares.items():
         tok = hashlib.md5(repr((f.key(), w.key(), WORD_BOUND)).encode()).hexdigest()[:6]
         ends = sorted(c.cid.rsplit("|", 1)[1] for c in d.charts)
         assert ends == sorted(f"{tok}{i}" for i in range(len(d.charts)))

@@ -273,6 +273,31 @@ def test_bf_over_the_whole_universe(instance, entries):
     assert len(table.entries) == entries
 
 
+def test_bf4c_compares_a_pasting():
+    """BF4c's pasting comparison, `lhs` and `rhs` built by vertical
+    composition and then compared, runs on at least one (w; f1, f2; u0) of
+    the depth-2 atlas universe: the check cannot pass by skipping them all."""
+    ops, uni = cli._builtin_universe("atlas", WORD_BOUND)
+    pastings, compared = set(), []
+    spy = copy.copy(ops)
+
+    def comp2v(*cells):
+        out = ops.comp2v(*cells)
+        pastings.add(id(out))
+        return out
+
+    def eq2(a, b):
+        same = ops.eq2(a, b)
+        if id(a) in pastings and id(b) in pastings:
+            compared.append(same)
+        return same
+
+    spy.comp2v, spy.eq2 = comp2v, eq2
+    rep = frc.check_bf(spy, 4, uni, frc.ChoiceTable())
+    assert rep.ok and rep.decided, rep.summary()
+    assert compared and all(compared)
+
+
 def test_groupoid_instance_smoke():
     gops = frc.groupoid_ops()
     objects = [(n, frd.fred0(ATLASES[n])) for n in ("TRIV", "MIRROR", "MIRROR_REF")]

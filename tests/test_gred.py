@@ -207,6 +207,23 @@ def test_axioms_a1_to_a5(catalog):
         assert rep.ok, rep.summary()
 
 
+def test_a5_validates_a_lift(catalog, monkeypatch):
+    """A5 validates the lift of at least one transformation of the
+    acceptance catalog: the check cannot pass by skipping every lift."""
+    validated = []
+    validate = atl.validate_2cell
+
+    def spy(delta, bound):
+        rep = validate(delta, bound)
+        validated.append(rep.ok)
+        return rep
+
+    monkeypatch.setattr(atl, "validate_2cell", spy)
+    rep = grd.check_a5(catalog, WORD_BOUND)
+    assert rep.ok and rep.decided, rep.summary()
+    assert validated and all(validated)
+
+
 def test_a4_vacuous_case_reported(catalog):
     """The images of the `mirror-distinct` cells are not equalized, so A4's
     precondition fails and A4 holds vacuously: a decided pass, with no

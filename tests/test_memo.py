@@ -540,7 +540,6 @@ def _geometry_cases():
         # reduced rationals, each a miss of its own; an unreduced one is a
         # second miss that finds the reduced leaf
         "_leaf": (sorted(leaves), [((1, 0), ZeroDivisionError), ((0, 0), ZeroDivisionError)]),
-        "AffineMap.key_text": ([(m,) for m in maps], []),
         "AffineMap.compose": (
             [(g, f) for g in maps for f in maps if g.dim == f.dim],
             [((aff1(2), aff2([[1, 0], [0, 1]])), mismatch)]),
@@ -551,6 +550,13 @@ def _geometry_cases():
         "Region.intersect": (
             [(r, q) for r in regions for q in regions if r.dim == q.dim],
             [((line, square), mismatch)]),
+        "Region.union": (
+            [(r, q) for r in regions for q in regions if r.dim == q.dim],
+            [((line, square), mismatch)]),
+        "PartialAffineIso.inverse": (
+            [(PartialAffineIso.make(m, r),) for r, m in same],
+            [((PartialAffineIso(aff1(0), line),), geo.NonInvertibleMapError),
+             ((PartialAffineIso(aff2([[1, 2], [2, 4]]), square),), geo.NonInvertibleMapError)]),
         "Region.image": (
             same,
             [((line, aff1(0, 1)), geo.NonInvertibleMapError),
@@ -576,9 +582,12 @@ def _geometry_memo(name):
 
 
 def _geometry_objects(x):
-    """The geometry objects inside a value: regions, their pieces, maps."""
+    """The geometry objects inside a value: regions, their pieces, maps and
+    partial isomorphisms."""
     if isinstance(x, tuple):
         return [o for item in x for o in _geometry_objects(item)]
+    if isinstance(x, PartialAffineIso):
+        return [x, *_geometry_objects((x.map, x.dom))]
     if isinstance(x, Region):
         return [x, *x.pieces]
     return [x] if isinstance(x, AffineMap) else []
@@ -618,14 +627,14 @@ def test_geometry_memo_is_exact(name):
         assert _size(fn) == size, (name, args)
 
 
-# -- the key text, structure-functor, Morita and groupoid memos are exact -----
+# -- the inverse change, structure-functor, Morita and groupoid memos are exact
 #
-# The inputs are the catalog atlases and morphisms, the entries of the
-# morphisms, the `fred1` images of the morphisms, their identity
-# transformations and the `fred2` images of the catalog 2-cells.  A changed
-# part of the key is a new entry: the assigned change of an entry, the bound
-# of `fred0`, the certificate of `fred1`'s morphism, and the annotation of a
-# source groupoid for the rest.
+# The inputs are the catalog atlases and morphisms, the generators of the
+# atlases and the changes of the entries of the morphisms, the `fred1` images
+# of the morphisms, their identity transformations and the `fred2` images of
+# the catalog 2-cells.  A changed part of the key is a new entry: the target
+# chart of a change, the bound of `fred0`, the certificate of `fred1`'s
+# morphism, and the annotation of a source groupoid for the rest.
 
 def _other_cases():
     b = WORD_BOUND
@@ -634,8 +643,10 @@ def _other_cases():
     nts = list(dict.fromkeys([gpd.identity_nat_transf(psi) for psi in images]
                              + [frd.fred2(c, b) for c in catalog_2cells().values()]))
     entries = dict.fromkeys(e for m in ms for e in m.entries)
+    changes = dict.fromkeys([g for _, a in sorted(ATLASES.items()) for g in a.generators]
+                            + [c for e in entries for c in (e.change, e.nu)])
     return {
-        "atlas.PEntry.key_text": [(e,) for e in entries],
+        "atlas.ChangeOfCharts.inverse": [(c,) for c in changes],
         "fred._fred0": [(a, b) for _, a in sorted(ATLASES.items())] + [(TRIV_SHIFTED, b)],
         "fred._fred1": [(m, b) for m in ms],
         "fred.fred_inverse": [(psi,) for psi in images],
@@ -680,10 +691,10 @@ def _another_atlas(atlas):
 
 
 def _changed(name, args):
-    if name == "atlas.PEntry.key_text":
-        # the assigned change, from a renamed chart
-        e = args[0]
-        return (e.__replace__(nu=e.nu.__replace__(src=e.nu.src + "'")),)
+    if name == "atlas.ChangeOfCharts.inverse":
+        # the same germs into a renamed chart
+        c = args[0]
+        return (c.__replace__(dst=c.dst + "'"),)
     if name == "fred._fred0":
         return args[0], args[1] + 1
     if name == "fred._fred1":

@@ -17,7 +17,8 @@ the endpoints and the certificate of a morphism, and the endpoints of a
 groupoid morphism.  So the keys of 2-cells and natural transformations,
 which hold those, omit them too.  The content key below adds them, so that
 it is exactly what equality compares.  The order key `order()`, which the
-canonical sorts read, orders every value as its `key()` does.
+canonical sorts read, orders every value as its `key()` does, and the key
+text `key_text()` is `repr(key())`.
 """
 
 import copy
@@ -254,6 +255,19 @@ def test_catalog_values_come_back_as_themselves():
     values = catalog_values()
     assert {frc.Span, frc.FractionCell} <= {type(v) for v in values.values()}
     assert [name for name, v in values.items() if cli.loads(cli.dumps(v)) is not v] == []
+
+
+def test_key_texts_are_the_reprs_of_the_keys():
+    """Every value of the catalog snapshot, spans and fraction cells
+    included, and every interned value inside it: `key_text()` is
+    `repr(key())`, built once per value."""
+    classes = INTERNED + (Germ, Classification, frc.Span, frc.FractionCell)
+    found = _collect(catalog_values().values(), classes)
+    assert set(INTERNED) | {frc.Span, frc.FractionCell} <= set(found)
+    for xs in found.values():
+        for x in xs:
+            assert x.key_text() == repr(x.key()), x
+            assert x.key_text() is x.key_text()
 
 
 @pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
