@@ -21,13 +21,15 @@ compare and hash by identity:
 
 ``Fraction`` appears only at the boundary: the ``make`` constructors, the
 points passed to ``AffineMap.__call__`` and ``contains_point`` or returned as
-points and witnesses, and the ``matrix``, ``offset``, ``lo``, ``hi``,
-``verts``, ``key()`` and ``repr`` views, which are built on first use and
-cached.  ``order()`` has the shape of ``key()`` with a leaf (`_leaf`) in
-place of each ``Fraction``, and orders the values exactly as ``key()``
-does; the views take their ``Fraction`` from the leaf, so no rational is
-built twice.  ``key_text()`` is ``repr(key())``, also built once: a region
-joins the key texts of its pieces.
+points and witnesses, and ``key()``, which the ``matrix``, ``offset``,
+``lo``, ``hi``, ``verts`` and ``repr`` views read.  ``memo.interned``
+builds ``key()``, ``order()`` and ``key_text()`` once per value, as for
+every value: a map, an interval and a polygon write their integers by the
+hook ``_form``, each n/d as ``_fraction(n, d)`` in ``key()`` and as its
+leaf ``_leaf(n, d)`` in ``order()``, and a region's forms are those of its
+fields ``(dim, pieces)``.  ``order()`` orders the values exactly as
+``key()`` does; a ``Fraction`` is taken from its leaf, so no rational is
+built twice.
 
 The crucial consequence of staying affine is rigidity: two affine maps that
 agree on a nonempty open set are equal.  Germs of partial affine isomorphisms
@@ -41,7 +43,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .memo import field_text, interned, memo
+from .memo import interned, memo
 
 
 class GeometryError(Exception):
@@ -105,6 +107,11 @@ def _fraction(n: int, d: int) -> Fraction:
     return _leaf(n, d)[1]
 
 
+# The rational form of n/d in `key()` and in `order()`, by a leaf value's
+# `_form(name)`, which `memo.interned` calls to build both.
+_RATIONAL = {"key": _fraction, "order": _leaf}
+
+
 def _check_supported(n):
     if n not in (1, 2):
         raise DimensionMismatchError("only dimensions 1 and 2 are supported")
@@ -130,14 +137,14 @@ class AffineMap:
     """x |-> matrix @ x + offset with exact rational entries, held as
     x |-> (M x + o) / d with integer M (flat, row-major), o and d > 0."""
 
-    __slots__ = ("dim", "_m", "_o", "_d", "_view", "_order", "_text", "_fields",
+    __slots__ = ("dim", "_m", "_o", "_d", "_key", "_order", "_text", "_fields",
                  "__weakref__")
 
     def _setup(self, m: tuple, o: tuple, d: int):
         # m, o, d must already be normalized; use `make` from rationals
         self.dim = len(o)
         self._m, self._o, self._d = m, o, d
-        self._view = self._order = self._text = None
+        self._key = self._order = self._text = None
 
     @staticmethod
     def make(matrix, offset) -> "AffineMap":
@@ -155,25 +162,20 @@ class AffineMap:
         _check_supported(dim)
         return AffineMap((1,), (0,), 1) if dim == 1 else AffineMap((1, 0, 0, 1), (0, 0), 1)
 
-    def _rows(self, entry):
-        """The matrix rows and the offset, each entry e/d as entry(e, d)."""
-        d, n = self._d, self.dim
+    def _form(self, name):
+        """The rows and the offset, each e/d in its `_RATIONAL[name]` form."""
+        entry, d, n = _RATIONAL[name], self._d, self.dim
         es = [entry(e, d) for e in self._m]
         return (tuple(tuple(es[i * n:(i + 1) * n]) for i in range(n)),
                 tuple(entry(e, d) for e in self._o))
 
-    def _views(self):
-        if self._view is None:
-            self._view = self._rows(_fraction)
-        return self._view
-
     @property
     def matrix(self) -> tuple:
-        return self._views()[0]
+        return self.key()[0]
 
     @property
     def offset(self) -> tuple:
-        return self._views()[1]
+        return self.key()[1]
 
     def __call__(self, p: tuple) -> tuple:
         if len(p) != self.dim:
@@ -241,19 +243,6 @@ class AffineMap:
     def is_identity(self) -> bool:
         return self._d == 1 and not any(self._o) and self._m == ((1,) if self.dim == 1 else (1, 0, 0, 1))
 
-    def key(self):
-        return self._views()
-
-    def order(self):
-        if self._order is None:
-            self._order = self._rows(_leaf)
-        return self._order
-
-    def key_text(self) -> str:
-        if self._text is None:
-            self._text = repr(self._views())
-        return self._text
-
     def __repr__(self):
         return f"AffineMap({self.matrix}, {self.offset})"
 
@@ -293,34 +282,24 @@ class Interval:
     """Open interval (lo, hi) with rational endpoints, lo < hi, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_lo", "_hi", "_d", "_meas", "_view", "_order", "_text", "_fields",
+    __slots__ = ("_lo", "_hi", "_d", "_meas", "_key", "_order", "_text", "_fields",
                  "__weakref__")
 
     def _setup(self, lo: int, hi: int, d: int):
         # normalized integers; use `make` from rationals
         self._lo, self._hi, self._d = lo, hi, d
         self._meas = hi - lo      # the length is _meas / d
-        self._view = self._order = self._text = None
+        self._key = self._order = self._text = None
 
     @staticmethod
     def make(lo, hi) -> "Interval":
         (a, b), d = _over([frac(lo), frac(hi)])
         return Interval(a, b, d)
 
-    def key(self):
-        if self._view is None:
-            self._view = (_fraction(self._lo, self._d), _fraction(self._hi, self._d))
-        return self._view
-
-    def order(self):
-        if self._order is None:
-            self._order = (_leaf(self._lo, self._d), _leaf(self._hi, self._d))
-        return self._order
-
-    def key_text(self) -> str:
-        if self._text is None:
-            self._text = repr(self.key())
-        return self._text
+    def _form(self, name):
+        """The endpoints in their `_RATIONAL[name]` form."""
+        entry, d = _RATIONAL[name], self._d
+        return entry(self._lo, d), entry(self._hi, d)
 
     @property
     def lo(self) -> Fraction:
@@ -424,7 +403,7 @@ class Polygon:
     lexicographically least one, no three consecutive collinear, held as
     integer numerators over one positive denominator."""
 
-    __slots__ = ("_v", "_d", "_meas", "_hp", "_view", "_order", "_text", "_fields",
+    __slots__ = ("_v", "_d", "_meas", "_hp", "_key", "_order", "_text", "_fields",
                  "__weakref__")
 
     def _setup(self, v: tuple, d: int):
@@ -435,7 +414,7 @@ class Polygon:
             (x1, y1), (x2, y2) = v[i - 1], v[i]
             s += x1 * y2 - x2 * y1
         self._meas = s            # twice the area is _meas / d**2
-        self._hp = self._view = self._order = self._text = None
+        self._hp = self._key = self._order = self._text = None
 
     @staticmethod
     def make(points) -> "Polygon | None":
@@ -443,26 +422,14 @@ class Polygon:
         nums, d = _over([c for p in pts for c in p])
         return _polygon(_hull(zip(nums[::2], nums[1::2])), d)
 
+    def _form(self, name):
+        """The vertices, each coordinate in its `_RATIONAL[name]` form."""
+        entry, d = _RATIONAL[name], self._d
+        return tuple((entry(x, d), entry(y, d)) for x, y in self._v)
+
     @property
     def verts(self) -> tuple:
-        if self._view is None:
-            d = self._d
-            self._view = tuple((_fraction(x, d), _fraction(y, d)) for x, y in self._v)
-        return self._view
-
-    def key(self):
-        return self.verts
-
-    def order(self):
-        if self._order is None:
-            d = self._d
-            self._order = tuple((_leaf(x, d), _leaf(y, d)) for x, y in self._v)
-        return self._order
-
-    def key_text(self) -> str:
-        if self._text is None:
-            self._text = repr(self.key())
-        return self._text
+        return self.key()
 
     def __repr__(self):
         return f"Polygon(verts={self.verts!r})"
@@ -580,19 +547,6 @@ def descending_measure(piece) -> tuple:
     minus the measure."""
     n, d = _measure_pair(piece)
     return _leaf(-n, d)
-
-
-def _sort_key(pieces):
-    """Sort key over `pieces` equal to the order of their rational `key()`s:
-    the numerators over one common denominator."""
-    m = lcm(*(p._d for p in pieces))
-
-    def key(p):
-        s = m // p._d
-        if isinstance(p, Interval):
-            return (p._lo * s, p._hi * s)
-        return tuple((x * s, y * s) for x, y in p._v)
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -731,13 +685,13 @@ class Region:
     """Finite union of open convex pieces in Q^n, n in {1, 2}.
 
     Canonical form: pieces in normal form, overlapping pairs merged greedily
-    whenever their union is convex, sorted by vertex key; canonical pieces
+    whenever their union is convex, sorted by `order()`; canonical pieces
     are a fixed point, so `Region(r.dim, r.pieces)` is `r`.  Set-equal regions
     built through the same canonicalization serialize identically; semantic
     set equality is available via :meth:`same_set`.
     """
 
-    __slots__ = ("dim", "pieces", "_view", "_order", "_text", "_fields", "__weakref__")
+    __slots__ = ("dim", "pieces", "_key", "_order", "_text", "_fields", "__weakref__")
 
     def __init__(self, dim: int, pieces):
         """Nothing is left to do: `__new__` has put the pieces in canonical
@@ -746,7 +700,7 @@ class Region:
         `perfbench/tracer.py` count region constructions."""
 
     def _setup(self, dim, pieces):
-        self.dim, self.pieces, self._view, self._order, self._text = dim, pieces, None, None, None
+        self.dim, self.pieces, self._key, self._order, self._text = dim, pieces, None, None, None
 
     @staticmethod
     def _canonical(dim, pieces):
@@ -764,7 +718,7 @@ class Region:
             for i, j in itertools.combinations(range(len(pieces)), 2):
                 p, q = pieces[i], pieces[j]
                 inter = p.intersect(q)
-                if inter is None or inter._meas <= 0:
+                if inter is None:
                     continue
                 h = p.hull_with(q)
                 # for overlapping open convex pieces the hull equals the
@@ -777,7 +731,7 @@ class Region:
                     merged = True
                     break
         uniq = list(dict.fromkeys(pieces))
-        return dim, tuple(sorted(uniq, key=_sort_key(uniq)))
+        return dim, tuple(sorted(uniq, key=lambda p: p.order()))
 
     # -- constructors ------------------------------------------------------
 
@@ -803,21 +757,6 @@ class Region:
     def __repr__(self):
         return f"Region(dim={self.dim}, pieces={list(self.key()[1])})"
 
-    def key(self):
-        if self._view is None:
-            self._view = (self.dim, tuple(p.key() for p in self.pieces))
-        return self._view
-
-    def order(self):
-        if self._order is None:
-            self._order = (self.dim, tuple(p.order() for p in self.pieces))
-        return self._order
-
-    def key_text(self) -> str:
-        if self._text is None:
-            self._text = field_text((self.dim, self.pieces))
-        return self._text
-
     def _check_dim(self, other: "Region"):
         if self.dim != other.dim:
             raise DimensionMismatchError("regions of different dimension")
@@ -835,7 +774,7 @@ class Region:
         for p in self.pieces:
             for q in other.pieces:
                 r = p.intersect(q)
-                if r is not None and r._meas > 0:
+                if r is not None:
                     out.append(r)
         return Region(self.dim, out)
 
@@ -864,7 +803,7 @@ class Region:
                     rest = rest.clip(h)
                     if rest is None:
                         break
-            pieces = [p for p in nxt if p._meas > 0]
+            pieces = nxt
         return Region(self.dim, pieces)
 
     @memo
@@ -912,7 +851,7 @@ class Region:
                     cur = cur.clip(h)
                     if cur is None:
                         break
-                if cur is not None and cur._meas > 0:
+                if cur is not None:
                     out.append(cur)
         return Region(self.dim, out)
 
@@ -977,8 +916,7 @@ class Region:
         for i in range(n):
             groups.setdefault(find(i), []).append(self.pieces[i])
         comps = [Region(self.dim, ps) for ps in groups.values()]
-        key = _sort_key([p for r in comps for p in r.pieces])
-        return sorted(comps, key=lambda r: tuple(map(key, r.pieces)))
+        return sorted(comps, key=lambda r: r.order())
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

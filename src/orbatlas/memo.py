@@ -30,18 +30,18 @@ table, `clear()` included, since an equal value built later must still be
 the object that lives on.
 
 A value's fields are its class's annotations, or else the parameters of
-its `_setup`, the one set-up hook.  An annotated value's key `key()` is
-the key of its fields, or of those its `_key_fields` names; a `_setup`
-class, a geometry value, writes its own.  The saved choice-table order
-reads `key()`.  The canonical sorts read the order key `order()` instead:
-the shape of `key()` with an order leaf in place of each rational of a
-geometry value (`geometry._leaf`), so it orders values exactly as `key()`
-does, while nearly every comparison is decided between integers, in C.
-The chart names of `atlas.pullback_square` read the third derived form,
-the key text `key_text()`: `repr(key())`, joined from the key texts of
-the same fields (`field_text`), so that a text once built, of a map, a
-region or an entry, is never walked again.  All three are built once per
-value, on first use.
+its `_setup`, the one set-up hook.  `interned` builds the three derived
+forms of every value, each once, on first use.  The key `key()` is the
+key of the fields, or of those `_key_fields` names; only a leaf value of
+geometry (a map, an interval, a polygon), whose fields are integers,
+writes them as rationals by its hook `_form`.  The saved choice-table
+order reads `key()`.  The canonical sorts read the order key `order()`:
+the shape of `key()` with an order leaf (`geometry._leaf`) in place of
+each rational, so it orders values exactly as `key()` does, while nearly
+every comparison is decided between integers, in C.  The chart names of
+`atlas.pullback_square` read the key text `key_text()`: `repr(key())`,
+joined from the key texts of the same fields (`field_text`), so that a
+text once built, of a map, a region or an entry, is never walked again.
 
 Neither decorator generates code: parameters are read from a function's
 code object and fields from a class's annotations, so importing orbatlas
@@ -147,9 +147,12 @@ def interned(cls):
     `object.__setattr__` (never `__dict__` as a whole, which on CPython 3.11
     slows every later attribute read), `__repr__` in the form
     `Class(field=value, ...)`, a frozen `__setattr__` and `__delattr__`,
-    `__replace__(**changes)` (the protocol of `copy.replace`), `key()`,
-    `order()` and `key_text()`: `_field_key` and `field_text` of its fields,
-    or of the fields named by its `_key_fields`, each built once.
+    `__replace__(**changes)` (the protocol of `copy.replace`).  Every class
+    gets `key()`, `order()` and `key_text()`, each built once: `_field_key`
+    and `field_text` of its fields, or of those named by `_key_fields`.  A
+    leaf class builds `key()` and `order()` by its `_form(self, name)`
+    instead, and its key text is `field_text(key())`.  A slotted `_setup`
+    class sets the slots `_key`, `_order` and `_text` to None itself.
 
     `_canonical`, static, with the field names as parameters (`__replace__`
     passes keywords), gives the canonical field tuple of a call.  Without
@@ -181,35 +184,43 @@ def interned(cls):
             return type(self)(*[changes.pop(n, v) for n, v in zip(names, self._fields)],
                               **changes)
 
-        keyed = [names.index(n) for n in own.get("_key_fields", names)]
-
-        def key_fields(self):
-            fields = self._fields
-            return tuple(fields[i] for i in keyed)
-
-        def key(self):
-            if self._key is None:
-                object.__setattr__(self, "_key", _field_key(key_fields(self), "key"))
-            return self._key
-
-        def order(self):
-            if self._order is None:
-                object.__setattr__(self, "_order", _field_key(key_fields(self), "order"))
-            return self._order
-
-        def key_text(self):
-            if self._text is None:
-                object.__setattr__(self, "_text", field_text(key_fields(self)))
-            return self._text
-
         cls.__repr__, cls.__replace__ = __repr__, __replace__
         cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-        cls.key, cls.order, cls.key_text = key, order, key_text
         cls._key = cls._order = cls._text = None
     elif "_setup" in own:
         (_, *names), defaults = _parameters(cls._setup), ()
     else:
         raise TypeError(f"{cls.__qualname__}: neither annotated fields nor a _setup")
+    keyed = [names.index(n) for n in own.get("_key_fields", names)]
+    leaf = "_form" in own
+
+    def key_fields(self):
+        fields = self._fields
+        return tuple(fields[i] for i in keyed)
+
+    if leaf:
+        derive = cls._form
+    else:
+        def derive(self, name):
+            return _field_key(key_fields(self), name)
+
+    def key(self):
+        if self._key is None:
+            object.__setattr__(self, "_key", derive(self, "key"))
+        return self._key
+
+    def order(self):
+        if self._order is None:
+            object.__setattr__(self, "_order", derive(self, "order"))
+        return self._order
+
+    def key_text(self):
+        if self._text is None:
+            text = field_text(self.key() if leaf else key_fields(self))
+            object.__setattr__(self, "_text", text)
+        return self._text
+
+    cls.key, cls.order, cls.key_text = key, order, key_text
     setup = cls._setup if "_setup" in own else field_setup
     if "_canonical" in own:
         canonical, arity = cls._canonical, -1

@@ -205,35 +205,21 @@ def test_guard_sees_a_sort_by_key(tmp_path):
     assert _key_sorts(p) == ["m.py:1", "m.py:2", "m.py:3"]
 
 
-# The key texts that geometry builds from `key()` itself: a piece's.
-KEY_TEXT_OWNERS = {"geometry.py:Interval.key_text", "geometry.py:Polygon.key_text"}
-
-
 def _is_key_call(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "key" and not node.args)
 
 
 def _key_reprs(path):
-    """`repr(<expr>.key())` and `f"{<expr>.key()!r}"` outside the methods
-    named in `KEY_TEXT_OWNERS`: a value builds its key text once, as
-    `key_text()`, from the key texts of its fields."""
+    """`repr(<expr>.key())` and `f"{<expr>.key()!r}"`: a value builds its
+    key text once, as `key_text()`, from the key texts of its fields."""
     out = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                visit(child, where + (child.name,))
-                continue
-            text = (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "repr" and child.args and _is_key_call(child.args[0])
-                    or isinstance(child, ast.FormattedValue) and child.conversion == ord("r")
-                    and _is_key_call(child.value))
-            if text and f"{path.name}:{'.'.join(where)}" not in KEY_TEXT_OWNERS:
-                out.append(f"{path.name}:{child.lineno}")
-            visit(child, where)
-
-    visit(ast.parse(path.read_text()), ())
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "repr" and node.args and _is_key_call(node.args[0])
+                or isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                and _is_key_call(node.value)):
+            out.append(f"{path.name}:{node.lineno}")
     return out
 
 
@@ -243,17 +229,54 @@ def test_no_key_repr_in_src():
 
 
 def test_guard_sees_a_key_repr(tmp_path):
-    body = ("a = repr(v.key())\n"
-            "b = f'({m.key()!r}, {n})'\n"
-            "c = repr(v.key_text()), repr(key(v)), f'{v.key()}'\n"
-            "class Interval:\n    def key_text(self):\n        return repr(self.key())\n"
-            "class Region:\n    def key_text(self):\n        return repr(self.key())\n")
-    p = tmp_path / "m.py"
-    p.write_text(body)
-    assert _key_reprs(p) == ["m.py:1", "m.py:2", "m.py:6", "m.py:9"]
     p = tmp_path / "geometry.py"
-    p.write_text(body)
-    assert _key_reprs(p) == ["geometry.py:1", "geometry.py:2", "geometry.py:9"]
+    p.write_text("a = repr(v.key())\n"
+                 "b = f'({m.key()!r}, {n})'\n"
+                 "c = repr(v.key_text()), repr(key(v)), f'{v.key()}'\n"
+                 "class Interval:\n    def key_text(self):\n        return repr(self.key())\n"
+                 "class Region:\n    def key_text(self):\n        return repr(self.key())\n")
+    assert _key_reprs(p) == ["geometry.py:1", "geometry.py:2", "geometry.py:6", "geometry.py:9"]
+
+
+KEY_FORMS = {"key", "order", "key_text"}
+
+
+def _own_key_forms(path):
+    """Classes that define `key`, `order` or `key_text`, by a method or a
+    class attribute: `memo.interned` builds and caches the three derived
+    forms of every value."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for part in node.body:
+            if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {part.name}
+            elif isinstance(part, (ast.Assign, ast.AnnAssign)):
+                targets = part.targets if isinstance(part, ast.Assign) else [part.target]
+                elts = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+                names = {e.id for e in elts if isinstance(e, ast.Name)}
+            else:
+                continue
+            out += [f"{path.name}:{node.name}.{n}" for n in sorted(names & KEY_FORMS)]
+    return out
+
+
+def test_no_class_defines_a_key_form_in_src():
+    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in _own_key_forms(path)]
+    assert found == [], f"let memo.interned build the key forms: {found}"
+
+
+def test_guard_sees_a_key_form(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("class A:\n    def key(self):\n        return 1\n"
+                 "    @property\n    def order(self):\n        return 2\n"
+                 "class B:\n    key_text, n = str, 1\n"
+                 "    class C:\n        order: int = 0\n"
+                 "    def _form(self, name):\n        return self.key()\n"
+                 "def interned(cls):\n    def key(self):\n        return 0\n"
+                 "    cls.key = key\n")
+    assert _own_key_forms(p) == ["m.py:A.key", "m.py:A.order", "m.py:B.key_text", "m.py:C.order"]
 
 
 # A witness may hold a list (a violation's witness is any data), so

@@ -9,19 +9,25 @@
   built once per value; each gives what a scan of the value gives, an
   unknown id raises as before, and a lookup that may find several items
   returns a tuple, which no caller can change.
+- The key, the order key and the key text of generated maps, intervals,
+  polygons and regions are the forms built from their integer fields,
+  and a sort by `order()` is the sort by `key()`.
 """
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbatlas import atlas as atl
 from orbatlas import fractions as frc
 from orbatlas import fred as frd
 from orbatlas.atlas import WORD_BOUND, Morphism
 from orbatlas.fixtures import ATLASES, EXPECTED_CLASS, MORPHISMS, TRIV_SHIFTED, catalog_2cells
-from orbatlas.geometry import AffineMap, Region
+from orbatlas.geometry import AffineMap, Interval, Polygon, Region, _leaf
 
 OBJECTS = sorted(ATLASES.items()) + [("TRIV_SHIFTED", TRIV_SHIFTED)]
 
@@ -203,3 +209,96 @@ def test_closure_items_are_sorted_once(atlas_cells):
                      for m in sorted(by_map, key=lambda m: m.key()))
         assert cl.items() == scan
         assert cl.items() is cl.items()
+
+
+# -- the forms of generated geometry values ------------------------------------
+
+_rational = st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+                      st.integers(min_value=1, max_value=6))
+_points = st.lists(st.tuples(_rational, _rational), min_size=3, max_size=6)
+_polygons = _points.map(Polygon.make).filter(lambda p: p is not None)
+
+
+@st.composite
+def _maps(draw):
+    n = draw(st.sampled_from((1, 2)))
+    row = st.lists(_rational, min_size=n, max_size=n)
+    return AffineMap.make(draw(st.lists(row, min_size=n, max_size=n)), draw(row))
+
+
+@st.composite
+def _intervals(draw):
+    lo, hi = sorted(draw(st.lists(_rational, min_size=2, max_size=2, unique=True)))
+    return Interval.make(lo, hi)
+
+
+def _form(x, entry):
+    """The key (entry `Fraction`) or the order key (entry `_leaf`) of a
+    geometry value, built from its integer fields."""
+    if isinstance(x, AffineMap):
+        (m, o, d), n = x._fields, x.dim
+        return (tuple(tuple(entry(e, d) for e in m[i * n:(i + 1) * n]) for i in range(n)),
+                tuple(entry(e, d) for e in o))
+    if isinstance(x, Interval):
+        lo, hi, d = x._fields
+        return entry(lo, d), entry(hi, d)
+    if isinstance(x, Polygon):
+        v, d = x._fields
+        return tuple((entry(a, d), entry(b, d)) for a, b in v)
+    return x.dim, tuple(_form(p, entry) for p in x.pieces)
+
+
+def _check_forms(values):
+    for x in values:
+        assert x.key() == _form(x, Fraction) and x.key() is x.key()
+        assert x.order() == _form(x, _leaf) and x.order() is x.order()
+        assert x.key_text() == repr(x.key()) and x.key_text() is x.key_text()
+    by_key = sorted(values, key=lambda x: x.key())
+    assert [id(x) for x in sorted(values, key=lambda x: x.order())] == [id(x) for x in by_key]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_maps(), min_size=1, max_size=6))
+def test_map_forms(maps):
+    _check_forms(maps)
+    for m in maps:
+        assert m.key() == (m.matrix, m.offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_intervals(), min_size=1, max_size=6))
+def test_interval_forms(intervals):
+    _check_forms(intervals)
+    for i in intervals:
+        assert i.key() == (i.lo, i.hi) and i.lo < i.hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_polygons, min_size=1, max_size=4))
+def test_polygon_forms(polygons):
+    _check_forms(polygons)
+    for p in polygons:
+        assert p.key() is p.verts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_region_forms(data):
+    """Regions of 1-4 pieces given in shuffled order: the pieces of a
+    region are in `key()` order, and its pieces shuffled give the region
+    itself.  So do the given pieces shuffled in dimension 1; in the plane
+    the greedy merge of three overlapping pieces may depend on their
+    order, so there a shuffled call gives a region of the same set."""
+    regions = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        dim = data.draw(st.sampled_from((1, 2)))
+        pieces = data.draw(st.lists(_intervals() if dim == 1 else _polygons,
+                                    min_size=1, max_size=4))
+        r = Region(dim, data.draw(st.permutations(pieces)))
+        assert list(r.pieces) == sorted(r.pieces, key=lambda p: p.key())
+        assert Region(dim, data.draw(st.permutations(r.pieces))) is r
+        again = Region(dim, data.draw(st.permutations(pieces)))
+        assert again is r if dim == 1 else again.same_set(r)
+        _check_forms(list(r.pieces))
+        regions.append(r)
+    _check_forms(regions)
