@@ -193,18 +193,160 @@ def merge_atlases(a: Atlas, b: Atlas):
 class Pseudogroup:
     """Word closure of the chart groups and declared generators, aggregated
     by affine map: families[(i, j)][map] is the union of the domains of all
-    closure words from chart i to chart j with that affine map."""
+    closure words from chart i to chart j with that affine map.
 
-    def __init__(self, families, complete, overflowed):
-        self.families = families
-        self.complete = complete
-        self.overflowed = overflowed
+    A word never changes its first chart, so the closure is closed one
+    source chart at a time, by `_close`, and a source is closed when it is
+    first read.  `region`, `maps`, `covered` and `forced` read the families
+    of one source chart; `families`, `complete`, `overflowed`, `items()`
+    and `count()` read the whole closure and close every source still open,
+    in seed order (`complete` and `overflowed` stop at the first source
+    that settles them).  So `families` is ordered by source chart in seed
+    order, then by pair insertion order, whichever source was read first.
+    A source's families, once closed, never change.
+
+    `FAMILY_CAP` bounds the families of one source chart: a source whose
+    families exceed it stops, overflowed and incomplete.  The closure is
+    `complete` when the rounds of every source stabilized within the bound,
+    and `overflowed` when some source overflowed.  A miss read before the
+    whole closure (`covered`, `refute`) reads `complete`, so it closes every
+    source: the verdict of a miss is that of the whole closure."""
+
+    def __init__(self, atlas: Atlas, bound: int):
+        seeds = _seed_families(atlas)
+        # letters[chart]: the seeds leaving the chart as (dst, m2, d2); on a
+        # line, identity maps of a chart to itself are left out
+        line = all(m.dim == 1 and dom.dim == 1 for _, _, m, dom in seeds)
+        self._seeds, self._letters = {}, {}
+        for src, dst, m, dom in seeds:
+            self._seeds.setdefault(src, []).append((dst, m, dom))
+            if not (line and src == dst and m.is_identity()):
+                self._letters.setdefault(src, []).append((dst, m, dom))
+        self._bound = bound
+        self._closed = {}  # source chart -> {dst: {map: region}}
+        self._exits = {}   # source chart -> (complete, overflowed)
+
+    def _close(self, src):
+        """Close the families leaving chart `src` and return them by target
+        chart.  Appending one generating letter at a time reaches every
+        word, so stability under a single append pass proves that the
+        source's closure is full.
+
+        The rounds are semi-naive: `absorb` records the key (dst, map) of
+        every family it inserts or enlarges, and the next round steps only
+        the families recorded by the one before, in family order.  A family
+        that did not grow re-emits the steps that an earlier round already
+        absorbed.  Where absorbing a region that a family already holds
+        changes nothing, the families, their order, `complete`, `overflowed`
+        and the round of the cap check are those of stepping every family
+        in every round.  That holds on a line; in the plane a union with a
+        region already held can give other pieces of the same set (next
+        paragraph).  A round that records nothing proves stability.
+
+        On a line, an identity map from a chart to itself is a seed but not
+        a letter.  Its step sends the family (dst, m) with region `d1` to a
+        part of `d1` under the same key, whose region holds `d1` already.  A
+        canonical region of dimension 1 is its maximal open intervals, so
+        the union of a region and a subset of it is that region: the step
+        never changes a family, whether or not the chart is valid.  In the
+        plane a canonical region may hold overlapping pieces, and a union
+        with a subset can give other pieces of the same set (the invalid
+        `CLIPPED` atlas of `tests/test_closure_reference.py`), so there the
+        letters stay.  On `coherence` identity letters were 37% of all steps
+        and those on a line 28% (on `bf-atlas` 27% and 9%).
+
+        Each step is computed once per process: preimages, composites and
+        unions are memoized in the geometry kernel.  A region whose pieces
+        are all pieces of the family already is absorbed without a union
+        (the pieces of a canonical region are pairwise unmergeable, so that
+        union would only drop the duplicates), which keeps these trivial
+        unions out of the memo.  Most steps give back the family's own
+        current region, which the loop tests inline before calling
+        `absorb`.  The steps are not kept: within one source a family is
+        stepped again only once its region has grown, so a step does not
+        repeat.  A table of the steps of each whole closure, counted over
+        one pass of `coherence` and of `bf-atlas`, found every repeat in
+        another source than the one that took the step first."""
+        letters = self._letters
+        fams = {}
+        grown = set()  # keys (dst, m) inserted or enlarged since the last round
+
+        def absorb(by_map, dst, m, cur, region):
+            """Put `region` into the family (dst, m), whose dict is `by_map`
+            and whose current region `cur` (or None) is not `region`."""
+            if cur is None:
+                if not region.is_empty():
+                    by_map[m] = region
+                    grown.add((dst, m))
+                return
+            if set(region.pieces) <= set(cur.pieces):
+                return
+            new = cur.union(region)
+            if new is not cur:
+                by_map[m] = new
+                grown.add((dst, m))
+
+        for dst, m, dom in self._seeds.get(src, ()):
+            by_map = fams.setdefault(dst, {})
+            cur = by_map.get(m)
+            if cur is not dom:
+                absorb(by_map, dst, m, cur, dom)
+        complete = overflowed = False
+        for _ in range(self._bound):
+            snapshot = [(mid, m1, d1)
+                        for mid, by_map in fams.items()
+                        for m1, d1 in by_map.items()
+                        if (mid, m1) in grown]
+            grown.clear()
+            for mid, m1, d1 in snapshot:
+                for dst, m2, d2 in letters.get(mid, ()):
+                    dom = d1.preimage_under(m1, d2)
+                    if dom.is_empty():
+                        continue
+                    by_map = fams.setdefault(dst, {})
+                    m21 = m2.compose(m1)
+                    cur = by_map.get(m21)
+                    if cur is not dom:
+                        absorb(by_map, dst, m21, cur, dom)
+            if sum(len(v) for v in fams.values()) > FAMILY_CAP:
+                overflowed = True
+                break
+            if not grown:
+                complete = True
+                break
+        self._closed[src] = fams
+        self._exits[src] = complete, overflowed
+        return fams
+
+    def _source(self, src):
+        """The families leaving chart `src`, by target chart."""
+        fams = self._closed.get(src)
+        return self._close(src) if fams is None else fams
+
+    def _exit(self, src):
+        """(complete, overflowed) of the rounds of source chart `src`."""
+        self._source(src)
+        return self._exits[src]
+
+    @cached_property
+    def families(self):
+        return {(src, dst): by_map
+                for src in self._seeds for dst, by_map in self._source(src).items()}
+
+    @cached_property
+    def complete(self):
+        # an atlas without seeds has no source, and stabilizes in round one
+        return self._bound > 0 and all(self._exit(src)[0] for src in self._seeds)
+
+    @cached_property
+    def overflowed(self):
+        return any(self._exit(src)[1] for src in self._seeds)
 
     def region(self, src, dst, m: AffineMap):
-        return self.families.get((src, dst), {}).get(m)
+        return self._source(src).get(dst, {}).get(m)
 
     def maps(self, src, dst):
-        return self.families.get((src, dst), {})
+        return self._source(src).get(dst, {})
 
     def covered(self, src, dst, m: AffineMap, region: Region):
         """Whether the region lies in the domain union of closure words with
@@ -266,122 +408,15 @@ def _seed_families(atlas: Atlas):
 
 @memo
 def closure(atlas: Atlas, bound: int) -> Pseudogroup:
-    """Bounded pseudogroup closure.  Appending one generating letter at a
-    time reaches every word, so stability under a single append pass proves
-    the closure is the full pseudogroup (complete=True).
-
-    The rounds are semi-naive: `absorb` records the key (src, dst, map) of
-    every family it inserts or enlarges, and the next round steps only the
-    families recorded by the one before, in family order.  A family that
-    did not grow re-emits the steps that an earlier round already absorbed.
-    Where absorbing a region that a family already holds changes nothing,
-    the families, their order, `complete`, `overflowed` and the round of
-    the cap check are those of stepping every family in every round.  That
-    holds on a line; in the plane a union with a region already held can
-    give other pieces of the same set (next paragraph).  A round that
-    records nothing proves stability.
-
-    On a line, an identity map from a chart to itself is a seed but not a
-    letter.  Its step sends the family (src, dst, m) with region `d1` to a
-    part of `d1` under the same key, whose region holds `d1` already.  A
-    canonical region of dimension 1 is its maximal open intervals, so the
-    union of a region and a subset of it is that region: the step never
-    changes a family, whether or not the chart is valid.  In the plane a
-    canonical region may hold overlapping pieces, and a union with a subset
-    can give other pieces of the same set (the invalid `CLIPPED` atlas of
-    `tests/test_closure_reference.py`), so there the letters stay.  On
-    `coherence` identity letters were 37% of all steps and those on a line
-    28% (on `bf-atlas` 27% and 9%).
-
-    Each step is computed once per process: preimages, composites and
-    unions are memoized in the geometry kernel.  A region whose pieces are
-    all pieces of the family already is absorbed without a union (the
-    pieces of a canonical region are pairwise unmergeable, so that union
-    would only drop the duplicates), which keeps these trivial unions out
-    of the memo.  Most steps give back the family's own current region,
-    which the loop tests inline before calling `absorb`.
-
-    `preimage_under` and `compose` are memoized in the geometry kernel, yet
-    the `steps` row stays: one row per stepped family (d1, m1, mid) holds
-    its non-empty steps, grouped by target chart, so a family takes all
-    its steps by one lookup and each group its family dict by one
-    `setdefault`.  Grouping keeps each target chart's first appearance and
-    the letter order within it, so the dicts are filled in the order of
-    stepping the letters one by one.  Median `run_s` of 3 alternating
-    pairs of `perfbench/run.py --seconds 8`: building every row again
-    through the memos gave 0.114 -> 0.133 s on `coherence` (3 of 3 won by
-    the row; `bf-atlas` 0.056 s either way).  Sharing the steps of equal
-    letters between charts, as the chart copies of a square's middle have,
-    gave 0.115 -> 0.111 s on `coherence` but 0.057 -> 0.060 s on
-    `bf-atlas` (3 of 3 lost), so rows are not shared."""
-    seeds = _seed_families(atlas)
-    # letters[chart]: the seeds leaving the chart as (dst, m2, d2); on a line,
-    # identity maps of a chart to itself are left out
-    line = all(m.dim == 1 and dom.dim == 1 for _, _, m, dom in seeds)
-    letters = {}
-    for src, dst, m, dom in seeds:
-        if not (line and src == dst and m.is_identity()):
-            letters.setdefault(src, []).append((dst, m, dom))
-    # (d1, m1, mid) -> ((dst, ((m2.compose(m1), d1.preimage_under(m1, d2)), ...)), ...)
-    steps = {}
-    fams = {}
-    grown = set()  # keys (src, dst, m) inserted or enlarged since the last round
-
-    def row_of(d1, m1, mid):
-        by_dst = {}
-        for dst, m2, d2 in letters.get(mid, ()):
-            dom = d1.preimage_under(m1, d2)
-            if not dom.is_empty():
-                by_dst.setdefault(dst, []).append((m2.compose(m1), dom))
-        return tuple((dst, tuple(group)) for dst, group in by_dst.items())
-
-    def absorb(by_map, src, dst, m, cur, region):
-        """Put `region` into the family (src, dst, m), whose dict is `by_map`
-        and whose current region `cur` (or None) is not `region`."""
-        if cur is None:
-            if not region.is_empty():
-                by_map[m] = region
-                grown.add((src, dst, m))
-            return
-        if set(region.pieces) <= set(cur.pieces):
-            return
-        new = cur.union(region)
-        if new is not cur:
-            by_map[m] = new
-            grown.add((src, dst, m))
-
-    for src, dst, m, dom in seeds:
-        by_map = fams.setdefault((src, dst), {})
-        cur = by_map.get(m)
-        if cur is not dom:
-            absorb(by_map, src, dst, m, cur, dom)
-    complete = False
-    overflowed = False
-    for _ in range(bound):
-        snapshot = [(src, dst, m, reg)
-                    for (src, dst), by_map in fams.items()
-                    for m, reg in by_map.items()
-                    if (src, dst, m) in grown]
-        grown.clear()
-        for (src, mid, m1, d1) in snapshot:
-            key = (d1, m1, mid)
-            row = steps.get(key)
-            if row is None:
-                row = steps[key] = row_of(d1, m1, mid)
-            for dst, group in row:
-                by_map = fams.setdefault((src, dst), {})
-                for m21, dom in group:
-                    cur = by_map.get(m21)
-                    if cur is not dom:
-                        absorb(by_map, src, dst, m21, cur, dom)
-        total = sum(len(v) for v in fams.values())
-        if total > FAMILY_CAP:
-            overflowed = True
-            break
-        if not grown:
-            complete = True
-            break
-    return Pseudogroup(fams, complete, overflowed)
+    """Bounded pseudogroup closure of the atlas at the word bound.  The
+    `Pseudogroup` closes each source chart when it is first read, so a
+    caller that reads the families leaving a few charts closes only those;
+    whole reads close the rest.  Every caller of one (atlas, bound) shares
+    the one `Pseudogroup`, and so the sources it has closed.  The lifts of
+    a morphism and the patches of a 2-cell read the families leaving one
+    or two charts of a large search atlas: over one pass of `coherence`,
+    281 of the 722 source charts of its closures were read."""
+    return Pseudogroup(atlas, bound)
 
 
 def coarse_equal_atlas(atlas: Atlas, p, q, bound: int):

@@ -11,7 +11,8 @@ positional-only parameters.  A method's key holds `self`, so equal
 instances share entries.  Each argument must be a value that is its own
 key, and only results that are never mutated may be stored: values,
 tuples, booleans, `None`, strings, and the `Pseudogroup` of
-`atlas.closure`, whose dicts nothing changes once `closure` has returned.
+`atlas.closure`, which closes a source chart when it is first read and
+whose families of a source, once read, never change.
 Every stored result is a hit, `False` and `None` included; a call that
 raises stores nothing.  `cache_info()` gives `(hits, misses, None, size)`;
 `clear()` empties every memo and resets the counters.  There is no size

@@ -9,7 +9,7 @@ from orbatlas import fred as frd
 from orbatlas.atlas import WORD_BOUND, classify_morphism
 from orbatlas.fixtures import ATLASES, MIRROR, MIRROR_REF, MORPHISMS, TRIV_SHIFTED, catalog_2cells
 from orbatlas.geometry import GeometryError
-from orbatlas.reports import ComposabilityError, NoSuchCellError, UndecidedError
+from orbatlas.reports import ComposabilityError, NoSuchCellError, Report, UndecidedError
 
 M = MORPHISMS
 
@@ -251,6 +251,57 @@ def test_bf_missing_cell_fails_with_its_witness(ops, legs_universe, field, axiom
                        frc.ChoiceTable())
     assert {v.code for v in rep.violations} == {code}
     assert all(v.witness == _WITNESS for v in rep.violations)
+
+
+def _stubbed(ops, **fields):
+    """`ops` with the named operations replaced by the given stubs."""
+    out = copy.copy(ops)
+    for field, stub in fields.items():
+        setattr(out, field, stub)
+    return out
+
+
+def _invalid(cell):
+    rep = Report("stub")
+    rep.fail("2M0", "validate2 stubbed")
+    return rep
+
+
+@pytest.fixture(scope="module")
+def mirror_universe():
+    # flip_M is a W-arrow parallel to id_MIRROR, and the reflection of the
+    # mirror chart connects the two
+    return frc.Universe([("MIRROR", MIRROR)],
+                        [("id_MIRROR", M["id_MIRROR"]), ("flip_M", M["flip_M"])])
+
+
+def _bf_stubs(ops):
+    """(axiom, stubbed ops, the code it fails with, a phrase of its message),
+    one per check that only a universe-level stub reaches."""
+    return [
+        # no arrow is in W, so no identity is
+        (1, _stubbed(ops, is_w=lambda f: False), "BF1", "identity of MIRROR is not in W"),
+        # W is the two arrows, which do not hold the composite flip_M.flip_M
+        (2, _stubbed(ops, is_w=lambda f: f in (M["id_MIRROR"], M["flip_M"])), "BF2",
+         "composite flip_M.flip_M left W"),
+        # no inverse of a cancelled cell validates
+        (4, _stubbed(ops, validate2=_invalid), "BF4b", "beta not invertible"),
+        # flip_M is left out of W, though a 2-cell connects it to id_MIRROR
+        (5, _stubbed(ops, is_w=lambda f: f != M["flip_M"] and ops.is_w(f)), "BF5",
+         "flip_M is 2-isomorphic to the W-arrow id_MIRROR"),
+    ]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_bf_stub_fails_with_its_code(ops, legs_universe, mirror_universe, k):
+    """Each stub fails its axiom with its own code, at its own check, where
+    the unstubbed operations pass."""
+    axiom, stubbed, code, phrase = _bf_stubs(ops)[k]
+    universe = legs_universe if axiom == 4 else mirror_universe
+    assert frc.check_bf(ops, axiom, universe, frc.ChoiceTable()).ok
+    rep = frc.check_bf(stubbed, axiom, universe, frc.ChoiceTable())
+    assert rep.violations and {v.code for v in rep.violations} == {code}
+    assert all(phrase in v.message for v in rep.violations)
 
 
 def test_bf_undecided_connection_is_noted(ops, half_universe):
