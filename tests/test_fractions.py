@@ -192,15 +192,21 @@ def test_bf_axioms_small_universe(ops, small_universe, table):
 _WITNESS = ("M", (F(1, 2),))
 
 
+def _stubbed(ops, **fields):
+    """`ops` with the named operations replaced by the given stubs."""
+    out = copy.copy(ops)
+    for field, stub in fields.items():
+        setattr(out, field, stub)
+    return out
+
+
 def _raising(ops, field, exc):
     """`ops` with the operation `field` replaced by a stub that raises."""
     def stub(*args):
         if exc is NoSuchCellError:
             raise exc(f"{field} raised", _WITNESS)
         raise exc(f"{field} raised")
-    out = copy.copy(ops)
-    setattr(out, field, stub)
-    return out
+    return _stubbed(ops, **{field: stub})
 
 
 @pytest.fixture(scope="module")
@@ -253,14 +259,6 @@ def test_bf_missing_cell_fails_with_its_witness(ops, legs_universe, field, axiom
     assert all(v.witness == _WITNESS for v in rep.violations)
 
 
-def _stubbed(ops, **fields):
-    """`ops` with the named operations replaced by the given stubs."""
-    out = copy.copy(ops)
-    for field, stub in fields.items():
-        setattr(out, field, stub)
-    return out
-
-
 def _invalid(cell):
     rep = Report("stub")
     rep.fail("2M0", "validate2 stubbed")
@@ -276,27 +274,27 @@ def mirror_universe():
 
 
 def _bf_stubs(ops):
-    """(axiom, stubbed ops, the code it fails with, a phrase of its message),
-    one per check that only a universe-level stub reaches."""
-    return [
+    """code -> (axiom, stubbed ops, a phrase of the message), one per check
+    that only a universe-level stub reaches."""
+    return {
         # no arrow is in W, so no identity is
-        (1, _stubbed(ops, is_w=lambda f: False), "BF1", "identity of MIRROR is not in W"),
+        "BF1": (1, _stubbed(ops, is_w=lambda f: False), "identity of MIRROR is not in W"),
         # W is the two arrows, which do not hold the composite flip_M.flip_M
-        (2, _stubbed(ops, is_w=lambda f: f in (M["id_MIRROR"], M["flip_M"])), "BF2",
-         "composite flip_M.flip_M left W"),
+        "BF2": (2, _stubbed(ops, is_w=lambda f: f in (M["id_MIRROR"], M["flip_M"])),
+                "composite flip_M.flip_M left W"),
         # no inverse of a cancelled cell validates
-        (4, _stubbed(ops, validate2=_invalid), "BF4b", "beta not invertible"),
+        "BF4b": (4, _stubbed(ops, validate2=_invalid), "beta not invertible"),
         # flip_M is left out of W, though a 2-cell connects it to id_MIRROR
-        (5, _stubbed(ops, is_w=lambda f: f != M["flip_M"] and ops.is_w(f)), "BF5",
-         "flip_M is 2-isomorphic to the W-arrow id_MIRROR"),
-    ]
+        "BF5": (5, _stubbed(ops, is_w=lambda f: f != M["flip_M"] and ops.is_w(f)),
+                "flip_M is 2-isomorphic to the W-arrow id_MIRROR"),
+    }
 
 
-@pytest.mark.parametrize("k", range(4))
-def test_bf_stub_fails_with_its_code(ops, legs_universe, mirror_universe, k):
+@pytest.mark.parametrize("code", ["BF1", "BF2", "BF4b", "BF5"])
+def test_bf_stub_fails_with_its_code(ops, legs_universe, mirror_universe, code):
     """Each stub fails its axiom with its own code, at its own check, where
     the unstubbed operations pass."""
-    axiom, stubbed, code, phrase = _bf_stubs(ops)[k]
+    axiom, stubbed, phrase = _bf_stubs(ops)[code]
     universe = legs_universe if axiom == 4 else mirror_universe
     assert frc.check_bf(ops, axiom, universe, frc.ChoiceTable()).ok
     rep = frc.check_bf(stubbed, axiom, universe, frc.ChoiceTable())
